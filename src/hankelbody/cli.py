@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from .disk import PoleParam
+from .errors import HankelBodyError
 from .hankel import h_p, lower_bound_M, upper_bound_M
 from .oracle import verify_all
 from .search import RegionSample, estimate_M, sample_omega_boundary, sample_region_H
@@ -43,6 +44,13 @@ def _parse_p(text: str) -> float:
     if not 0.0 < p < 1.0:
         raise argparse.ArgumentTypeError(f"p must lie in (0,1), got {p}")
     return p
+
+
+def _parse_samples(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"samples must be >= 1, got {n}")
+    return n
 
 
 def _dump_json(payload: dict) -> str:
@@ -216,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the invariant families")
     v.add_argument("--p", type=_parse_p_list, default=[0.2, 0.5, 0.8])
-    v.add_argument("--samples", type=int, default=1000)
+    v.add_argument("--samples", type=_parse_samples, default=1000)
     v.add_argument("--seed", type=int, default=1)
     v.add_argument("--out", default=None)
     v.set_defaults(func=cmd_verify)
@@ -242,6 +250,9 @@ def main(argv=None) -> int:
     except _IOFailure as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_IO
+    except HankelBodyError as exc:
+        print(f"hankelbody {args.command}: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

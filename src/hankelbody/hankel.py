@@ -4,7 +4,7 @@ bound polynomials used in the sandwich estimate for M(p).
 
 Transcribed polynomial displays live in module-level tables so the test
 suite can perturb a single coefficient and confirm the defining identities
-catch the drift.
+catch the drift.  Phi_p itself is transcribed once, in ``kernels``.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import kernels
 from .coeffbody import CoeffTriple, ParamTriple, c_from_sigma
 from .disk import DiskRegion, PoleParam
 from .errors import InvalidInput
@@ -56,44 +57,11 @@ def hankel_from_c(pp: PoleParam, c: CoeffTriple) -> complex:
 
 # --- the polydisk functional -------------------------------------------------
 
-def phi_coeffs(P: float) -> dict:
-    """Transcription constants of Phi_p, grouped per term.
-
-    "b*" entries are sigma0-polynomials (ascending); scalar entries are
-    prefactors.  Kept in one table so a single perturbation is observable.
-    """
-    return {
-        "lead": -18.0 * P,
-        "b0": (1.0, P * P - 2.0, 1.0),
-        "c1": 3.0,
-        "b1": (1.0 - 7.0 * P * P + 2.0 * P**4, 3.0 * P * P - 2.0, 1.0),
-        "c2": -P,
-        "b2_m0": 2.0,
-        "b2_conj": 3.0,
-        "b2": (P * P - 1.0, 1.0),
-        "c3": 3.0 * P,
-        "b3": (P * P - 1.0, 1.0),
-    }
-
-
-def _polyval_asc(coeffs, x):
-    acc = 0.0 + 0.0j
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def phi_p(pp: PoleParam, sigma: ParamTriple) -> complex:
     """Phi_p(sigma0, sigma1, sigma2); H = phi_p / (18 P^3) on the polydisk."""
-    C = phi_coeffs(pp.P)
     s0, s1, s2 = sigma
-    m0 = 1.0 - abs(s0) ** 2
-    m1 = 1.0 - abs(s1) ** 2
-    t0 = C["lead"] * _polyval_asc(C["b0"], s0)
-    t1 = C["c1"] * _polyval_asc(C["b1"], s0) * m0 * s1
-    t2 = C["c2"] * (C["b2_m0"] * m0 + C["b2_conj"] * np.conj(s0) * _polyval_asc(C["b2"], s0)) * m0 * s1 * s1
-    t3 = C["c3"] * _polyval_asc(C["b3"], s0) * m0 * m1 * s2
-    return complex(t0 + t1 + t2 + t3)
+    head, coef = kernels._phi_terms(pp.P, s0, s1)
+    return complex(head + coef * s2)
 
 
 def hankel_from_sigma(pp: PoleParam, sigma: ParamTriple) -> complex:

@@ -1,87 +1,35 @@
-"""Hot batch kernels for polydisk sweeps of the Hankel functional.
+"""The polydisk functional Phi_p, written once.
 
-Two evaluation paths cover the same contracts:
-
-* a numba ``@njit`` path (default when numba imports cleanly), and
-* a pure-numpy vectorized path, selected by setting the environment
-  variable ``HANKELBODY_NO_NUMBA=1`` before import.
-
-``benchmarks/bench_kernels.py`` compares the two.  Both paths must agree
-with the scalar reference ``hankel.phi_p`` to machine precision; the test
-suite checks this on random batches.
+H = Phi_p(sigma0, sigma1, sigma2) / (18 P^3) on the closed polydisk, and Phi
+is affine in sigma2.  ``_phi_terms`` is the only transcription of Phi.  It
+uses nothing but arithmetic, the builtin ``abs`` and ``.conjugate()``, so the
+same code evaluates Python scalars (``hankel.phi_p``, ``best_sigma2``) and
+numpy arrays (``phi_batch``, ``phi_sigma2_max``).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-USE_NUMBA = os.environ.get("HANKELBODY_NO_NUMBA", "") not in ("1", "true", "yes")
-
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a hard dep in practice
-        USE_NUMBA = False
+#: There is no compiled path.  The name stays because the benchmark worker
+#: (``perfbench/worker.py``) reads it at startup.
+USE_NUMBA = False
 
 
-def _phi_batch_np(P, s0, s1, s2):
-    m0 = 1.0 - np.abs(s0) ** 2
-    m1 = 1.0 - np.abs(s1) ** 2
+def _phi_terms(P, s0, s1, modulus=False):
+    """(head, coef) with Phi_p(s0, s1, s2) = head + coef * s2.
+
+    With ``modulus=True`` the second value is |coef|, taken factor by factor.
+    """
+    m0 = 1.0 - abs(s0) ** 2
+    m1 = 1.0 - abs(s1) ** 2
+    # coef first, so that its sigma0 factor is freed before the head terms exist
+    coef = P * P - 1.0 + s0
+    coef = 3.0 * P * (abs(coef) if modulus else coef) * m0 * m1
     t0 = -18.0 * P * (1.0 + (P * P - 2.0) * s0 + s0 * s0)
     t1 = 3.0 * (1.0 - 7.0 * P * P + 2.0 * P**4 + (3.0 * P * P - 2.0) * s0 + s0 * s0) * m0 * s1
-    t2 = -P * (2.0 * m0 + 3.0 * np.conj(s0) * (P * P - 1.0 + s0)) * m0 * s1 * s1
-    t3 = 3.0 * P * (P * P - 1.0 + s0) * m0 * m1 * s2
-    return t0 + t1 + t2 + t3
-
-
-def _phi_sigma2_max_np(P, s0, s1):
-    """max over |sigma2| <= 1 of |Phi|: the functional is affine in sigma2."""
-    m0 = 1.0 - np.abs(s0) ** 2
-    m1 = 1.0 - np.abs(s1) ** 2
-    t0 = -18.0 * P * (1.0 + (P * P - 2.0) * s0 + s0 * s0)
-    t1 = 3.0 * (1.0 - 7.0 * P * P + 2.0 * P**4 + (3.0 * P * P - 2.0) * s0 + s0 * s0) * m0 * s1
-    t2 = -P * (2.0 * m0 + 3.0 * np.conj(s0) * (P * P - 1.0 + s0)) * m0 * s1 * s1
-    lin = 3.0 * P * np.abs(P * P - 1.0 + s0) * m0 * m1
-    return np.abs(t0 + t1 + t2) + lin
-
-
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _phi_batch_nb(P, s0, s1, s2):  # pragma: no cover - exercised via wrapper
-        n = s0.shape[0]
-        out = np.empty(n, dtype=np.complex128)
-        P2 = P * P
-        for i in range(n):
-            a = s0[i]
-            b = s1[i]
-            m0 = 1.0 - (a.real * a.real + a.imag * a.imag)
-            m1 = 1.0 - (b.real * b.real + b.imag * b.imag)
-            t0 = -18.0 * P * (1.0 + (P2 - 2.0) * a + a * a)
-            t1 = 3.0 * (1.0 - 7.0 * P2 + 2.0 * P2 * P2 + (3.0 * P2 - 2.0) * a + a * a) * m0 * b
-            t2 = -P * (2.0 * m0 + 3.0 * np.conj(a) * (P2 - 1.0 + a)) * m0 * b * b
-            t3 = 3.0 * P * (P2 - 1.0 + a) * m0 * m1 * s2[i]
-            out[i] = t0 + t1 + t2 + t3
-        return out
-
-    @njit(cache=True)
-    def _phi_sigma2_max_nb(P, s0, s1):  # pragma: no cover - exercised via wrapper
-        n = s0.shape[0]
-        out = np.empty(n, dtype=np.float64)
-        P2 = P * P
-        for i in range(n):
-            a = s0[i]
-            b = s1[i]
-            m0 = 1.0 - (a.real * a.real + a.imag * a.imag)
-            m1 = 1.0 - (b.real * b.real + b.imag * b.imag)
-            t0 = -18.0 * P * (1.0 + (P2 - 2.0) * a + a * a)
-            t1 = 3.0 * (1.0 - 7.0 * P2 + 2.0 * P2 * P2 + (3.0 * P2 - 2.0) * a + a * a) * m0 * b
-            t2 = -P * (2.0 * m0 + 3.0 * np.conj(a) * (P2 - 1.0 + a)) * m0 * b * b
-            lin = 3.0 * P * abs(P2 - 1.0 + a) * m0 * m1
-            out[i] = abs(t0 + t1 + t2) + lin
-        return out
+    t2 = -P * (2.0 * m0 + 3.0 * s0.conjugate() * (P * P - 1.0 + s0)) * m0 * s1 * s1
+    return t0 + t1 + t2, coef
 
 
 def phi_batch(P: float, s0: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
@@ -89,25 +37,21 @@ def phi_batch(P: float, s0: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.nd
     s0 = np.ascontiguousarray(s0, dtype=np.complex128)
     s1 = np.ascontiguousarray(s1, dtype=np.complex128)
     s2 = np.ascontiguousarray(s2, dtype=np.complex128)
-    if USE_NUMBA:
-        return _phi_batch_nb(float(P), s0, s1, s2)
-    return _phi_batch_np(float(P), s0, s1, s2)
+    head, coef = _phi_terms(float(P), s0, s1)
+    return head + coef * s2
 
 
 def phi_sigma2_max(P: float, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
-    """Vectorized sup over sigma2 of |Phi| at fixed (sigma0, sigma1)."""
+    """Vectorized sup over |sigma2| <= 1 of |Phi| at fixed (sigma0, sigma1)."""
     s0 = np.ascontiguousarray(s0, dtype=np.complex128)
     s1 = np.ascontiguousarray(s1, dtype=np.complex128)
-    if USE_NUMBA:
-        return _phi_sigma2_max_nb(float(P), s0, s1)
-    return _phi_sigma2_max_np(float(P), s0, s1)
+    head, lin = _phi_terms(float(P), s0, s1, modulus=True)
+    return abs(head) + lin
 
 
 def best_sigma2(P: float, s0: complex, s1: complex) -> complex:
     """Unit-modulus sigma2 aligning the affine term with the rest of Phi."""
-    m0 = 1.0 - abs(s0) ** 2
-    head = _phi_batch_np(P, np.array([s0]), np.array([s1]), np.array([0.0 + 0.0j]))[0]
-    coef = 3.0 * P * (P * P - 1.0 + s0) * m0 * (1.0 - abs(s1) ** 2)
+    head, coef = _phi_terms(P, complex(s0), complex(s1))
     if abs(coef) == 0.0:
         return 1.0 + 0.0j
     if abs(head) == 0.0:

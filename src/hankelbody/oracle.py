@@ -25,6 +25,7 @@ from .hankel import (ACoeffs, H_F, A_n, a_from_c, aw_disk, h_p, h_p_prime,
                      hankel2, hankel_from_c, hankel_from_sigma, lower_bound_M,
                      omega_map, phi_p, upper_bound_M)
 from .kernels import phi_batch
+from .search import sample_polydisk
 from .series import (TruncatedSeries, series_derivative, series_exp,
                      series_from_constant, series_integrate, series_mul,
                      series_reciprocal, taylor_from_samples)
@@ -138,13 +139,6 @@ def _family(name, samples, worst, tol):
     }
 
 
-def _random_polydisk(rng, n, boundary_rate=0.1):
-    r = np.sqrt(rng.uniform(0.0, 1.0, size=(n, 3)))
-    th = rng.uniform(0.0, 2.0 * np.pi, size=(n, 3))
-    r = np.where(rng.uniform(size=(n, 3)) < boundary_rate, 1.0, r)
-    return r * np.exp(1j * th)
-
-
 def verify_all(p_values=(0.2, 0.5, 0.8), n_random: int = 1000, seed: int = 1) -> dict:
     """Run every invariant family; returns a JSON-ready report.
 
@@ -210,12 +204,13 @@ def verify_all(p_values=(0.2, 0.5, 0.8), n_random: int = 1000, seed: int = 1) ->
             worst = max(worst, float(np.max(np.abs(closed.coeffs - sampled.coeffs))))
         families.append(_family(f"rho_closed_form_vs_sampling[{tag}]", 50, worst, 1e-9))
 
-        W = _random_polydisk(rng, n_random)
+        W = sample_polydisk(rng, n_random)
         Winterior = W * 0.99
 
         # variability-disk membership of constructed jets
         worst1 = worst2 = 0.0
-        for w in Winterior[: min(n_random, 400)]:
+        n_jet = min(n_random, 400)
+        for w in Winterior[:n_jet]:
             psi = blaschke_psi(pp, *w)
             jet = derivatives_at(psi, p, 2, radius=min(0.4 * (1 - p), 0.2))
             tau0, tau1, tau2 = jet
@@ -224,8 +219,8 @@ def verify_all(p_values=(0.2, 0.5, 0.8), n_random: int = 1000, seed: int = 1) ->
             if abs(tau0) < p * (1 - 1e-6):
                 lhs = dieudonne2_lhs(p, complex(tau0), complex(tau1), complex(tau2))
                 worst2 = max(worst2, lhs - dieudonne2_rhs(p, complex(tau0)))
-        families.append(_family(f"dieudonne_first_order[{tag}]", 400, worst1, 1e-8))
-        families.append(_family(f"dieudonne_second_order[{tag}]", 400, worst2, 1e-8))
+        families.append(_family(f"dieudonne_first_order[{tag}]", n_jet, worst1, 1e-8))
+        families.append(_family(f"dieudonne_second_order[{tag}]", n_jet, worst2, 1e-8))
 
         # chain equivalence
         worst = 0.0
@@ -239,7 +234,8 @@ def verify_all(p_values=(0.2, 0.5, 0.8), n_random: int = 1000, seed: int = 1) ->
         # oracle equivalence + fixed point + self-map, on a subset
         worst_o = worst_f = worst_s = 0.0
         zs_disk = np.sqrt(rng.uniform(size=64)) * np.exp(1j * rng.uniform(0, 2 * np.pi, 64))
-        for w in W[: min(n_random, 300)]:
+        n_oracle = min(n_random, 300)
+        for w in W[:n_oracle]:
             wt = ParamTriple(*map(complex, w))
             ser = phi_series_from_w(pp, wt, 3)
             cw = c_from_w(pp, wt)
@@ -247,23 +243,24 @@ def verify_all(p_values=(0.2, 0.5, 0.8), n_random: int = 1000, seed: int = 1) ->
             ev = phi_evaluator(pp, wt)
             worst_f = max(worst_f, abs(ev(np.array([p]))[0] - p))
             worst_s = max(worst_s, float(np.max(np.abs(ev(zs_disk)))) - 1.0)
-        families.append(_family(f"oracle_equivalence_series_vs_w[{tag}]", 300, worst_o, 1e-8))
-        families.append(_family(f"fixed_point_phi_p[{tag}]", 300, worst_f, 1e-12))
-        families.append(_family(f"self_map_bound[{tag}]", 300, worst_s, 1e-12))
+        families.append(_family(f"oracle_equivalence_series_vs_w[{tag}]", n_oracle, worst_o, 1e-8))
+        families.append(_family(f"fixed_point_phi_p[{tag}]", n_oracle, worst_f, 1e-12))
+        families.append(_family(f"self_map_bound[{tag}]", n_oracle, worst_s, 1e-12))
 
         # membership round trip on interior parameters
         worst = 0.0
-        for w in Winterior[: min(n_random, 500)]:
+        n_member = min(n_random, 500)
+        for w in Winterior[:n_member]:
             wt = ParamTriple(*map(complex, w))
             res = membership_x2(pp, c_from_w(pp, wt))
             if res.decision != "inside" or res.params is None:
                 worst = max(worst, 1.0)
             else:
                 worst = max(worst, max(abs(x - y) for x, y in zip(res.params, wt)))
-        families.append(_family(f"membership_round_trip[{tag}]", 500, worst, 1e-9))
+        families.append(_family(f"membership_round_trip[{tag}]", n_member, worst, 1e-9))
 
         # Phi consistency (relative) and eq:H consistency
-        S = _random_polydisk(rng, n_random)
+        S = sample_polydisk(rng, n_random)
         hs_chain = np.array([
             hankel2(a_from_c(pp, c_from_sigma(pp, ParamTriple(*map(complex, s))))) for s in S
         ])
@@ -327,7 +324,8 @@ def verify_all(p_values=(0.2, 0.5, 0.8), n_random: int = 1000, seed: int = 1) ->
 
         # reconstructed f' series vs direct sampling of the evaluator form
         worst = 0.0
-        for w in W[:50]:
+        n_fprime = min(n_random, 50)
+        for w in W[:n_fprime]:
             wt = ParamTriple(*map(complex, w))
             ph = phi_series_from_w(pp, wt, DEFAULT_ORDER + 1)
             fp = fprime_series(pp, ph)
@@ -349,7 +347,7 @@ def verify_all(p_values=(0.2, 0.5, 0.8), n_random: int = 1000, seed: int = 1) ->
 
             sampled = taylor_from_samples(fprime_eval, p / 2, 5, 512)
             worst = max(worst, float(np.max(np.abs(sampled.coeffs - fp.coeffs[:5]))))
-        families.append(_family(f"fprime_series_vs_sampling[{tag}]", 50, worst, 1e-7))
+        families.append(_family(f"fprime_series_vs_sampling[{tag}]", n_fprime, worst, 1e-7))
 
     report = {
         "p_values": [float(p) for p in p_values],

@@ -3,7 +3,10 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines inline.
 """
 
+import ast
+import inspect
 import json
+import textwrap
 import time
 
 import numpy as np
@@ -181,20 +184,43 @@ def _criterion2_residual():
 
 
 def _criterion4_residual(n=150):
+    """w-chain H against the scalar (phi_p) and the array (phi_batch) Phi."""
+    from hankelbody import hankel_from_sigma, sigma_from_w
     rng = np.random.default_rng(14)
     worst = 0.0
     for p in (0.2, 0.5, 0.8):
         pp = PoleParam(p)
-        from hankelbody import hankel_from_sigma, sigma_from_w
-        for w in triples(random_polydisk(rng, n)):
-            h_w = hankel2(a_from_c(pp, c_from_w(pp, w)))
-            h_s = hankel_from_sigma(pp, sigma_from_w(pp, w))
-            worst = max(worst, abs(h_w - h_s))
+        W = triples(random_polydisk(rng, n))
+        h_w = np.array([hankel2(a_from_c(pp, c_from_w(pp, w))) for w in W])
+        S = [sigma_from_w(pp, w) for w in W]
+        h_s = np.array([hankel_from_sigma(pp, s) for s in S])
+        h_b = phi_batch(pp.P, *np.array(S).T) / (18.0 * pp.P**3)
+        worst = max(worst, float(np.max(np.abs(h_w - h_s))),
+                    float(np.max(np.abs(h_w - h_b))))
     return worst
+
+
+def _phi_terms_mutants(phi_terms):
+    """Copies of ``phi_terms``, each with one numeric literal raised by 1e-3."""
+    source = textwrap.dedent(inspect.getsource(phi_terms))
+
+    def literals(tree):
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                and type(node.value) in (int, float)]
+
+    for k in range(len(literals(ast.parse(source)))):
+        tree = ast.parse(source)
+        node = literals(tree)[k]
+        label = f"_phi_terms line {node.lineno}: {node.value!r}"
+        node.value += 1e-3
+        namespace = dict(phi_terms.__globals__)
+        exec(compile(tree, phi_terms.__code__.co_filename, "exec"), namespace)
+        yield label, namespace[phi_terms.__name__]
 
 
 def test_criterion_9_mutation_sensitivity(monkeypatch):
     import hankelbody.hankel as hk
+    import hankelbody.kernels as kn
 
     assert _criterion2_residual() < 1e-10
     assert _criterion4_residual() < 1e-8
@@ -213,25 +239,16 @@ def test_criterion_9_mutation_sensitivity(monkeypatch):
             undetected.append(f"quartic[{k}]")
     monkeypatch.setattr(hk, "hp_numerator_coeffs", orig_hp)
 
-    orig_phi = hk.phi_coeffs
-    base = orig_phi(2.5)
-    for key in base:
-        entries = range(len(base[key])) if isinstance(base[key], tuple) else (None,)
-        for idx in entries:
-            def bad_phi(P, _key=key, _idx=idx):
-                c = orig_phi(P)
-                if _idx is None:
-                    c[_key] = c[_key] + 1e-3
-                else:
-                    t = list(c[_key])
-                    t[_idx] += 1e-3
-                    c[_key] = tuple(t)
-                return c
+    # the one transcription of Phi, behind phi_p, phi_batch, phi_sigma2_max
+    # and best_sigma2: every numeric literal in it must matter
+    n_phi = 0
+    for label, bad_terms in _phi_terms_mutants(kn._phi_terms):
+        n_phi += 1
+        monkeypatch.setattr(kn, "_phi_terms", bad_terms)
+        if _criterion4_residual(60) <= 1e-8:
+            undetected.append(label)
+    monkeypatch.undo()
+    assert n_phi > 0
 
-            monkeypatch.setattr(hk, "phi_coeffs", bad_phi)
-            if _criterion4_residual(60) <= 1e-8:
-                undetected.append(f"{key}[{idx}]")
-    monkeypatch.setattr(hk, "phi_coeffs", orig_phi)
-
-    report(9, f"mutation sensitivity, undetected: {undetected or 'none'}",
-           not undetected)
+    report(9, f"mutation sensitivity ({n_phi} Phi literals), undetected: "
+              f"{undetected or 'none'}", not undetected)

@@ -28,6 +28,21 @@ class TestParsing:
         args = ap.parse_args(["verify", "--p", "0.7,0.2"])
         assert args.p == [0.2, 0.7]
 
+    @pytest.mark.parametrize("argv", [
+        ["extremal", "--grid", "4"],
+        ["bounds", "--iters", "-1"],
+        ["region", "--samples", "0"],
+        ["region", "--what", "omega", "--samples", "8"],
+        ["verify", "--samples", "0"],
+        ["verify", "--samples", "-3"],
+    ])
+    def test_invalid_values_are_usage_errors(self, argv, capsys):
+        assert run(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestBounds:
     def test_table_and_csv(self, tmp_path, capsys):
@@ -83,6 +98,12 @@ class TestVerify:
         assert code == EXIT_OK
         payload = json.loads(out.read_text())
         assert payload["pass"] is True
+        samples = {f["name"].split("[")[0]: f["samples"] for f in payload["families"]}
+        for name in ("dieudonne_first_order", "dieudonne_second_order",
+                     "chain_equivalence_w_vs_sigma", "oracle_equivalence_series_vs_w",
+                     "fixed_point_phi_p", "self_map_bound", "membership_round_trip"):
+            assert samples[name] == 60
+        assert samples["fprime_series_vs_sampling"] == 50
 
     def test_failing_run_exits_one(self, tmp_path, monkeypatch):
         import hankelbody.hankel as hk
