@@ -15,10 +15,11 @@ import sys
 import numpy as np
 
 from .disk import PoleParam
-from .errors import HankelBodyError
+from .errors import HankelBodyError, InvalidInput
 from .hankel import h_p, lower_bound_M, upper_bound_M
 from .oracle import verify_all
-from .search import RegionSample, estimate_M, sample_omega_boundary, sample_region_H
+from .search import (OMEGA_MIN_POINTS, RegionSample, estimate_M, sample_omega_boundary,
+                     sample_region_H)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -40,14 +41,20 @@ def _parse_p_list(text: str) -> list[float]:
 
 
 def _parse_p(text: str) -> float:
-    p = float(text)
+    try:
+        p = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"p must be a number, got {text!r}") from exc
     if not 0.0 < p < 1.0:
         raise argparse.ArgumentTypeError(f"p must lie in (0,1), got {p}")
     return p
 
 
 def _parse_samples(text: str) -> int:
-    n = int(text)
+    try:
+        n = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"samples must be an integer, got {text!r}") from exc
     if n < 1:
         raise argparse.ArgumentTypeError(f"samples must be >= 1, got {n}")
     return n
@@ -151,6 +158,9 @@ def cmd_region(args) -> int:
     pp = PoleParam(args.p)
     omega = hank = None
     if args.what in ("omega", "both"):
+        if args.samples < OMEGA_MIN_POINTS:
+            raise InvalidInput(f"--samples must be >= {OMEGA_MIN_POINTS} for the "
+                               f"Omega boundary, got {args.samples}")
         omega = sample_omega_boundary(pp, n_theta=args.samples)
     if args.what in ("hankel", "both"):
         hank = sample_region_H(pp, n_samples=args.samples, seed=args.seed)

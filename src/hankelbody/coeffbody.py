@@ -10,6 +10,11 @@ Sign conventions follow the constructive chain (psi(z) = z*omega([z,p]))
 throughout; both closed-form chains below agree with the Taylor
 coefficients of the constructed maps to machine precision, which is
 enforced by the test suite.
+
+Every chain function takes either a triple of scalars or a triple of
+equal-shape arrays (a stack of parameter points, e.g. ``ParamTriple(*W.T)``
+for an (n, 3) array W) and answers in kind; ``membership_x2`` alone is
+scalar only.
 """
 
 from __future__ import annotations
@@ -19,27 +24,27 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .disk import PoleParam, blaschke_psi, mobius_T, pseudo_hyperbolic
+from .disk import PoleParam, blaschke_psi, mobius_T
 from .errors import InvalidInput
-from .series import TruncatedSeries, taylor_from_samples
+from .series import TruncatedSeries, as_complex, taylor_from_samples
 
 #: modulus within this distance of 1 counts as a boundary parameter
 BOUNDARY_TOL = 1e-9
 
 
 class ParamTriple(NamedTuple):
-    """Three parameters in the closed unit polydisk."""
+    """Three parameters in the closed unit polydisk (scalars or equal-shape arrays)."""
 
     x0: complex
     x1: complex
     x2: complex
 
     def in_closed_polydisk(self, tol: float = 1e-12) -> bool:
-        return all(abs(x) <= 1.0 + tol for x in self)
+        return bool(np.all(np.abs(self) <= 1.0 + tol))
 
 
 class CoeffTriple(NamedTuple):
-    """First three Taylor coefficients (c0, c1, c2) of a self-map about 0."""
+    """First three Taylor coefficients (c0, c1, c2) of a self-map about 0 (or stacks of them)."""
 
     c0: complex
     c1: complex
@@ -74,7 +79,7 @@ def c_from_w(pp: PoleParam, w: ParamTriple) -> CoeffTriple:
         + p * (np.conj(w0) - p * p) * m0 * w1 * w1
         - p * d * m0 * m1 * w2
     )
-    return CoeffTriple(complex(c0), complex(c1), complex(c2))
+    return CoeffTriple(as_complex(c0), as_complex(c1), as_complex(c2))
 
 
 def sigma_from_w(pp: PoleParam, w: ParamTriple) -> ParamTriple:
@@ -83,7 +88,8 @@ def sigma_from_w(pp: PoleParam, w: ParamTriple) -> ParamTriple:
     p2 = pp.p**2
     d = 1.0 - p2 * w.x0
     fac = np.conj(d) / d  # = |d|^2 / d^2, unimodular
-    return ParamTriple(complex((w.x0 - p2) / d), complex(fac * w.x1), complex(fac * w.x2))
+    return ParamTriple(as_complex((w.x0 - p2) / d), as_complex(fac * w.x1),
+                       as_complex(fac * w.x2))
 
 
 def w_from_sigma(pp: PoleParam, sigma: ParamTriple) -> ParamTriple:
@@ -94,7 +100,8 @@ def w_from_sigma(pp: PoleParam, sigma: ParamTriple) -> ParamTriple:
     w0 = (sigma.x0 + p2) / a
     d = 1.0 - p2 * w0
     fac = d / np.conj(d)
-    return ParamTriple(complex(w0), complex(fac * sigma.x1), complex(fac * sigma.x2))
+    return ParamTriple(as_complex(w0), as_complex(fac * sigma.x1),
+                       as_complex(fac * sigma.x2))
 
 
 def c_from_sigma(pp: PoleParam, sigma: ParamTriple) -> CoeffTriple:
@@ -117,7 +124,7 @@ def c_from_sigma(pp: PoleParam, sigma: ParamTriple) -> CoeffTriple:
         + m0 * np.conj(s0) * s1 * s1 / P
         - m0 * m1 * s2 / P
     )
-    return CoeffTriple(complex(c0), complex(c1), complex(c2))
+    return CoeffTriple(as_complex(c0), as_complex(c1), as_complex(c2))
 
 
 def tau_from_w(pp: PoleParam, w: ParamTriple) -> CoeffTriple:
@@ -131,7 +138,7 @@ def tau_from_w(pp: PoleParam, w: ParamTriple) -> CoeffTriple:
     tau0 = p * w0
     tau1 = w0 + p * m0 * w1 / q
     tau2 = (m0 / q**2) * ((1.0 - p * np.conj(w0) * w1) * w1 + p * m1 * w2)
-    return CoeffTriple(complex(tau0), complex(tau1), complex(tau2))
+    return CoeffTriple(as_complex(tau0), as_complex(tau1), as_complex(tau2))
 
 
 def tau_from_c(pp: PoleParam, c: CoeffTriple) -> CoeffTriple:
@@ -142,7 +149,7 @@ def tau_from_c(pp: PoleParam, c: CoeffTriple) -> CoeffTriple:
     tau0 = (p - c0) / d
     tau1 = c1 / (d * d)
     tau2 = (-d * c2 + p * c1 * (d - c1)) / ((1.0 - p * p) * d**3)
-    return CoeffTriple(complex(tau0), complex(tau1), complex(tau2))
+    return CoeffTriple(as_complex(tau0), as_complex(tau1), as_complex(tau2))
 
 
 def membership_x2(pp: PoleParam, c: CoeffTriple,
@@ -187,7 +194,10 @@ def membership_x2(pp: PoleParam, c: CoeffTriple,
 
 
 def phi_evaluator(pp: PoleParam, w: ParamTriple):
-    """Evaluator of the self-map phi = T_p . psi . T_p fixing p."""
+    """Evaluator of the self-map phi = T_p . psi . T_p fixing p.
+
+    Array parameters broadcast against the evaluation points by numpy rules.
+    """
     psi = blaschke_psi(pp, *w)
     p = pp.p
 
@@ -204,7 +214,10 @@ def phi_series_from_w(pp: PoleParam, w: ParamTriple, n_terms: int,
 
     The default sampling radius p/2 keeps well inside the disk where the
     composed evaluator is analytic regardless of boundary parameters.
+    Array parameters give a stack of series with the same leading axes.
     """
     if radius is None:
         radius = pp.p / 2.0
+    # a trailing axis on each parameter meets the axis of sampling points
+    w = ParamTriple(*(np.asarray(x)[..., None] for x in w))
     return taylor_from_samples(phi_evaluator(pp, w), radius, n_terms, n_samples)

@@ -128,6 +128,7 @@ def blaschke_psi(pp: PoleParam, w0: complex, w1: complex, w2: complex) -> Callab
 
     psi(z) = z * omega([z, p]) with omega(u) = [u [w2 u, -w1], -w0].
     Satisfies psi(p) = p*w0; with |w_i| <= 1 it maps the closed disk into itself.
+    The parameters may be arrays; they broadcast against z by numpy rules.
     """
     p = pp.p
 
@@ -144,11 +145,12 @@ def derivatives_at(f: Callable, z0: complex, n: int, radius: float = 0.05,
                    n_samples: int = 128) -> np.ndarray:
     """Local Taylor coefficients f(z0), f'(z0), f''(z0)/2, ... via Cauchy sampling.
 
-    ``f`` must be analytic on |z - z0| <= radius.  Returns n+1 coefficients.
+    ``f`` must be analytic on |z - z0| <= radius.  Returns n+1 coefficients,
+    behind any leading batch axes that ``f`` puts in front of the sample axis.
     """
     j = np.arange(n_samples)
     zs = z0 + radius * np.exp(2j * np.pi * j / n_samples)
     vals = np.asarray(f(zs), dtype=np.complex128)
     spectrum = np.fft.fft(vals)
     ks = np.arange(n + 1)
-    return spectrum[: n + 1] / (n_samples * radius**ks)
+    return spectrum[..., : n + 1] / (n_samples * radius**ks)

@@ -5,6 +5,10 @@ bound polynomials used in the sandwich estimate for M(p).
 Transcribed polynomial displays live in module-level tables so the test
 suite can perturb a single coefficient and confirm the defining identities
 catch the drift.  Phi_p itself is transcribed once, in ``kernels``.
+
+Like the chain functions of ``coeffbody``, the coefficient map, the three
+forms of H and ``phi_p`` take scalar triples or triples of equal-shape
+arrays and answer in kind.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from . import kernels
 from .coeffbody import CoeffTriple, ParamTriple, c_from_sigma
 from .disk import DiskRegion, PoleParam
 from .errors import InvalidInput
+from .series import as_complex
 
 
 class ACoeffs(NamedTuple):
@@ -34,12 +39,12 @@ def a_from_c(pp: PoleParam, c: CoeffTriple) -> ACoeffs:
     a4 = P**3 + (
         -c2 + c0 * c1 + 6 * c0 - 9 * P - 9 * P * P * c0 + 3 * P * c0 * c0 - 3 * P * c1
     ) / 6.0
-    return ACoeffs(complex(a2), complex(a3), complex(a4))
+    return ACoeffs(as_complex(a2), as_complex(a3), as_complex(a4))
 
 
 def hankel2(a: ACoeffs) -> complex:
     """Second Hankel determinant a2*a4 - a3^2."""
-    return complex(a.a2 * a.a4 - a.a3 * a.a3)
+    return as_complex(a.a2 * a.a4 - a.a3 * a.a3)
 
 
 def hankel_from_c(pp: PoleParam, c: CoeffTriple) -> complex:
@@ -52,7 +57,7 @@ def hankel_from_c(pp: PoleParam, c: CoeffTriple) -> complex:
         + (c0 * c0 - 4 * P * c0 + 3 * P * P - 8.0) * c1
         - (c0 * c0 - P * c0 + 1.0) * (2 * c0 * c0 - 5 * P * c0 + 3 * P * P + 8.0)
     )
-    return complex(h18 / 18.0)
+    return as_complex(h18 / 18.0)
 
 
 # --- the polydisk functional -------------------------------------------------
@@ -61,7 +66,7 @@ def phi_p(pp: PoleParam, sigma: ParamTriple) -> complex:
     """Phi_p(sigma0, sigma1, sigma2); H = phi_p / (18 P^3) on the polydisk."""
     s0, s1, s2 = sigma
     head, coef = kernels._phi_terms(pp.P, s0, s1)
-    return complex(head + coef * s2)
+    return as_complex(head + coef * s2)
 
 
 def hankel_from_sigma(pp: PoleParam, sigma: ParamTriple) -> complex:

@@ -22,6 +22,8 @@ from .hankel import lower_bound_M, omega_map, upper_bound_M
 from .kernels import best_sigma2, phi_batch, phi_sigma2_max
 
 REGION_BINS = 256
+#: fewest points on the Omega_p boundary polyline
+OMEGA_MIN_POINTS = 16
 
 
 @dataclass(frozen=True)
@@ -192,8 +194,8 @@ def _binned_boundary(points: np.ndarray, n_bins: int = REGION_BINS) -> np.ndarra
 
 def sample_omega_boundary(pp: PoleParam, n_theta: int = 512) -> RegionSample:
     """Closed boundary polyline of the rotation-family region Omega_p."""
-    if n_theta < 16:
-        raise InvalidInput("n_theta must be >= 16")
+    if n_theta < OMEGA_MIN_POINTS:
+        raise InvalidInput(f"n_theta must be >= {OMEGA_MIN_POINTS}")
     th = 2.0 * np.pi * np.arange(n_theta) / n_theta
     bdry = omega_map(pp, np.exp(1j * th))
     bdry = np.concatenate([bdry, bdry[:1]])

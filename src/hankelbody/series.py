@@ -3,10 +3,13 @@
 A series is stored as a complex128 coefficient vector ``c[0..N]`` where
 ``c[k]`` multiplies ``z**k``.  Arithmetic truncates at the smaller of the
 two operand orders, so these objects behave like elements of
-``C[[z]] / z^(N+1)``.  Coefficient extraction from an arbitrary analytic
-evaluator goes through Cauchy's integral formula on a sampling circle
-(``taylor_from_samples``), which serves as the independent oracle for the
-algebraic closed forms elsewhere in the package.
+``C[[z]] / z^(N+1)``.  A coefficient array may also carry leading batch
+axes, with the coefficient axis last: then one object holds a stack of
+series, and every operation below acts on the whole stack at once.
+Coefficient extraction from an arbitrary analytic evaluator goes through
+Cauchy's integral formula on a sampling circle (``taylor_from_samples``),
+which serves as the independent oracle for the algebraic closed forms
+elsewhere in the package.
 """
 
 from __future__ import annotations
@@ -21,15 +24,26 @@ from .errors import NonzeroConstantTerm, ZeroConstantTerm
 CONSTANT_TERM_EPS = 1e-13
 
 
+def as_complex(x):
+    """A Python complex for a scalar, a complex128 array for an array."""
+    x = np.asarray(x, dtype=np.complex128)
+    return complex(x) if x.ndim == 0 else x
+
+
+def _dot(x, y):
+    """Sum over the last axis of x*y, broadcasting the leading axes."""
+    return np.einsum("...j,...j->...", x, y)
+
+
 class TruncatedSeries:
-    """Immutable coefficient vector of a power series about 0."""
+    """Immutable coefficient vector of a power series about 0 (or a stack of them)."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[complex] | np.ndarray):
         c = np.asarray(coeffs, dtype=np.complex128).copy()
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("coeffs must be a non-empty 1-d sequence")
+        if c.ndim == 0 or c.shape[-1] == 0:
+            raise ValueError("coeffs must have a non-empty last axis")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -38,13 +52,13 @@ class TruncatedSeries:
 
     @property
     def order(self) -> int:
-        return self.coeffs.size - 1
+        return self.coeffs.shape[-1] - 1
 
-    def __getitem__(self, k: int) -> complex:
-        return complex(self.coeffs[k])
+    def __getitem__(self, k: int):
+        return as_complex(self.coeffs[..., k])
 
     def __len__(self) -> int:
-        return self.coeffs.size
+        return self.coeffs.shape[-1]
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({list(self.coeffs)!r})"
@@ -52,7 +66,7 @@ class TruncatedSeries:
     def truncated(self, order: int) -> "TruncatedSeries":
         if order >= self.order:
             return self
-        return TruncatedSeries(self.coeffs[: order + 1])
+        return TruncatedSeries(self.coeffs[..., : order + 1])
 
     def scaled(self, a: complex) -> "TruncatedSeries":
         return TruncatedSeries(a * self.coeffs)
@@ -66,25 +80,28 @@ def series_from_constant(value: complex, order: int) -> TruncatedSeries:
 
 def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     n = min(a.order, b.order)
-    return TruncatedSeries(a.coeffs[: n + 1] + b.coeffs[: n + 1])
+    return TruncatedSeries(a.coeffs[..., : n + 1] + b.coeffs[..., : n + 1])
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated at min(order(a), order(b))."""
     n = min(a.order, b.order)
-    full = np.convolve(a.coeffs[: n + 1], b.coeffs[: n + 1])
-    return TruncatedSeries(full[: n + 1])
+    x, y = a.coeffs[..., : n + 1], b.coeffs[..., : n + 1]
+    out = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=np.complex128)
+    for k in range(n + 1):
+        out[..., k] = _dot(x[..., : k + 1], y[..., k::-1])
+    return TruncatedSeries(out)
 
 
 def series_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
     """Multiplicative inverse modulo z^(N+1).  Requires a nonzero constant term."""
-    if abs(a.coeffs[0]) <= CONSTANT_TERM_EPS:
+    a0 = a.coeffs[..., 0]
+    if np.any(abs(a0) <= CONSTANT_TERM_EPS):
         raise ZeroConstantTerm("cannot invert a series with zero constant term")
-    n = a.order
-    r = np.zeros(n + 1, dtype=np.complex128)
-    r[0] = 1.0 / a.coeffs[0]
-    for k in range(1, n + 1):
-        r[k] = -np.dot(a.coeffs[1 : k + 1], r[k - 1 :: -1]) / a.coeffs[0]
+    r = np.zeros_like(a.coeffs)
+    r[..., 0] = 1.0 / a0
+    for k in range(1, a.order + 1):
+        r[..., k] = -_dot(a.coeffs[..., 1 : k + 1], r[..., k - 1 :: -1]) / a0
     return TruncatedSeries(r)
 
 
@@ -93,29 +110,28 @@ def series_exp(a: TruncatedSeries) -> TruncatedSeries:
 
     Uses the recurrence k*e_k = sum_{j=1..k} j*a_j*e_{k-j} with e_0 = 1.
     """
-    if abs(a.coeffs[0]) > CONSTANT_TERM_EPS:
+    if np.any(abs(a.coeffs[..., 0]) > CONSTANT_TERM_EPS):
         raise NonzeroConstantTerm("series_exp requires a0 = 0")
-    n = a.order
-    e = np.zeros(n + 1, dtype=np.complex128)
-    e[0] = 1.0
-    ja = np.arange(n + 1) * a.coeffs
-    for k in range(1, n + 1):
-        e[k] = np.dot(ja[1 : k + 1], e[k - 1 :: -1]) / k
+    e = np.zeros_like(a.coeffs)
+    e[..., 0] = 1.0
+    ja = np.arange(a.order + 1) * a.coeffs
+    for k in range(1, a.order + 1):
+        e[..., k] = _dot(ja[..., 1 : k + 1], e[..., k - 1 :: -1]) / k
     return TruncatedSeries(e)
 
 
 def series_integrate(a: TruncatedSeries) -> TruncatedSeries:
     """Term-wise antiderivative vanishing at 0; the order grows by one."""
-    out = np.zeros(a.order + 2, dtype=np.complex128)
-    out[1:] = a.coeffs / np.arange(1, a.order + 2)
+    out = np.zeros(a.coeffs.shape[:-1] + (a.order + 2,), dtype=np.complex128)
+    out[..., 1:] = a.coeffs / np.arange(1, a.order + 2)
     return TruncatedSeries(out)
 
 
 def series_derivative(a: TruncatedSeries) -> TruncatedSeries:
     """Term-wise derivative; the order drops by one."""
     if a.order == 0:
-        return TruncatedSeries([0.0])
-    return TruncatedSeries(a.coeffs[1:] * np.arange(1, a.order + 1))
+        return TruncatedSeries(np.zeros_like(a.coeffs))
+    return TruncatedSeries(a.coeffs[..., 1:] * np.arange(1, a.order + 1))
 
 
 def taylor_from_samples(
@@ -129,7 +145,9 @@ def taylor_from_samples(
 
     ``eval_fn`` must accept a complex ndarray and be analytic on a disk
     strictly larger than ``radius``; then the trapezoidal discretization of
-    the Cauchy integral converges geometrically in ``n_samples``.
+    the Cauchy integral converges geometrically in ``n_samples``.  An
+    evaluator may return leading batch axes in front of the sample axis;
+    the series then carries the same axes.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -138,7 +156,7 @@ def taylor_from_samples(
     j = np.arange(n_samples)
     zs = radius * np.exp(2j * np.pi * j / n_samples)
     vals = np.asarray(eval_fn(zs), dtype=np.complex128)
-    spectrum = np.fft.fft(vals)  # sum_j vals_j e^{-2pi i jk/m}
+    spectrum = np.fft.fft(vals)  # sum_j vals_j e^{-2pi i jk/m}, along the last axis
     ks = np.arange(n_terms)
-    coeffs = spectrum[:n_terms] / (n_samples * radius**ks)
+    coeffs = spectrum[..., :n_terms] / (n_samples * radius**ks)
     return TruncatedSeries(coeffs)

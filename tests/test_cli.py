@@ -35,6 +35,9 @@ class TestParsing:
         ["region", "--what", "omega", "--samples", "8"],
         ["verify", "--samples", "0"],
         ["verify", "--samples", "-3"],
+        ["region", "--samples", "8"],
+        ["verify", "--samples", "abc"],
+        ["extremal", "--p", "x"],
     ])
     def test_invalid_values_are_usage_errors(self, argv, capsys):
         assert run(argv) == EXIT_USAGE
@@ -42,6 +45,9 @@ class TestParsing:
         assert captured.out == ""
         assert "error:" in captured.err
         assert "Traceback" not in captured.err
+        # messages name the flags, not internal functions or parameters
+        assert "_parse_" not in captured.err
+        assert "n_theta" not in captured.err
 
 
 class TestBounds:

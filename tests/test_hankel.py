@@ -144,6 +144,23 @@ class TestBoundPolynomials:
             B0, B1, B2, B3 = B_coeffs(pp05, y)
             assert abs(phi_p(pp05, s)) <= B0 + B1 + B2 + B3 + 1e-9
 
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.8, 0.95])
+    def test_B_coeffs_are_the_moduli_of_phi_terms(self, p):
+        # Phi = head + coef*s2, and at real s0 = y the head's s1-dependence
+        # is T1*s1 + T2*s1^2: B0..B3 are |head|, |T1|, |T2|, |coef| there
+        from hankelbody.kernels import _phi_terms
+        pp = PoleParam(p)
+        for y in np.linspace(0.0, 1.0, 41):
+            s0 = complex(y)
+            head0, coef = _phi_terms(pp.P, s0, 0j)
+            plus = _phi_terms(pp.P, s0, 1 + 0j)[0] - head0
+            minus = _phi_terms(pp.P, s0, -1 + 0j)[0] - head0
+            want = (abs(head0), abs(plus - minus) / 2, abs(plus + minus) / 2, abs(coef))
+            got = B_coeffs(pp, float(y))
+            scale = sum(want)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-13 * scale
+
     def test_domain_checks(self, pp05):
         with pytest.raises(InvalidInput):
             B_coeffs(pp05, 1.5)
