@@ -16,10 +16,9 @@ import numpy as np
 
 from .disk import PoleParam
 from .errors import HankelBodyError, InvalidInput
-from .hankel import h_p, lower_bound_M, upper_bound_M
 from .oracle import verify_all
-from .search import (OMEGA_MIN_POINTS, RegionSample, estimate_M, sample_omega_boundary,
-                     sample_region_H)
+from .search import (MIN_GRID, OMEGA_MIN_POINTS, RegionSample, estimate_M,
+                     sample_omega_boundary, sample_region_H)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -50,14 +49,17 @@ def _parse_p(text: str) -> float:
     return p
 
 
-def _parse_samples(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"samples must be an integer, got {text!r}") from exc
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"samples must be >= 1, got {n}")
-    return n
+def _parse_int(flag: str, minimum: int):
+    """An argparse type for the integer flag ``--flag``, at least ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{flag} must be an integer, got {text!r}") from exc
+        if n < minimum:
+            raise argparse.ArgumentTypeError(f"{flag} must be >= {minimum}, got {n}")
+        return n
+    return parse
 
 
 def _dump_json(payload: dict) -> str:
@@ -86,8 +88,8 @@ def cmd_bounds(args) -> int:
     for p in args.p:
         pp = PoleParam(p)
         report = estimate_M(pp, grid=args.grid, refine_iters=args.iters, seed=args.seed)
-        rows.append((p, 1.0 / (3.0 * p), lower_bound_M(pp), report.m_estimate,
-                     upper_bound_M(pp), 1.0 / (3.0 * p) + 2.0 / 3.0))
+        rows.append((p, 1.0 / (3.0 * p), report.lower, report.m_estimate,
+                     report.upper, 1.0 / (3.0 * p) + 2.0 / 3.0))
     header = ("p", "one_third_p", "lower", "m_estimate", "upper", "one_third_p_plus")
     widths = [12, 14, 14, 14, 14, 16]
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
@@ -199,7 +201,7 @@ def cmd_extremal(args) -> int:
         },
         "lower": report.lower,
         "upper": report.upper,
-        "slice_value": h_p(pp, 7.0 / (4.0 * pp.P)),
+        "slice_value": report.lower,
         "iterations": report.iterations,
         "grid": report.grid,
         "seed": args.seed,
@@ -217,33 +219,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bounds", help="sandwich table for the extremal modulus")
     b.add_argument("--p", type=_parse_p_list, default=[0.5])
-    b.add_argument("--grid", type=int, default=24)
-    b.add_argument("--iters", type=int, default=200)
-    b.add_argument("--seed", type=int, default=1)
+    b.add_argument("--grid", type=_parse_int("grid", MIN_GRID), default=24)
+    b.add_argument("--iters", type=_parse_int("iters", 0), default=200)
+    b.add_argument("--seed", type=_parse_int("seed", 0), default=1)
     b.add_argument("--out", default=None, help="optional CSV path")
     b.set_defaults(func=cmd_bounds)
 
     r = sub.add_parser("region", help="export region samples")
     r.add_argument("--p", type=_parse_p, default=0.5)
     r.add_argument("--what", choices=("omega", "hankel", "both"), default="both")
-    r.add_argument("--samples", type=int, default=1000)
-    r.add_argument("--seed", type=int, default=1)
+    r.add_argument("--samples", type=_parse_int("samples", 1), default=1000)
+    r.add_argument("--seed", type=_parse_int("seed", 0), default=1)
     r.add_argument("--format", choices=("csv", "svg", "json"), default="csv")
     r.add_argument("--out", default=None)
     r.set_defaults(func=cmd_region)
 
     v = sub.add_parser("verify", help="run the invariant families")
     v.add_argument("--p", type=_parse_p_list, default=[0.2, 0.5, 0.8])
-    v.add_argument("--samples", type=_parse_samples, default=1000)
-    v.add_argument("--seed", type=int, default=1)
+    v.add_argument("--samples", type=_parse_int("samples", 1), default=1000)
+    v.add_argument("--seed", type=_parse_int("seed", 0), default=1)
     v.add_argument("--out", default=None)
     v.set_defaults(func=cmd_verify)
 
     e = sub.add_parser("extremal", help="single-p extremal search report")
     e.add_argument("--p", type=_parse_p, default=0.5)
-    e.add_argument("--grid", type=int, default=24)
-    e.add_argument("--iters", type=int, default=200)
-    e.add_argument("--seed", type=int, default=1)
+    e.add_argument("--grid", type=_parse_int("grid", MIN_GRID), default=24)
+    e.add_argument("--iters", type=_parse_int("iters", 0), default=200)
+    e.add_argument("--seed", type=_parse_int("seed", 0), default=1)
     e.add_argument("--out", default=None)
     e.set_defaults(func=cmd_extremal)
     return ap

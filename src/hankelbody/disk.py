@@ -5,6 +5,12 @@ rotation conjugates fixing an interior point p, the first- and second-order
 variability disks for derivatives of self-maps with two interpolation
 conditions, and the three-parameter Blaschke-type construction that
 realizes every admissible second-order jet.
+
+The Moebius maps, ``rho_coeffs``, the variability-disk predicates and the
+Blaschke construction take scalars or equal-shape arrays and answer in
+kind (a scalar in gives a Python number out); their ``InvalidInput``
+checks fail if any element is out of range.  ``derivatives_at`` is
+``series.taylor_from_samples`` recentred at z0.
 """
 
 from __future__ import annotations
@@ -15,20 +21,20 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateDenominator, InvalidInput
-from .series import TruncatedSeries
+from .series import TruncatedSeries, as_complex, as_real, taylor_from_samples
 
 DENOM_EPS = 1e-14
 
 
 @dataclass(frozen=True)
 class DiskRegion:
-    """Closed disk |z - center| <= radius."""
+    """Closed disk |z - center| <= radius (or a stack of them, as arrays)."""
 
     center: complex
     radius: float
 
     def __post_init__(self):
-        if self.radius < 0:
+        if np.any(self.radius < 0):
             raise InvalidInput("disk radius must be >= 0")
 
     def contains(self, z: complex, tol: float = 1e-12) -> bool:
@@ -73,54 +79,53 @@ def rho_eval(pp: PoleParam, zeta, z):
             / (-(1 - zeta) * p * z + 1 - p * p * zeta))
 
 
-def rho_coeffs(pp: PoleParam, zeta: complex, n_terms: int) -> TruncatedSeries:
+def rho_coeffs(pp: PoleParam, zeta, n_terms: int) -> TruncatedSeries:
     """Closed-form Taylor coefficients of the rotation conjugate about 0.
 
     alpha_0 = (1 - zeta) p / (1 - p^2 zeta) and for k >= 1
     alpha_k = zeta (1-p^2)^2 (1-zeta)^(k-1) p^(k-1) / (1 - p^2 zeta)^(k+1).
+    An array of zetas gives a stack of series, the coefficient axis last.
     """
+    if n_terms < 1:
+        raise InvalidInput("n_terms must be >= 1")
     p = pp.p
+    zeta = np.asarray(zeta, dtype=np.complex128)[..., None]
     d = 1.0 - p * p * zeta
-    coeffs = np.zeros(n_terms, dtype=np.complex128)
-    coeffs[0] = (1.0 - zeta) * p / d
-    for k in range(1, n_terms):
-        coeffs[k] = zeta * (1 - p * p) ** 2 * (1 - zeta) ** (k - 1) * p ** (k - 1) / d ** (k + 1)
-    return TruncatedSeries(coeffs)
+    k = np.arange(1, n_terms)
+    tail = zeta * (1 - p * p) ** 2 * (1 - zeta) ** (k - 1) * p ** (k - 1) / d ** (k + 1)
+    return TruncatedSeries(np.concatenate([(1.0 - zeta) * p / d, tail], axis=-1))
 
 
-def dieudonne_disk1(z0: complex, tau0: complex) -> DiskRegion:
+def _jet_moduli(z0, tau0, slack: float):
+    """(|z0|, |tau0|) after checking 0 < |z0| < 1 and |tau0| < |z0| + slack."""
+    az0, at0 = abs(z0), abs(tau0)
+    if np.any((az0 <= 0) | (az0 >= 1)):
+        raise InvalidInput("need 0 < |z0| < 1")
+    if np.any(at0 >= az0 + slack):
+        raise InvalidInput(f"need |tau0| {'<=' if slack else '<'} |z0|")
+    return az0, at0
+
+
+def dieudonne_disk1(z0, tau0) -> DiskRegion:
     """First-order variability disk for psi'(z0) given psi(0)=0, psi(z0)=tau0."""
-    az0 = abs(z0)
-    if not 0 < az0 < 1:
-        raise InvalidInput("need 0 < |z0| < 1")
-    if abs(tau0) > az0 + 1e-15:
-        raise InvalidInput("need |tau0| <= |z0|")
-    center = tau0 / z0
-    radius = (az0**2 - abs(tau0) ** 2) / (az0 * (1 - az0**2))
-    return DiskRegion(complex(center), max(float(radius), 0.0))
+    az0, at0 = _jet_moduli(z0, tau0, 1e-15)
+    radius = (az0**2 - at0**2) / (az0 * (1 - az0**2))
+    return DiskRegion(as_complex(tau0 / z0), as_real(np.maximum(radius, 0.0)))
 
 
-def dieudonne2_lhs(z0: complex, tau0: complex, tau1: complex, tau2: complex) -> float:
+def dieudonne2_lhs(z0, tau0, tau1, tau2):
     """Left side of the second-order variability inequality at (z0, tau0, tau1)."""
-    az0 = abs(z0)
-    if not 0 < az0 < 1:
-        raise InvalidInput("need 0 < |z0| < 1")
-    if abs(tau0) >= az0:
-        raise InvalidInput("need |tau0| < |z0|")
+    az0, at0 = _jet_moduli(z0, tau0, 0.0)
     s = tau1 - tau0 / z0
-    gap = az0**2 - abs(tau0) ** 2
+    gap = az0**2 - at0**2
     main = tau2 - s / (z0 * (1 - az0**2)) + np.conj(tau0) * s * s / gap
-    return float(abs(main) + az0 * abs(s) ** 2 / gap)
+    return as_real(abs(main) + az0 * abs(s) ** 2 / gap)
 
 
-def dieudonne2_rhs(z0: complex, tau0: complex) -> float:
+def dieudonne2_rhs(z0, tau0):
     """Right side (disk radius bound) of the second-order inequality."""
-    az0 = abs(z0)
-    if not 0 < az0 < 1:
-        raise InvalidInput("need 0 < |z0| < 1")
-    if abs(tau0) >= az0:
-        raise InvalidInput("need |tau0| < |z0|")
-    return float(az0 * (1 - (abs(tau0) / az0) ** 2) / (1 - az0**2) ** 2)
+    az0, at0 = _jet_moduli(z0, tau0, 0.0)
+    return as_real(az0 * (1 - (at0 / az0) ** 2) / (1 - az0**2) ** 2)
 
 
 def blaschke_psi(pp: PoleParam, w0: complex, w1: complex, w2: complex) -> Callable:
@@ -148,9 +153,4 @@ def derivatives_at(f: Callable, z0: complex, n: int, radius: float = 0.05,
     ``f`` must be analytic on |z - z0| <= radius.  Returns n+1 coefficients,
     behind any leading batch axes that ``f`` puts in front of the sample axis.
     """
-    j = np.arange(n_samples)
-    zs = z0 + radius * np.exp(2j * np.pi * j / n_samples)
-    vals = np.asarray(f(zs), dtype=np.complex128)
-    spectrum = np.fft.fft(vals)
-    ks = np.arange(n + 1)
-    return spectrum[..., : n + 1] / (n_samples * radius**ks)
+    return taylor_from_samples(lambda z: f(z0 + z), radius, n + 1, n_samples).coeffs

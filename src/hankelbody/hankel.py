@@ -8,7 +8,8 @@ catch the drift.  Phi_p itself is transcribed once, in ``kernels``.
 
 Like the chain functions of ``coeffbody``, the coefficient map, the three
 forms of H and ``phi_p`` take scalar triples or triples of equal-shape
-arrays and answer in kind.
+arrays and answer in kind; so do ``h_p`` and ``h_p_prime`` in t (a scalar t
+gives a Python float).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import kernels
 from .coeffbody import CoeffTriple, ParamTriple, c_from_sigma
 from .disk import DiskRegion, PoleParam
 from .errors import InvalidInput
-from .series import as_complex
+from .series import as_complex, as_real
 
 
 class ACoeffs(NamedTuple):
@@ -71,12 +72,6 @@ def phi_p(pp: PoleParam, sigma: ParamTriple) -> complex:
 
 def hankel_from_sigma(pp: PoleParam, sigma: ParamTriple) -> complex:
     return phi_p(pp, sigma) / (18.0 * pp.P**3)
-
-
-def unimodular_eps(pp: PoleParam, sigma0: complex) -> complex:
-    """|1 + p^2 sigma0| / (1 + p^2 sigma0), the rotation of the sigma chain."""
-    a = 1.0 + pp.p**2 * sigma0
-    return complex(abs(a) / a)
 
 
 # --- the one-parameter extremal family ---------------------------------------
@@ -131,19 +126,19 @@ def hp_numerator_coeffs(P: float) -> np.ndarray:
     )
 
 
-def h_p(pp: PoleParam, t: float) -> float:
+def h_p(pp: PoleParam, t):
     """The quartic slice -Phi_p(t,-1,0)/(18 P^3) for t in [0,1]."""
     P = pp.P
     c = hp_numerator_coeffs(P)
-    return float(np.polynomial.polynomial.polyval(t, c) / (18.0 * P**3))
+    return as_real(np.polynomial.polynomial.polyval(t, c) / (18.0 * P**3))
 
 
-def h_p_prime(pp: PoleParam, t: float) -> float:
+def h_p_prime(pp: PoleParam, t):
     """Derivative of h_p; at t=1 equals -2(P-2)(P+1)/(3P)."""
     P = pp.P
     c = hp_numerator_coeffs(P)
     dc = c[1:] * np.arange(1, c.size)
-    return float(np.polynomial.polynomial.polyval(t, dc) / (18.0 * P**3))
+    return as_real(np.polynomial.polynomial.polyval(t, dc) / (18.0 * P**3))
 
 
 #: ascending coefficients of g(x), x^1 .. x^7

@@ -11,7 +11,8 @@ the two algebraic chains gives the triple-path consistency check, and
 
 The series route takes stacked series like the chain functions take stacked
 parameters, so ``a_batch_from_w`` is the scalar route called once on an
-array, and the chain families of ``verify_all`` make one array call per p.
+array, and the families of ``verify_all`` make one array call per p.  Three
+stay per sample, each with a comment saying why.
 """
 
 from __future__ import annotations
@@ -104,32 +105,31 @@ def verify_all(p_values=(0.2, 0.5, 0.8), n_random: int = 1000, seed: int = 1) ->
         pref = p**2 / ((z - p) ** 2 * (1.0 - p * z) ** 2)
         return pref * np.exp(integral)
 
-    # series algebra
-    worst = 0.0
-    for _ in range(200):
-        c = rng.uniform(-1, 1, 9) + 1j * rng.uniform(-1, 1, 9)
-        c[0] = (0.1 + rng.uniform(0, 9.9)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        s = TruncatedSeries(c)
-        recip = series_reciprocal(s)
-        prod = series_mul(s, recip)
-        unit = np.zeros(9, complex)
-        unit[0] = 1.0
-        # backward-error scale: the convolution sums terms of this size, so
-        # |a0| near 0.1 amplifies the recurrence far beyond unit magnitude
-        scale = max(1.0, float(np.max(np.convolve(np.abs(c), np.abs(recip.coeffs))[:9])))
-        worst = max(worst, float(np.max(np.abs(prod.coeffs - unit))) / scale)
+    # series algebra; each row of u holds one sample's draws in the order
+    # that rng.uniform(low, high, n) calls would take them
+    u = rng.uniform(size=(200, 20))
+    c = (-1 + 2 * u[:, :9]) + 1j * (-1 + 2 * u[:, 9:18])
+    c[:, 0] = (0.1 + 9.9 * u[:, 18]) * np.exp(1j * (2 * np.pi * u[:, 19]))
+    s = TruncatedSeries(c)
+    recip = series_reciprocal(s)
+    prod = series_mul(s, recip).coeffs - np.eye(9)[0]
+    # backward-error scale: the convolution sums terms of this size, so
+    # |a0| near 0.1 amplifies the recurrence far beyond unit magnitude
+    conv = series_mul(TruncatedSeries(np.abs(c)), TruncatedSeries(np.abs(recip.coeffs)))
+    scale = np.maximum(1.0, np.max(conv.coeffs.real, axis=-1))
+    worst = np.max(np.max(np.abs(prod), axis=-1) / scale)
     families.append(_family("series_reciprocal_identity", 200, worst, 1e-12))
 
-    worst = 0.0
-    for _ in range(200):
-        d = TruncatedSeries(rng.uniform(-1, 1, 8) + 1j * rng.uniform(-1, 1, 8))
-        e = series_exp(series_integrate(d).truncated(8))
-        lhs = series_derivative(e)
-        rhs = series_mul(e, d)
-        nmin = min(lhs.order, rhs.order)
-        worst = max(worst, float(np.max(np.abs(lhs.coeffs[: nmin + 1] - rhs.coeffs[: nmin + 1]))))
+    u = rng.uniform(size=(200, 16))
+    d = TruncatedSeries((-1 + 2 * u[:, :8]) + 1j * (-1 + 2 * u[:, 8:]))
+    e = series_exp(series_integrate(d).truncated(8))
+    lhs = series_derivative(e)
+    rhs = series_mul(e, d)
+    nmin = min(lhs.order, rhs.order)
+    worst = np.max(np.abs(lhs.coeffs[:, : nmin + 1] - rhs.coeffs[:, : nmin + 1]))
     families.append(_family("series_exp_integrate_derivative", 200, worst, 1e-10))
 
+    # per sample: each draws its degree between its coefficient draws
     worst = 0.0
     for _ in range(100):
         deg = int(rng.integers(0, 7))
@@ -140,11 +140,10 @@ def verify_all(p_values=(0.2, 0.5, 0.8), n_random: int = 1000, seed: int = 1) ->
         worst = max(worst, float(np.max(np.abs(got.coeffs - coeffs))))
     families.append(_family("taylor_polynomial_recovery", 100, worst, 1e-11))
 
-    worst = 0.0
-    for _ in range(300):
-        a = 0.95 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        z = 0.95 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        worst = max(worst, abs(mobius_T(a, mobius_T(a, z)) - z))
+    u = rng.uniform(size=(300, 4))
+    a = 0.95 * np.sqrt(u[:, 0]) * np.exp(1j * (2 * np.pi * u[:, 1]))
+    z = 0.95 * np.sqrt(u[:, 2]) * np.exp(1j * (2 * np.pi * u[:, 3]))
+    worst = np.max(np.abs(mobius_T(a, mobius_T(a, z)) - z))
     families.append(_family("mobius_involution", 300, worst, 1e-12))
 
     for p in p_values:
@@ -152,29 +151,27 @@ def verify_all(p_values=(0.2, 0.5, 0.8), n_random: int = 1000, seed: int = 1) ->
         P = pp.P
         tag = f"p={p:g}"
 
-        worst = 0.0
-        for _ in range(50):
-            zeta = np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            closed = rho_coeffs(pp, complex(zeta), 6)
-            sampled = taylor_from_samples(lambda z: rho_eval(pp, zeta, z), p / 2, 6, 256)
-            worst = max(worst, float(np.max(np.abs(closed.coeffs - sampled.coeffs))))
+        u = rng.uniform(size=(50, 2))
+        zeta = np.sqrt(u[:, 0]) * np.exp(1j * (2 * np.pi * u[:, 1]))
+        closed = rho_coeffs(pp, zeta, 6)
+        sampled = taylor_from_samples(lambda z: rho_eval(pp, zeta[:, None], z), p / 2, 6, 256)
+        worst = np.max(np.abs(closed.coeffs - sampled.coeffs))
         families.append(_family(f"rho_closed_form_vs_sampling[{tag}]", 50, worst, 1e-9))
 
         W = sample_polydisk(rng, n_random)
         Winterior = W * 0.99
         w_all = ParamTriple(*W.T)
 
-        # variability-disk membership of constructed jets
-        worst1 = worst2 = 0.0
+        # variability-disk membership of constructed jets; worst residuals
+        # are floored at 0.0, and the second order skips |tau0| near p
         n_jet = min(n_random, 400)
         psi = blaschke_psi(pp, *Winterior[:n_jet].T[..., None])
-        jets = derivatives_at(psi, p, 2, radius=min(0.4 * (1 - p), 0.2))
-        for tau0, tau1, tau2 in jets:
-            disk = dieudonne_disk1(p, complex(tau0))
-            worst1 = max(worst1, abs(tau1 - disk.center) - disk.radius)
-            if abs(tau0) < p * (1 - 1e-6):
-                lhs = dieudonne2_lhs(p, complex(tau0), complex(tau1), complex(tau2))
-                worst2 = max(worst2, lhs - dieudonne2_rhs(p, complex(tau0)))
+        tau0, tau1, tau2 = derivatives_at(psi, p, 2, radius=min(0.4 * (1 - p), 0.2)).T
+        disk = dieudonne_disk1(p, tau0)
+        worst1 = np.max(np.abs(tau1 - disk.center) - disk.radius, initial=0.0)
+        inner = np.abs(tau0) < p * (1 - 1e-6)
+        lhs = dieudonne2_lhs(p, tau0[inner], tau1[inner], tau2[inner])
+        worst2 = np.max(lhs - dieudonne2_rhs(p, tau0[inner]), initial=0.0)
         families.append(_family(f"dieudonne_first_order[{tag}]", n_jet, worst1, 1e-8))
         families.append(_family(f"dieudonne_second_order[{tag}]", n_jet, worst2, 1e-8))
 
@@ -197,7 +194,8 @@ def verify_all(p_values=(0.2, 0.5, 0.8), n_random: int = 1000, seed: int = 1) ->
         families.append(_family(f"fixed_point_phi_p[{tag}]", n_oracle, worst_f, 1e-12))
         families.append(_family(f"self_map_bound[{tag}]", n_oracle, worst_s, 1e-12))
 
-        # membership round trip on interior parameters
+        # membership round trip on interior parameters; per sample, since
+        # membership_x2 returns its verdict through branches
         worst = 0.0
         n_member = min(n_random, 500)
         Wm = Winterior[:n_member]
@@ -239,11 +237,7 @@ def verify_all(p_values=(0.2, 0.5, 0.8), n_random: int = 1000, seed: int = 1) ->
 
         # h_p transcription vs Phi slice, anchors, lower identity
         ts = rng.uniform(0.0, 1.0, 100)
-        worst = max(
-            abs(h_p(pp, float(t))
-                + phi_p(pp, ParamTriple(float(t), -1.0, 0.0)) / (18.0 * P**3))
-            for t in ts
-        )
+        worst = np.max(np.abs(h_p(pp, ts) + phi_p(pp, ParamTriple(ts, -1.0, 0.0)) / (18.0 * P**3)))
         families.append(_family(f"hp_vs_phi_slice[{tag}]", 100, worst, 1e-11))
         anchor = max(abs(h_p(pp, 1.0) - 1.0),
                      abs(h_p_prime(pp, 1.0) + 2.0 * (P - 2.0) * (P + 1.0) / (3.0 * P)))
@@ -265,7 +259,9 @@ def verify_all(p_values=(0.2, 0.5, 0.8), n_random: int = 1000, seed: int = 1) ->
         worst = float(max(np.max(np.abs(h_w - h_s)), np.max(np.abs(h_w - h_ser))))
         families.append(_family(f"triple_path_agreement[{tag}]", n_triple, worst, 1e-8))
 
-        # reconstructed f' series vs direct sampling of the evaluator form
+        # reconstructed f' series vs direct sampling of the evaluator form;
+        # per sample, since a stack of rows x 512 points x 32 nodes would make
+        # temporaries of ~13 MB each
         worst = 0.0
         n_fprime = min(n_random, 50)
         Wf = W[:n_fprime]

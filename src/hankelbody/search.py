@@ -22,6 +22,8 @@ from .hankel import lower_bound_M, omega_map, upper_bound_M
 from .kernels import best_sigma2, phi_batch, phi_sigma2_max
 
 REGION_BINS = 256
+#: fewest angular samples per parameter in the grid sweep
+MIN_GRID = 8
 #: fewest points on the Omega_p boundary polyline
 OMEGA_MIN_POINTS = 16
 
@@ -70,8 +72,8 @@ def estimate_M(pp: PoleParam, grid: int = 24, refine_iters: int = 200,
     number of radial samples (boundary included).  The best ``n_starts``
     grid points seed Nelder-Mead runs capped at ``refine_iters`` iterations.
     """
-    if grid < 8:
-        raise InvalidInput("grid must be >= 8")
+    if grid < MIN_GRID:
+        raise InvalidInput(f"grid must be >= {MIN_GRID}")
     if refine_iters < 0:
         raise InvalidInput("refine_iters must be >= 0")
     P = pp.P
@@ -181,15 +183,11 @@ def _binned_boundary(points: np.ndarray, n_bins: int = REGION_BINS) -> np.ndarra
     rel = points - center
     ang = np.mod(np.angle(rel), 2.0 * np.pi)
     bins = np.minimum((ang / (2.0 * np.pi) * n_bins).astype(int), n_bins - 1)
-    out = []
-    for b in range(n_bins):
-        mask = bins == b
-        if not np.any(mask):
-            continue
-        sub = rel[mask]
-        out.append(points[mask][np.argmax(np.abs(sub))])
-    out.append(out[0])
-    return np.asarray(out, dtype=np.complex128)
+    # the farthest point of each occupied bin, first index on ties
+    order = np.lexsort((-np.abs(rel), bins))
+    _, first = np.unique(bins[order], return_index=True)
+    out = points[order[first]]
+    return np.append(out, out[0])
 
 
 def sample_omega_boundary(pp: PoleParam, n_theta: int = 512) -> RegionSample:

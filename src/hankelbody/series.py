@@ -30,6 +30,12 @@ def as_complex(x):
     return complex(x) if x.ndim == 0 else x
 
 
+def as_real(x):
+    """A Python float for a scalar, a float64 array for an array."""
+    x = np.asarray(x, dtype=np.float64)
+    return float(x) if x.ndim == 0 else x
+
+
 def _dot(x, y):
     """Sum over the last axis of x*y, broadcasting the leading axes."""
     return np.einsum("...j,...j->...", x, y)

@@ -1,14 +1,15 @@
-"""Every chain and series function has one body for scalars and arrays: a
-stacked call must give the row-by-row scalar answers."""
+"""Every chain, series, disk and slice function has one body for scalars and
+arrays: a stacked call must give the row-by-row scalar answers."""
 
 import numpy as np
 import pytest
 
 from hankelbody import (CoeffTriple, ParamTriple, PoleParam, TruncatedSeries,
                         a_from_c, a_from_phi, blaschke_psi, c_from_sigma,
-                        c_from_w, derivatives_at, hankel2, hankel_from_c,
+                        c_from_w, derivatives_at, dieudonne2_lhs, dieudonne2_rhs,
+                        dieudonne_disk1, h_p, h_p_prime, hankel2, hankel_from_c,
                         hankel_from_sigma, phi_evaluator, phi_p,
-                        phi_series_from_w, series_add, series_derivative,
+                        phi_series_from_w, rho_coeffs, series_add, series_derivative,
                         series_exp, series_integrate, series_mul,
                         series_reciprocal, sigma_from_w, tau_from_c, tau_from_w,
                         taylor_from_samples, w_from_sigma)
@@ -27,6 +28,17 @@ def trailing(t):
 
 def series(*xs):
     return TruncatedSeries(np.stack(xs, axis=-1))
+
+
+def jet(pp, t, shrink=0.9):
+    """(z0, tau0, tau1, tau2) with |z0| = p and |tau0| <= shrink |z0|."""
+    z0 = pp.p * np.exp(1j * np.angle(t.x1))
+    return z0, shrink * z0 * t.x0, t.x1, t.x2
+
+
+def disk1(pp, t, shrink=1.0):
+    d = dieudonne_disk1(*jet(pp, t, shrink)[:2])
+    return d.center, d.radius
 
 
 CASES = {
@@ -56,10 +68,23 @@ CASES = {
     "series_integrate": lambda pp, t: series_integrate(series(*t)),
     "series_derivative": lambda pp, t: series_derivative(series(*t)),
     "a_from_phi": lambda pp, t: a_from_phi(pp, phi_series_from_w(pp, t, 9)),
+    "rho_coeffs": lambda pp, t: rho_coeffs(pp, t.x0, 6),
+    "dieudonne_disk1": disk1,
+    "dieudonne2_lhs": lambda pp, t: dieudonne2_lhs(*jet(pp, t)),
+    "dieudonne2_rhs": lambda pp, t: dieudonne2_rhs(*jet(pp, t)[:2]),
+    "h_p": lambda pp, t: h_p(pp, np.abs(t.x0)),
+    "h_p_prime": lambda pp, t: h_p_prime(pp, np.abs(t.x0)),
 }
 
 #: the functions that reject parameters outside the closed polydisk
 CHECKED = ("c_from_w", "c_from_sigma", "sigma_from_w", "w_from_sigma", "tau_from_w")
+
+#: the variability-disk predicates, which reject |tau0| > |z0|
+JET_CHECKED = {
+    "dieudonne_disk1": lambda pp, t: disk1(pp, t, shrink=1.01),
+    "dieudonne2_lhs": lambda pp, t: dieudonne2_lhs(*jet(pp, t, shrink=1.01)),
+    "dieudonne2_rhs": lambda pp, t: dieudonne2_rhs(*jet(pp, t, shrink=1.01)[:2]),
+}
 
 
 def flat(out):
@@ -100,3 +125,23 @@ def test_stacked_call_checks_the_polydisk(name, stacked):
     W[17, 1] = 1.01 * np.exp(0.4j)
     with pytest.raises(InvalidInput):
         CASES[name](PoleParam(0.5), ParamTriple(*W.T))
+
+
+@pytest.mark.parametrize("name", sorted(JET_CHECKED))
+def test_stacked_call_checks_the_jet(name, stacked):
+    W = stacked.copy()
+    W[:, 0] = 0.5 * W[:, 0]
+    JET_CHECKED[name](PoleParam(0.5), ParamTriple(*W.T))  # all inside
+    W[17, 0] = 1.0
+    with pytest.raises(InvalidInput):
+        JET_CHECKED[name](PoleParam(0.5), ParamTriple(*W.T))
+
+
+def test_scalar_calls_answer_with_python_numbers():
+    pp = PoleParam(0.5)
+    disk = dieudonne_disk1(0.5, 0.25j)
+    assert type(disk.center) is complex and type(disk.radius) is float
+    assert type(dieudonne2_lhs(0.5, 0.25, 1.0, 1.0)) is float
+    assert type(dieudonne2_rhs(0.5, 0.25)) is float
+    assert type(h_p(pp, 0.3)) is float and type(h_p_prime(pp, 0.3)) is float
+    assert rho_coeffs(pp, 0.5j, 6).coeffs.shape == (6,)

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hankelbody.cli import (EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL,
                             build_parser, main)
@@ -38,6 +42,14 @@ class TestParsing:
         ["region", "--samples", "8"],
         ["verify", "--samples", "abc"],
         ["extremal", "--p", "x"],
+        ["verify", "--seed", "-1"],
+        ["extremal", "--seed", "-1"],
+        ["bounds", "--seed", "-1"],
+        ["region", "--seed", "-1"],
+        ["extremal", "--iters", "-1"],
+        ["bounds", "--iters", "-2"],
+        ["region", "--what", "hankel", "--samples", "0"],
+        ["bounds", "--grid", "2.5"],
     ])
     def test_invalid_values_are_usage_errors(self, argv, capsys):
         assert run(argv) == EXIT_USAGE
@@ -46,8 +58,8 @@ class TestParsing:
         assert "error:" in captured.err
         assert "Traceback" not in captured.err
         # messages name the flags, not internal functions or parameters
-        assert "_parse_" not in captured.err
-        assert "n_theta" not in captured.err
+        for internal in ("_parse_", "n_theta", "refine_iters", "n_samples"):
+            assert internal not in captured.err
 
 
 class TestBounds:
@@ -148,3 +160,64 @@ class TestIO:
         code = run(["extremal", "--p", "0.5", "--grid", "8", "--iters", "0",
                     "--out", str(bad)])
         assert code == EXIT_IO
+
+
+# --- argv fuzzing --------------------------------------------------------------
+
+#: flags that keep every run small, put in front so that a fuzzed flag overrides them
+SMALL = {
+    "bounds": ["--grid", "8", "--iters", "2"],
+    "extremal": ["--grid", "8", "--iters", "2"],
+    "region": ["--samples", "32"],
+    "verify": ["--samples", "8"],
+}
+
+#: the flags each subcommand takes, plus --what, which only region takes
+FLAGS = {
+    "bounds": ["--p", "--grid", "--iters", "--seed", "--out", "--what"],
+    "extremal": ["--p", "--grid", "--iters", "--seed", "--out", "--what"],
+    "region": ["--p", "--what", "--samples", "--seed", "--format", "--out"],
+    "verify": ["--p", "--samples", "--seed", "--out", "--what"],
+}
+
+#: good and bad values per flag; sizes stay at most --samples 64, --grid 12, --iters 5
+VALUES = {
+    "--p": ["0.5", "0.05,0.9", "0.97", "0", "1", "-0.3", "nan", "x", ",", "0.2,abc"],
+    "--grid": ["8", "12", "7", "0", "-3", "x", "9.5"],
+    "--iters": ["0", "5", "-1", "-2", "x", "1e3"],
+    "--seed": ["0", "7", "123456789012", "-1", "x", "1.5"],
+    "--samples": ["1", "15", "16", "64", "0", "-5", "x"],
+    "--what": ["omega", "hankel", "both", "neither"],
+    "--format": ["csv", "svg", "json", "pdf"],
+    "--out": ["tmp", "unwritable"],
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(SMALL)))
+    argv = [command] + SMALL[command]
+    for flag in draw(st.lists(st.sampled_from(FLAGS[command]), max_size=4)):
+        argv += [flag, draw(st.sampled_from(VALUES[flag]))]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(argv=argvs())
+@example(argv=["verify", "--samples", "8", "--seed", "-1"])
+@example(argv=["extremal", "--grid", "8", "--iters", "2", "--seed", "-1"])
+@example(argv=["bounds", "--grid", "8", "--iters", "2", "--seed", "-1"])
+@example(argv=["region", "--samples", "32", "--seed", "-1"])
+def test_any_argv_keeps_the_exit_code_contract(argv, out_dir):
+    paths = {"tmp": str(out_dir / "out"), "unwritable": str(out_dir / "missing" / "out")}
+    argv = [paths.get(a, a) for a in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_VERIFY_FAIL, EXIT_USAGE, EXIT_IO)
+    assert "Traceback" not in err.getvalue()
