@@ -3,17 +3,20 @@
 The functional is affine in the third polydisk parameter, so its supremum
 sits on |sigma2| = 1 and can be taken analytically; the coarse sweep then
 runs over a polar grid in (sigma0, sigma1) only, followed by Nelder-Mead
-refinement in all six real parameters with moduli clamped to [0,1].
+refinement in all six real parameters with moduli clamped to [0,1].  The
+refinement runs every start in lockstep with numpy (``minimize``), at most
+three objective calls per simplex step, each covering all starts, and its
+result is bit-identical to scipy's Nelder-Mead run start by start.
 Everything is deterministic for a fixed (grid, refine_iters, seed).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import partial
+from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .coeffbody import ParamTriple
 from .disk import PoleParam
@@ -56,12 +59,109 @@ def _polar_grid(n_angle: int, n_mod: int) -> np.ndarray:
     return np.concatenate(([0.0 + 0.0j], pts))
 
 
-def _clamped_sigma(x: np.ndarray) -> ParamTriple:
-    vals = []
-    for k in range(3):
-        r = min(max(x[2 * k], 0.0), 1.0)
-        vals.append(r * np.exp(1j * x[2 * k + 1]))
-    return ParamTriple(*map(complex, vals))
+def _sigma_rows(X: np.ndarray) -> np.ndarray:
+    """(n, 3) polydisk points from (n, 6) rows of (modulus, argument) pairs,
+    moduli clamped to [0, 1]."""
+    return np.clip(X[:, 0::2], 0.0, 1.0) * np.exp(1j * X[:, 1::2])
+
+
+def _negative_modulus(P: float, X: np.ndarray) -> np.ndarray:
+    """-|Phi| at the (n, 6) rows of ``X``, the objective of the refinement."""
+    sig = _sigma_rows(X)
+    z = phi_batch(P, sig[:, 0], sig[:, 1], sig[:, 2])
+    # hypot, not np.abs: numpy's vectorized complex abs can differ from the
+    # scalar abs in the last ulp, and the simplex compares these values
+    return -np.hypot(z.real, z.imag)
+
+
+# the refinement's convergence tolerances, scipy's ``xatol`` and ``fatol``
+_XATOL = 1e-12
+_FATOL = 1e-14
+
+
+class SimplexResult(NamedTuple):
+    """Per-start outcome of ``minimize``, one row or entry per start."""
+
+    x: np.ndarray
+    fun: np.ndarray
+    nit: np.ndarray
+    nfev: np.ndarray
+
+
+def minimize(fun, X0: np.ndarray, maxiter: int) -> SimplexResult:
+    """Nelder-Mead from every row of ``X0`` at once, each row as scipy runs it alone.
+
+    A transcription of scipy 1.17's ``_minimize_neldermead`` (non-adaptive,
+    no bounds, ``maxfev`` unset, ``xatol=_XATOL``, ``fatol=_FATOL``) that
+    advances all starts in lockstep: each step evaluates ``fun``, which maps
+    an (m, d) array to m values, once for the rows that need that step.
+    Every start gets the same arithmetic, the same comparisons and the same
+    ``argsort`` as in its own scipy run, so ``x``, ``fun``, ``nit`` and
+    ``nfev`` are bit-identical to it.
+    """
+    X0 = np.asarray(X0, dtype=np.float64)
+    n, N = X0.shape
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt, zdelt = 0.05, 0.00025
+    k = np.arange(N)
+    sim = np.repeat(X0[:, None, :], N + 1, axis=1)
+    diag = X0[:, k]
+    sim[:, k + 1, k] = np.where(diag != 0, (1 + nonzdelt) * diag, zdelt)
+    fsim = fun(sim.reshape(-1, N)).reshape(n, N + 1)
+    nfev = np.full(n, N + 1)
+    nit = np.ones(n, dtype=int)
+    for _ in range(2):  # scipy sorts the first simplex twice; argsort may move ties
+        sim, fsim = _sorted_simplex(sim, fsim)
+
+    live = np.flatnonzero(nit < maxiter)
+    while live.size:
+        S, F = sim[live], fsim[live]
+        converged = ((np.abs(S[:, 1:] - S[:, :1]).max(axis=(1, 2)) <= _XATOL)
+                     & (np.abs(F[:, :1] - F[:, 1:]).max(axis=1) <= _FATOL))
+        live, S, F = live[~converged], S[~converged], F[~converged]
+        if not live.size:
+            break
+        # the centroid as scipy's row-by-row np.add.reduce forms it
+        xbar = S[:, 0]
+        for j in range(1, N):
+            xbar = xbar + S[:, j]
+        xbar = xbar / N
+        worst = S[:, -1]
+        xr = (1 + rho) * xbar - rho * worst
+        fxr = fun(xr)
+        expand = fxr < F[:, 0]
+        accept = ~expand & (fxr < F[:, -2])
+        outside = ~expand & ~accept & (fxr < F[:, -1])
+        inside = ~expand & ~accept & ~outside
+        second = ~accept
+        x2 = np.where(expand[:, None], (1 + rho * chi) * xbar - rho * chi * worst,
+                      np.where(outside[:, None], (1 + psi * rho) * xbar - psi * rho * worst,
+                               (1 - psi) * xbar + psi * worst))
+        f2 = np.full_like(fxr, np.nan)
+        if second.any():
+            f2[second] = fun(x2[second])
+        take_r = accept | (expand & ~(f2 < fxr))
+        take_2 = (expand & (f2 < fxr)) | (outside & (f2 <= fxr)) | (inside & (f2 < F[:, -1]))
+        shrink = second & ~take_r & ~take_2
+        S[take_r, -1], F[take_r, -1] = xr[take_r], fxr[take_r]
+        S[take_2, -1], F[take_2, -1] = x2[take_2], f2[take_2]
+        if shrink.any():
+            best = S[shrink, :1]
+            S[shrink, 1:] = best + sigma * (S[shrink, 1:] - best)
+            F[shrink, 1:] = fun(S[shrink, 1:].reshape(-1, N)).reshape(-1, N)
+        nfev[live] += 1 + second + N * shrink
+        nit[live] += 1
+        sim[live], fsim[live] = _sorted_simplex(S, F)
+        live = live[nit[live] < maxiter]
+
+    return SimplexResult(x=sim[:, 0], fun=fsim.min(axis=1), nit=nit, nfev=nfev)
+
+
+def _sorted_simplex(S: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each start's vertices in ascending order of value, by ``np.argsort`` as scipy sorts."""
+    ind = np.argsort(F, axis=1)
+    rows = np.arange(len(F))[:, None]
+    return S[rows, ind], F[rows, ind]
 
 
 def estimate_M(pp: PoleParam, grid: int = 24, refine_iters: int = 200,
@@ -70,20 +170,26 @@ def estimate_M(pp: PoleParam, grid: int = 24, refine_iters: int = 200,
 
     ``grid`` is the number of angular samples per parameter, ``n_mod`` the
     number of radial samples (boundary included).  The best ``n_starts``
-    grid points seed Nelder-Mead runs capped at ``refine_iters`` iterations.
+    grid points, a start on the real slice and four seeded random ones seed
+    Nelder-Mead runs capped at ``refine_iters`` iterations, run in lockstep
+    by ``minimize``.
     """
     if grid < MIN_GRID:
         raise InvalidInput(f"grid must be >= {MIN_GRID}")
     if refine_iters < 0:
         raise InvalidInput("refine_iters must be >= 0")
+    if n_mod < 2:
+        raise InvalidInput("n_mod must be >= 2")
+    if n_starts < 1:
+        raise InvalidInput("n_starts must be >= 1")
     P = pp.P
     scale = 18.0 * P**3
 
     pts = _polar_grid(grid, n_mod)
-    S0, S1 = np.meshgrid(pts, pts, indexing="ij")
-    s0 = S0.ravel()
-    s1 = S1.ravel()
-    vals = phi_sigma2_max(P, s0, s1)
+    # the sigma0-only factors of Phi are formed once and broadcast over sigma1
+    vals = phi_sigma2_max(P, pts[:, None], pts[None, :]).ravel()
+    s0 = np.repeat(pts, pts.size)
+    s1 = np.tile(pts, pts.size)
 
     # deterministic ordering: descending value, ties broken lexicographically
     order = np.lexsort((s1.imag, s1.real, s0.imag, s0.real, -vals))
@@ -107,10 +213,6 @@ def estimate_M(pp: PoleParam, grid: int = 24, refine_iters: int = 200,
     rng = np.random.default_rng(seed)
     extra = rng.uniform(0.0, 1.0, size=(4, 6))  # a few seeded random starts
 
-    def negobj(x):
-        sig = _clamped_sigma(x)
-        return -abs(phi_batch(P, *(np.array([v]) for v in sig))[0])
-
     starts = [[t_star, 0.0, 1.0, np.pi, 1.0, 0.0]]
     for i in best_idx:
         a, b = complex(s0[i]), complex(s1[i])
@@ -123,15 +225,12 @@ def estimate_M(pp: PoleParam, grid: int = 24, refine_iters: int = 200,
 
     total_iters = 0
     if refine_iters > 0:
-        for x0 in starts:
-            res = minimize(negobj, np.asarray(x0), method="Nelder-Mead",
-                           options={"maxiter": refine_iters, "xatol": 1e-12,
-                                    "fatol": 1e-14})
-            total_iters += int(res.nit)
-            val = -float(res.fun)
-            if val > best_val:
-                best_val = val
-                best_sigma = _clamped_sigma(res.x)
+        res = minimize(partial(_negative_modulus, P), np.array(starts), refine_iters)
+        total_iters = int(res.nit.sum())
+        for x, f in zip(res.x, res.fun):
+            if -float(f) > best_val:
+                best_val = -float(f)
+                best_sigma = ParamTriple(*map(complex, _sigma_rows(x[None])[0]))
 
     return ExtremalReport(
         p=pp.p,
@@ -239,8 +338,10 @@ def check_omega_monotone(p_small: float, p_large: float, n_theta: int = 512,
 
 
 def hausdorff_distance(a: Sequence[complex], b: Sequence[complex]) -> float:
-    """Discrete symmetric Hausdorff distance between two point sets."""
+    """Discrete symmetric Hausdorff distance between two nonempty point sets."""
     A = np.asarray(a, dtype=np.complex128)[:, None]
     B = np.asarray(b, dtype=np.complex128)[None, :]
+    if not (A.size and B.size):
+        raise InvalidInput("hausdorff_distance needs two nonempty point sets")
     D = np.abs(A - B)
     return float(max(D.min(axis=1).max(), D.min(axis=0).max()))

@@ -1,11 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hankelbody
 from hankelbody.cli import (EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL,
                             build_parser, main)
 
@@ -152,6 +157,18 @@ class TestExtremal:
         assert payload["lower"] <= payload["m_estimate"] + 1e-9
         assert all(0.0 <= m <= 1.0 + 1e-12
                    for m in payload["arg_sigma"]["moduli"])
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        src = str(Path(hankelbody.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys, hankelbody.cli; print('scipy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestIO:

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from hankelbody import (ParamTriple, PoleParam, a_from_c, c_from_sigma,
 from hankelbody.errors import DegenerateBoundary, InvalidInput
 from hankelbody.kernels import best_sigma2, phi_batch, phi_sigma2_max
 from hankelbody.hankel import phi_p
+from hankelbody.search import _FATOL, _XATOL, _negative_modulus, minimize
 
 from conftest import random_polydisk, triples
 
@@ -88,6 +91,63 @@ class TestEstimateM:
         with pytest.raises(InvalidInput):
             estimate_M(pp05, refine_iters=-1)
 
+    def test_rejects_no_starts(self, pp05):
+        with pytest.raises(InvalidInput, match="n_starts"):
+            estimate_M(pp05, grid=8, refine_iters=2, n_starts=0)
+
+    @pytest.mark.parametrize("n_mod", [0, 1])
+    def test_rejects_a_grid_without_radii(self, pp05, n_mod):
+        with pytest.raises(InvalidInput, match="n_mod"):
+            estimate_M(pp05, grid=8, refine_iters=2, n_mod=n_mod)
+
+
+def _starts(rng, p):
+    """Refinement starts: random rows with moduli up to 1.3 (the clamp), rows
+    with exact zeros (the zdelt step of the first simplex), and the slice start."""
+    X = rng.uniform(-1.0, 1.0, size=(12, 6)) * [1.3, 7.0, 1.3, 7.0, 1.3, 7.0]
+    X[:, 0::2] = np.abs(X[:, 0::2])
+    X[0] = 0.0
+    X[1, [1, 3, 5]] = 0.0
+    X[2, [0, 2]] = 0.0
+    X[3, :3] = [1.0, 0.0, 1.0]
+    return np.vstack([X, [p, 0.0, 1.0, np.pi, 1.0, 0.0]])
+
+
+class TestSimplex:
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.95])
+    @pytest.mark.parametrize("maxiter", [1, 2, 30, 200])
+    def test_lockstep_run_is_scipy_nelder_mead_start_by_start(self, p, maxiter):
+        optimize = pytest.importorskip("scipy.optimize")
+        P = PoleParam(p).P
+
+        def scalar_fun(x):
+            # one point at a time, the modulus by the scalar abs
+            sig = [min(max(x[2 * k], 0.0), 1.0) * np.exp(1j * x[2 * k + 1]) for k in range(3)]
+            return -abs(phi_batch(P, *(np.array([complex(v)]) for v in sig))[0])
+
+        X0 = _starts(np.random.default_rng(int(100 * p)), p)
+        got = minimize(partial(_negative_modulus, P), X0, maxiter)
+        for i, x0 in enumerate(X0):
+            want = optimize.minimize(scalar_fun, x0, method="Nelder-Mead",
+                                     options={"maxiter": maxiter, "xatol": _XATOL,
+                                              "fatol": _FATOL})
+            assert got.x[i].tobytes() == want.x.tobytes(), i
+            assert got.fun[i].tobytes() == np.float64(want.fun).tobytes(), i
+            assert (got.nit[i], got.nfev[i]) == (want.nit, want.nfev), i
+
+    def test_objective_calls_are_batched(self):
+        sizes = []
+
+        def fun(X):
+            sizes.append(len(X))
+            return np.sum((X - 0.3) ** 2, axis=1)
+
+        res = minimize(fun, np.zeros((5, 6)), 50)
+        assert sizes[0] == 5 * 7
+        assert len(sizes) <= 1 + 3 * 49
+        assert int(res.nfev.sum()) == sum(sizes)
+        assert np.all(res.nit == 50)
+
 
 class TestRegions:
     def test_omega_boundary_closed(self, pp05):
@@ -135,6 +195,11 @@ class TestRegions:
         near_zero = sample_omega_boundary(PoleParam(0.05), 512)
         circle = -np.exp(1j * th)
         assert hausdorff_distance(near_zero.boundary[:-1], circle) < 0.02
+
+    def test_hausdorff_rejects_an_empty_set(self):
+        for a, b in (([], [1.0]), ([1.0], []), ([], [])):
+            with pytest.raises(InvalidInput):
+                hausdorff_distance(a, b)
 
     def test_hausdorff_symmetry_and_zero(self):
         a = np.array([0.0, 1.0, 1j])
