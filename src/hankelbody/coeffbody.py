@@ -207,17 +207,17 @@ def phi_evaluator(pp: PoleParam, w: ParamTriple):
     return phi
 
 
-def phi_series_from_w(pp: PoleParam, w: ParamTriple, n_terms: int,
-                      radius: float | None = None,
-                      n_samples: int = 256) -> TruncatedSeries:
+def phi_series_from_w(pp: PoleParam, w: ParamTriple, n_terms: int) -> TruncatedSeries:
     """Taylor series of phi about 0 via Cauchy sampling of the evaluator.
 
-    The default sampling radius p/2 keeps well inside the disk where the
-    composed evaluator is analytic regardless of boundary parameters.
+    phi is analytic on the open unit disk and maps it into itself, even for
+    boundary parameters, so its coefficients satisfy |c_k| <= 1.  Sampling
+    N points on |z| = r adds to coefficient k the sum over j >= 1 of
+    c_{k+jN} r^(jN), at most r^N / (1 - r^N): below 2^-63 at r = 1/2
+    with N = max(64, 4 n_terms) points.  The radius does not shrink with p, because
+    dividing by r^k amplifies the rounding of the samples by r^-k.
     Array parameters give a stack of series with the same leading axes.
     """
-    if radius is None:
-        radius = pp.p / 2.0
     # a trailing axis on each parameter meets the axis of sampling points
     w = ParamTriple(*(np.asarray(x)[..., None] for x in w))
-    return taylor_from_samples(phi_evaluator(pp, w), radius, n_terms, n_samples)
+    return taylor_from_samples(phi_evaluator(pp, w), 0.5, n_terms, max(64, 4 * n_terms))

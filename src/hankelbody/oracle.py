@@ -11,8 +11,13 @@ the two algebraic chains gives the triple-path consistency check, and
 
 The series route takes stacked series like the chain functions take stacked
 parameters, so ``a_batch_from_w`` is the scalar route called once on an
-array, and the families of ``verify_all`` make one array call per p.  Three
+array, and the families of ``verify_all`` make one array call per p.  Two
 stay per sample, each with a comment saying why.
+
+The evaluator route (``fprime_sampled``) recovers the same coefficients by
+Cauchy sampling of f' in closed form; its sampling sizes come from the
+a-priori error bounds ``fprime_aliasing_bound`` and
+``fprime_quadrature_bound``.
 """
 
 from __future__ import annotations
@@ -35,6 +40,10 @@ from .series import (TruncatedSeries, series_derivative, series_exp,
                      taylor_from_samples)
 
 DEFAULT_ORDER = 8
+
+#: the f' family compares this many coefficients, to this tolerance
+_FPRIME_TERMS = 5
+_FPRIME_TOL = 1e-7
 
 
 def _prefactor_series(pp: PoleParam, order: int) -> TruncatedSeries:
@@ -69,6 +78,83 @@ def a_batch_from_w(pp: PoleParam, W: np.ndarray) -> np.ndarray:
     return np.column_stack(a_from_phi(pp, phi))
 
 
+# --- the evaluator route for f' ----------------------------------------------
+
+def fprime_sampled(pp: PoleParam, w: ParamTriple, n_samples: int,
+                   nodes: int) -> TruncatedSeries:
+    """First _FPRIME_TERMS Taylor coefficients of f' by Cauchy sampling of
+    its closed form on |z| = p/2.
+
+    The integral over [0, z] in the exponent is taken by an ``nodes``-point
+    Gauss-Legendre rule.  Array parameters give a stack of series with the
+    same leading axes.
+    """
+    p = pp.p
+    t, weights = np.polynomial.legendre.leggauss(nodes)
+    t = 0.5 * (t + 1.0)
+    weights = 0.5 * weights
+    # trailing axes on each parameter meet the sample and node axes
+    ev = phi_evaluator(pp, ParamTriple(*(np.asarray(x)[..., None, None] for x in w)))
+
+    def fprime(z):
+        s = z[:, None] * t
+        vals = ev(s)
+        integral = (-2.0 * vals / (1.0 - s * vals)) @ weights * z
+        return p**2 / ((z - p) ** 2 * (1.0 - p * z) ** 2) * np.exp(integral)
+
+    return taylor_from_samples(fprime, p / 2, _FPRIME_TERMS, n_samples)
+
+
+def fprime_aliasing_bound(p: float, n_samples: int) -> float:
+    """A-priori aliasing error of ``fprime_sampled`` in its coefficients.
+
+    The coefficients of f' are b_n = (n+1) a_{n+1}, and the centre plus the
+    radius of ``aw_disk`` bound |a_n| by (1 - p^(2n)) / ((1-p^2) p^(n-1)) <=
+    p^(1-n) / (1-p^2).  Sampling N points on |z| = p/2 adds to coefficient k
+    the sum over j >= 1 of b_{k+jN} (p/2)^(jN), at most
+    p^-k / (1-p^2) * sum_j (k+1+jN) 2^(-jN); the largest k dominates.
+    """
+    k = _FPRIME_TERMS - 1
+    q = 0.5**n_samples
+    return p**-k / (1.0 - p * p) * ((k + 1) * q / (1.0 - q) + n_samples * q / (1.0 - q) ** 2)
+
+
+def fprime_quadrature_bound(p: float, nodes: int) -> float:
+    """A-priori error the Gauss-Legendre rule adds to ``fprime_sampled``'s coefficients.
+
+    On |z| = r = p/2 the integrand z*g(tz) of t in [0, 1], with
+    g = -2 phi / (1 - s phi), is analytic for |t| < R = 1/r, and
+    |g(s)| <= 2/(1-|s|) because |phi| <= 1.  The Bernstein ellipse of
+    [0, 1] with parameter rho = R + sqrt(R^2 - 1) reaches out to
+    |t| = (1+R)/2, where |z g| <= M = 4r/(1-r); the Gauss error on [0, 1]
+    is then at most (32/15) M rho^(2-2m) / (rho^2 - 1) for m nodes
+    (Trefethen, Approximation Theory and Approximation Practice, Thm 19.3).
+    An error e in the exponent moves f' by |f'| (e^e - 1), where
+    |f'| <= p^2 / ((p-r)^2 (1-pr)^2 (1-r)^2), and the Cauchy sum divides
+    coefficient k by r^k.
+    """
+    r = p / 2
+    R = 1.0 / r
+    rho = R + np.sqrt(R * R - 1.0)
+    M = 4.0 * r / (1.0 - r)
+    err = 32.0 / 15.0 * M * rho ** (2.0 - 2.0 * nodes) / (rho * rho - 1.0)
+    fmax = p * p / ((p - r) ** 2 * (1.0 - p * r) ** 2 * (1.0 - r) ** 2)
+    return float(fmax * np.expm1(err) / r ** (_FPRIME_TERMS - 1))
+
+
+def fprime_sampling_sizes(p: float) -> tuple[int, int]:
+    """(n_samples, nodes) for ``fprime_sampled``: the smallest powers of two
+    whose a-priori bounds are each at most _FPRIME_TOL/10, with
+    n_samples >= 4*_FPRIME_TERMS."""
+    def smallest(n, bound):
+        while bound(p, n) > _FPRIME_TOL / 10:
+            n *= 2
+        return n
+
+    return (smallest(1 << (4 * _FPRIME_TERMS - 1).bit_length(), fprime_aliasing_bound),
+            smallest(1, fprime_quadrature_bound))
+
+
 # --- batch verification ------------------------------------------------------
 
 def _family(name, samples, worst, tol):
@@ -89,21 +175,6 @@ def verify_all(p_values=(0.2, 0.5, 0.8), n_random: int = 1000, seed: int = 1) ->
     """
     rng = np.random.default_rng(seed)
     families = []
-
-    # Gauss-Legendre rule on [0, 1] for the f' family
-    nodes, weights = np.polynomial.legendre.leggauss(32)
-    nodes = 0.5 * (nodes + 1.0)
-    weights = 0.5 * weights
-
-    def fprime_eval(p, ev, z):
-        # f' in its evaluator form, with the integral over [0, z] by
-        # Gauss-Legendre; spectrally accurate
-        pts = z[:, None] * nodes[None, :]
-        vals = ev(pts)
-        integ = -2.0 * vals / (1.0 - pts * vals)
-        integral = (integ @ weights) * z
-        pref = p**2 / ((z - p) ** 2 * (1.0 - p * z) ** 2)
-        return pref * np.exp(integral)
 
     # series algebra; each row of u holds one sample's draws in the order
     # that rng.uniform(low, high, n) calls would take them
@@ -259,18 +330,20 @@ def verify_all(p_values=(0.2, 0.5, 0.8), n_random: int = 1000, seed: int = 1) ->
         worst = float(max(np.max(np.abs(h_w - h_s)), np.max(np.abs(h_w - h_ser))))
         families.append(_family(f"triple_path_agreement[{tag}]", n_triple, worst, 1e-8))
 
-        # reconstructed f' series vs direct sampling of the evaluator form;
-        # per sample, since a stack of rows x 512 points x 32 nodes would make
-        # temporaries of ~13 MB each
-        worst = 0.0
+        # reconstructed f' series vs direct sampling of the evaluator form,
+        # sampled no finer than its error bounds need
         n_fprime = min(n_random, 50)
-        Wf = W[:n_fprime]
-        fp = fprime_series(pp, phi_series_from_w(pp, ParamTriple(*Wf.T), DEFAULT_ORDER + 1))
-        for w, fp_row in zip(Wf, fp.coeffs):
-            ev = phi_evaluator(pp, ParamTriple(*w))
-            sampled = taylor_from_samples(lambda z: fprime_eval(p, ev, z), p / 2, 5, 512)
-            worst = max(worst, float(np.max(np.abs(sampled.coeffs - fp_row[:5]))))
-        families.append(_family(f"fprime_series_vs_sampling[{tag}]", n_fprime, worst, 1e-7))
+        wf = ParamTriple(*W[:n_fprime].T)
+        n_samples, nodes = fprime_sampling_sizes(p)
+        fp = fprime_series(pp, phi_series_from_w(pp, wf, DEFAULT_ORDER + 1))
+        sampled = fprime_sampled(pp, wf, n_samples, nodes)
+        worst = np.max(np.abs(sampled.coeffs - fp.coeffs[:, :_FPRIME_TERMS]))
+        families.append({
+            **_family(f"fprime_series_vs_sampling[{tag}]", n_fprime, worst, _FPRIME_TOL),
+            "n_samples": n_samples,
+            "nodes": nodes,
+            "aliasing_bound": float(fprime_aliasing_bound(p, n_samples)),
+        })
 
     report = {
         "p_values": [float(p) for p in p_values],

@@ -60,6 +60,26 @@ class TestAgainstSeriesOracle:
                 cw = np.array(c_from_w(pp, w))
                 assert np.max(np.abs(ser - cw)) < 1e-9
 
+    def test_phi_series_is_a_self_map_series(self, rng):
+        # |c_k| <= 1 for a self-map; a sampling radius shrinking with p
+        # amplified rounding into |c_k| above 3 at p = 0.01 on these rows
+        W = random_polydisk(rng, 2000)
+        W[:200] /= np.abs(W[:200])
+        w = ParamTriple(*W.T)
+        for p in (0.01, 0.05, 0.3, 0.7, 0.95, 0.99):
+            pp = PoleParam(p)
+            ser = phi_series_from_w(pp, w, 9).coeffs
+            assert np.max(np.abs(ser)) <= 1.0 + 1e-12
+            assert np.max(np.abs(ser[:, :3] - np.column_stack(c_from_w(pp, w)))) <= 1e-13
+
+    def test_phi_series_samples_enough_points_for_long_series(self, pp05, rng):
+        # past 16 terms the sampling grows to 4 points a term; the two
+        # samplings differ by rounding times 2^k in coefficient k
+        w = ParamTriple(*random_polydisk(rng, 20).T)
+        long = phi_series_from_w(pp05, w, 40).coeffs
+        assert np.max(np.abs(long)) <= 1.0 + 1e-12
+        assert np.max(np.abs(long[:, :9] - phi_series_from_w(pp05, w, 9).coeffs)) <= 1e-13
+
     def test_phi_fixes_p(self, pp05, rng):
         for w in triples(random_polydisk(rng, 30)):
             ev = phi_evaluator(pp05, w)
