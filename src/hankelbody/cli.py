@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Iterator
 
 import numpy as np
 
-from .disk import PoleParam
+from .disk import P_MIN, PoleParam
 from .errors import HankelBodyError, InvalidInput
 from .oracle import verify_all
 from .search import (MIN_GRID, OMEGA_MIN_POINTS, RegionSample, estimate_M,
@@ -26,6 +27,12 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
+def _check_p(p: float) -> float:
+    if not P_MIN <= p < 1.0:
+        raise argparse.ArgumentTypeError(f"p must lie in [{P_MIN:g}, 1), got {p}")
+    return p
+
+
 def _parse_p_list(text: str) -> list[float]:
     try:
         ps = [float(tok) for tok in text.split(",") if tok.strip()]
@@ -33,10 +40,7 @@ def _parse_p_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad p list {text!r}: {exc}") from exc
     if not ps:
         raise argparse.ArgumentTypeError("empty p list")
-    for p in ps:
-        if not 0.0 < p < 1.0:
-            raise argparse.ArgumentTypeError(f"p must lie in (0,1), got {p}")
-    return sorted(ps)
+    return sorted(map(_check_p, ps))
 
 
 def _parse_p(text: str) -> float:
@@ -44,9 +48,7 @@ def _parse_p(text: str) -> float:
         p = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"p must be a number, got {text!r}") from exc
-    if not 0.0 < p < 1.0:
-        raise argparse.ArgumentTypeError(f"p must lie in (0,1), got {p}")
-    return p
+    return _check_p(p)
 
 
 def _parse_int(flag: str, minimum: int):
@@ -115,11 +117,75 @@ def _region_rows(omega: RegionSample | None, hank: RegionSample | None):
     return rows
 
 
-def _region_svg(omega, hank) -> str:
-    # viewport fitted to the unit-disk frame [-1.5, 1.5]^2, y flipped
-    def xy(z):
-        return f"{z.real:.6f},{-z.imag:.6f}"
+def _json_floats(a: np.ndarray) -> Iterator[str]:
+    """The text ``json.dumps`` writes for each float of ``a``."""
+    vals = a.tolist()
+    if np.isfinite(a).all():
+        # json.encoder writes a finite float as float.__repr__
+        return map(float.__repr__, vals)
+    return map(json.dumps, vals)  # NaN, Infinity, -Infinity
 
+
+def _json_rows(z: np.ndarray) -> list[str]:
+    """The ``[re, im]`` rows of the complex array ``z`` as ``json.dumps(...,
+    indent=2)`` writes them in the region document, three levels deep."""
+    return [f"      [\n        {x},\n        {y}\n      ]"
+            for x, y in zip(_json_floats(z.real), _json_floats(z.imag))]
+
+
+def _json_array(rows: list[str]) -> str:
+    return "[\n" + ",\n".join(rows) + "\n    ]" if rows else "[]"
+
+
+#: stands in for a coordinate array in the document skeleton
+_HOLE = "\0"
+
+
+def _region_json_text(omega: RegionSample | None, hank: RegionSample | None) -> str:
+    """``json.dumps(doc, indent=2) + "\\n"`` of the region document, where each
+    sample is ``{"points": [[re, im], ...], "boundary": [...], "meta": {...}}``.
+
+    json's indent encoder is pure Python, so the coordinate arrays are
+    formatted here in one pass each and spliced into a skeleton that
+    ``json.dumps`` writes with holes in their place.
+    """
+    doc, arrays = {}, []
+    for name, sample in (("omega", omega), ("hankel", hank)):
+        if sample is None:
+            doc[name] = None
+            continue
+        points = np.asarray(sample.points, dtype=np.complex128)
+        boundary = np.asarray(sample.boundary, dtype=np.complex128)
+        b_rows = _json_rows(boundary)
+        # Omega_p's points are its closed polyline without the closing point
+        if points.tobytes() == boundary[:-1].tobytes():
+            p_rows = b_rows[:-1]
+        else:
+            p_rows = _json_rows(points)
+        arrays += [_json_array(p_rows), _json_array(b_rows)]
+        doc[name] = {"points": _HOLE, "boundary": _HOLE, "meta": sample.meta}
+    pieces = json.dumps(doc, indent=2).split(json.dumps(_HOLE))
+    out = [pieces[0]]
+    for array, piece in zip(arrays, pieces[1:]):
+        out += [array, piece]
+    return "".join(out) + "\n"
+
+
+def _svg_xy(z: np.ndarray) -> tuple[list[str], list[str]]:
+    """SVG coordinates of ``z`` to 6 decimals, y flipped."""
+    z = np.asarray(z, dtype=np.complex128)
+    return ([f"{x:.6f}" for x in z.real.tolist()],
+            [f"{-y:.6f}" for y in z.imag.tolist()])
+
+
+def _svg_polyline(z: np.ndarray, stroke: str, width: str) -> str:
+    pts = " ".join(f"{x},{y}" for x, y in zip(*_svg_xy(z)))
+    return (f'<polyline points="{pts}" fill="none" stroke="{stroke}" '
+            f'stroke-width="{width}"/>')
+
+
+def _region_svg(omega: RegionSample | None, hank: RegionSample | None) -> str:
+    # viewport fitted to the unit-disk frame [-1.5, 1.5]^2, y flipped
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-1.5 -1.5 3 3" '
         'width="600" height="600">',
@@ -128,32 +194,13 @@ def _region_svg(omega, hank) -> str:
         'stroke-width="0.006" stroke-dasharray="0.03,0.03"/>',
     ]
     if hank is not None:
-        for z in hank.points:
-            parts.append(
-                f'<circle cx="{z.real:.6f}" cy="{-z.imag:.6f}" r="0.006" '
-                'fill="#4477aa" fill-opacity="0.5"/>')
-        pts = " ".join(xy(z) for z in hank.boundary)
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="#4477aa" '
-                     'stroke-width="0.008"/>')
+        parts += [f'<circle cx="{x}" cy="{y}" r="0.006" fill="#4477aa" fill-opacity="0.5"/>'
+                  for x, y in zip(*_svg_xy(hank.points))]
+        parts.append(_svg_polyline(hank.boundary, "#4477aa", "0.008"))
     if omega is not None:
-        pts = " ".join(xy(z) for z in omega.boundary)
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="#cc3311" '
-                     'stroke-width="0.010"/>')
+        parts.append(_svg_polyline(omega.boundary, "#cc3311", "0.010"))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def _region_json(omega, hank) -> dict:
-    def encode(sample):
-        if sample is None:
-            return None
-        return {
-            "points": [[z.real, z.imag] for z in sample.points],
-            "boundary": [[z.real, z.imag] for z in sample.boundary],
-            "meta": sample.meta,
-        }
-
-    return {"omega": encode(omega), "hankel": encode(hank)}
 
 
 def cmd_region(args) -> int:
@@ -174,7 +221,7 @@ def cmd_region(args) -> int:
     elif args.format == "svg":
         _write_text(args.out, _region_svg(omega, hank))
     else:
-        _write_text(args.out, _dump_json(_region_json(omega, hank)))
+        _write_text(args.out, _region_json_text(omega, hank))
     return EXIT_OK
 
 

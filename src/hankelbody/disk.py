@@ -24,6 +24,9 @@ from .errors import DegenerateDenominator, InvalidInput
 from .series import TruncatedSeries, as_complex, as_real, taylor_from_samples
 
 DENOM_EPS = 1e-14
+#: smallest accepted pole location: powers such as P**4 = (p + 1/p)**4 overflow
+#: a float below p ~ 1e-77, and every output is still finite at 1e-70
+P_MIN = 1e-60
 
 
 @dataclass(frozen=True)
@@ -43,13 +46,13 @@ class DiskRegion:
 
 @dataclass(frozen=True)
 class PoleParam:
-    """The pole location p in (0,1) together with P = p + 1/p."""
+    """The pole location p in [P_MIN, 1) together with P = p + 1/p."""
 
     p: float
 
     def __post_init__(self):
-        if not 0.0 < self.p < 1.0:
-            raise InvalidInput(f"p must lie in (0,1), got {self.p}")
+        if not P_MIN <= self.p < 1.0:
+            raise InvalidInput(f"p must lie in [{P_MIN:g}, 1), got {self.p}")
 
     @property
     def P(self) -> float:

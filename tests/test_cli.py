@@ -6,13 +6,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hankelbody
+from hankelbody import PoleParam, RegionSample, cli
 from hankelbody.cli import (EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL,
                             build_parser, main)
+from hankelbody.disk import P_MIN
+from hankelbody.search import sample_omega_boundary, sample_region_H
 
 
 def run(argv):
@@ -27,6 +31,23 @@ class TestParsing:
         assert run(["bounds", "--p", "1.5"]) == EXIT_USAGE
         assert run(["extremal", "--p", "0"]) == EXIT_USAGE
         assert run(["verify", "--p", "0.2,abc"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["verify", "extremal", "bounds", "region"])
+    def test_p_below_the_floor_is_a_usage_error(self, command, capsys):
+        # at 1e-100 the powers of P = p + 1/p overflow a float
+        assert run([command, "--p", "1e-100"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "argument --p" in err and f"{P_MIN:g}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["extremal", "--grid", "8", "--iters", "2"],
+        ["region", "--samples", "32", "--format", "json"],
+    ])
+    def test_p_at_the_floor_gives_finite_output(self, argv, tmp_path):
+        out = tmp_path / "out.json"
+        assert run(argv + ["--p", f"{P_MIN!r}", "--out", str(out)]) == EXIT_OK
+        assert not any(bad in out.read_text() for bad in ("NaN", "Infinity"))
 
     def test_help_exits_cleanly(self, capsys):
         assert run(["--help"]) == 0
@@ -111,6 +132,84 @@ class TestRegion:
         payload = json.loads(out.read_text())
         assert payload["hankel"] is None
         assert len(payload["omega"]["boundary"]) == 65
+
+
+def _reference_json(omega, hank):
+    """The region JSON as written through json.dumps of the object form."""
+    def encode(sample):
+        if sample is None:
+            return None
+        return {
+            "points": [[z.real, z.imag] for z in sample.points],
+            "boundary": [[z.real, z.imag] for z in sample.boundary],
+            "meta": sample.meta,
+        }
+
+    return json.dumps({"omega": encode(omega), "hankel": encode(hank)}, indent=2) + "\n"
+
+
+def _reference_svg(omega, hank):
+    """The region SVG as written by one f-string per point."""
+    def xy(z):
+        return f"{z.real:.6f},{-z.imag:.6f}"
+
+    parts = [
+        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-1.5 -1.5 3 3" '
+        'width="600" height="600">',
+        '<rect x="-1.5" y="-1.5" width="3" height="3" fill="white"/>',
+        '<circle cx="0" cy="0" r="1" fill="none" stroke="#bbbbbb" '
+        'stroke-width="0.006" stroke-dasharray="0.03,0.03"/>',
+    ]
+    if hank is not None:
+        for z in hank.points:
+            parts.append(
+                f'<circle cx="{z.real:.6f}" cy="{-z.imag:.6f}" r="0.006" '
+                'fill="#4477aa" fill-opacity="0.5"/>')
+        pts = " ".join(xy(z) for z in hank.boundary)
+        parts.append(f'<polyline points="{pts}" fill="none" stroke="#4477aa" '
+                     'stroke-width="0.008"/>')
+    if omega is not None:
+        pts = " ".join(xy(z) for z in omega.boundary)
+        parts.append(f'<polyline points="{pts}" fill="none" stroke="#cc3311" '
+                     'stroke-width="0.010"/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+class TestRegionWriters:
+    @pytest.mark.parametrize("what", ["omega", "hankel", "both"])
+    @pytest.mark.parametrize("p, samples, seed", [
+        (0.5, 16, 1), (0.07, 129, 4), (0.93, 1000, 77)])
+    @pytest.mark.parametrize("fmt, reference", [
+        ("json", _reference_json), ("svg", _reference_svg)])
+    def test_cli_output_matches_reference(self, tmp_path, what, p, samples, seed,
+                                          fmt, reference):
+        out = tmp_path / f"region.{fmt}"
+        code = run(["region", "--p", str(p), "--what", what, "--samples", str(samples),
+                    "--seed", str(seed), "--format", fmt, "--out", str(out)])
+        assert code == EXIT_OK
+        pp = PoleParam(p)
+        omega = sample_omega_boundary(pp, samples) if what != "hankel" else None
+        hank = sample_region_H(pp, samples, seed) if what != "omega" else None
+        assert out.read_bytes() == reference(omega, hank).encode()
+
+    def test_non_finite_and_extreme_floats(self):
+        special = np.array([complex(float("nan"), -0.0), complex(float("inf"), 5e-324),
+                            complex(float("-inf"), 1e308), complex(-0.0, float("nan")),
+                            complex(1e-300, float("-inf")), 0.1 + 0.2j])
+        closed = np.append(special, special[0])
+        # Omega-like: points are the boundary without its closing point
+        omega = RegionSample(points=closed[:-1], boundary=closed,
+                             meta={"p": 0.5, "n_theta": special.size})
+        # points that compare equal to the open boundary but hold +0.0 where
+        # it holds -0.0 (fourth real part): their rows come from their own bits
+        hank = RegionSample(points=closed[:-1] + 0.0, boundary=closed,
+                            meta={"p": 0.5, "n_samples": 6, "seed": 1})
+        for o, h in ((omega, hank), (omega, None), (None, hank)):
+            text = cli._region_json_text(o, h)
+            assert text == _reference_json(o, h)
+            assert "NaN" in text and "-Infinity" in text and "5e-324" in text
+            assert cli._region_svg(o, h) == _reference_svg(o, h)
 
 
 class TestVerify:
@@ -230,6 +329,10 @@ def out_dir(tmp_path_factory):
 @example(argv=["extremal", "--grid", "8", "--iters", "2", "--seed", "-1"])
 @example(argv=["bounds", "--grid", "8", "--iters", "2", "--seed", "-1"])
 @example(argv=["region", "--samples", "32", "--seed", "-1"])
+@example(argv=["verify", "--samples", "8", "--p", "1e-100"])
+@example(argv=["extremal", "--grid", "8", "--iters", "2", "--p", "1e-100"])
+@example(argv=["bounds", "--grid", "8", "--iters", "2", "--p", "1e-100"])
+@example(argv=["region", "--samples", "32", "--p", "1e-100"])
 def test_any_argv_keeps_the_exit_code_contract(argv, out_dir):
     paths = {"tmp": str(out_dir / "out"), "unwritable": str(out_dir / "missing" / "out")}
     argv = [paths.get(a, a) for a in argv]

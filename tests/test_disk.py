@@ -4,6 +4,7 @@ import pytest
 from hankelbody import (DiskRegion, PoleParam, blaschke_psi, derivatives_at,
                         dieudonne2_lhs, dieudonne2_rhs, dieudonne_disk1,
                         mobius_T, pseudo_hyperbolic, rho_coeffs, rho_eval)
+from hankelbody.disk import P_MIN
 from hankelbody.errors import DegenerateDenominator, InvalidInput
 
 from conftest import random_polydisk
@@ -13,10 +14,16 @@ class TestPoleParam:
     def test_P(self):
         assert PoleParam(0.5).P == pytest.approx(2.5)
 
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5])
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5, 1e-100, float("nan")])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(InvalidInput):
             PoleParam(bad)
+
+    def test_floor_keeps_powers_of_P_finite(self):
+        # the chain raises P = p + 1/p to the fourth power and beyond
+        assert np.isfinite(PoleParam(P_MIN).P ** 4)
+        with pytest.raises(InvalidInput):
+            PoleParam(P_MIN / 2)
 
 
 class TestMobius:

@@ -74,6 +74,14 @@ class TestVerifyAll:
             assert fam["worst_residual"] >= 0.0 or fam["name"].startswith(
                 ("self_map", "dieudonne", "bound_sandwich", "membership"))
 
+    @pytest.mark.parametrize("p", [0.001, 0.01])
+    def test_rho_family_passes_at_small_p(self, p):
+        report = verify_all(p_values=(p,), n_random=8, seed=1)
+        fam, = (f for f in report["families"]
+                if f["name"] == f"rho_closed_form_vs_sampling[p={p:g}]")
+        assert fam["pass"]
+        assert fam["worst_residual"] < 1e-14
+
     def test_reproducible(self):
         r1 = verify_all(p_values=(0.4,), n_random=60, seed=3)
         r2 = verify_all(p_values=(0.4,), n_random=60, seed=3)
