@@ -13,8 +13,8 @@ enforced by the test suite.
 
 Every chain function takes either a triple of scalars or a triple of
 equal-shape arrays (a stack of parameter points, e.g. ``ParamTriple(*W.T)``
-for an (n, 3) array W) and answers in kind; ``membership_x2`` alone is
-scalar only.
+for an (n, 3) array W) and answers in kind; so does ``membership_x2`` for a
+triple of coefficients.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ class CoeffTriple(NamedTuple):
 
 @dataclass(frozen=True)
 class MembershipResult:
-    decision: str  # "inside" | "boundary" | "outside"
-    params: ParamTriple | None
+    decision: str | np.ndarray  # "inside" | "boundary" | "outside", or an array of them
+    params: ParamTriple  # nan where the decision is "outside"
 
 
 def _check_polydisk(w: ParamTriple):
@@ -159,38 +159,40 @@ def membership_x2(pp: PoleParam, c: CoeffTriple,
     Inverts the chain: c -> jet at p -> (w0, w1, w2).  A boundary modulus at
     any step makes the later parameters unidentifiable (their factors
     vanish), so they are canonicalized to 0 and the verdict is "boundary".
+    An "outside" verdict has nan parameters.  Array coefficients give an
+    array of verdicts and stacked parameters.
     """
     p = pp.p
     q = 1.0 - p * p
-    if abs(1.0 - p * c.c0) <= 1e-14:
-        return MembershipResult("outside", None)
-    tau0, tau1, tau2 = tau_from_c(pp, c)
-
-    w0 = tau0 / p
-    a0 = abs(w0)
-    if a0 > 1.0 + tol:
-        return MembershipResult("outside", None)
-    if a0 >= 1.0 - tol:
-        # chain degenerates: rotation-conjugate case, w1, w2 unidentifiable
-        return MembershipResult("boundary", ParamTriple(complex(w0), 0.0, 0.0))
-
-    m0 = 1.0 - a0 * a0
-    w1 = q * (tau1 - w0) / (p * m0)
-    a1 = abs(w1)
-    if a1 > 1.0 + tol:
-        return MembershipResult("outside", None)
-    if a1 >= 1.0 - tol:
-        return MembershipResult("boundary", ParamTriple(complex(w0), complex(w1), 0.0))
-
-    m1 = 1.0 - a1 * a1
-    w2 = (q * q * tau2 - m0 * (1.0 - p * np.conj(w0) * w1) * w1) / (p * m0 * m1)
-    a2 = abs(w2)
-    if a2 > 1.0 + tol:
-        return MembershipResult("outside", None)
-    params = ParamTriple(complex(w0), complex(w1), complex(w2))
-    if a2 >= 1.0 - tol:
-        return MembershipResult("boundary", params)
-    return MembershipResult("inside", params)
+    # arrays all the way, a scalar as one row: numpy's scalar complex product
+    # can differ from its array loop in the last ulp, and a vanishing
+    # denominator gives inf or nan in a step an earlier step has settled
+    shape = np.broadcast(*c).shape
+    c = CoeffTriple(*(np.array(x, dtype=np.complex128, ndmin=1) for x in c))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        tau0, tau1, tau2 = tau_from_c(pp, c)
+        w0 = tau0 / p
+        a0 = np.abs(w0)
+        m0 = 1.0 - a0 * a0
+        w1 = q * (tau1 - w0) / (p * m0)
+        a1 = np.abs(w1)
+        m1 = 1.0 - a1 * a1
+        w2 = (q * q * tau2 - m0 * (1.0 - p * np.conj(w0) * w1) * w1) / (p * m0 * m1)
+        a2 = np.abs(w2)
+    lo, hi = 1.0 - tol, 1.0 + tol
+    # the first step that settles the verdict wins
+    decision = np.select(
+        [(np.abs(1.0 - p * c.c0) <= 1e-14) | (a0 > hi), a0 >= lo,
+         a1 > hi, a1 >= lo, a2 > hi, a2 >= lo],
+        ["outside", "boundary", "outside", "boundary", "outside", "boundary"],
+        "inside")
+    outside = decision == "outside"
+    w1 = np.where(a0 >= lo, 0.0, w1)
+    w2 = np.where((a0 >= lo) | (a1 >= lo), 0.0, w2)
+    params = ParamTriple(*(as_complex(np.where(outside, np.nan, w).reshape(shape))
+                           for w in (w0, w1, w2)))
+    decision = decision.reshape(shape)
+    return MembershipResult(decision.item() if decision.ndim == 0 else decision, params)
 
 
 def phi_evaluator(pp: PoleParam, w: ParamTriple):

@@ -29,6 +29,12 @@ REGION_BINS = 256
 MIN_GRID = 8
 #: fewest points on the Omega_p boundary polyline
 OMEGA_MIN_POINTS = 16
+#: radial samples of the grid sweep, the origin and |z| = 1 included
+GRID_RADII = 8
+#: best grid points that seed the refinement
+GRID_STARTS = 16
+#: share of ``sample_polydisk`` moduli forced onto |s| = 1
+BOUNDARY_RATE = 0.1
 
 
 @dataclass(frozen=True)
@@ -51,9 +57,9 @@ class ExtremalReport:
     grid: int
 
 
-def _polar_grid(n_angle: int, n_mod: int) -> np.ndarray:
+def _polar_grid(n_angle: int) -> np.ndarray:
     """Distinct points {r e^(i theta)} including the origin and |z| = 1."""
-    mods = np.linspace(0.0, 1.0, n_mod)
+    mods = np.linspace(0.0, 1.0, GRID_RADII)
     angles = 2.0 * np.pi * np.arange(n_angle) / n_angle
     pts = np.outer(mods[1:], np.exp(1j * angles)).ravel()
     return np.concatenate(([0.0 + 0.0j], pts))
@@ -165,27 +171,23 @@ def _sorted_simplex(S: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def estimate_M(pp: PoleParam, grid: int = 24, refine_iters: int = 200,
-               seed: int = 1, n_mod: int = 8, n_starts: int = 16) -> ExtremalReport:
+               seed: int = 1) -> ExtremalReport:
     """Estimate sup |H| over the polydisk by grid sweep plus simplex refinement.
 
-    ``grid`` is the number of angular samples per parameter, ``n_mod`` the
-    number of radial samples (boundary included).  The best ``n_starts``
-    grid points, a start on the real slice and four seeded random ones seed
-    Nelder-Mead runs capped at ``refine_iters`` iterations, run in lockstep
-    by ``minimize``.
+    ``grid`` is the number of angular samples per parameter, with
+    ``GRID_RADII`` radial ones.  The best ``GRID_STARTS`` grid points, a
+    start on the real slice and four seeded random ones seed Nelder-Mead
+    runs capped at ``refine_iters`` iterations, run in lockstep by
+    ``minimize``.
     """
     if grid < MIN_GRID:
         raise InvalidInput(f"grid must be >= {MIN_GRID}")
     if refine_iters < 0:
         raise InvalidInput("refine_iters must be >= 0")
-    if n_mod < 2:
-        raise InvalidInput("n_mod must be >= 2")
-    if n_starts < 1:
-        raise InvalidInput("n_starts must be >= 1")
     P = pp.P
     scale = 18.0 * P**3
 
-    pts = _polar_grid(grid, n_mod)
+    pts = _polar_grid(grid)
     # the sigma0-only factors of Phi are formed once and broadcast over sigma1
     vals = phi_sigma2_max(P, pts[:, None], pts[None, :]).ravel()
     s0 = np.repeat(pts, pts.size)
@@ -193,7 +195,7 @@ def estimate_M(pp: PoleParam, grid: int = 24, refine_iters: int = 200,
 
     # deterministic ordering: descending value, ties broken lexicographically
     order = np.lexsort((s1.imag, s1.real, s0.imag, s0.real, -vals))
-    best_idx = order[: n_starts]
+    best_idx = order[:GRID_STARTS]
     best_val = float(vals[best_idx[0]])
     b0, b1 = complex(s0[best_idx[0]]), complex(s1[best_idx[0]])
     best_sigma = ParamTriple(b0, b1, best_sigma2(P, b0, b1))
@@ -243,11 +245,11 @@ def estimate_M(pp: PoleParam, grid: int = 24, refine_iters: int = 200,
     )
 
 
-def sample_polydisk(rng: np.random.Generator, n: int, boundary_rate: float = 0.1) -> np.ndarray:
-    """Area-uniform polydisk samples (n, 3); a slice forced onto |s| = 1."""
+def sample_polydisk(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Area-uniform polydisk samples (n, 3), a ``BOUNDARY_RATE`` share of moduli set to 1."""
     r = np.sqrt(rng.uniform(0.0, 1.0, size=(n, 3)))
     th = rng.uniform(0.0, 2.0 * np.pi, size=(n, 3))
-    on_boundary = rng.uniform(size=(n, 3)) < boundary_rate
+    on_boundary = rng.uniform(size=(n, 3)) < BOUNDARY_RATE
     r = np.where(on_boundary, 1.0, r)
     return r * np.exp(1j * th)
 
@@ -300,28 +302,30 @@ def sample_omega_boundary(pp: PoleParam, n_theta: int = 512) -> RegionSample:
                         meta={"p": pp.p, "n_theta": n_theta})
 
 
-def contains(region: RegionSample, z: complex, tol: float = 1e-9) -> str:
+def contains(region: RegionSample, z, tol: float = 1e-9):
     """Winding-number membership test against the closed boundary polyline.
 
-    Returns "inside", "boundary" (within tol of the polyline), or "outside".
+    Returns "inside", "boundary" (within tol of the polyline), or "outside"
+    for a scalar z, and an array of them, shaped like z, for an array.
     """
     b = np.asarray(region.boundary, dtype=np.complex128)
     if np.unique(np.round(b, 12)).size < 3:
         raise DegenerateBoundary("boundary polyline needs >= 3 distinct points")
-    a = b[:-1]
-    c = b[1:]
+    z = np.asarray(z, dtype=np.complex128)[..., None]  # meets the vertex axis
+    a, c = b[:-1], b[1:]
     # distance from z to each segment [a, c]
     seg = c - a
     L2 = np.abs(seg) ** 2
     t = np.clip(np.where(L2 > 0, ((z - a) * np.conj(seg)).real / np.where(L2 > 0, L2, 1.0), 0.0), 0.0, 1.0)
-    dist = np.min(np.abs(a + t * seg - z))
-    if dist <= tol:
-        return "boundary"
-    # winding number via summed argument increments
+    dist = np.min(np.abs(a + t * seg - z), axis=-1)
+    # winding number via summed argument increments; a z on a vertex is a
+    # boundary point, whose nan increment the verdict never reads
     rel = b - z
-    dphi = np.angle(rel[1:] / rel[:-1])
-    wind = int(round(np.sum(dphi) / (2.0 * np.pi)))
-    return "inside" if wind != 0 else "outside"
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dphi = np.angle(rel[..., 1:] / rel[..., :-1])
+    wind = np.round(np.sum(dphi, axis=-1) / (2.0 * np.pi))
+    verdict = np.where(dist <= tol, "boundary", np.where(wind != 0, "inside", "outside"))
+    return verdict.item() if verdict.ndim == 0 else verdict
 
 
 def check_omega_monotone(p_small: float, p_large: float, n_theta: int = 512,
@@ -331,10 +335,7 @@ def check_omega_monotone(p_small: float, p_large: float, n_theta: int = 512,
         raise InvalidInput("need 0 < p_small < p_large < 1")
     outer = sample_omega_boundary(PoleParam(p_small), n_theta)
     inner = sample_omega_boundary(PoleParam(p_large), n_theta)
-    for z in inner.boundary[:-1]:
-        if contains(outer, complex(z), tol=tol) == "outside":
-            return False
-    return True
+    return not np.any(contains(outer, inner.points, tol=tol) == "outside")
 
 
 def hausdorff_distance(a: Sequence[complex], b: Sequence[complex]) -> float:

@@ -14,12 +14,5 @@ def rng():
     return np.random.default_rng(1234)
 
 
-def random_polydisk(rng, n, scale=1.0):
-    """Area-uniform triples in the closed polydisk, optionally shrunk."""
-    r = scale * np.sqrt(rng.uniform(size=(n, 3)))
-    th = rng.uniform(0, 2 * np.pi, size=(n, 3))
-    return r * np.exp(1j * th)
-
-
 def triples(arr):
     return [ParamTriple(*map(complex, row)) for row in arr]

@@ -20,8 +20,9 @@ from hankelbody import (H_F, A_n, ParamTriple, PoleParam, a_from_c, aw_disk,
 from hankelbody.cli import main as cli_main
 from hankelbody.kernels import phi_batch
 from hankelbody.oracle import a_batch_from_w
+from hankelbody.search import sample_polydisk
 
-from conftest import random_polydisk, triples
+from conftest import triples
 
 P99 = [k / 100.0 for k in range(1, 100)]
 
@@ -72,7 +73,7 @@ def test_criterion_4_triple_path_agreement():
     for p in (0.2, 0.5, 0.8):
         pp = PoleParam(p)
         P = pp.P
-        W = random_polydisk(rng, 10_000)
+        W = sample_polydisk(rng, 10_000)
         # sigma-chain route via the vectorized polydisk functional
         p2 = p * p
         d = 1.0 - p2 * W[:, 0]
@@ -141,7 +142,7 @@ def test_criterion_7_membership_round_trip():
     rng = np.random.default_rng(13)
     pp = PoleParam(0.5)
     worst = 0.0
-    W = random_polydisk(rng, 1000, scale=0.99)
+    W = 0.99 * sample_polydisk(rng, 1000)
     for w in triples(W):
         res = membership_x2(pp, c_from_w(pp, w))
         if res.decision != "inside":
@@ -190,7 +191,7 @@ def _criterion4_residual(n=150):
     worst = 0.0
     for p in (0.2, 0.5, 0.8):
         pp = PoleParam(p)
-        W = triples(random_polydisk(rng, n))
+        W = triples(sample_polydisk(rng, n))
         h_w = np.array([hankel2(a_from_c(pp, c_from_w(pp, w))) for w in W])
         S = [sigma_from_w(pp, w) for w in W]
         h_s = np.array([hankel_from_sigma(pp, s) for s in S])

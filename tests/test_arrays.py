@@ -1,18 +1,21 @@
-"""Every chain, series, disk and slice function has one body for scalars and
-arrays: a stacked call must give the row-by-row scalar answers."""
+"""Every chain, series, disk, slice and verdict function has one body for
+scalars and arrays: a stacked call must give the row-by-row scalar answers."""
+
+import warnings
 
 import numpy as np
 import pytest
 
 from hankelbody import (CoeffTriple, ParamTriple, PoleParam, TruncatedSeries,
                         a_from_c, a_from_phi, blaschke_psi, c_from_sigma,
-                        c_from_w, derivatives_at, dieudonne2_lhs, dieudonne2_rhs,
-                        dieudonne_disk1, h_p, h_p_prime, hankel2, hankel_from_c,
-                        hankel_from_sigma, phi_evaluator, phi_p,
-                        phi_series_from_w, rho_coeffs, series_add, series_derivative,
-                        series_exp, series_integrate, series_mul,
-                        series_reciprocal, sigma_from_w, tau_from_c, tau_from_w,
-                        taylor_from_samples, w_from_sigma)
+                        c_from_w, contains, derivatives_at, dieudonne2_lhs,
+                        dieudonne2_rhs, dieudonne_disk1, h_p, h_p_prime, hankel2,
+                        hankel_from_c, hankel_from_sigma, membership_x2,
+                        omega_map, phi_evaluator, phi_p, phi_series_from_w,
+                        rho_coeffs, sample_omega_boundary, series_add,
+                        series_derivative, series_exp, series_integrate,
+                        series_mul, series_reciprocal, sigma_from_w, tau_from_c,
+                        tau_from_w, taylor_from_samples, w_from_sigma)
 from hankelbody.errors import InvalidInput
 from hankelbody.hankel import ACoeffs
 from hankelbody.oracle import fprime_sampled
@@ -121,6 +124,43 @@ def test_stacked_call_matches_row_by_row(name, p, stacked):
         assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
 
 
+def membership(pp, *c):
+    res = membership_x2(pp, CoeffTriple(*c))
+    return res.decision, flat(res.params)
+
+
+def omega_contains(pp, z):
+    verdict = contains(sample_omega_boundary(pp, 64), z)
+    return verdict, np.zeros(np.shape(verdict) + (0,))
+
+
+#: the functions that answer with verdict strings, beside any numbers: each
+#: has a map from the stacked triples to its input rows, and the function
+VERDICT_CASES = {
+    # attainable triples with c2 moved by 0.2 w2: inside, boundary and outside
+    "membership_x2": (lambda pp, W: np.column_stack(c_from_w(pp, ParamTriple(*W.T)))
+                      + [0.0, 0.0, 0.2] * W, membership),
+    # points of Omega_p moved by 0.3 w1, against its 64-gon
+    "contains": (lambda pp, W: (omega_map(pp, W[:, 0]) + 0.3 * W[:, 1])[:, None],
+                 omega_contains),
+}
+
+
+@pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("name", sorted(VERDICT_CASES))
+def test_stacked_verdicts_match_row_by_row(name, p, stacked):
+    pp = PoleParam(p)
+    rows_of, fn = VERDICT_CASES[name]
+    rows = rows_of(pp, stacked)
+    verdicts, numbers = fn(pp, *rows.T)
+    assert set(verdicts) == {"inside", "boundary", "outside"}
+    for row, verdict, got in zip(rows, verdicts, numbers):
+        want_verdict, want = fn(pp, *map(complex, row))
+        assert type(want_verdict) is str and want_verdict == verdict
+        # an outside verdict has nan parameters in both calls
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+
+
 @pytest.mark.parametrize("name", CHECKED)
 def test_stacked_call_checks_the_polydisk(name, stacked):
     W = stacked.copy()
@@ -147,3 +187,28 @@ def test_scalar_calls_answer_with_python_numbers():
     assert type(dieudonne2_rhs(0.5, 0.25)) is float
     assert type(h_p(pp, 0.3)) is float and type(h_p_prime(pp, 0.3)) is float
     assert rho_coeffs(pp, 0.5j, 6).coeffs.shape == (6,)
+    res = membership_x2(pp, c_from_w(pp, ParamTriple(0.3, 0.2j, 0.1)))
+    assert type(res.decision) is str and all(type(x) is complex for x in res.params)
+    assert type(contains(sample_omega_boundary(pp, 64), 0.1j)) is str
+
+
+@pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
+def test_verdict_edge_cases_neither_raise_nor_warn(p):
+    pp = PoleParam(p)
+    reg = sample_omega_boundary(pp, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # w0 = +-1 exactly: the chain stops at its first step
+        for w0 in (1.0, -1.0):
+            res = membership_x2(pp, c_from_w(pp, ParamTriple(w0, 0.5, 0.5)))
+            assert res.decision == "boundary" and res.params[1:] == (0.0, 0.0)
+            assert abs(res.params.x0 - w0) < 1e-12
+        # c0 = 1/p puts the pole of the jet map at the coefficient
+        res = membership_x2(pp, CoeffTriple(1.0 / p, 0.3, 0.1))
+        assert res.decision == "outside" and np.all(np.isnan(res.params))
+        stacked = membership_x2(pp, CoeffTriple(np.array([1.0 / p, 0.0]), 0.3, 0.1))
+        assert stacked.decision[0] == "outside" and np.all(np.isnan(np.array(stacked.params)[:, 0]))
+        # z on a vertex of the polyline, alone and among other points
+        assert contains(reg, reg.boundary[5]) == "boundary"
+        assert list(contains(reg, reg.boundary[[0, 5, 5]] * [1.0, 1.0, 0.5])) == [
+            "boundary", "boundary", "inside"]

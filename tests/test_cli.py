@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +227,19 @@ class TestVerify:
                      "fixed_point_phi_p", "self_map_bound", "membership_round_trip"):
             assert samples[name] == 60
         assert samples["fprime_series_vs_sampling"] == 50
+
+    def test_p_at_the_floor_fails_quietly(self, tmp_path, capsys):
+        # p^-k overflows in the f' prefactor: the families that use it fail,
+        # with no numpy warning on stderr
+        out = tmp_path / "verify.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["verify", "--p", f"{P_MIN!r}", "--samples", "20", "--out", str(out)])
+        assert code == EXIT_VERIFY_FAIL
+        assert capsys.readouterr().err == ""
+        failed = {f["name"].split("[")[0] for f in json.loads(out.read_text())["families"]
+                  if not f["pass"]}
+        assert {"triple_path_agreement", "fprime_series_vs_sampling"} <= failed
 
     def test_failing_run_exits_one(self, tmp_path, monkeypatch):
         import hankelbody.hankel as hk

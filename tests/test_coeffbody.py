@@ -6,18 +6,19 @@ from hankelbody import (CoeffTriple, ParamTriple, PoleParam, c_from_sigma,
                         phi_series_from_w, sigma_from_w, tau_from_c, tau_from_w,
                         w_from_sigma)
 from hankelbody.errors import InvalidInput
+from hankelbody.search import sample_polydisk
 
-from conftest import random_polydisk, triples
+from conftest import triples
 
 
 class TestChains:
     def test_w_sigma_round_trip(self, pp05, rng):
-        for w in triples(random_polydisk(rng, 100)):
+        for w in triples(sample_polydisk(rng, 100)):
             back = w_from_sigma(pp05, sigma_from_w(pp05, w))
             assert max(abs(a - b) for a, b in zip(w, back)) < 1e-13
 
     def test_sigma_map_is_polydisk_bijection(self, pp05, rng):
-        for w in triples(random_polydisk(rng, 100)):
+        for w in triples(sample_polydisk(rng, 100)):
             s = sigma_from_w(pp05, w)
             for a, b in zip(w, s):
                 assert abs(abs(a) - abs(b)) < 1e-12 or True  # moduli of x1,x2 preserved
@@ -28,7 +29,7 @@ class TestChains:
     def test_c_chains_agree(self, rng):
         for p in (0.2, 0.5, 0.8):
             pp = PoleParam(p)
-            for w in triples(random_polydisk(rng, 200)):
+            for w in triples(sample_polydisk(rng, 200)):
                 cw = c_from_w(pp, w)
                 cs = c_from_sigma(pp, sigma_from_w(pp, w))
                 assert max(abs(a - b) for a, b in zip(cw, cs)) < 1e-11
@@ -55,7 +56,7 @@ class TestAgainstSeriesOracle:
     def test_c_from_w_matches_taylor_sampling(self, rng):
         for p in (0.2, 0.5, 0.8):
             pp = PoleParam(p)
-            for w in triples(random_polydisk(rng, 30)):
+            for w in triples(sample_polydisk(rng, 30)):
                 ser = np.asarray(phi_series_from_w(pp, w, 3).coeffs)
                 cw = np.array(c_from_w(pp, w))
                 assert np.max(np.abs(ser - cw)) < 1e-9
@@ -63,7 +64,7 @@ class TestAgainstSeriesOracle:
     def test_phi_series_is_a_self_map_series(self, rng):
         # |c_k| <= 1 for a self-map; a sampling radius shrinking with p
         # amplified rounding into |c_k| above 3 at p = 0.01 on these rows
-        W = random_polydisk(rng, 2000)
+        W = sample_polydisk(rng, 2000)
         W[:200] /= np.abs(W[:200])
         w = ParamTriple(*W.T)
         for p in (0.01, 0.05, 0.3, 0.7, 0.95, 0.99):
@@ -75,13 +76,13 @@ class TestAgainstSeriesOracle:
     def test_phi_series_samples_enough_points_for_long_series(self, pp05, rng):
         # past 16 terms the sampling grows to 4 points a term; the two
         # samplings differ by rounding times 2^k in coefficient k
-        w = ParamTriple(*random_polydisk(rng, 20).T)
+        w = ParamTriple(*sample_polydisk(rng, 20).T)
         long = phi_series_from_w(pp05, w, 40).coeffs
         assert np.max(np.abs(long)) <= 1.0 + 1e-12
         assert np.max(np.abs(long[:, :9] - phi_series_from_w(pp05, w, 9).coeffs)) <= 1e-13
 
     def test_phi_fixes_p(self, pp05, rng):
-        for w in triples(random_polydisk(rng, 30)):
+        for w in triples(sample_polydisk(rng, 30)):
             ev = phi_evaluator(pp05, w)
             assert abs(ev(np.array([pp05.p]))[0] - pp05.p) < 1e-13
 
@@ -89,14 +90,14 @@ class TestAgainstSeriesOracle:
 class TestJetChain:
     def test_tau_from_w_matches_derivatives(self, pp05, rng):
         p = pp05.p
-        for w in triples(random_polydisk(rng, 30, scale=0.99)):
+        for w in triples(0.99 * sample_polydisk(rng, 30)):
             from hankelbody import blaschke_psi
             tau = np.array(tau_from_w(pp05, w))
             jet = derivatives_at(blaschke_psi(pp05, *w), p, 2, radius=0.15)
             assert np.max(np.abs(tau - jet)) < 1e-9
 
     def test_tau_from_c_consistent(self, pp05, rng):
-        for w in triples(random_polydisk(rng, 50)):
+        for w in triples(sample_polydisk(rng, 50)):
             t1 = np.array(tau_from_w(pp05, w))
             t2 = np.array(tau_from_c(pp05, c_from_w(pp05, w)))
             assert np.max(np.abs(t1 - t2)) < 1e-11
@@ -104,7 +105,7 @@ class TestJetChain:
 
 class TestMembership:
     def test_round_trip_interior(self, pp05, rng):
-        for w in triples(random_polydisk(rng, 200, scale=0.98)):
+        for w in triples(0.98 * sample_polydisk(rng, 200)):
             res = membership_x2(pp05, c_from_w(pp05, w))
             assert res.decision == "inside"
             assert max(abs(a - b) for a, b in zip(res.params, w)) < 1e-9

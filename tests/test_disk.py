@@ -6,8 +6,7 @@ from hankelbody import (DiskRegion, PoleParam, blaschke_psi, derivatives_at,
                         mobius_T, pseudo_hyperbolic, rho_coeffs, rho_eval)
 from hankelbody.disk import P_MIN
 from hankelbody.errors import DegenerateDenominator, InvalidInput
-
-from conftest import random_polydisk
+from hankelbody.search import sample_polydisk
 
 
 class TestPoleParam:
@@ -96,7 +95,7 @@ class TestVariabilityDisks:
 
     def test_constructed_jets_satisfy_both_orders(self, pp05, rng):
         p = pp05.p
-        for w in random_polydisk(rng, 40, scale=0.98):
+        for w in 0.98 * sample_polydisk(rng, 40):
             psi = blaschke_psi(pp05, *w)
             tau0, tau1, tau2 = derivatives_at(psi, p, 2, radius=0.15)
             disk = dieudonne_disk1(p, complex(tau0))
@@ -114,7 +113,7 @@ class TestVariabilityDisks:
 class TestBlaschkePsi:
     def test_fixes_origin_and_hits_p_w0(self, pp05, rng):
         p = pp05.p
-        for w in random_polydisk(rng, 25):
+        for w in sample_polydisk(rng, 25):
             psi = blaschke_psi(pp05, *w)
             assert abs(psi(np.array([1e-30]))[0]) < 1e-25
             assert abs(psi(np.array([p]))[0] - p * w[0]) < 1e-12
@@ -122,7 +121,7 @@ class TestBlaschkePsi:
     def test_self_map(self, pp05, rng):
         zs = 0.999 * np.sqrt(rng.uniform(size=200)) * np.exp(
             1j * rng.uniform(0, 2 * np.pi, 200))
-        for w in random_polydisk(rng, 10):
+        for w in sample_polydisk(rng, 10):
             psi = blaschke_psi(pp05, *w)
             assert np.max(np.abs(psi(zs))) <= 1.0 + 1e-12
 

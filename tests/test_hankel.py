@@ -8,8 +8,9 @@ from hankelbody import (H_F, A_n, B_coeffs, G_p, ParamTriple, PoleParam,
                         upper_bound_M)
 from hankelbody.errors import InvalidInput
 from hankelbody.hankel import hankel_from_sigma_chain, koebe
+from hankelbody.search import sample_polydisk
 
-from conftest import random_polydisk, triples
+from conftest import triples
 
 
 class TestHankelForms:
@@ -20,7 +21,7 @@ class TestHankelForms:
     def test_three_forms_agree(self, rng):
         for p in (0.2, 0.5, 0.8):
             pp = PoleParam(p)
-            for s in triples(random_polydisk(rng, 150)):
+            for s in triples(sample_polydisk(rng, 150)):
                 h1 = hankel2(a_from_c(pp, c_from_sigma(pp, s)))
                 h2 = hankel_from_c(pp, c_from_sigma(pp, s))
                 h3 = hankel_from_sigma(pp, s)
@@ -29,12 +30,12 @@ class TestHankelForms:
                 assert abs(h1 - h3) / scale < 1e-12
 
     def test_sigma_chain_helper(self, pp05, rng):
-        for s in triples(random_polydisk(rng, 50)):
+        for s in triples(sample_polydisk(rng, 50)):
             assert abs(hankel_from_sigma_chain(pp05, s)
                        - hankel_from_sigma(pp05, s)) < 1e-10
 
     def test_w_route_agrees(self, pp05, rng):
-        for w in triples(random_polydisk(rng, 100)):
+        for w in triples(sample_polydisk(rng, 100)):
             hw = hankel2(a_from_c(pp05, c_from_w(pp05, w)))
             hs = hankel_from_sigma(pp05, sigma_from_w(pp05, w))
             assert abs(hw - hs) < 1e-10
@@ -139,7 +140,7 @@ class TestBoundPolynomials:
     def test_B_coeffs_sum_bounds_phi(self, pp05, rng):
         # |Phi| at (y e^{i a}, s1, s2) never exceeds B0+B1+B2+B3 at y
         for _ in range(100):
-            s = triples(random_polydisk(rng, 1))[0]
+            s = triples(sample_polydisk(rng, 1))[0]
             y = abs(s.x0)
             B0, B1, B2, B3 = B_coeffs(pp05, y)
             assert abs(phi_p(pp05, s)) <= B0 + B1 + B2 + B3 + 1e-9

@@ -9,13 +9,14 @@ from hankelbody import (ParamTriple, PoleParam, TruncatedSeries, a_from_c,
 from hankelbody.oracle import (_FPRIME_TERMS, _FPRIME_TOL, a_batch_from_w,
                                fprime_aliasing_bound, fprime_quadrature_bound,
                                fprime_sampled, fprime_sampling_sizes)
+from hankelbody.search import sample_polydisk
 
-from conftest import random_polydisk, triples
+from conftest import triples
 
 
 class TestFPrimeSeries:
     def test_constant_term_is_one(self, pp05, rng):
-        for w in triples(random_polydisk(rng, 20)):
+        for w in triples(sample_polydisk(rng, 20)):
             fp = fprime_series(pp05, phi_series_from_w(pp05, w, 8))
             assert abs(fp.coeffs[0] - 1.0) < 1e-10
 
@@ -29,7 +30,7 @@ class TestFPrimeSeries:
     def test_a_from_phi_matches_algebra(self, rng):
         for p in (0.2, 0.5, 0.8):
             pp = PoleParam(p)
-            for w in triples(random_polydisk(rng, 25)):
+            for w in triples(sample_polydisk(rng, 25)):
                 a_ser = np.array(a_from_phi(pp, phi_series_from_w(pp, w, 8)))
                 a_alg = np.array(a_from_c(pp, c_from_w(pp, w)))
                 assert np.max(np.abs(a_ser - a_alg)) < 1e-8
@@ -37,7 +38,7 @@ class TestFPrimeSeries:
 
 class TestBatchedRoute:
     def test_matches_scalar_route(self, pp05, rng):
-        W = random_polydisk(rng, 60)
+        W = sample_polydisk(rng, 60)
         batched = a_batch_from_w(pp05, W)
         for k, w in enumerate(triples(W)):
             scalar = np.array(a_from_phi(pp05, phi_series_from_w(pp05, w, 8)))
@@ -46,7 +47,7 @@ class TestBatchedRoute:
     def test_hankel_against_algebra(self, rng):
         for p in (0.2, 0.5, 0.8):
             pp = PoleParam(p)
-            W = random_polydisk(rng, 300)
+            W = sample_polydisk(rng, 300)
             A = a_batch_from_w(pp, W)
             h_ser = A[:, 0] * A[:, 2] - A[:, 1] ** 2
             h_alg = np.array([
@@ -120,7 +121,7 @@ class TestFPrimeSampling:
         # at 32 points the family's tolerance fails, and the bound both
         # covers the residual and predicts the failure
         pp = PoleParam(p)
-        w = ParamTriple(*random_polydisk(rng, 50).T)
+        w = ParamTriple(*sample_polydisk(rng, 50).T)
         fp = fprime_series(pp, phi_series_from_w(pp, w, 9)).coeffs[:, :_FPRIME_TERMS]
         worst = np.max(np.abs(fprime_sampled(pp, w, 32, 16).coeffs - fp))
         assert _FPRIME_TOL < worst <= fprime_aliasing_bound(p, 32)

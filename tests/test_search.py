@@ -11,9 +11,10 @@ from hankelbody import (ParamTriple, PoleParam, a_from_c, c_from_sigma,
 from hankelbody.errors import DegenerateBoundary, InvalidInput
 from hankelbody.kernels import best_sigma2, phi_batch, phi_sigma2_max
 from hankelbody.hankel import phi_p
-from hankelbody.search import _FATOL, _XATOL, _negative_modulus, minimize
+from hankelbody.search import (_FATOL, _XATOL, _negative_modulus, minimize,
+                               sample_polydisk)
 
-from conftest import random_polydisk, triples
+from conftest import triples
 
 
 class TestKernels:
@@ -24,7 +25,7 @@ class TestKernels:
         for p in (0.2, 0.5, 0.8):
             pp = PoleParam(p)
             scale = 18.0 * pp.P**3
-            S = random_polydisk(rng, 500)
+            S = sample_polydisk(rng, 500)
             got = phi_batch(pp.P, S[:, 0], S[:, 1], S[:, 2])
             A = [a_from_c(pp, c_from_sigma(pp, s)) for s in triples(S)]
             want = np.array([scale * hankel2(a) for a in A])
@@ -34,14 +35,14 @@ class TestKernels:
     def test_scalar_phi_p_matches_batch(self, rng):
         for p in (0.2, 0.5, 0.8):
             pp = PoleParam(p)
-            S = random_polydisk(rng, 500)
+            S = sample_polydisk(rng, 500)
             got = phi_batch(pp.P, S[:, 0], S[:, 1], S[:, 2])
             want = np.array([phi_p(pp, s) for s in triples(S)])
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
     def test_sigma2_max_is_attained(self, rng):
         P = 2.5
-        S = random_polydisk(rng, 200)
+        S = sample_polydisk(rng, 200)
         sup = phi_sigma2_max(P, S[:, 0], S[:, 1])
         for k in range(200):
             s0, s1 = complex(S[k, 0]), complex(S[k, 1])
@@ -53,7 +54,7 @@ class TestKernels:
 
     def test_sigma2_max_dominates_random_sigma2(self, rng):
         P = 4.0
-        S = random_polydisk(rng, 300)
+        S = sample_polydisk(rng, 300)
         sup = phi_sigma2_max(P, S[:, 0], S[:, 1])
         vals = np.abs(phi_batch(P, S[:, 0], S[:, 1], S[:, 2]))
         assert np.all(vals <= sup + 1e-9)
@@ -71,13 +72,13 @@ class TestEstimateM:
         assert rep.m_estimate == pytest.approx(1.04492, abs=2e-4)
 
     def test_deterministic(self, pp05):
-        r1 = estimate_M(pp05, grid=12, refine_iters=50, n_mod=4)
-        r2 = estimate_M(pp05, grid=12, refine_iters=50, n_mod=4)
+        r1 = estimate_M(pp05, grid=12, refine_iters=50)
+        r2 = estimate_M(pp05, grid=12, refine_iters=50)
         assert r1 == r2
 
     def test_refinement_monotone(self, pp05):
-        coarse = estimate_M(pp05, grid=12, refine_iters=0, n_mod=4)
-        fine = estimate_M(pp05, grid=12, refine_iters=100, n_mod=4)
+        coarse = estimate_M(pp05, grid=12, refine_iters=0)
+        fine = estimate_M(pp05, grid=12, refine_iters=100)
         assert fine.m_estimate >= coarse.m_estimate - 1e-12
 
     def test_maximizer_reported_value_consistent(self, pp05):
@@ -90,15 +91,6 @@ class TestEstimateM:
             estimate_M(pp05, grid=4)
         with pytest.raises(InvalidInput):
             estimate_M(pp05, refine_iters=-1)
-
-    def test_rejects_no_starts(self, pp05):
-        with pytest.raises(InvalidInput, match="n_starts"):
-            estimate_M(pp05, grid=8, refine_iters=2, n_starts=0)
-
-    @pytest.mark.parametrize("n_mod", [0, 1])
-    def test_rejects_a_grid_without_radii(self, pp05, n_mod):
-        with pytest.raises(InvalidInput, match="n_mod"):
-            estimate_M(pp05, grid=8, refine_iters=2, n_mod=n_mod)
 
 
 def _starts(rng, p):
