@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterator
 
 import numpy as np
 
@@ -117,24 +116,26 @@ def _region_rows(omega: RegionSample | None, hank: RegionSample | None):
     return rows
 
 
-def _json_floats(a: np.ndarray) -> Iterator[str]:
-    """The text ``json.dumps`` writes for each float of ``a``."""
-    vals = a.tolist()
-    if np.isfinite(a).all():
-        # json.encoder writes a finite float as float.__repr__
-        return map(float.__repr__, vals)
-    return map(json.dumps, vals)  # NaN, Infinity, -Infinity
+#: one ``[re, im]`` row as ``json.dumps(..., indent=2)`` writes it in the
+#: region document, three levels deep.  ``%s`` of a float is ``float.__repr__``,
+#: which is how json writes a finite float.
+_JSON_ROW = "      [\n        %s,\n        %s\n      ]"
 
 
-def _json_rows(z: np.ndarray) -> list[str]:
-    """The ``[re, im]`` rows of the complex array ``z`` as ``json.dumps(...,
-    indent=2)`` writes them in the region document, three levels deep."""
-    return [f"      [\n        {x},\n        {y}\n      ]"
-            for x, y in zip(_json_floats(z.real), _json_floats(z.imag))]
+def _json_rows(z: np.ndarray) -> str:
+    """The ``[re, im]`` rows of the complex array ``z``, comma-separated as in
+    the region document, formatted in one ``%`` pass."""
+    xy = np.ascontiguousarray(z, dtype=np.complex128).view(np.float64)
+    vals = xy.tolist()
+    if not np.isfinite(xy).all():
+        vals = map(json.dumps, vals)  # NaN, Infinity, -Infinity
+    return ",\n".join([_JSON_ROW] * (xy.size // 2)) % tuple(vals)
 
 
-def _json_array(rows: list[str]) -> str:
-    return "[\n" + ",\n".join(rows) + "\n    ]" if rows else "[]"
+def _json_array(rows: list[str]) -> list[str]:
+    """The pieces of a json array whose rows text is ``"".join(rows)``, left
+    for the document's one join so that no array text is copied twice."""
+    return ["[\n", *rows, "\n    ]"] if rows[0] else ["[]"]
 
 
 #: stands in for a coordinate array in the document skeleton
@@ -156,30 +157,33 @@ def _region_json_text(omega: RegionSample | None, hank: RegionSample | None) -> 
             continue
         points = np.asarray(sample.points, dtype=np.complex128)
         boundary = np.asarray(sample.boundary, dtype=np.complex128)
-        b_rows = _json_rows(boundary)
+        p_rows = _json_rows(points)
         # Omega_p's points are its closed polyline without the closing point
-        if points.tobytes() == boundary[:-1].tobytes():
-            p_rows = b_rows[:-1]
+        if points.size and points.tobytes() == boundary[:-1].tobytes():
+            b_rows = [p_rows, ",\n", _json_rows(boundary[-1:])]
         else:
-            p_rows = _json_rows(points)
-        arrays += [_json_array(p_rows), _json_array(b_rows)]
+            b_rows = [_json_rows(boundary)]
+        arrays += [_json_array([p_rows]), _json_array(b_rows)]
         doc[name] = {"points": _HOLE, "boundary": _HOLE, "meta": sample.meta}
     pieces = json.dumps(doc, indent=2).split(json.dumps(_HOLE))
     out = [pieces[0]]
     for array, piece in zip(arrays, pieces[1:]):
-        out += [array, piece]
-    return "".join(out) + "\n"
+        out += [*array, piece]
+    out.append("\n")  # joined with the rest, not added after: no copy of the whole text
+    return "".join(out)
 
 
-def _svg_xy(z: np.ndarray) -> tuple[list[str], list[str]]:
-    """SVG coordinates of ``z`` to 6 decimals, y flipped."""
-    z = np.asarray(z, dtype=np.complex128)
-    return ([f"{x:.6f}" for x in z.real.tolist()],
-            [f"{-y:.6f}" for y in z.imag.tolist()])
+_SVG_CIRCLE = '<circle cx="%.6f" cy="%.6f" r="0.006" fill="#4477aa" fill-opacity="0.5"/>'
+
+
+def _svg_coords(z: np.ndarray) -> tuple[float, ...]:
+    """The interleaved ``(x, -y)`` coordinates of ``z``: SVG's y axis points down."""
+    return tuple(np.conj(np.asarray(z, dtype=np.complex128)).view(np.float64).tolist())
 
 
 def _svg_polyline(z: np.ndarray, stroke: str, width: str) -> str:
-    pts = " ".join(f"{x},{y}" for x, y in zip(*_svg_xy(z)))
+    xy = _svg_coords(z)
+    pts = " ".join(["%.6f,%.6f"] * (len(xy) // 2)) % xy
     return (f'<polyline points="{pts}" fill="none" stroke="{stroke}" '
             f'stroke-width="{width}"/>')
 
@@ -194,8 +198,9 @@ def _region_svg(omega: RegionSample | None, hank: RegionSample | None) -> str:
         'stroke-width="0.006" stroke-dasharray="0.03,0.03"/>',
     ]
     if hank is not None:
-        parts += [f'<circle cx="{x}" cy="{y}" r="0.006" fill="#4477aa" fill-opacity="0.5"/>'
-                  for x, y in zip(*_svg_xy(hank.points))]
+        xy = _svg_coords(hank.points)
+        if xy:
+            parts.append("\n".join([_SVG_CIRCLE] * (len(xy) // 2)) % xy)
         parts.append(_svg_polyline(hank.boundary, "#4477aa", "0.008"))
     if omega is not None:
         parts.append(_svg_polyline(omega.boundary, "#cc3311", "0.010"))

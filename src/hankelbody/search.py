@@ -35,6 +35,8 @@ GRID_RADII = 8
 GRID_STARTS = 16
 #: share of ``sample_polydisk`` moduli forced onto |s| = 1
 BOUNDARY_RATE = 0.1
+#: points per pass of ``contains``; each holds a few complex rows of the boundary's length
+CONTAINS_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -255,7 +257,7 @@ def sample_polydisk(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def sample_region_H(pp: PoleParam, n_samples: int = 1000, seed: int = 1) -> RegionSample:
-    """Point cloud of H values over quasi-random polydisk parameters.
+    """Point cloud of H values over pseudo-random polydisk parameters.
 
     The boundary field holds direction-binned radial maxima around the
     cloud centroid; the region is not assumed convex, so no hull is taken.
@@ -285,9 +287,12 @@ def _binned_boundary(points: np.ndarray, n_bins: int = REGION_BINS) -> np.ndarra
     ang = np.mod(np.angle(rel), 2.0 * np.pi)
     bins = np.minimum((ang / (2.0 * np.pi) * n_bins).astype(int), n_bins - 1)
     # the farthest point of each occupied bin, first index on ties
-    order = np.lexsort((-np.abs(rel), bins))
-    _, first = np.unique(bins[order], return_index=True)
-    out = points[order[first]]
+    r = np.abs(rel)
+    farthest = np.zeros(n_bins)
+    np.maximum.at(farthest, bins, r)
+    reach = np.flatnonzero(r == farthest[bins])
+    _, first = np.unique(bins[reach], return_index=True)
+    out = points[reach[first]]
     return np.append(out, out[0])
 
 
@@ -307,11 +312,24 @@ def contains(region: RegionSample, z, tol: float = 1e-9):
 
     Returns "inside", "boundary" (within tol of the polyline), or "outside"
     for a scalar z, and an array of them, shaped like z, for an array.
+    The points go through in chunks of ``CONTAINS_CHUNK``, so memory stays
+    bounded by the chunk times the vertex count.
     """
     b = np.asarray(region.boundary, dtype=np.complex128)
     if np.unique(np.round(b, 12)).size < 3:
         raise DegenerateBoundary("boundary polyline needs >= 3 distinct points")
-    z = np.asarray(z, dtype=np.complex128)[..., None]  # meets the vertex axis
+    z = np.asarray(z, dtype=np.complex128)
+    flat = z.ravel()
+    verdict = np.empty(flat.shape, dtype="<U8")
+    for i in range(0, flat.size, CONTAINS_CHUNK):
+        verdict[i:i + CONTAINS_CHUNK] = _verdicts(b, flat[i:i + CONTAINS_CHUNK], tol)
+    verdict = verdict.reshape(z.shape)
+    return verdict.item() if verdict.ndim == 0 else verdict
+
+
+def _verdicts(b: np.ndarray, z: np.ndarray, tol: float) -> np.ndarray:
+    """``contains`` verdicts for the 1-D array ``z`` against the closed polyline ``b``."""
+    z = z[:, None]  # meets the vertex axis
     a, c = b[:-1], b[1:]
     # distance from z to each segment [a, c]
     seg = c - a
@@ -322,10 +340,9 @@ def contains(region: RegionSample, z, tol: float = 1e-9):
     # boundary point, whose nan increment the verdict never reads
     rel = b - z
     with np.errstate(divide="ignore", invalid="ignore"):
-        dphi = np.angle(rel[..., 1:] / rel[..., :-1])
+        dphi = np.angle(rel[:, 1:] / rel[:, :-1])
     wind = np.round(np.sum(dphi, axis=-1) / (2.0 * np.pi))
-    verdict = np.where(dist <= tol, "boundary", np.where(wind != 0, "inside", "outside"))
-    return verdict.item() if verdict.ndim == 0 else verdict
+    return np.where(dist <= tol, "boundary", np.where(wind != 0, "inside", "outside"))
 
 
 def check_omega_monotone(p_small: float, p_large: float, n_theta: int = 512,

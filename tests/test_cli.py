@@ -177,6 +177,37 @@ def _reference_svg(omega, hank):
     return "\n".join(parts) + "\n"
 
 
+#: coordinates that stress the writers: non-finite values, signed zeros, the
+#: extremes of the float range, exact .6f ties (odd multiples of 1/128) and
+#: ordinary floats
+_coords = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -0.0,
+                     5e-324, -5e-324, 1e308, -1e308]),
+    st.integers(-2**12, 2**12).map(lambda k: (2 * k + 1) / 128),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_complex_arrays = st.lists(st.builds(complex, _coords, _coords), max_size=12).map(
+    lambda zs: np.array(zs, dtype=np.complex128))
+
+
+@st.composite
+def _region_pairs(draw):
+    """An (omega, hankel) pair of samples, either one possibly absent.
+
+    Omega's points are its closed boundary without the closing point, as
+    sampled; the hankel points may equal that open boundary except for the
+    sign of its zeros, so their rows must come from their own bits.
+    """
+    closed = draw(_complex_arrays.filter(len))
+    closed = np.append(closed, closed[0])
+    omega = RegionSample(points=closed[:-1], boundary=closed, meta={"p": 0.5, "n_theta": 1})
+    cloud, boundary = draw(st.one_of(st.tuples(_complex_arrays, _complex_arrays),
+                                     st.just((closed[:-1] + 0.0, closed))))
+    hank = RegionSample(points=cloud, boundary=boundary,
+                        meta={"p": 0.5, "n_samples": 1, "seed": 1})
+    return draw(st.sampled_from([(omega, hank), (omega, None), (None, hank), (None, None)]))
+
+
 class TestRegionWriters:
     @pytest.mark.parametrize("what", ["omega", "hankel", "both"])
     @pytest.mark.parametrize("p, samples, seed", [
@@ -193,6 +224,16 @@ class TestRegionWriters:
         omega = sample_omega_boundary(pp, samples) if what != "hankel" else None
         hank = sample_region_H(pp, samples, seed) if what != "omega" else None
         assert out.read_bytes() == reference(omega, hank).encode()
+
+    # the smallest input of each sample kind: a 17-point cloud, a 16-gon
+    @pytest.mark.parametrize("what, p, samples, seed", [
+        ("hankel", 0.37, 1, 5), ("omega", 0.81, 16, 2)])
+    @pytest.mark.parametrize("fmt, reference", [
+        ("json", _reference_json), ("svg", _reference_svg)])
+    def test_smallest_inputs_match_reference(self, tmp_path, what, p, samples, seed,
+                                             fmt, reference):
+        self.test_cli_output_matches_reference(tmp_path, what, p, samples, seed,
+                                               fmt, reference)
 
     def test_non_finite_and_extreme_floats(self):
         special = np.array([complex(float("nan"), -0.0), complex(float("inf"), 5e-324),
@@ -211,6 +252,12 @@ class TestRegionWriters:
             assert text == _reference_json(o, h)
             assert "NaN" in text and "-Infinity" in text and "5e-324" in text
             assert cli._region_svg(o, h) == _reference_svg(o, h)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(pair=_region_pairs())
+    def test_writers_match_the_references(self, pair):
+        assert cli._region_json_text(*pair) == _reference_json(*pair)
+        assert cli._region_svg(*pair) == _reference_svg(*pair)
 
 
 class TestVerify:

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -11,8 +12,9 @@ from hankelbody import (ParamTriple, PoleParam, a_from_c, c_from_sigma,
 from hankelbody.errors import DegenerateBoundary, InvalidInput
 from hankelbody.kernels import best_sigma2, phi_batch, phi_sigma2_max
 from hankelbody.hankel import phi_p
-from hankelbody.search import (_FATOL, _XATOL, _negative_modulus, minimize,
-                               sample_polydisk)
+from hankelbody import search
+from hankelbody.search import (_FATOL, _XATOL, REGION_BINS, _binned_boundary,
+                               _negative_modulus, minimize, sample_polydisk)
 
 from conftest import triples
 
@@ -199,3 +201,92 @@ class TestRegions:
         b = a + 0.1
         assert hausdorff_distance(a, b) == pytest.approx(
             hausdorff_distance(b, a))
+
+
+def _lexsort_boundary(points, n_bins=REGION_BINS):
+    """The farthest point of each angle bin by a two-key sort, as
+    ``_binned_boundary`` once picked it; kept as its reference."""
+    center = points.mean()
+    rel = points - center
+    ang = np.mod(np.angle(rel), 2.0 * np.pi)
+    bins = np.minimum((ang / (2.0 * np.pi) * n_bins).astype(int), n_bins - 1)
+    order = np.lexsort((-np.abs(rel), bins))
+    _, first = np.unique(bins[order], return_index=True)
+    out = points[order[first]]
+    return np.append(out, out[0])
+
+
+class TestBinnedBoundary:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_clouds_match_the_sort(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 5000))
+        pts = rng.normal(size=n) + 1j * rng.normal(size=n) * rng.uniform(0.1, 3.0)
+        assert _binned_boundary(pts).tobytes() == _lexsort_boundary(pts).tobytes()
+
+    def test_sampled_regions_match_the_sort(self):
+        for p in (0.13, 0.5, 0.87):
+            pts = sample_region_H(PoleParam(p), 3000, seed=7).points
+            assert _binned_boundary(pts).tobytes() == _lexsort_boundary(pts).tobytes()
+
+    # numpy's |.| of both is exactly 6890, and both lie in bin 0
+    TIE_A, TIE_B = 6890.0 + 0j, 6888.0 + 166.0j
+
+    def test_tie_points_are_a_tie(self):
+        assert np.ptp(np.abs(np.array([self.TIE_A, self.TIE_B]))) == 0
+
+    # each cloud lists a point next to its negative, so its centroid is exactly 0
+    @pytest.mark.parametrize("pts", [
+        # duplicates, one with a -0.0: the first index wins (bin 0 comes first)
+        [1.0 + 0j, -1.0, complex(1.0, -0.0), -1.0, 1j, -1j],
+        # equal distance at two points of one bin: the first index wins
+        [TIE_A, -TIE_A, TIE_B, -TIE_B, 9j, -9j],
+        [TIE_B, -TIE_B, TIE_A, -TIE_A, 9j, -9j],
+        # four occupied bins of 256, all others empty
+        [2.0, -2.0, 2j, -2j, 1.0, -1.0, 1j, -1j],
+        # clouds that fall in a single bin
+        [0.3 - 0.2j],
+        [0.5j, 0.5j, 0.5j],
+    ], ids=["duplicates", "tie-a-first", "tie-b-first", "empty-bins", "one-point",
+            "all-equal"])
+    def test_ties_and_sparse_bins_match_the_sort(self, pts):
+        pts = np.array(pts, dtype=np.complex128)
+        assert pts.mean() == 0 or np.unique(pts).size == 1
+        got = _binned_boundary(pts)
+        assert got.tobytes() == _lexsort_boundary(pts).tobytes()
+        assert got[:1].tobytes() == pts[:1].tobytes()
+        assert got[0] == got[-1]
+
+
+class TestContainsChunks:
+    @pytest.fixture
+    def region(self):
+        return sample_region_H(PoleParam(0.5), 2000, seed=3)
+
+    def test_chunked_verdicts_match_one_pass(self, region, monkeypatch):
+        rng = np.random.default_rng(5)
+        # 2.5 chunks, so the last chunk is ragged; scaled to reach all three verdicts
+        n = 5 * search.CONTAINS_CHUNK // 2
+        z = rng.choice(region.points, n) * rng.uniform(0.5, 1.5, n)
+        z[:3] = region.boundary[:3]
+        chunked = contains(region, z)
+        chunked_grid = contains(region, z.reshape(2, -1))
+        monkeypatch.setattr(search, "CONTAINS_CHUNK", n)
+        one_pass = contains(region, z)
+        assert set(one_pass) == {"inside", "outside", "boundary"}
+        assert np.array_equal(chunked, one_pass)
+        assert np.array_equal(chunked_grid, one_pass.reshape(2, -1))
+
+    def test_scalar_gives_a_str(self, region):
+        assert contains(region, complex(region.boundary[7])) == "boundary"
+        assert type(contains(region, region.points.mean())) is str
+
+    def test_memory_is_bounded_by_the_chunk(self, region):
+        z = np.resize(region.points, 20_000) * 1.01
+        tracemalloc.start()
+        try:
+            contains(region, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
