@@ -67,13 +67,17 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_text(path: str | None, pieces: list[str]) -> None:
+    """Write the text ``"".join(pieces)`` to ``path``, or to stdout for None,
+    piece by piece, so that no joined copy of the text is made.  stdout gets
+    one ``write`` per piece: a stand-in for it may have no ``writelines``."""
     if path is None:
-        sys.stdout.write(text)
+        for piece in pieces:
+            sys.stdout.write(piece)
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise _IOFailure(f"cannot write {path}: {exc}") from exc
 
@@ -100,7 +104,7 @@ def cmd_bounds(args) -> int:
         lines = [",".join(header)]
         for row in rows:
             lines.append(",".join(repr(float(v)) for v in row))
-        _write_text(args.out, "\n".join(lines) + "\n")
+        _write_text(args.out, ["\n".join(lines) + "\n"])
     return EXIT_OK
 
 
@@ -134,7 +138,7 @@ def _json_rows(z: np.ndarray) -> str:
 
 def _json_array(rows: list[str]) -> list[str]:
     """The pieces of a json array whose rows text is ``"".join(rows)``, left
-    for the document's one join so that no array text is copied twice."""
+    unjoined so that no array text is copied."""
     return ["[\n", *rows, "\n    ]"] if rows[0] else ["[]"]
 
 
@@ -142,13 +146,16 @@ def _json_array(rows: list[str]) -> list[str]:
 _HOLE = "\0"
 
 
-def _region_json_text(omega: RegionSample | None, hank: RegionSample | None) -> str:
-    """``json.dumps(doc, indent=2) + "\\n"`` of the region document, where each
-    sample is ``{"points": [[re, im], ...], "boundary": [...], "meta": {...}}``.
+def _region_json_text(omega: RegionSample | None,
+                      hank: RegionSample | None) -> list[str]:
+    """The pieces of ``json.dumps(doc, indent=2) + "\\n"`` of the region
+    document, where each sample is ``{"points": [[re, im], ...], "boundary":
+    [...], "meta": {...}}``.
 
     json's indent encoder is pure Python, so the coordinate arrays are
     formatted here in one pass each and spliced into a skeleton that
-    ``json.dumps`` writes with holes in their place.
+    ``json.dumps`` writes with holes in their place.  The pieces are left
+    unjoined for ``_write_text``.
     """
     doc, arrays = {}, []
     for name, sample in (("omega", omega), ("hankel", hank)):
@@ -169,8 +176,8 @@ def _region_json_text(omega: RegionSample | None, hank: RegionSample | None) -> 
     out = [pieces[0]]
     for array, piece in zip(arrays, pieces[1:]):
         out += [*array, piece]
-    out.append("\n")  # joined with the rest, not added after: no copy of the whole text
-    return "".join(out)
+    out.append("\n")
+    return out
 
 
 _SVG_CIRCLE = '<circle cx="%.6f" cy="%.6f" r="0.006" fill="#4477aa" fill-opacity="0.5"/>'
@@ -222,9 +229,9 @@ def cmd_region(args) -> int:
         lines = ["re,im,kind"]
         for re, im, kind in _region_rows(omega, hank):
             lines.append(f"{re!r},{im!r},{kind}")
-        _write_text(args.out, "\n".join(lines) + "\n")
+        _write_text(args.out, ["\n".join(lines) + "\n"])
     elif args.format == "svg":
-        _write_text(args.out, _region_svg(omega, hank))
+        _write_text(args.out, [_region_svg(omega, hank)])
     else:
         _write_text(args.out, _region_json_text(omega, hank))
     return EXIT_OK
@@ -234,7 +241,7 @@ def cmd_region(args) -> int:
 
 def cmd_verify(args) -> int:
     report = verify_all(p_values=tuple(args.p), n_random=args.samples, seed=args.seed)
-    _write_text(args.out, _dump_json(report))
+    _write_text(args.out, [_dump_json(report)])
     return EXIT_OK if report["pass"] else EXIT_VERIFY_FAIL
 
 
@@ -258,7 +265,7 @@ def cmd_extremal(args) -> int:
         "grid": report.grid,
         "seed": args.seed,
     }
-    _write_text(args.out, _dump_json(payload))
+    _write_text(args.out, [_dump_json(payload)])
     return EXIT_OK
 
 

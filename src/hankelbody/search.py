@@ -2,11 +2,13 @@
 
 The functional is affine in the third polydisk parameter, so its supremum
 sits on |sigma2| = 1 and can be taken analytically; the coarse sweep then
-runs over a polar grid in (sigma0, sigma1) only, followed by Nelder-Mead
-refinement in all six real parameters with moduli clamped to [0,1].  The
-refinement runs every start in lockstep with numpy (``minimize``), at most
-three objective calls per simplex step, each covering all starts, and its
-result is bit-identical to scipy's Nelder-Mead run start by start.
+runs over a polar grid in (sigma0, sigma1) only.  Nelder-Mead then refines
+the same objective in the four real parameters of (sigma0, sigma1), moduli
+clamped to [0,1], from the best grid points, seeded random points and a
+start at the exact maximum of the real slice (t, -1, *).  The refinement
+runs every start in lockstep with numpy (``minimize``), at most three
+objective calls per simplex step, each covering all starts, and its result
+is bit-identical to scipy's Nelder-Mead run start by start.
 Everything is deterministic for a fixed (grid, refine_iters, seed).
 """
 
@@ -21,7 +23,7 @@ import numpy as np
 from .coeffbody import ParamTriple
 from .disk import PoleParam
 from .errors import DegenerateBoundary, InvalidInput
-from .hankel import lower_bound_M, omega_map, upper_bound_M
+from .hankel import hp_numerator_coeffs, lower_bound_M, omega_map, upper_bound_M
 from .kernels import best_sigma2, phi_batch, phi_sigma2_max
 
 REGION_BINS = 256
@@ -68,18 +70,29 @@ def _polar_grid(n_angle: int) -> np.ndarray:
 
 
 def _sigma_rows(X: np.ndarray) -> np.ndarray:
-    """(n, 3) polydisk points from (n, 6) rows of (modulus, argument) pairs,
-    moduli clamped to [0, 1]."""
+    """(n, 2) points (sigma0, sigma1) from (n, 4) rows of (modulus, argument)
+    pairs, moduli clamped to [0, 1]."""
     return np.clip(X[:, 0::2], 0.0, 1.0) * np.exp(1j * X[:, 1::2])
 
 
 def _negative_modulus(P: float, X: np.ndarray) -> np.ndarray:
-    """-|Phi| at the (n, 6) rows of ``X``, the objective of the refinement."""
+    """-sup over sigma2 of |Phi| at the (n, 4) rows of ``X``, the objective of
+    the refinement and, as ``phi_sigma2_max``, of the grid sweep."""
     sig = _sigma_rows(X)
-    z = phi_batch(P, sig[:, 0], sig[:, 1], sig[:, 2])
-    # hypot, not np.abs: numpy's vectorized complex abs can differ from the
-    # scalar abs in the last ulp, and the simplex compares these values
-    return -np.hypot(z.real, z.imag)
+    return -phi_sigma2_max(P, sig[:, 0], sig[:, 1])
+
+
+def _slice_argmax(P: float) -> float:
+    """The t in [0, 1] where the quartic slice |h_p| is largest.
+
+    The candidates are the endpoints and the roots of h_p', real parts
+    clipped into [0, 1]: a superset of the critical points in [0, 1], and a
+    near-double root keeps its candidate even when rounding makes it complex.
+    """
+    c = hp_numerator_coeffs(P)
+    crit = np.polynomial.polynomial.polyroots(c[1:] * np.arange(1, c.size))
+    t = np.clip(np.concatenate(([0.0, 1.0], crit.real)), 0.0, 1.0)
+    return float(t[np.argmax(np.abs(np.polynomial.polynomial.polyval(t, c)))])
 
 
 # the refinement's convergence tolerances, scipy's ``xatol`` and ``fatol``
@@ -176,73 +189,51 @@ def estimate_M(pp: PoleParam, grid: int = 24, refine_iters: int = 200,
                seed: int = 1) -> ExtremalReport:
     """Estimate sup |H| over the polydisk by grid sweep plus simplex refinement.
 
-    ``grid`` is the number of angular samples per parameter, with
-    ``GRID_RADII`` radial ones.  The best ``GRID_STARTS`` grid points, a
-    start on the real slice and four seeded random ones seed Nelder-Mead
+    sigma2 is taken in closed form throughout (``phi_sigma2_max``), so the
+    search runs over (sigma0, sigma1).  ``grid`` is the number of angular
+    samples per parameter, with ``GRID_RADII`` radial ones.  Nelder-Mead
     runs capped at ``refine_iters`` iterations, run in lockstep by
-    ``minimize``.
+    ``minimize``, start from the exact maximum of the real slice (t, -1),
+    the best ``GRID_STARTS`` grid points and four seeded random points; with
+    ``refine_iters=0`` the starts are only evaluated.  The best point found
+    is reported with its canonical ``best_sigma2``.
     """
     if grid < MIN_GRID:
         raise InvalidInput(f"grid must be >= {MIN_GRID}")
     if refine_iters < 0:
         raise InvalidInput("refine_iters must be >= 0")
     P = pp.P
-    scale = 18.0 * P**3
 
     pts = _polar_grid(grid)
     # the sigma0-only factors of Phi are formed once and broadcast over sigma1
     vals = phi_sigma2_max(P, pts[:, None], pts[None, :]).ravel()
     s0 = np.repeat(pts, pts.size)
     s1 = np.tile(pts, pts.size)
-
     # deterministic ordering: descending value, ties broken lexicographically
-    order = np.lexsort((s1.imag, s1.real, s0.imag, s0.real, -vals))
-    best_idx = order[:GRID_STARTS]
-    best_val = float(vals[best_idx[0]])
-    b0, b1 = complex(s0[best_idx[0]]), complex(s1[best_idx[0]])
-    best_sigma = ParamTriple(b0, b1, best_sigma2(P, b0, b1))
-
-    # dedicated fine scan along the real slice (t, -1, *): the extremal value
-    # can sit on a bump narrower than the polar grid step when p is near 1
-    ts = np.linspace(0.0, 1.0, 4097)
-    slice_vals = phi_sigma2_max(P, ts.astype(np.complex128),
-                                np.full(ts.size, -1.0 + 0.0j))
-    j = int(np.argmax(slice_vals))
-    t_star = float(ts[j])
-    if float(slice_vals[j]) > best_val:
-        best_val = float(slice_vals[j])
-        best_sigma = ParamTriple(t_star + 0.0j, -1.0 + 0.0j,
-                                 best_sigma2(P, t_star + 0.0j, -1.0 + 0.0j))
+    best = np.lexsort((s1.imag, s1.real, s0.imag, s0.real, -vals))[:GRID_STARTS]
 
     rng = np.random.default_rng(seed)
-    extra = rng.uniform(0.0, 1.0, size=(4, 6))  # a few seeded random starts
+    rand = rng.uniform(size=(2, 4)) * np.exp(2j * np.pi * rng.uniform(size=(2, 4)))
+    z0 = np.concatenate(([_slice_argmax(P)], s0[best], rand[0]))
+    z1 = np.concatenate(([-1.0], s1[best], rand[1]))
+    starts = np.column_stack([np.abs(z0), np.angle(z0), np.abs(z1), np.angle(z1)])
 
-    starts = [[t_star, 0.0, 1.0, np.pi, 1.0, 0.0]]
-    for i in best_idx:
-        a, b = complex(s0[i]), complex(s1[i])
-        c = best_sigma2(P, a, b)
-        starts.append([abs(a), float(np.angle(a)), abs(b), float(np.angle(b)),
-                       abs(c), float(np.angle(c))])
-    for row in extra:
-        starts.append([row[0], 2 * np.pi * row[1], row[2], 2 * np.pi * row[3],
-                       row[4], 2 * np.pi * row[5]])
-
-    total_iters = 0
+    objective = partial(_negative_modulus, P)
     if refine_iters > 0:
-        res = minimize(partial(_negative_modulus, P), np.array(starts), refine_iters)
-        total_iters = int(res.nit.sum())
-        for x, f in zip(res.x, res.fun):
-            if -float(f) > best_val:
-                best_val = -float(f)
-                best_sigma = ParamTriple(*map(complex, _sigma_rows(x[None])[0]))
+        res = minimize(objective, starts, refine_iters)
+        X, F, iterations = res.x, res.fun, int(res.nit.sum())
+    else:
+        X, F, iterations = starts, objective(starts), 0
+    k = int(np.argmin(F))
+    sig0, sig1 = map(complex, _sigma_rows(X[k:k + 1])[0])
 
     return ExtremalReport(
         p=pp.p,
-        m_estimate=best_val / scale,
-        arg_sigma=best_sigma,
+        m_estimate=-float(F[k]) / (18.0 * P**3),
+        arg_sigma=ParamTriple(sig0, sig1, best_sigma2(P, sig0, sig1)),
         lower=lower_bound_M(pp),
         upper=upper_bound_M(pp),
-        iterations=total_iters,
+        iterations=iterations,
         grid=grid,
     )
 

@@ -1,7 +1,10 @@
+from functools import cache
+
 import numpy as np
 import pytest
 
 from hankelbody import ParamTriple, PoleParam
+from hankelbody.hankel import h_p
 
 
 @pytest.fixture
@@ -16,3 +19,10 @@ def rng():
 
 def triples(arr):
     return [ParamTriple(*map(complex, row)) for row in arr]
+
+
+@cache
+def slice_max_on_grid(p: float) -> float:
+    """max |h_p| over 2,000,001 equally spaced t in [0, 1], a reference for the
+    slice maximum that takes no root of h_p'."""
+    return float(np.max(np.abs(h_p(PoleParam(p), np.linspace(0.0, 1.0, 2_000_001)))))

@@ -19,6 +19,10 @@ from hankelbody.cli import (EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL,
 from hankelbody.disk import P_MIN
 from hankelbody.search import sample_omega_boundary, sample_region_H
 
+from conftest import slice_max_on_grid
+
+REPO = Path(__file__).resolve().parents[1]
+
 
 def run(argv):
     return main(argv)
@@ -102,6 +106,17 @@ class TestBounds:
         assert cols["p"] == 0.5
         assert cols["one_third_p"] < cols["m_estimate"] <= cols["upper"] + 1e-6
         assert cols["lower"] <= cols["m_estimate"] + 1e-9
+
+    def test_unrefined_rows_reach_the_slice_maximum(self, tmp_path, capsys):
+        out = tmp_path / "bounds.csv"
+        code = run(["bounds", "--p", "0.1,0.62,0.9", "--grid", "8", "--iters", "0",
+                    "--out", str(out)])
+        assert code == EXIT_OK
+        capsys.readouterr()
+        header, *rows = out.read_text().strip().splitlines()
+        for row in rows:
+            cols = dict(zip(header.split(","), map(float, row.split(","))))
+            assert cols["m_estimate"] >= slice_max_on_grid(cols["p"]) - 1e-13
 
 
 class TestRegion:
@@ -248,7 +263,7 @@ class TestRegionWriters:
         hank = RegionSample(points=closed[:-1] + 0.0, boundary=closed,
                             meta={"p": 0.5, "n_samples": 6, "seed": 1})
         for o, h in ((omega, hank), (omega, None), (None, hank)):
-            text = cli._region_json_text(o, h)
+            text = "".join(cli._region_json_text(o, h))
             assert text == _reference_json(o, h)
             assert "NaN" in text and "-Infinity" in text and "5e-324" in text
             assert cli._region_svg(o, h) == _reference_svg(o, h)
@@ -256,7 +271,7 @@ class TestRegionWriters:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(pair=_region_pairs())
     def test_writers_match_the_references(self, pair):
-        assert cli._region_json_text(*pair) == _reference_json(*pair)
+        assert "".join(cli._region_json_text(*pair)) == _reference_json(*pair)
         assert cli._region_svg(*pair) == _reference_svg(*pair)
 
 
@@ -318,6 +333,16 @@ class TestExtremal:
         assert all(0.0 <= m <= 1.0 + 1e-12
                    for m in payload["arg_sigma"]["moduli"])
 
+    @pytest.mark.parametrize("p", [0.1, 0.62, 0.9])
+    def test_unrefined_estimate_reaches_the_slice_maximum(self, tmp_path, p):
+        out = tmp_path / "ext.json"
+        code = run(["extremal", "--p", str(p), "--grid", "8", "--iters", "0",
+                    "--out", str(out)])
+        assert code == EXIT_OK
+        payload = json.loads(out.read_text())
+        assert payload["iterations"] == 0
+        assert payload["m_estimate"] >= slice_max_on_grid(p) - 1e-13
+
 
 class TestImport:
     def test_cli_import_leaves_scipy_unloaded(self):
@@ -329,6 +354,32 @@ class TestImport:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+class TestBenchmarkHooks:
+    def test_traced_benchmark_worker_runs_jobs(self, tmp_path):
+        # the benchmark's worker reads kernels.USE_NUMBA at startup, its
+        # tracer rebinds search.minimize, and its stand-in stdout has only
+        # write(): run it in its own process, so the rebinding stays there
+        region = ["region", "--p", "0.4", "--what", "both", "--samples", "300",
+                  "--format", "json"]
+        jobs = [["extremal", "--p", "0.5", "--grid", "8", "--iters", "5"], region]
+        requests = [{"op": "trace"}, *({"op": "job", "argv": a} for a in jobs),
+                    {"op": "stats"}, {"op": "quit"}]
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        proc = subprocess.run([sys.executable, str(REPO / "perfbench" / "worker.py")],
+                              input="".join(json.dumps(r) + "\n" for r in requests),
+                              env=env, cwd=REPO, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        ready, traced, extremal, exported, stats = map(json.loads, proc.stdout.splitlines())
+        assert ready["use_numba"] is False and traced == {"ok": True}
+        assert (extremal["rc"], extremal["error"]) == (EXIT_OK, None)
+        assert (exported["rc"], exported["error"]) == (EXIT_OK, None)
+        out = tmp_path / "region.json"
+        assert run([*region, "--out", str(out)]) == EXIT_OK
+        assert exported["stdout_bytes"] == len(out.read_text())
+        assert stats["trace"]["spans"]["search.estimate_M"][0] == 1
 
 
 class TestIO:

@@ -16,7 +16,7 @@ from hankelbody import search
 from hankelbody.search import (_FATOL, _XATOL, REGION_BINS, _binned_boundary,
                                _negative_modulus, minimize, sample_polydisk)
 
-from conftest import triples
+from conftest import slice_max_on_grid, triples
 
 
 class TestKernels:
@@ -83,10 +83,23 @@ class TestEstimateM:
         fine = estimate_M(pp05, grid=12, refine_iters=100)
         assert fine.m_estimate >= coarse.m_estimate - 1e-12
 
-    def test_maximizer_reported_value_consistent(self, pp05):
-        rep = estimate_M(pp05, grid=16, refine_iters=100)
-        direct = abs(hankel_from_sigma(pp05, rep.arg_sigma))
-        assert direct == pytest.approx(rep.m_estimate, abs=1e-9)
+    def test_maximizer_reported_value_consistent(self):
+        for p, grid, iters in ((0.5, 16, 100), (0.5, 8, 0), (0.9, 24, 200), (0.1, 8, 30)):
+            pp = PoleParam(p)
+            rep = estimate_M(pp, grid=grid, refine_iters=iters)
+            s0, s1, s2 = rep.arg_sigma
+            P = pp.P
+            sup = phi_sigma2_max(P, np.array([s0]), np.array([s1]))[0]
+            assert rep.m_estimate == sup / (18.0 * P**3)
+            assert s2 == best_sigma2(P, s0, s1)
+            direct = abs(hankel_from_sigma(pp, rep.arg_sigma))
+            assert direct == pytest.approx(rep.m_estimate, abs=1e-9)
+
+    @pytest.mark.parametrize("grid, iters", [(8, 0), (8, 1), (8, 30), (24, 0)])
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.62, 0.9])
+    def test_coarse_search_reaches_the_slice_maximum(self, p, grid, iters):
+        rep = estimate_M(PoleParam(p), grid=grid, refine_iters=iters)
+        assert rep.m_estimate >= slice_max_on_grid(p) - 1e-13
 
     def test_input_validation(self, pp05):
         with pytest.raises(InvalidInput):
@@ -98,13 +111,13 @@ class TestEstimateM:
 def _starts(rng, p):
     """Refinement starts: random rows with moduli up to 1.3 (the clamp), rows
     with exact zeros (the zdelt step of the first simplex), and the slice start."""
-    X = rng.uniform(-1.0, 1.0, size=(12, 6)) * [1.3, 7.0, 1.3, 7.0, 1.3, 7.0]
+    X = rng.uniform(-1.0, 1.0, size=(12, 4)) * [1.3, 7.0, 1.3, 7.0]
     X[:, 0::2] = np.abs(X[:, 0::2])
     X[0] = 0.0
-    X[1, [1, 3, 5]] = 0.0
+    X[1, [1, 3]] = 0.0
     X[2, [0, 2]] = 0.0
     X[3, :3] = [1.0, 0.0, 1.0]
-    return np.vstack([X, [p, 0.0, 1.0, np.pi, 1.0, 0.0]])
+    return np.vstack([X, [p, 0.0, 1.0, np.pi]])
 
 
 class TestSimplex:
@@ -115,9 +128,9 @@ class TestSimplex:
         P = PoleParam(p).P
 
         def scalar_fun(x):
-            # one point at a time, the modulus by the scalar abs
-            sig = [min(max(x[2 * k], 0.0), 1.0) * np.exp(1j * x[2 * k + 1]) for k in range(3)]
-            return -abs(phi_batch(P, *(np.array([complex(v)]) for v in sig))[0])
+            # one point at a time, sigma2 in closed form
+            sig = [min(max(x[2 * k], 0.0), 1.0) * np.exp(1j * x[2 * k + 1]) for k in range(2)]
+            return -phi_sigma2_max(P, *(np.array([complex(v)]) for v in sig))[0]
 
         X0 = _starts(np.random.default_rng(int(100 * p)), p)
         got = minimize(partial(_negative_modulus, P), X0, maxiter)
