@@ -156,9 +156,12 @@ def membership_x2(pp: PoleParam, c: CoeffTriple,
                   tol: float = BOUNDARY_TOL) -> MembershipResult:
     """Decide whether (c0,c1,c2) lies in the order-2 coefficient body.
 
-    Inverts the chain: c -> jet at p -> (w0, w1, w2).  A boundary modulus at
-    any step makes the later parameters unidentifiable (their factors
-    vanish), so they are canonicalized to 0 and the verdict is "boundary".
+    Inverts the chain: c -> jet at p -> (w0, w1, w2).  A unimodular parameter
+    at some step makes the later parameters unidentifiable (their factors
+    vanish), so they are canonicalized to 0, and it forces the rest of the
+    jet: |w0| = 1 forces tau1 = w0 and tau2 = 0, and |w1| = 1 forces
+    q^2 tau2 = m0 (1 - p conj(w0) w1) w1.  The verdict is "boundary" when the
+    forced data hold within 8 ``tol`` and "outside" otherwise.
     An "outside" verdict has nan parameters.  Array coefficients give an
     array of verdicts and stacked parameters.
     """
@@ -174,21 +177,31 @@ def membership_x2(pp: PoleParam, c: CoeffTriple,
         w0 = tau0 / p
         a0 = np.abs(w0)
         m0 = 1.0 - a0 * a0
-        w1 = q * (tau1 - w0) / (p * m0)
+        # q (tau1 - w0) = p m0 w1 and r2 = p m0 m1 w2 along the chain
+        r1 = q * (tau1 - w0)
+        w1 = r1 / (p * m0)
         a1 = np.abs(w1)
         m1 = 1.0 - a1 * a1
-        w2 = (q * q * tau2 - m0 * (1.0 - p * np.conj(w0) * w1) * w1) / (p * m0 * m1)
+        r2 = q * q * tau2 - m0 * (1.0 - p * np.conj(w0) * w1) * w1
+        w2 = r2 / (p * m0 * m1)
         a2 = np.abs(w2)
     lo, hi = 1.0 - tol, 1.0 + tol
+    # within tol of a unimodular step, |m0| or |m1| is at most 2 tol + tol^2
+    # and r1, q^2 tau2 or r2 is that times at most 3, which leaves room for
+    # rounding below 8 tol
+    slack = 8.0 * tol
+    on0, on1 = a0 >= lo, a1 >= lo
+    unforced0 = ~(np.maximum(np.abs(r1), q * q * np.abs(tau2)) <= slack)
+    unforced1 = ~(np.abs(r2) <= slack)
     # the first step that settles the verdict wins
     decision = np.select(
-        [(np.abs(1.0 - p * c.c0) <= 1e-14) | (a0 > hi), a0 >= lo,
-         a1 > hi, a1 >= lo, a2 > hi, a2 >= lo],
+        [(np.abs(1.0 - p * c.c0) <= 1e-14) | (a0 > hi) | (on0 & unforced0), on0,
+         (a1 > hi) | (on1 & unforced1), on1, a2 > hi, a2 >= lo],
         ["outside", "boundary", "outside", "boundary", "outside", "boundary"],
         "inside")
     outside = decision == "outside"
-    w1 = np.where(a0 >= lo, 0.0, w1)
-    w2 = np.where((a0 >= lo) | (a1 >= lo), 0.0, w2)
+    w1 = np.where(on0, 0.0, w1)
+    w2 = np.where(on0 | on1, 0.0, w2)
     params = ParamTriple(*(as_complex(np.where(outside, np.nan, w).reshape(shape))
                            for w in (w0, w1, w2)))
     decision = decision.reshape(shape)

@@ -6,9 +6,9 @@ runs over a polar grid in (sigma0, sigma1) only.  Nelder-Mead then refines
 the same objective in the four real parameters of (sigma0, sigma1), moduli
 clamped to [0,1], from the best grid points, seeded random points and a
 start at the exact maximum of the real slice (t, -1, *).  The refinement
-runs every start in lockstep with numpy (``minimize``), at most three
-objective calls per simplex step, each covering all starts, and its result
-is bit-identical to scipy's Nelder-Mead run start by start.
+runs every start in lockstep with numpy (``minimize``): one objective call
+per simplex step, plus one per shrink, each covering all starts, and its
+result is bit-identical to scipy's Nelder-Mead run start by start.
 Everything is deterministic for a fixed (grid, refine_iters, seed).
 """
 
@@ -72,7 +72,7 @@ def _polar_grid(n_angle: int) -> np.ndarray:
 def _sigma_rows(X: np.ndarray) -> np.ndarray:
     """(n, 2) points (sigma0, sigma1) from (n, 4) rows of (modulus, argument)
     pairs, moduli clamped to [0, 1]."""
-    return np.clip(X[:, 0::2], 0.0, 1.0) * np.exp(1j * X[:, 1::2])
+    return np.minimum(np.maximum(X[:, 0::2], 0.0), 1.0) * np.exp(1j * X[:, 1::2])
 
 
 def _negative_modulus(P: float, X: np.ndarray) -> np.ndarray:
@@ -95,9 +95,31 @@ def _slice_argmax(P: float) -> float:
     return float(t[np.argmax(np.abs(np.polynomial.polynomial.polyval(t, c)))])
 
 
+def _grid_starts(P: float, grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma0, sigma1) of the ``GRID_STARTS`` largest ``phi_sigma2_max``
+    values on the polar grid with ``grid`` angles, in descending order of
+    value, ties broken by ascending (Re, Im) of sigma0, then of sigma1.
+
+    Only the values at least as large as the ``GRID_STARTS``-th largest, ties
+    included, can come first, so only they are sorted.
+    """
+    pts = _polar_grid(grid)
+    # the sigma0-only factors of Phi are formed once and broadcast over sigma1
+    vals = phi_sigma2_max(P, pts[:, None], pts[None, :]).ravel()
+    top = vals.size - GRID_STARTS
+    cand = np.flatnonzero(vals >= np.partition(vals, top)[top])
+    s0, s1 = pts[cand // pts.size], pts[cand % pts.size]
+    best = np.lexsort((s1.imag, s1.real, s0.imag, s0.real, -vals[cand]))[:GRID_STARTS]
+    return s0[best], s1[best]
+
+
 # the refinement's convergence tolerances, scipy's ``xatol`` and ``fatol``
 _XATOL = 1e-12
 _FATOL = 1e-14
+# scipy's trial points a*xbar - b*worst, one (a, b) row each: reflection
+# (rho = 1), expansion (chi = 2), outside and inside contraction (psi = 1/2);
+# the last is scipy's (1 - psi)*xbar + psi*worst, as x - (-y) is x + y
+_TRIALS = np.array([[2.0, 1.0], [3.0, 2.0], [1.5, 0.5], [0.5, -0.5]])
 
 
 class SimplexResult(NamedTuple):
@@ -114,15 +136,16 @@ def minimize(fun, X0: np.ndarray, maxiter: int) -> SimplexResult:
 
     A transcription of scipy 1.17's ``_minimize_neldermead`` (non-adaptive,
     no bounds, ``maxfev`` unset, ``xatol=_XATOL``, ``fatol=_FATOL``) that
-    advances all starts in lockstep: each step evaluates ``fun``, which maps
-    an (m, d) array to m values, once for the rows that need that step.
-    Every start gets the same arithmetic, the same comparisons and the same
-    ``argsort`` as in its own scipy run, so ``x``, ``fun``, ``nit`` and
-    ``nfev`` are bit-identical to it.
+    advances all starts in lockstep.  ``fun`` maps an (m, d) array to m
+    values.  Each step makes one call of it, on the four trial points of
+    every live start (``_TRIALS``), and a shrink makes one more, on the
+    shrinking starts' new vertices.  Every start gets the same arithmetic,
+    the same comparisons and the same ``argsort`` as in its own scipy run,
+    so ``x``, ``fun``, ``nit`` and ``nfev`` are bit-identical to it;
+    ``nfev`` counts the evaluations scipy makes, not the trial points.
     """
     X0 = np.asarray(X0, dtype=np.float64)
     n, N = X0.shape
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     nonzdelt, zdelt = 0.05, 0.00025
     k = np.arange(N)
     sim = np.repeat(X0[:, None, :], N + 1, axis=1)
@@ -134,46 +157,53 @@ def minimize(fun, X0: np.ndarray, maxiter: int) -> SimplexResult:
     for _ in range(2):  # scipy sorts the first simplex twice; argsort may move ties
         sim, fsim = _sorted_simplex(sim, fsim)
 
-    live = np.flatnonzero(nit < maxiter)
-    while live.size:
-        S, F = sim[live], fsim[live]
-        converged = ((np.abs(S[:, 1:] - S[:, :1]).max(axis=(1, 2)) <= _XATOL)
-                     & (np.abs(F[:, :1] - F[:, 1:]).max(axis=1) <= _FATOL))
-        live, S, F = live[~converged], S[~converged], F[~converged]
-        if not live.size:
-            break
+    # the live starts' simplices, values and evaluation counts; a start
+    # leaves them, into sim, fsim and nfev, when it converges
+    live, S, F, fev = np.arange(n), sim, fsim, nfev
+    step = 1
+    while step < maxiter:
+        conv = np.abs(F[:, 1:] - F[:, :1]).max(axis=1) <= _FATOL
+        if conv.any():
+            conv[conv] = np.abs(S[conv, 1:] - S[conv, :1]).max(axis=(1, 2)) <= _XATOL
+            if conv.any():
+                done, keep = live[conv], ~conv
+                sim[done], fsim[done], nfev[done], nit[done] = S[conv], F[conv], fev[conv], step
+                live, S, F, fev = live[keep], S[keep], F[keep], fev[keep]
+                if not live.size:
+                    break
         # the centroid as scipy's row-by-row np.add.reduce forms it
         xbar = S[:, 0]
         for j in range(1, N):
             xbar = xbar + S[:, j]
         xbar = xbar / N
         worst = S[:, -1]
-        xr = (1 + rho) * xbar - rho * worst
-        fxr = fun(xr)
+        trial = _TRIALS[:, :1, None] * xbar - _TRIALS[:, 1:, None] * worst
+        ftrial = fun(trial.reshape(-1, N)).reshape(4, -1)
+        fxr, fxe, fxc, fxcc = ftrial
         expand = fxr < F[:, 0]
         accept = ~expand & (fxr < F[:, -2])
         outside = ~expand & ~accept & (fxr < F[:, -1])
         inside = ~expand & ~accept & ~outside
-        second = ~accept
-        x2 = np.where(expand[:, None], (1 + rho * chi) * xbar - rho * chi * worst,
-                      np.where(outside[:, None], (1 + psi * rho) * xbar - psi * rho * worst,
-                               (1 - psi) * xbar + psi * worst))
-        f2 = np.full_like(fxr, np.nan)
-        if second.any():
-            f2[second] = fun(x2[second])
-        take_r = accept | (expand & ~(f2 < fxr))
-        take_2 = (expand & (f2 < fxr)) | (outside & (f2 <= fxr)) | (inside & (f2 < F[:, -1]))
-        shrink = second & ~take_r & ~take_2
-        S[take_r, -1], F[take_r, -1] = xr[take_r], fxr[take_r]
-        S[take_2, -1], F[take_2, -1] = x2[take_2], f2[take_2]
+        take_e = expand & (fxe < fxr)
+        take_c = outside & (fxc <= fxr)
+        take_cc = inside & (fxcc < F[:, -1])
+        shrink = ~(expand | accept | take_c | take_cc)
+        # a shrink (sigma = 1/2) halves every vertex's distance to the best,
+        # the old worst included; any other step replaces the worst by a trial
         if shrink.any():
             best = S[shrink, :1]
-            S[shrink, 1:] = best + sigma * (S[shrink, 1:] - best)
+            S[shrink, 1:] = best + 0.5 * (S[shrink, 1:] - best)
             F[shrink, 1:] = fun(S[shrink, 1:].reshape(-1, N)).reshape(-1, N)
-        nfev[live] += 1 + second + N * shrink
-        nit[live] += 1
-        sim[live], fsim[live] = _sorted_simplex(S, F)
-        live = live[nit[live] < maxiter]
+        rows = np.flatnonzero(~shrink)
+        pick = (take_e + 2 * take_c + 3 * take_cc)[rows]
+        S[rows, -1] = trial[pick, rows]
+        F[rows, -1] = ftrial[pick, rows]
+        # scipy evaluates the reflection, then one more trial unless it
+        # accepts the reflection outright, then N vertices on a shrink
+        fev = fev + 2 - accept + N * shrink
+        step += 1
+        S, F = _sorted_simplex(S, F)
+    sim[live], fsim[live], nfev[live], nit[live] = S, F, fev, step
 
     return SimplexResult(x=sim[:, 0], fun=fsim.min(axis=1), nit=nit, nfev=nfev)
 
@@ -204,18 +234,11 @@ def estimate_M(pp: PoleParam, grid: int = 24, refine_iters: int = 200,
         raise InvalidInput("refine_iters must be >= 0")
     P = pp.P
 
-    pts = _polar_grid(grid)
-    # the sigma0-only factors of Phi are formed once and broadcast over sigma1
-    vals = phi_sigma2_max(P, pts[:, None], pts[None, :]).ravel()
-    s0 = np.repeat(pts, pts.size)
-    s1 = np.tile(pts, pts.size)
-    # deterministic ordering: descending value, ties broken lexicographically
-    best = np.lexsort((s1.imag, s1.real, s0.imag, s0.real, -vals))[:GRID_STARTS]
-
+    g0, g1 = _grid_starts(P, grid)
     rng = np.random.default_rng(seed)
     rand = rng.uniform(size=(2, 4)) * np.exp(2j * np.pi * rng.uniform(size=(2, 4)))
-    z0 = np.concatenate(([_slice_argmax(P)], s0[best], rand[0]))
-    z1 = np.concatenate(([-1.0], s1[best], rand[1]))
+    z0 = np.concatenate(([_slice_argmax(P)], g0, rand[0]))
+    z1 = np.concatenate(([-1.0], g1, rand[1]))
     starts = np.column_stack([np.abs(z0), np.angle(z0), np.abs(z1), np.angle(z1)])
 
     objective = partial(_negative_modulus, P)

@@ -344,6 +344,40 @@ class TestExtremal:
         assert payload["m_estimate"] >= slice_max_on_grid(p) - 1e-13
 
 
+class TestPinnedOutputs:
+    """Exact bytes of an ``extremal`` payload and a ``bounds`` CSV, pinned so
+    that a faster search cannot change what the CLI writes unnoticed."""
+
+    EXTREMAL = (
+        b'{\n  "p": 0.37,\n  "m_estimate": 1.1608924826218605,\n  "arg_sigma": {\n'
+        b'    "moduli": [\n      0.6444707445124216,\n      1.0,\n      1.0\n    ],\n'
+        b'    "arguments": [\n      0.0,\n      3.141592653589793,\n      0.0\n    ]\n'
+        b'  },\n  "lower": 1.154550311758432,\n  "upper": 1.4739366413647352,\n'
+        b'  "slice_value": 1.154550311758432,\n  "iterations": 840,\n  "grid": 10,\n'
+        b'  "seed": 3\n}\n')
+    BOUNDS = (
+        b"p,one_third_p,lower,m_estimate,upper,one_third_p_plus\n"
+        b"0.1,3.333333333333333,3.3707539059040403,3.370954395246107,"
+        b"3.9673267326732673,3.9999999999999996\n"
+        b"0.5,0.6666666666666666,1.0345576,1.0449224440468345,"
+        b"1.2333333333333334,1.3333333333333333\n"
+        b"0.9,0.37037037037037035,0.9845669305449645,1.0000290391256608,"
+        b"1.0055453243298549,1.037037037037037\n")
+
+    def test_extremal_payload(self, tmp_path):
+        out = tmp_path / "ext.json"
+        assert run(["extremal", "--p", "0.37", "--grid", "10", "--iters", "40",
+                    "--seed", "3", "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == self.EXTREMAL
+
+    def test_bounds_csv(self, tmp_path, capsys):
+        out = tmp_path / "bounds.csv"
+        assert run(["bounds", "--p", "0.1,0.5,0.9", "--grid", "8", "--iters", "25",
+                    "--seed", "2", "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert out.read_bytes() == self.BOUNDS
+
+
 class TestImport:
     def test_cli_import_leaves_scipy_unloaded(self):
         src = str(Path(hankelbody.__file__).resolve().parents[1])

@@ -137,3 +137,33 @@ class TestMembership:
 
     def test_clearly_outside_c0(self, pp05):
         assert membership_x2(pp05, CoeffTriple(5.0, 0.0, 0.0)).decision == "outside"
+
+    # the two triples below lie outside the body: the Pick matrix of the
+    # interpolation problem phi(0) = c0, phi'(0) = c1, phi''(0)/2 = c2,
+    # phi(p) = p has smallest eigenvalue -0.71 and -0.12 there
+    def test_unimodular_w0_with_a_moved_c1_is_outside(self, pp05):
+        c = c_from_w(pp05, ParamTriple(1.0, 0.0, 0.0))
+        res = membership_x2(pp05, CoeffTriple(c.c0, c.c1 + 0.3, c.c2))
+        assert res.decision == "outside"
+        assert np.all(np.isnan(np.array(res.params)))
+
+    def test_unimodular_w1_with_a_moved_c2_is_outside(self, pp05):
+        c = c_from_w(pp05, ParamTriple(0.3, 1j, 0.0))
+        res = membership_x2(pp05, CoeffTriple(c.c0, c.c1, c.c2 + 0.3))
+        assert res.decision == "outside"
+
+    @pytest.mark.parametrize("p", [0.01, 0.1, 0.5, 0.9, 0.99])
+    def test_unimodular_steps_check_the_data_they_force(self, p, rng):
+        # chain points with |w0| or |w1| on or within the tolerance of 1 stay
+        # on the boundary; moving c2 by 0.05 (1 - |c0|^2) leaves the body
+        pp = PoleParam(p)
+        W = sample_polydisk(rng, 4000)
+        W = W[(np.abs(W[:, 0]) == 1.0) | (np.abs(W[:, 1]) == 1.0)]
+        near = W.copy()
+        near[:, :2] *= np.where(np.abs(W[:, :2]) == 1.0, 1.0 - 0.5e-9, 1.0)
+        for w in (W, near):
+            c = c_from_w(pp, ParamTriple(*w.T))
+            assert np.all(membership_x2(pp, c).decision == "boundary")
+        c = c_from_w(pp, ParamTriple(*W.T))
+        moved = CoeffTriple(c.c0, c.c1, c.c2 + 0.05 * (1.0 - np.abs(c.c0) ** 2))
+        assert np.all(membership_x2(pp, moved).decision == "outside")

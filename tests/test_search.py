@@ -108,6 +108,68 @@ class TestEstimateM:
             estimate_M(pp05, refine_iters=-1)
 
 
+#: (p, grid, refine_iters, seed, m_estimate.hex(), iterations, arg_sigma as
+#: (real.hex(), imag.hex()) pairs): reports pinned bit for bit, so that a
+#: faster search cannot change an answer unnoticed; iters 0 and 1 included
+PINNED_REPORTS = [
+    (0.5, 24, 200, 1, "0x1.0b80098c099c9p+0", 3857,
+     (("0x1.9a0ec65bf24ddp-1", "0x1.4249c120cf92cp-33"),
+      ("-0x1.0000000000000p+0", "-0x1.9549b9676733bp-35"),
+      ("0x1.0000000000000p+0", "0x0.0p+0"))),
+    (0.1, 8, 0, 1, "0x1.af7b6f01f1dacp+1", 0,
+     (("0x1.72ade3fd33dc0p-3", "0x0.0p+0"),
+      ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
+      ("0x1.0000000000000p+0", "0x0.0p+0"))),
+    (0.9, 24, 200, 77, "0x1.0001e73218531p+0", 1550,
+     (("0x1.fd50d131bb2e6p-1", "0x0.0p+0"),
+      ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
+      ("0x1.0000000000000p+0", "0x0.0p+0"))),
+    (0.62, 8, 30, 5, "0x1.02de5902fed95p+0", 630,
+     (("0x1.cbf04a23fe8cep-1", "0x0.0p+0"),
+      ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
+      ("0x1.0000000000000p+0", "0x0.0p+0"))),
+    (0.33, 9, 1, 3, "0x1.3b81456c1bd3ep+0", 21,
+     (("0x1.2bc4ea4837cb0p-1", "0x0.0p+0"),
+      ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
+      ("0x1.0000000000000p+0", "0x0.0p+0"))),
+    (0.75, 13, 5, 2, "0x1.006675433af26p+0", 105,
+     (("0x1.ec5ec6040e444p-1", "0x0.0p+0"),
+      ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
+      ("0x1.0000000000000p+0", "0x0.0p+0"))),
+    (0.02, 24, 0, 4, "0x1.0abd420e437e3p+4", 0,
+     (("0x1.2118b28413000p-5", "0x0.0p+0"),
+      ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
+      ("0x1.0000000000000p+0", "0x0.0p+0"))),
+    (0.98, 16, 60, 11, "0x1.000000a96cb27p+0", 1156,
+     (("0x1.ffe6a989c0b6ap-1", "0x1.9f1ecd51a9013p-29"),
+      ("-0x1.fffffffffffecp-1", "-0x1.1d4da0d72cecbp-24"),
+      ("0x1.0000000000000p+0", "0x0.0p+0"))),
+]
+
+
+@pytest.mark.parametrize("p, grid, iters, seed, m_hex, iterations, sigma_hex", PINNED_REPORTS)
+def test_reports_are_pinned(p, grid, iters, seed, m_hex, iterations, sigma_hex):
+    rep = estimate_M(PoleParam(p), grid=grid, refine_iters=iters, seed=seed)
+    assert rep.m_estimate.hex() == m_hex
+    assert rep.iterations == iterations
+    assert tuple((s.real.hex(), s.imag.hex()) for s in rep.arg_sigma) == sigma_hex
+
+
+@pytest.mark.parametrize("p, grid, ties", [(0.9, 24, 169), (0.5, 8, 57)])
+def test_grid_starts_match_the_full_sort(p, grid, ties):
+    # grids where many values tie with the GRID_STARTS-th largest, so the
+    # cut keeps far more candidates than starts and the tie-break decides
+    P = PoleParam(p).P
+    pts = search._polar_grid(grid)
+    vals = phi_sigma2_max(P, pts[:, None], pts[None, :]).ravel()
+    s0, s1 = np.repeat(pts, pts.size), np.tile(pts, pts.size)
+    best = np.lexsort((s1.imag, s1.real, s0.imag, s0.real, -vals))[:search.GRID_STARTS]
+    assert np.count_nonzero(vals == vals[best[-1]]) == ties
+    g0, g1 = search._grid_starts(P, grid)
+    assert g0.tobytes() == s0[best].tobytes()
+    assert g1.tobytes() == s1[best].tobytes()
+
+
 def _starts(rng, p):
     """Refinement starts: random rows with moduli up to 1.3 (the clamp), rows
     with exact zeros (the zdelt step of the first simplex), and the slice start."""
@@ -143,6 +205,9 @@ class TestSimplex:
             assert (got.nit[i], got.nfev[i]) == (want.nit, want.nfev), i
 
     def test_objective_calls_are_batched(self):
+        # one call on the first simplices, then one call per step on 4 trial
+        # points per live start, plus one call per shrink on N points per
+        # shrinking start; nfev keeps scipy's count of 1 or 2 per step
         sizes = []
 
         def fun(X):
@@ -150,10 +215,28 @@ class TestSimplex:
             return np.sum((X - 0.3) ** 2, axis=1)
 
         res = minimize(fun, np.zeros((5, 6)), 50)
-        assert sizes[0] == 5 * 7
-        assert len(sizes) <= 1 + 3 * 49
-        assert int(res.nfev.sum()) == sum(sizes)
         assert np.all(res.nit == 50)
+        assert sizes == [5 * 7] + [4 * 5] * 49  # this run never shrinks
+        assert len(sizes) <= 1 + 2 * 49
+        assert np.all((7 + 49 <= res.nfev) & (res.nfev <= 7 + 2 * 49))
+
+    def test_shrinking_and_converged_starts_are_counted(self):
+        # a flat objective shrinks every simplex at every step until it is
+        # within _XATOL; larger starts take larger first simplices, so the
+        # starts converge at different steps
+        sizes = []
+
+        def flat(X):
+            sizes.append(len(X))
+            return np.zeros(len(X))
+
+        N = 4
+        res = minimize(flat, np.outer([0.0, 1.0, 30.0], np.ones(N)), 200)
+        steps = res.nit - 1
+        assert list(res.nit) == [29, 37, 42]  # as scipy's Nelder-Mead ends each start
+        assert sum(sizes) == 3 * (N + 1) + 4 * steps.sum() + N * steps.sum()
+        assert len(sizes) == 1 + 2 * steps.max()
+        assert np.array_equal(res.nfev, N + 1 + steps * (2 + N))
 
 
 class TestRegions:
