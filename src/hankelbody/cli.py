@@ -18,7 +18,7 @@ from .disk import P_MIN, PoleParam
 from .errors import HankelBodyError, InvalidInput
 from .oracle import verify_all
 from .search import (MIN_GRID, OMEGA_MIN_POINTS, RegionSample, estimate_M,
-                     sample_omega_boundary, sample_region_H)
+                     estimate_M_batch, sample_omega_boundary, sample_region_H)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -88,18 +88,26 @@ class _IOFailure(Exception):
 
 # --- bounds ------------------------------------------------------------------
 
+def _table_cell(v: float, width: int) -> str:
+    """``v`` as ``.6f`` padded to ``width``, or as ``.6e`` where the ``.6f``
+    text would overrun the column or write a nonzero value as zero."""
+    text = f"{v:.6f}"
+    if len(text) > width or (v != 0.0 and float(text) == 0.0):
+        text = f"{v:.6e}"
+    return text.ljust(width)
+
+
 def cmd_bounds(args) -> int:
-    rows = []
-    for p in args.p:
-        pp = PoleParam(p)
-        report = estimate_M(pp, grid=args.grid, refine_iters=args.iters, seed=args.seed)
-        rows.append((p, 1.0 / (3.0 * p), report.lower, report.m_estimate,
-                     report.upper, 1.0 / (3.0 * p) + 2.0 / 3.0))
+    reports = estimate_M_batch([PoleParam(p) for p in args.p], grid=args.grid,
+                               refine_iters=args.iters, seed=args.seed)
+    rows = [(p, 1.0 / (3.0 * p), report.lower, report.m_estimate,
+             report.upper, 1.0 / (3.0 * p) + 2.0 / 3.0)
+            for p, report in zip(args.p, reports)]
     header = ("p", "one_third_p", "lower", "m_estimate", "upper", "one_third_p_plus")
     widths = [12, 14, 14, 14, 14, 16]
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
     for row in rows:
-        print("  ".join(f"{v:.6f}".ljust(w) for v, w in zip(row, widths)))
+        print("  ".join(_table_cell(v, w) for v, w in zip(row, widths)))
     if args.out:
         lines = [",".join(header)]
         for row in rows:

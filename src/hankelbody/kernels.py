@@ -1,10 +1,12 @@
 """The polydisk functional Phi_p, written once.
 
 H = Phi_p(sigma0, sigma1, sigma2) / (18 P^3) on the closed polydisk, and Phi
-is affine in sigma2.  ``_phi_terms`` is the only transcription of Phi.  It
-uses nothing but arithmetic, the builtin ``abs`` and ``.conjugate()``, so the
+is affine in sigma2.  ``_phi_terms`` is the only transcription of Phi, with
+its factors that depend on P alone formed by ``phi_factors``.  It uses
+nothing but arithmetic, the builtin ``abs`` and ``.conjugate()``, so the
 same code evaluates Python scalars (``hankel.phi_p``, ``best_sigma2``) and
-numpy arrays (``phi_batch``, ``phi_sigma2_max``).
+numpy arrays (``phi_batch``, ``phi_sigma2_max``), with one P or, through
+arrays of factors, one P per point.
 """
 
 from __future__ import annotations
@@ -16,36 +18,57 @@ import numpy as np
 USE_NUMBA = False
 
 
+def phi_factors(P: float) -> tuple:
+    """The factors of Phi_p that depend on P alone, in the order ``_phi_terms``
+    reads them.
+
+    Each is formed from the float ``P`` with Python arithmetic, so ``P**4`` is
+    Python's ``pow``, whose last bit numpy's array power does not always
+    match.  P^2 - 1 is formed twice, once for the coefficient of sigma2 and
+    once for the head, as Phi's transcription writes it.
+    """
+    return (P * P - 1.0, 3.0 * P, -18.0 * P, P * P - 2.0,
+            1.0 - 7.0 * P * P + 2.0 * P**4, 3.0 * P * P - 2.0, -P, P * P - 1.0)
+
+
 def _phi_terms(P, s0, s1, modulus=False):
     """(head, coef) with Phi_p(s0, s1, s2) = head + coef * s2.
 
-    With ``modulus=True`` the second value is |coef|, taken factor by factor.
+    ``P`` is a float or its ``phi_factors``; a factor may be an array that
+    broadcasts against s0 and s1, one P per element.  With ``modulus=True``
+    the second value is |coef|, taken factor by factor.
     """
+    if isinstance(P, (float, int, np.number)):
+        P = phi_factors(float(P))
+    a, b, c, d, e, f, g, h = P
     m0 = 1.0 - abs(s0) ** 2
     m1 = 1.0 - abs(s1) ** 2
     # coef first, so that its sigma0 factor is freed before the head terms exist
-    coef = P * P - 1.0 + s0
-    coef = 3.0 * P * (abs(coef) if modulus else coef) * m0 * m1
-    t0 = -18.0 * P * (1.0 + (P * P - 2.0) * s0 + s0 * s0)
-    t1 = 3.0 * (1.0 - 7.0 * P * P + 2.0 * P**4 + (3.0 * P * P - 2.0) * s0 + s0 * s0) * m0 * s1
-    t2 = -P * (2.0 * m0 + 3.0 * s0.conjugate() * (P * P - 1.0 + s0)) * m0 * s1 * s1
+    coef = a + s0
+    coef = b * (abs(coef) if modulus else coef) * m0 * m1
+    t0 = c * (1.0 + d * s0 + s0 * s0)
+    t1 = 3.0 * (e + f * s0 + s0 * s0) * m0 * s1
+    t2 = g * (2.0 * m0 + 3.0 * s0.conjugate() * (h + s0)) * m0 * s1 * s1
     return t0 + t1 + t2, coef
 
 
-def phi_batch(P: float, s0: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    """Vectorized Phi over parallel parameter arrays."""
+def phi_batch(P, s0: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """Vectorized Phi over parallel parameter arrays; ``P`` is a float or its
+    ``phi_factors``."""
     s0 = np.ascontiguousarray(s0, dtype=np.complex128)
     s1 = np.ascontiguousarray(s1, dtype=np.complex128)
     s2 = np.ascontiguousarray(s2, dtype=np.complex128)
-    head, coef = _phi_terms(float(P), s0, s1)
+    head, coef = _phi_terms(P, s0, s1)
     return head + coef * s2
 
 
-def phi_sigma2_max(P: float, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
-    """Vectorized sup over |sigma2| <= 1 of |Phi| at fixed (sigma0, sigma1)."""
+def phi_sigma2_max(P, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
+    """Vectorized sup over |sigma2| <= 1 of |Phi| at fixed (sigma0, sigma1);
+    ``P`` is a float or its ``phi_factors``, whose factors may be arrays of
+    one P per point."""
     s0 = np.ascontiguousarray(s0, dtype=np.complex128)
     s1 = np.ascontiguousarray(s1, dtype=np.complex128)
-    head, lin = _phi_terms(float(P), s0, s1, modulus=True)
+    head, lin = _phi_terms(P, s0, s1, modulus=True)
     return abs(head) + lin
 
 

@@ -6,16 +6,17 @@ runs over a polar grid in (sigma0, sigma1) only.  Nelder-Mead then refines
 the same objective in the four real parameters of (sigma0, sigma1), moduli
 clamped to [0,1], from the best grid points, seeded random points and a
 start at the exact maximum of the real slice (t, -1, *).  The refinement
-runs every start in lockstep with numpy (``minimize``): one objective call
-per simplex step, plus one per shrink, each covering all starts, and its
-result is bit-identical to scipy's Nelder-Mead run start by start.
-Everything is deterministic for a fixed (grid, refine_iters, seed).
+runs every start in lockstep with numpy (``minimize``): exactly one
+objective call per simplex step, covering every live start's trial points
+and shrunk vertices, and its result is bit-identical to scipy's Nelder-Mead
+run start by start.  ``estimate_M_batch`` refines the starts of several p
+in one such run, each start with the factors of its own P, as ``bounds``
+does.  Everything is deterministic for a fixed (grid, refine_iters, seed).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -24,7 +25,7 @@ from .coeffbody import ParamTriple
 from .disk import PoleParam
 from .errors import DegenerateBoundary, InvalidInput
 from .hankel import hp_numerator_coeffs, lower_bound_M, omega_map, upper_bound_M
-from .kernels import best_sigma2, phi_batch, phi_sigma2_max
+from .kernels import best_sigma2, phi_batch, phi_factors, phi_sigma2_max
 
 REGION_BINS = 256
 #: fewest angular samples per parameter in the grid sweep
@@ -75,9 +76,10 @@ def _sigma_rows(X: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(X[:, 0::2], 0.0), 1.0) * np.exp(1j * X[:, 1::2])
 
 
-def _negative_modulus(P: float, X: np.ndarray) -> np.ndarray:
+def _negative_modulus(P, X: np.ndarray) -> np.ndarray:
     """-sup over sigma2 of |Phi| at the (n, 4) rows of ``X``, the objective of
-    the refinement and, as ``phi_sigma2_max``, of the grid sweep."""
+    the refinement and, as ``phi_sigma2_max``, of the grid sweep; ``P`` is a
+    float or its ``phi_factors``, as ``phi_sigma2_max`` takes it."""
     sig = _sigma_rows(X)
     return -phi_sigma2_max(P, sig[:, 0], sig[:, 1])
 
@@ -116,10 +118,16 @@ def _grid_starts(P: float, grid: int) -> tuple[np.ndarray, np.ndarray]:
 # the refinement's convergence tolerances, scipy's ``xatol`` and ``fatol``
 _XATOL = 1e-12
 _FATOL = 1e-14
-# scipy's trial points a*xbar - b*worst, one (a, b) row each: reflection
+# scipy's trial points a*xbar - b*worst, one (a, b) pair each: reflection
 # (rho = 1), expansion (chi = 2), outside and inside contraction (psi = 1/2);
 # the last is scipy's (1 - psi)*xbar + psi*worst, as x - (-y) is x + y
-_TRIALS = np.array([[2.0, 1.0], [3.0, 2.0], [1.5, 0.5], [0.5, -0.5]])
+_TRIAL_A = np.array([2.0, 3.0, 1.5, 0.5])[:, None, None]
+_TRIAL_B = np.array([1.0, 2.0, 0.5, -0.5])[:, None, None]
+# a step's outcomes, each but the shrink named by the trial point it takes:
+# the reflection taken outright, the expansion, the outside and the inside
+# contraction, the reflection after a rejected expansion, and the shrink
+_TAKES = (0, 1, 2, 3, 0)
+_SHRINK = len(_TAKES)
 
 
 class SimplexResult(NamedTuple):
@@ -131,88 +139,97 @@ class SimplexResult(NamedTuple):
     nfev: np.ndarray
 
 
-def minimize(fun, X0: np.ndarray, maxiter: int) -> SimplexResult:
+def minimize(fun, X0: np.ndarray, maxiter: int, args: np.ndarray | None = None) -> SimplexResult:
     """Nelder-Mead from every row of ``X0`` at once, each row as scipy runs it alone.
 
     A transcription of scipy 1.17's ``_minimize_neldermead`` (non-adaptive,
     no bounds, ``maxfev`` unset, ``xatol=_XATOL``, ``fatol=_FATOL``) that
     advances all starts in lockstep.  ``fun`` maps an (m, d) array to m
-    values.  Each step makes one call of it, on the four trial points of
-    every live start (``_TRIALS``), and a shrink makes one more, on the
-    shrinking starts' new vertices.  Every start gets the same arithmetic,
-    the same comparisons and the same ``argsort`` as in its own scipy run,
-    so ``x``, ``fun``, ``nit`` and ``nfev`` are bit-identical to it;
-    ``nfev`` counts the evaluations scipy makes, not the trial points.
+    values.  With ``args``, a (q, n) array that holds a column of arguments
+    per start, it is called as ``fun(A, X)``, column j of ``A`` belonging to
+    row j of ``X``, as a ``functools.partial`` binding them would be; so
+    starts of different objectives share one run.  Each step makes one call,
+    on the four trial points of every live start (``_TRIAL_A``,
+    ``_TRIAL_B``) and the N vertices its shrink would give, which are known
+    before the step's outcome; a shrink makes no call of its own.  Every
+    start gets the same arithmetic, the same comparisons and the same
+    ``argsort`` as in its own scipy run, so ``x``, ``fun``, ``nit`` and
+    ``nfev`` are bit-identical to it; ``nfev`` counts the evaluations scipy
+    makes, not the points.
     """
     X0 = np.asarray(X0, dtype=np.float64)
     n, N = X0.shape
+    if args is None:
+        call, args = (lambda A, X: fun(X)), np.empty((0, n))
+    else:
+        call = fun
     nonzdelt, zdelt = 0.05, 0.00025
     k = np.arange(N)
-    sim = np.repeat(X0[:, None, :], N + 1, axis=1)
+    # the simplices vertex by vertex: sim[j, i] is vertex j of start i
+    sim = np.repeat(X0[None], N + 1, axis=0)
     diag = X0[:, k]
-    sim[:, k + 1, k] = np.where(diag != 0, (1 + nonzdelt) * diag, zdelt)
-    fsim = fun(sim.reshape(-1, N)).reshape(n, N + 1)
+    sim[k + 1, :, k] = np.where(diag != 0, (1 + nonzdelt) * diag, zdelt).T
+    fsim = call(np.tile(args, N + 1), sim.reshape(-1, N)).reshape(N + 1, n)
     nfev = np.full(n, N + 1)
     nit = np.ones(n, dtype=int)
+    every = np.indices(fsim.shape)[0]
     for _ in range(2):  # scipy sorts the first simplex twice; argsort may move ties
-        sim, fsim = _sorted_simplex(sim, fsim)
+        sim, fsim = _sorted_simplex(sim, fsim, every)
 
-    # the live starts' simplices, values and evaluation counts; a start
-    # leaves them, into sim, fsim and nfev, when it converges
-    live, S, F, fev = np.arange(n), sim, fsim, nfev
+    # per outcome, where each vertex of the next simplex comes from in the
+    # stack of the N + 1 vertices, the 4 trial points and the N shrunk
+    # vertices, and how many evaluations scipy makes: the reflection, one
+    # more trial unless it takes the reflection outright, N on a shrink
+    src_of = np.array([[*range(N), N + 1 + t] for t in _TAKES]
+                      + [[0, *range(N + 5, 2 * N + 5)]])
+    fev_of = np.array([1, 2, 2, 2, 2, 2 + N])
+    # the live starts' simplices, values, evaluation counts and arguments; a
+    # start leaves them, into sim, fsim and nfev, when it converges
+    live, S, F, fev, A = np.arange(n), sim, fsim, nfev, args
+    A_step = np.tile(A, 4 + N)  # the arguments of a step's (4 + N, live) points
     step = 1
     while step < maxiter:
-        conv = np.abs(F[:, 1:] - F[:, :1]).max(axis=1) <= _FATOL
+        conv = np.abs(F[1:] - F[:1]).max(axis=0) <= _FATOL
         if conv.any():
-            conv[conv] = np.abs(S[conv, 1:] - S[conv, :1]).max(axis=(1, 2)) <= _XATOL
+            conv[conv] = np.abs(S[1:, conv] - S[:1, conv]).max(axis=(0, 2)) <= _XATOL
             if conv.any():
                 done, keep = live[conv], ~conv
-                sim[done], fsim[done], nfev[done], nit[done] = S[conv], F[conv], fev[conv], step
-                live, S, F, fev = live[keep], S[keep], F[keep], fev[keep]
+                sim[:, done], fsim[:, done], nfev[done], nit[done] = S[:, conv], F[:, conv], fev[conv], step
+                live, S, F, fev, A = live[keep], S[:, keep], F[:, keep], fev[keep], A[:, keep]
                 if not live.size:
                     break
+                A_step = np.tile(A, 4 + N)
         # the centroid as scipy's row-by-row np.add.reduce forms it
-        xbar = S[:, 0]
+        xbar = S[0]
         for j in range(1, N):
-            xbar = xbar + S[:, j]
+            xbar = xbar + S[j]
         xbar = xbar / N
-        worst = S[:, -1]
-        trial = _TRIALS[:, :1, None] * xbar - _TRIALS[:, 1:, None] * worst
-        ftrial = fun(trial.reshape(-1, N)).reshape(4, -1)
-        fxr, fxe, fxc, fxcc = ftrial
-        expand = fxr < F[:, 0]
-        accept = ~expand & (fxr < F[:, -2])
-        outside = ~expand & ~accept & (fxr < F[:, -1])
-        inside = ~expand & ~accept & ~outside
-        take_e = expand & (fxe < fxr)
-        take_c = outside & (fxc <= fxr)
-        take_cc = inside & (fxcc < F[:, -1])
-        shrink = ~(expand | accept | take_c | take_cc)
         # a shrink (sigma = 1/2) halves every vertex's distance to the best,
-        # the old worst included; any other step replaces the worst by a trial
-        if shrink.any():
-            best = S[shrink, :1]
-            S[shrink, 1:] = best + 0.5 * (S[shrink, 1:] - best)
-            F[shrink, 1:] = fun(S[shrink, 1:].reshape(-1, N)).reshape(-1, N)
-        rows = np.flatnonzero(~shrink)
-        pick = (take_e + 2 * take_c + 3 * take_cc)[rows]
-        S[rows, -1] = trial[pick, rows]
-        F[rows, -1] = ftrial[pick, rows]
-        # scipy evaluates the reflection, then one more trial unless it
-        # accepts the reflection outright, then N vertices on a shrink
-        fev = fev + 2 - accept + N * shrink
+        # the old worst included
+        best = S[:1]
+        cand = np.concatenate((S, _TRIAL_A * xbar - _TRIAL_B * S[-1], best + 0.5 * (S[1:] - best)))
+        fcand = np.concatenate((F, call(A_step, cand[N + 1:].reshape(-1, N)).reshape(4 + N, -1)))
+        # scipy's comparisons, in scipy's order
+        fxr, fxe, fxc, fxcc = fcand[N + 1:N + 5]
+        outcome = np.where(fxr < F[0], np.where(fxe < fxr, 1, 4),
+                           np.where(fxr < F[-2], 0,
+                                    np.where(fxr < F[-1], np.where(fxc <= fxr, 2, _SHRINK),
+                                             np.where(fxcc < F[-1], 3, _SHRINK))))
+        fev = fev + fev_of[outcome]
         step += 1
-        S, F = _sorted_simplex(S, F)
-    sim[live], fsim[live], nfev[live], nit[live] = S, F, fev, step
+        S, F = _sorted_simplex(cand, fcand, src_of[outcome].T)
+    sim[:, live], fsim[:, live], nfev[live], nit[live] = S, F, fev, step
 
-    return SimplexResult(x=sim[:, 0], fun=fsim.min(axis=1), nit=nit, nfev=nfev)
+    return SimplexResult(x=sim[0], fun=fsim.min(axis=0), nit=nit, nfev=nfev)
 
 
-def _sorted_simplex(S: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each start's vertices in ascending order of value, by ``np.argsort`` as scipy sorts."""
-    ind = np.argsort(F, axis=1)
-    rows = np.arange(len(F))[:, None]
-    return S[rows, ind], F[rows, ind]
+def _sorted_simplex(S: np.ndarray, F: np.ndarray, src: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The simplices whose vertex j of start i is ``S[src[j, i], i]``, each
+    start's vertices in ascending order of value, by ``argsort`` as scipy sorts."""
+    cols = np.arange(F.shape[1])
+    F = F[src, cols]
+    ind = F.argsort(axis=0)
+    return S[src[ind, cols], cols], F[ind, cols]
 
 
 def estimate_M(pp: PoleParam, grid: int = 24, refine_iters: int = 200,
@@ -228,37 +245,57 @@ def estimate_M(pp: PoleParam, grid: int = 24, refine_iters: int = 200,
     ``refine_iters=0`` the starts are only evaluated.  The best point found
     is reported with its canonical ``best_sigma2``.
     """
+    return estimate_M_batch([pp], grid, refine_iters, seed)[0]
+
+
+def estimate_M_batch(pps: Sequence[PoleParam], grid: int = 24, refine_iters: int = 200,
+                     seed: int = 1) -> list[ExtremalReport]:
+    """``estimate_M`` at each of ``pps``, one report each, bit-identical to a
+    call per p: the refinement runs the starts of every p in one ``minimize``,
+    each start with the ``phi_factors`` of its own P."""
+    if not pps:
+        raise InvalidInput("need at least one p")
     if grid < MIN_GRID:
         raise InvalidInput(f"grid must be >= {MIN_GRID}")
     if refine_iters < 0:
         raise InvalidInput("refine_iters must be >= 0")
-    P = pp.P
 
-    g0, g1 = _grid_starts(P, grid)
     rng = np.random.default_rng(seed)
     rand = rng.uniform(size=(2, 4)) * np.exp(2j * np.pi * rng.uniform(size=(2, 4)))
-    z0 = np.concatenate(([_slice_argmax(P)], g0, rand[0]))
-    z1 = np.concatenate(([-1.0], g1, rand[1]))
-    starts = np.column_stack([np.abs(z0), np.angle(z0), np.abs(z1), np.angle(z1)])
+    starts = []
+    for pp in pps:
+        g0, g1 = _grid_starts(pp.P, grid)
+        z0 = np.concatenate(([_slice_argmax(pp.P)], g0, rand[0]))
+        z1 = np.concatenate(([-1.0], g1, rand[1]))
+        starts.append(np.column_stack([np.abs(z0), np.angle(z0), np.abs(z1), np.angle(z1)]))
+    X0 = np.concatenate(starts)
+    n_starts = len(starts[0])
+    # one column of factors per start, each formed from its own float P
+    A = np.repeat(np.array([phi_factors(pp.P) for pp in pps]).T, n_starts, axis=1)
 
-    objective = partial(_negative_modulus, P)
     if refine_iters > 0:
-        res = minimize(objective, starts, refine_iters)
-        X, F, iterations = res.x, res.fun, int(res.nit.sum())
+        res = minimize(_negative_modulus, X0, refine_iters, A)
+        X, F, nit = res.x, res.fun, res.nit
     else:
-        X, F, iterations = starts, objective(starts), 0
-    k = int(np.argmin(F))
-    sig0, sig1 = map(complex, _sigma_rows(X[k:k + 1])[0])
+        X, F, nit = X0, _negative_modulus(A, X0), np.zeros(len(X0), dtype=int)
+    X, F = X.reshape(len(pps), n_starts, -1), F.reshape(len(pps), n_starts)
+    iterations = nit.reshape(len(pps), n_starts).sum(axis=1)
 
-    return ExtremalReport(
-        p=pp.p,
-        m_estimate=-float(F[k]) / (18.0 * P**3),
-        arg_sigma=ParamTriple(sig0, sig1, best_sigma2(P, sig0, sig1)),
-        lower=lower_bound_M(pp),
-        upper=upper_bound_M(pp),
-        iterations=iterations,
-        grid=grid,
-    )
+    reports = []
+    for pp, x, f, its in zip(pps, X, F, iterations):
+        k = int(np.argmin(f))
+        sig0, sig1 = map(complex, _sigma_rows(x[k:k + 1])[0])
+        P = pp.P
+        reports.append(ExtremalReport(
+            p=pp.p,
+            m_estimate=-float(f[k]) / (18.0 * P**3),
+            arg_sigma=ParamTriple(sig0, sig1, best_sigma2(P, sig0, sig1)),
+            lower=lower_bound_M(pp),
+            upper=upper_bound_M(pp),
+            iterations=int(its),
+            grid=grid,
+        ))
+    return reports
 
 
 def sample_polydisk(rng: np.random.Generator, n: int) -> np.ndarray:

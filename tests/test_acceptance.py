@@ -201,22 +201,23 @@ def _criterion4_residual(n=150):
     return worst
 
 
-def _phi_terms_mutants(phi_terms):
-    """Copies of ``phi_terms``, each with one numeric literal raised by 1e-3."""
-    source = textwrap.dedent(inspect.getsource(phi_terms))
-
+def _phi_terms_mutants(*functions):
+    """Copies of each of ``functions``, each copy with one numeric literal
+    raised by 1e-3."""
     def literals(tree):
         return [node for node in ast.walk(tree) if isinstance(node, ast.Constant)
                 and type(node.value) in (int, float)]
 
-    for k in range(len(literals(ast.parse(source)))):
-        tree = ast.parse(source)
-        node = literals(tree)[k]
-        label = f"_phi_terms line {node.lineno}: {node.value!r}"
-        node.value += 1e-3
-        namespace = dict(phi_terms.__globals__)
-        exec(compile(tree, phi_terms.__code__.co_filename, "exec"), namespace)
-        yield label, namespace[phi_terms.__name__]
+    for fn in functions:
+        source = textwrap.dedent(inspect.getsource(fn))
+        for k in range(len(literals(ast.parse(source)))):
+            tree = ast.parse(source)
+            node = literals(tree)[k]
+            label = f"{fn.__name__} line {node.lineno}: {node.value!r}"
+            node.value += 1e-3
+            namespace = dict(fn.__globals__)
+            exec(compile(tree, fn.__code__.co_filename, "exec"), namespace)
+            yield label, namespace[fn.__name__]
 
 
 def test_criterion_9_mutation_sensitivity(monkeypatch):
@@ -241,15 +242,16 @@ def test_criterion_9_mutation_sensitivity(monkeypatch):
     monkeypatch.setattr(hk, "hp_numerator_coeffs", orig_hp)
 
     # the one transcription of Phi, behind phi_p, phi_batch, phi_sigma2_max
-    # and best_sigma2: every numeric literal in it must matter
+    # and best_sigma2, with its P-only factors: every numeric literal in it
+    # must matter
     n_phi = 0
-    for label, bad_terms in _phi_terms_mutants(kn._phi_terms):
+    for label, bad in _phi_terms_mutants(kn._phi_terms, kn.phi_factors):
         n_phi += 1
-        monkeypatch.setattr(kn, "_phi_terms", bad_terms)
+        monkeypatch.setattr(kn, bad.__name__, bad)
         if _criterion4_residual(60) <= 1e-8:
             undetected.append(label)
-    monkeypatch.undo()
-    assert n_phi > 0
+        monkeypatch.undo()
+    assert n_phi == 19
 
     report(9, f"mutation sensitivity ({n_phi} Phi literals), undetected: "
               f"{undetected or 'none'}", not undetected)

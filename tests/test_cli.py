@@ -364,6 +364,12 @@ class TestPinnedOutputs:
         b"0.9,0.37037037037037035,0.9845669305449645,1.0000290391256608,"
         b"1.0055453243298549,1.037037037037037\n")
 
+    BOUNDS_TABLE = (
+        "p             one_third_p     lower           m_estimate      upper           one_third_p_plus\n"
+        "0.100000      3.333333        3.370754        3.370954        3.967327        4.000000        \n"
+        "0.500000      0.666667        1.034558        1.044922        1.233333        1.333333        \n"
+        "0.900000      0.370370        0.984567        1.000029        1.005545        1.037037        \n")
+
     def test_extremal_payload(self, tmp_path):
         out = tmp_path / "ext.json"
         assert run(["extremal", "--p", "0.37", "--grid", "10", "--iters", "40",
@@ -376,6 +382,57 @@ class TestPinnedOutputs:
                     "--seed", "2", "--out", str(out)]) == EXIT_OK
         capsys.readouterr()
         assert out.read_bytes() == self.BOUNDS
+
+    def test_bounds_table(self, capsys):
+        # the stdout table of the run above
+        assert run(["bounds", "--p", "0.1,0.5,0.9", "--grid", "8", "--iters", "25",
+                    "--seed", "2"]) == EXIT_OK
+        assert capsys.readouterr().out == self.BOUNDS_TABLE
+
+
+class TestBoundsTable:
+    @pytest.mark.parametrize("argv", [
+        ["--p", "1e-60,0.9999999999999999", "--grid", "8", "--iters", "3"],
+        ["--p", "0.3,0.3", "--grid", "8", "--iters", "30", "--seed", "4"],
+        ["--p", "0.1,0.62,0.97", "--grid", "9", "--iters", "0"],
+        ["--p", "0.1,0.62,0.97", "--grid", "9", "--iters", "1", "--seed", "7"],
+    ])
+    def test_rows_are_the_per_p_reports(self, argv, tmp_path, monkeypatch, capsys):
+        # bounds refines all its p in one run; each row must be, bit for
+        # bit, the report of estimate_M at that p alone
+        got = []
+
+        def recording(*args, **kwargs):
+            reports = batch(*args, **kwargs)
+            got.extend(reports)
+            return reports
+
+        batch = cli.estimate_M_batch
+        monkeypatch.setattr(cli, "estimate_M_batch", recording)
+        out = tmp_path / "bounds.csv"
+        assert run(["bounds", *argv, "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        args = build_parser().parse_args(["bounds", *argv])
+        rows = out.read_text().splitlines()[1:]
+        assert len(got) == len(rows) == len(args.p)
+        for p, rep, row in zip(args.p, got, rows):
+            want = cli.estimate_M(PoleParam(p), grid=args.grid, refine_iters=args.iters,
+                                  seed=args.seed)
+            assert rep.m_estimate.hex() == want.m_estimate.hex()
+            assert rep.iterations == want.iterations
+            assert rep == want
+            assert row.split(",")[3] == repr(want.m_estimate)
+
+    def test_tiny_p_cells_fit_their_columns(self, capsys):
+        assert run(["bounds", "--p", "1e-60,0.5", "--grid", "8", "--iters", "1"]) == EXIT_OK
+        header, tiny, half = capsys.readouterr().out.splitlines()
+        widths = [12, 14, 14, 14, 14, 16]
+        cells = tiny.split()
+        assert cells[0] == "1.000000e-60"
+        assert all(len(c) <= w for c, w in zip(cells, widths))
+        assert all(float(c) != 0.0 for c in cells)
+        # the row of an ordinary p keeps its fixed-point cells
+        assert half.startswith("0.500000      0.666667        1.03")
 
 
 class TestImport:
@@ -390,6 +447,20 @@ class TestImport:
         assert proc.stdout.strip() == "False"
 
 
+def _traced_worker(jobs):
+    """The replies of the benchmark's worker, run in its own process, to a
+    trace request, each of ``jobs`` and a stats request."""
+    requests = [{"op": "trace"}, *({"op": "job", "argv": a} for a in jobs),
+                {"op": "stats"}, {"op": "quit"}]
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run([sys.executable, str(REPO / "perfbench" / "worker.py")],
+                          input="".join(json.dumps(r) + "\n" for r in requests),
+                          env=env, cwd=REPO, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return list(map(json.loads, proc.stdout.splitlines()))
+
+
 class TestBenchmarkHooks:
     def test_traced_benchmark_worker_runs_jobs(self, tmp_path):
         # the benchmark's worker reads kernels.USE_NUMBA at startup, its
@@ -398,15 +469,7 @@ class TestBenchmarkHooks:
         region = ["region", "--p", "0.4", "--what", "both", "--samples", "300",
                   "--format", "json"]
         jobs = [["extremal", "--p", "0.5", "--grid", "8", "--iters", "5"], region]
-        requests = [{"op": "trace"}, *({"op": "job", "argv": a} for a in jobs),
-                    {"op": "stats"}, {"op": "quit"}]
-        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-        proc = subprocess.run([sys.executable, str(REPO / "perfbench" / "worker.py")],
-                              input="".join(json.dumps(r) + "\n" for r in requests),
-                              env=env, cwd=REPO, capture_output=True, text=True,
-                              timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        ready, traced, extremal, exported, stats = map(json.loads, proc.stdout.splitlines())
+        ready, traced, extremal, exported, stats = _traced_worker(jobs)
         assert ready["use_numba"] is False and traced == {"ok": True}
         assert (extremal["rc"], extremal["error"]) == (EXIT_OK, None)
         assert (exported["rc"], exported["error"]) == (EXIT_OK, None)
@@ -414,6 +477,21 @@ class TestBenchmarkHooks:
         assert run([*region, "--out", str(out)]) == EXIT_OK
         assert exported["stdout_bytes"] == len(out.read_text())
         assert stats["trace"]["spans"]["search.estimate_M"][0] == 1
+
+    def test_traced_bounds_job(self, capsys):
+        # the tracer rebinds every public function, and its phi_sigma2_max
+        # hook reads len(args[1]): a bounds job runs the lockstep refinement
+        # of several p through those hooks
+        bounds = ["bounds", "--p", "0.2,0.9", "--grid", "8", "--iters", "5"]
+        ready, traced, job, stats = _traced_worker([bounds])
+        assert traced == {"ok": True}
+        assert (job["rc"], job["error"]) == (EXIT_OK, None)
+        assert run(bounds) == EXIT_OK
+        assert job["stdout_bytes"] == len(capsys.readouterr().out)
+        spans, counters = stats["trace"]["spans"], stats["trace"]["counters"]
+        assert spans["search.estimate_M_batch"][0] == 1
+        assert spans["search.minimize"][0] == 1
+        assert counters["kernels.phi_sigma2_max.evals"] > 2 * 21 * (4 + 4)
 
 
 class TestIO:

@@ -10,7 +10,7 @@ from hankelbody import (ParamTriple, PoleParam, a_from_c, c_from_sigma,
                         omega_map, sample_omega_boundary, sample_region_H,
                         upper_bound_M)
 from hankelbody.errors import DegenerateBoundary, InvalidInput
-from hankelbody.kernels import best_sigma2, phi_batch, phi_sigma2_max
+from hankelbody.kernels import best_sigma2, phi_batch, phi_factors, phi_sigma2_max
 from hankelbody.hankel import phi_p
 from hankelbody import search
 from hankelbody.search import (_FATOL, _XATOL, REGION_BINS, _binned_boundary,
@@ -62,6 +62,65 @@ class TestKernels:
         assert np.all(vals <= sup + 1e-9)
 
 
+def _pinned_points():
+    """Eight fixed polydisk points (s0, s1, s2), the first two on the torus."""
+    rng = np.random.default_rng(2027)
+    r = np.sqrt(rng.uniform(size=(3, 8)))
+    r[:, :2] = 1.0
+    return r * np.exp(2j * np.pi * rng.uniform(size=(3, 8)))
+
+
+#: p -> (phi_sigma2_max, phi_batch) at ``_pinned_points`` as ``tobytes().hex()``,
+#: taken before P's factors were split out of the kernel.  At these p numpy's
+#: array power ``P**4`` differs in the last bit from Python's, so factors
+#: formed on an array of P would change these bytes
+PINNED_KERNEL_BYTES = {
+    0.23: (
+        "aa9afcfe662499401113ec5e99c7964016627b38713b844086c37842f7719a40"
+        "2725063c2cafa2400e194abcfdfb974076a4e2a7b4ec8e40263c54b586dd8340",
+        "3d810a713ab97cc07e7c6b534c1898409c29ec1282c98c408692f683f8a791c0"
+        "3c61a16902ea62c0b569a582340264c0897bbfc9f8a19340cea58a2fd7ed8c40"
+        "214d66d8fbea9bc0f9bd27c593ce9840a423a36a87737bc069e03272b2f295c0"
+        "597ffa084a448ec0e1068fe3abac62c0b93d8b2717b270c0f02bc9f8bd0182c0"),
+    0.27: (
+        "4b5ee8e6ee0c904053cd2462e3ff8b40ccf3ee2873067b407d02e5e8d6b38e40"
+        "e441e407c24e96402fb45261c04b8e40f18cedc4dc69804057b206dfd85b7e40",
+        "ee7528ba395672c08b9e25778ec38e40c5b1df051ab181400c65aa84b4b385c0"
+        "d491319da6b260c0fc6c016ce7a058c0c68540c66c298640e5777ad6152c8140"
+        "56a2a91d0ae890c0fb94e434970f8d40140e53922e5571c0571aa030d6b18bc0"
+        "8d6aa2bb893680c07cb76fef92642b4061f2052ebc3a6bc0a8ddee5d341a7bc0"),
+    0.97: (
+        "38dd9d86662f57407cd162b4eea63a401777fd4f7c1551405efc99dbf1d83640"
+        "9af4e5be4bad5c403f136e99ec07554098e2c8104bb04640db6040f869425440",
+        "d7a116a0dc7c3ac0e3bcca4b2a385640428fb94d23d73040cf715d0056a834c0"
+        "c1219f3c9cfd46c002a7e36b34bd12c0a7d6d154acdcfe3fdecaad38545c2b40"
+        "8d902df77efd57c04f8453ec513b4f406418e1c47b523dc0ffd2c4a6287d52c0"
+        "c3213991aefb3ac0a9b98b02f6db4140fa527047182548c011d4b865eb2f50c0"),
+}
+
+
+class TestKernelBytes:
+    @pytest.mark.parametrize("p", sorted(PINNED_KERNEL_BYTES))
+    def test_float_P_bytes_are_pinned(self, p):
+        s0, s1, s2 = _pinned_points()
+        P = PoleParam(p).P
+        smax, batch = PINNED_KERNEL_BYTES[p]
+        assert phi_sigma2_max(P, s0, s1).tobytes().hex() == smax
+        assert phi_batch(P, s0, s1, s2).tobytes().hex() == batch
+
+    def test_per_point_factors_match_the_float_P_path(self):
+        # one array of points, each with the factors of its own p, as the
+        # lockstep refinement passes them
+        ps = sorted(PINNED_KERNEL_BYTES)
+        s0, s1, s2 = (np.tile(s, len(ps)) for s in _pinned_points())
+        F = np.repeat(np.array([phi_factors(PoleParam(p).P) for p in ps]).T, 8, axis=1)
+        smax = b"".join(bytes.fromhex(PINNED_KERNEL_BYTES[p][0]) for p in ps)
+        batch = b"".join(bytes.fromhex(PINNED_KERNEL_BYTES[p][1]) for p in ps)
+        assert phi_sigma2_max(F, s0, s1).tobytes() == smax
+        assert phi_batch(F, s0, s1, s2).tobytes() == batch
+        assert phi_sigma2_max(tuple(F), s0, s1).tobytes() == smax
+
+
 class TestEstimateM:
     def test_sandwich_p_half(self, pp05):
         rep = estimate_M(pp05)
@@ -107,6 +166,10 @@ class TestEstimateM:
         with pytest.raises(InvalidInput):
             estimate_M(pp05, refine_iters=-1)
 
+    def test_batch_needs_a_p(self):
+        with pytest.raises(InvalidInput):
+            search.estimate_M_batch([])
+
 
 #: (p, grid, refine_iters, seed, m_estimate.hex(), iterations, arg_sigma as
 #: (real.hex(), imag.hex()) pairs): reports pinned bit for bit, so that a
@@ -143,6 +206,27 @@ PINNED_REPORTS = [
     (0.98, 16, 60, 11, "0x1.000000a96cb27p+0", 1156,
      (("0x1.ffe6a989c0b6ap-1", "0x1.9f1ecd51a9013p-29"),
       ("-0x1.fffffffffffecp-1", "-0x1.1d4da0d72cecbp-24"),
+      ("0x1.0000000000000p+0", "0x0.0p+0"))),
+    # p where numpy's array power P**4 differs in the last bit from Python's
+    (0.23, 24, 200, 1, "0x1.94b1d3be3eea9p+0", 3794,
+     (("0x1.ad657b87562cdp-2", "0x1.5b69f18e75000p-26"),
+      ("-0x1.ffffffffffffcp-1", "-0x1.0a4083ae59d9cp-25"),
+      ("0x1.0000000000000p+0", "0x0.0p+0"))),
+    (0.27, 12, 40, 6, "0x1.66c26c231741dp+0", 840,
+     (("0x1.f44efa259e750p-2", "0x0.0p+0"),
+      ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
+      ("0x1.0000000000000p+0", "0x0.0p+0"))),
+    (0.97, 24, 200, 3, "0x1.0000036b3493dp+0", 1497,
+     (("0x1.ffc6697de357ep-1", "0x1.44e9948b2abf2p-28"),
+      ("-0x1.fffffffffff87p-1", "0x1.5ff741246987dp-23"),
+      ("0x1.0000000000000p+0", "0x0.0p+0"))),
+    (0.23, 8, 0, 2, "0x1.94b1d3be3eea6p+0", 0,
+     (("0x1.ad657b9efa818p-2", "0x0.0p+0"),
+      ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
+      ("0x1.0000000000000p+0", "0x0.0p+0"))),
+    (0.97, 10, 1, 8, "0x1.0000036b3493cp+0", 21,
+     (("0x1.ffc6699267348p-1", "0x0.0p+0"),
+      ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
 ]
 
@@ -204,10 +288,29 @@ class TestSimplex:
             assert got.fun[i].tobytes() == np.float64(want.fun).tobytes(), i
             assert (got.nit[i], got.nfev[i]) == (want.nit, want.nfev), i
 
+    @pytest.mark.parametrize("maxiter", [1, 2, 30, 200])
+    def test_one_lockstep_run_over_several_p_is_scipy_start_by_start(self, maxiter):
+        # the starts of three p in one run, each start with the factors of
+        # its own P, against scipy's run of that start alone at that p
+        optimize = pytest.importorskip("scipy.optimize")
+        ps = (0.1, 0.23, 0.97)
+        X0 = np.vstack([_starts(np.random.default_rng(int(100 * p)), p) for p in ps])
+        P_of = np.repeat([PoleParam(p).P for p in ps], len(X0) // len(ps))
+        A = np.array([phi_factors(P) for P in P_of]).T
+        got = minimize(_negative_modulus, X0, maxiter, A)
+        for i, (x0, P) in enumerate(zip(X0, P_of)):
+            want = optimize.minimize(lambda x: _negative_modulus(P, x[None])[0], x0,
+                                     method="Nelder-Mead",
+                                     options={"maxiter": maxiter, "xatol": _XATOL,
+                                              "fatol": _FATOL})
+            assert got.x[i].tobytes() == want.x.tobytes(), i
+            assert got.fun[i].tobytes() == np.float64(want.fun).tobytes(), i
+            assert (got.nit[i], got.nfev[i]) == (want.nit, want.nfev), i
+
     def test_objective_calls_are_batched(self):
-        # one call on the first simplices, then one call per step on 4 trial
-        # points per live start, plus one call per shrink on N points per
-        # shrinking start; nfev keeps scipy's count of 1 or 2 per step
+        # one call on the first simplices, then exactly one call per step on
+        # 4 trial points and N shrunk vertices per live start; nfev keeps
+        # scipy's count of 1 or 2 per step
         sizes = []
 
         def fun(X):
@@ -216,8 +319,8 @@ class TestSimplex:
 
         res = minimize(fun, np.zeros((5, 6)), 50)
         assert np.all(res.nit == 50)
-        assert sizes == [5 * 7] + [4 * 5] * 49  # this run never shrinks
-        assert len(sizes) <= 1 + 2 * 49
+        assert sizes == [5 * 7] + [(4 + 6) * 5] * 49
+        assert len(sizes) == 1 + 49
         assert np.all((7 + 49 <= res.nfev) & (res.nfev <= 7 + 2 * 49))
 
     def test_shrinking_and_converged_starts_are_counted(self):
@@ -234,8 +337,9 @@ class TestSimplex:
         res = minimize(flat, np.outer([0.0, 1.0, 30.0], np.ones(N)), 200)
         steps = res.nit - 1
         assert list(res.nit) == [29, 37, 42]  # as scipy's Nelder-Mead ends each start
-        assert sum(sizes) == 3 * (N + 1) + 4 * steps.sum() + N * steps.sum()
-        assert len(sizes) == 1 + 2 * steps.max()
+        assert sizes == [3 * (N + 1)] + [(4 + N) * np.count_nonzero(steps > s)
+                                         for s in range(steps.max())]
+        assert len(sizes) == 1 + steps.max()
         assert np.array_equal(res.nfev, N + 1 + steps * (2 + N))
 
 
