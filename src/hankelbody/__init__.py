@@ -8,7 +8,7 @@ from .coeffbody import (CoeffTriple, MembershipResult, ParamTriple, c_from_sigma
                         w_from_sigma)
 from .disk import (DiskRegion, PoleParam, blaschke_psi, derivatives_at,
                    dieudonne2_lhs, dieudonne2_rhs, dieudonne_disk1, mobius_T,
-                   pseudo_hyperbolic, rho_coeffs, rho_eval)
+                   omega_pair, psi_jet, pseudo_hyperbolic, rho_coeffs, rho_eval)
 from .hankel import (ACoeffs, H_F, A_n, B_coeffs, G_p, a_from_c, aw_disk,
                      g_poly, h_p, h_p_prime, hankel2, hankel_from_c,
                      hankel_from_sigma, lower_bound_M, omega_map, phi_p,
@@ -19,6 +19,7 @@ from .search import (ExtremalReport, RegionSample, check_omega_monotone,
                      sample_omega_boundary, sample_region_H)
 from .series import (TruncatedSeries, series_add, series_derivative,
                      series_exp, series_from_constant, series_integrate,
-                     series_mul, series_reciprocal, taylor_from_samples)
+                     series_mul, series_reciprocal, ratio_series,
+                     taylor_from_samples)
 
 __version__ = "0.1.0"

@@ -24,9 +24,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .disk import PoleParam, blaschke_psi, mobius_T
+from .disk import PoleParam, blaschke_psi, mobius_T, omega_pair
 from .errors import InvalidInput
-from .series import TruncatedSeries, as_complex, taylor_from_samples
+from .series import TruncatedSeries, as_complex, ratio_series
 
 #: modulus within this distance of 1 counts as a boundary parameter
 BOUNDARY_TOL = 1e-9
@@ -223,16 +223,20 @@ def phi_evaluator(pp: PoleParam, w: ParamTriple):
 
 
 def phi_series_from_w(pp: PoleParam, w: ParamTriple, n_terms: int) -> TruncatedSeries:
-    """Taylor series of phi about 0 via Cauchy sampling of the evaluator.
+    """Taylor series of phi about 0, from the rational form of the chain.
 
-    phi is analytic on the open unit disk and maps it into itself, even for
-    boundary parameters, so its coefficients satisfy |c_k| <= 1.  Sampling
-    N points on |z| = r adds to coefficient k the sum over j >= 1 of
-    c_{k+jN} r^(jN), at most r^N / (1 - r^N): below 2^-63 at r = 1/2
-    with N = max(64, 4 n_terms) points.  The radius does not shrink with p, because
-    dividing by r^k amplifies the rounding of the samples by r^-k.
-    Array parameters give a stack of series with the same leading axes.
+    [T_p(z), p] = -z, so phi = T_p(T_p(z) omega(-z)).  With omega = N/D from
+    ``omega_pair``, Nt = (p - z) N(-z) and Dt = (1 - pz) D(-z) make
+    phi = (p Dt - Nt) / (Dt - p Nt), a ratio of cubics whose denominator has
+    the constant term 1 - p^2 w0; ``ratio_series`` expands it.  No sampling
+    is involved, so the series is independent of ``phi_evaluator``'s
+    pointwise Moebius chain.  Array parameters give a stack of series with
+    the same leading axes.
     """
-    # a trailing axis on each parameter meets the axis of sampling points
-    w = ParamTriple(*(np.asarray(x)[..., None] for x in w))
-    return taylor_from_samples(phi_evaluator(pp, w), 0.5, n_terms, max(64, 4 * n_terms))
+    p = pp.p
+    num, den = omega_pair(*w)
+    n0, n1, n2 = np.moveaxis(num, -1, 0)
+    d0, d1, d2 = np.moveaxis(den, -1, 0)
+    nt = np.stack([p * n0, -p * n1 - n0, p * n2 + n1, -n2], axis=-1)
+    dt = np.stack([d0, -d1 - p * d0, d2 + p * d1, -p * d2], axis=-1)
+    return ratio_series(p * dt - nt, dt - p * nt, n_terms)

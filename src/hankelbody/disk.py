@@ -6,11 +6,17 @@ variability disks for derivatives of self-maps with two interpolation
 conditions, and the three-parameter Blaschke-type construction that
 realizes every admissible second-order jet.
 
+The Blaschke construction has two forms.  ``blaschke_psi`` evaluates it
+pointwise through the Moebius chain; ``omega_pair`` transcribes its inner
+map omega once as a ratio of two quadratics, and ``psi_jet`` expands psi
+about p from that ratio algebraically, with no sampling.
+
 The Moebius maps, ``rho_coeffs``, the variability-disk predicates and the
 Blaschke construction take scalars or equal-shape arrays and answer in
 kind (a scalar in gives a Python number out); their ``InvalidInput``
 checks fail if any element is out of range.  ``derivatives_at`` is
-``series.taylor_from_samples`` recentred at z0.
+``series.taylor_from_samples`` recentred at z0: it samples, and serves as
+the independent check on the algebraic jets.
 """
 
 from __future__ import annotations
@@ -21,7 +27,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateDenominator, InvalidInput
-from .series import TruncatedSeries, as_complex, as_real, taylor_from_samples
+from .series import (TruncatedSeries, as_complex, as_real, ratio_series,
+                     taylor_from_samples)
 
 DENOM_EPS = 1e-14
 #: smallest accepted pole location: powers such as P**4 = (p + 1/p)**4 overflow
@@ -62,7 +69,7 @@ class PoleParam:
 def pseudo_hyperbolic(z, w):
     """[z,w] = (z - w) / (1 - conj(w) z); works elementwise on arrays."""
     denom = 1.0 - np.conj(w) * z
-    if np.min(np.abs(denom)) <= DENOM_EPS:
+    if np.any(np.abs(denom) <= DENOM_EPS):
         raise DegenerateDenominator("1 - conj(w) z vanished")
     return (z - w) / denom
 
@@ -70,7 +77,7 @@ def pseudo_hyperbolic(z, w):
 def mobius_T(a, z):
     """The involution T_a(z) = (a - z)/(1 - conj(a) z) swapping 0 and a."""
     denom = 1.0 - np.conj(a) * z
-    if np.min(np.abs(denom)) <= DENOM_EPS:
+    if np.any(np.abs(denom) <= DENOM_EPS):
         raise DegenerateDenominator("1 - conj(a) z vanished")
     return (a - z) / denom
 
@@ -147,6 +154,46 @@ def blaschke_psi(pp: PoleParam, w0: complex, w1: complex, w2: complex) -> Callab
         return z * omega
 
     return psi
+
+
+def omega_pair(w0, w1, w2):
+    """omega(u) = [u [w2 u, -w1], -w0] as num(u) / den(u), two quadratics in u.
+
+    Each is a coefficient array with the coefficient axis last, behind the
+    broadcast shape of the parameters.  den(0) = 1.  For |w0| = 1 the pair
+    keeps the common factor that makes omega constant.
+    """
+    w0, w1, w2 = np.broadcast_arrays(*(np.asarray(x, dtype=np.complex128)
+                                       for x in (w0, w1, w2)))
+    cw0, cw1 = np.conj(w0), np.conj(w1)
+    num = np.stack([w0, w1 + w0 * cw1 * w2, w2], axis=-1)
+    den = np.stack([np.ones_like(w0), cw1 * w2 + cw0 * w1, cw0 * w2], axis=-1)
+    return num, den
+
+
+def psi_jet(pp: PoleParam, w0, w1, w2, n_terms: int) -> TruncatedSeries:
+    """Taylor coefficients psi(p), psi'(p), psi''(p)/2, ... of ``blaschke_psi``
+    about p, from the rational form of omega.
+
+    At z = p + q s with q = 1 - p^2, u = [z, p] = s / (1 - p s), so
+    clearing (1 - p s)^2 from omega's pair makes psi = (p + q s) num_s / den_s
+    a ratio of a cubic and a quadratic in s, with den_s(0) = 1.  The jet's
+    k-th coefficient is the s-series' over q^k: expanding in s keeps the
+    recurrence's terms of unit size, where an expansion in z - p divides by
+    q^2 at each term.
+    """
+    p = pp.p
+    q = 1.0 - p * p
+
+    def cleared(c):
+        # c0 (1 - ps)^2 + c1 s (1 - ps) + c2 s^2
+        c0, c1, c2 = np.moveaxis(c, -1, 0)
+        return np.stack([c0, c1 - 2.0 * p * c0, p * p * c0 - p * c1 + c2], axis=-1)
+
+    num, den = (cleared(c) for c in omega_pair(w0, w1, w2))
+    n0, n1, n2 = np.moveaxis(num, -1, 0)
+    num = np.stack([p * n0, p * n1 + q * n0, p * n2 + q * n1, q * n2], axis=-1)
+    return TruncatedSeries(ratio_series(num, den, n_terms).coeffs / q ** np.arange(n_terms))
 
 
 def derivatives_at(f: Callable, z0: complex, n: int, radius: float = 0.05,

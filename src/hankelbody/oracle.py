@@ -9,14 +9,20 @@ integrate term-wise, and read off a2, a3, a4.  Comparing this route with
 the two algebraic chains gives the triple-path consistency check, and
 ``verify_all`` batches every invariant family into one report.
 
-The series route takes stacked series like the chain functions take stacked
-parameters, so ``a_batch_from_w`` is the scalar route called once on an
-array, and the families of ``verify_all`` make one array call per p.
+The series route is algebraic: phi's series comes from the rational form
+of the chain (``phi_series_from_w``), and the Dieudonne families take psi's
+jet at p the same way (``psi_jet``).  It takes stacked series like the
+chain functions take stacked parameters, so ``a_batch_from_w`` is the
+scalar route called once on an array, and the families of ``verify_all``
+make one array call per p.
 
-The evaluator route (``fprime_sampled``) recovers the same coefficients by
-Cauchy sampling of f' in closed form; its sampling sizes come from the
+The evaluator route samples: ``fprime_sampled`` recovers the same
+coefficients by Cauchy sampling of f' in closed form, through the pointwise
+Moebius chain of ``phi_evaluator``; its sampling sizes come from the
 a-priori error bounds ``fprime_aliasing_bound`` and
-``fprime_quadrature_bound``.
+``fprime_quadrature_bound``.  The fixed-point and self-map families also
+evaluate ``phi_evaluator``, and the rotation family and
+``taylor_polynomial_recovery`` sample their own evaluators.
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ import numpy as np
 from . import hankel
 from .coeffbody import (ParamTriple, c_from_sigma, c_from_w, membership_x2,
                         phi_evaluator, phi_series_from_w, sigma_from_w)
-from .disk import (PoleParam, blaschke_psi, derivatives_at, dieudonne2_lhs,
-                   dieudonne2_rhs, dieudonne_disk1, mobius_T, rho_coeffs, rho_eval)
+from .disk import (PoleParam, dieudonne2_lhs, dieudonne2_rhs, dieudonne_disk1,
+                   mobius_T, psi_jet, rho_coeffs, rho_eval)
 from .hankel import (ACoeffs, H_F, A_n, a_from_c, h_p, h_p_prime, hankel2,
                      hankel_from_c, hankel_from_sigma, lower_bound_M, omega_map,
                      phi_p, upper_bound_M)
@@ -239,8 +245,7 @@ def verify_all(p_values=(0.2, 0.5, 0.8), n_random: int = 1000, seed: int = 1) ->
         # variability-disk membership of constructed jets; worst residuals
         # are floored at 0.0, and the second order skips |tau0| near p
         n_jet = min(n_random, 400)
-        psi = blaschke_psi(pp, *Winterior[:n_jet].T[..., None])
-        tau0, tau1, tau2 = derivatives_at(psi, p, 2, radius=min(0.4 * (1 - p), 0.2)).T
+        tau0, tau1, tau2 = psi_jet(pp, *Winterior[:n_jet].T, 3).coeffs.T
         disk = dieudonne_disk1(p, tau0)
         worst1 = np.max(np.abs(tau1 - disk.center) - disk.radius, initial=0.0)
         inner = np.abs(tau0) < p * (1 - 1e-6)

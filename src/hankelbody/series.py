@@ -6,10 +6,14 @@ two operand orders, so these objects behave like elements of
 ``C[[z]] / z^(N+1)``.  A coefficient array may also carry leading batch
 axes, with the coefficient axis last: then one object holds a stack of
 series, and every operation below acts on the whole stack at once.
-Coefficient extraction from an arbitrary analytic evaluator goes through
-Cauchy's integral formula on a sampling circle (``taylor_from_samples``),
-which serves as the independent oracle for the algebraic closed forms
-elsewhere in the package.
+
+Two routes give the coefficients of a function.  ``ratio_series`` expands
+a ratio of polynomials algebraically, by long division; the package's
+self-maps are such ratios, so their series and jets take this route.
+``taylor_from_samples`` extracts them from an arbitrary analytic evaluator
+through Cauchy's integral formula on a sampling circle; it serves the
+closed-form checks against sampled evaluators (the rotation family, the f'
+family) and the tests.
 """
 
 from __future__ import annotations
@@ -138,6 +142,30 @@ def series_derivative(a: TruncatedSeries) -> TruncatedSeries:
     if a.order == 0:
         return TruncatedSeries(np.zeros_like(a.coeffs))
     return TruncatedSeries(a.coeffs[..., 1:] * np.arange(1, a.order + 1))
+
+
+def ratio_series(num, den, n_terms: int) -> TruncatedSeries:
+    """First ``n_terms`` Taylor coefficients of num/den for polynomial
+    coefficient arrays (coefficient axis last, leading axes broadcast).
+
+    Long division term by term: c_k = (a_k - sum_{j>=1} b_j c_{k-j}) / b_0.
+    A rational map of low degree costs a few products per term this way.
+    Requires b_0 != 0; any nonzero b_0 is accepted, since a small b_0 such
+    as 1 - p^2 near p = 1 is exact data, not a rounding residue.
+    """
+    # coefficient axis first inside, so each term is one contiguous stack
+    a = np.moveaxis(np.asarray(num, dtype=np.complex128), -1, 0)
+    b = np.moveaxis(np.asarray(den, dtype=np.complex128), -1, 0)
+    if np.any(b[0] == 0):
+        raise ZeroConstantTerm("the denominator has a zero constant term")
+    c = np.zeros((n_terms,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]),
+                 dtype=np.complex128)
+    for k in range(n_terms):
+        acc = a[k] if k < len(a) else 0.0
+        for j in range(1, min(k, len(b) - 1) + 1):
+            acc = acc - b[j] * c[k - j]
+        c[k] = acc / b[0]
+    return TruncatedSeries(np.moveaxis(c, 0, -1))
 
 
 def taylor_from_samples(

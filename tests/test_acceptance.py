@@ -16,7 +16,8 @@ from hankelbody import (H_F, A_n, ParamTriple, PoleParam, a_from_c, aw_disk,
                         c_from_w, check_omega_monotone, dieudonne2_lhs,
                         dieudonne2_rhs, estimate_M, g_poly, h_p, h_p_prime,
                         hankel2, hausdorff_distance, lower_bound_M,
-                        membership_x2, sample_omega_boundary, upper_bound_M)
+                        membership_x2, phi_series_from_w, psi_jet,
+                        sample_omega_boundary, tau_from_w, upper_bound_M)
 from hankelbody.cli import main as cli_main
 from hankelbody.kernels import phi_batch
 from hankelbody.oracle import a_batch_from_w
@@ -254,4 +255,61 @@ def test_criterion_9_mutation_sensitivity(monkeypatch):
     assert n_phi == 19
 
     report(9, f"mutation sensitivity ({n_phi} Phi literals), undetected: "
+              f"{undetected or 'none'}", not undetected)
+
+
+def _omega_residual(n=100):
+    """phi's series and psi's jet, both built from the omega pair, against
+    the closed forms c_from_w and tau_from_w."""
+    rng = np.random.default_rng(15)
+    worst = 0.0
+    for p in (0.2, 0.5, 0.8):
+        pp = PoleParam(p)
+        w = ParamTriple(*sample_polydisk(rng, n).T)
+        ser = phi_series_from_w(pp, w, 3).coeffs
+        jet = psi_jet(pp, *w, 3).coeffs
+        worst = max(worst, float(np.max(np.abs(ser - np.column_stack(c_from_w(pp, w))))),
+                    float(np.max(np.abs(jet - np.column_stack(tau_from_w(pp, w))))))
+    return worst
+
+
+def _list_entry_mutants(fn):
+    """Copies of ``fn``, each copy with one entry of one list literal
+    raised by 1e-3."""
+    source = textwrap.dedent(inspect.getsource(fn))
+
+    def entries(tree):
+        return [(node, k) for node in ast.walk(tree) if isinstance(node, ast.List)
+                for k in range(len(node.elts))]
+
+    for i in range(len(entries(ast.parse(source)))):
+        tree = ast.parse(source)
+        node, k = entries(tree)[i]
+        label = f"{fn.__name__} line {node.lineno}: {ast.unparse(node.elts[k])}"
+        node.elts[k] = ast.BinOp(node.elts[k], ast.Add(), ast.Constant(1e-3))
+        ast.fix_missing_locations(tree)
+        namespace = dict(fn.__globals__)
+        exec(compile(tree, fn.__code__.co_filename, "exec"), namespace)
+        yield label, namespace[fn.__name__]
+
+
+def test_criterion_9_omega_pair_mutation_sensitivity(monkeypatch):
+    import hankelbody.coeffbody as cb
+    import hankelbody.disk as dk
+
+    assert _omega_residual() < 1e-10
+    # the one transcription of omega, behind phi_series_from_w and psi_jet:
+    # every coefficient of its numerator and denominator must matter
+    undetected = []
+    n_omega = 0
+    for label, bad in _list_entry_mutants(dk.omega_pair):
+        n_omega += 1
+        monkeypatch.setattr(dk, "omega_pair", bad)
+        monkeypatch.setattr(cb, "omega_pair", bad)
+        if _omega_residual() <= 1e-10:
+            undetected.append(label)
+        monkeypatch.undo()
+    assert n_omega == 6
+
+    report(9, f"mutation sensitivity ({n_omega} omega coefficients), undetected: "
               f"{undetected or 'none'}", not undetected)

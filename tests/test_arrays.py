@@ -11,7 +11,8 @@ from hankelbody import (CoeffTriple, ParamTriple, PoleParam, TruncatedSeries,
                         c_from_w, contains, derivatives_at, dieudonne2_lhs,
                         dieudonne2_rhs, dieudonne_disk1, h_p, h_p_prime, hankel2,
                         hankel_from_c, hankel_from_sigma, membership_x2,
-                        omega_map, phi_evaluator, phi_p, phi_series_from_w,
+                        omega_map, omega_pair, phi_evaluator, phi_p,
+                        phi_series_from_w, psi_jet, ratio_series,
                         rho_coeffs, sample_omega_boundary, series_add,
                         series_derivative, series_exp, series_integrate,
                         series_mul, series_reciprocal, sigma_from_w, tau_from_c,
@@ -59,6 +60,8 @@ CASES = {
     "hankel_from_sigma": lambda pp, t: hankel_from_sigma(pp, t),
     "phi_series_from_w": lambda pp, t: phi_series_from_w(pp, t, 9),
     "phi_evaluator": lambda pp, t: phi_evaluator(pp, trailing(t))(ZS),
+    "omega_pair": lambda pp, t: omega_pair(*t),
+    "psi_jet": lambda pp, t: psi_jet(pp, *t, 3),
     "blaschke_psi": lambda pp, t: blaschke_psi(pp, *trailing(t))(ZS),
     "derivatives_at": lambda pp, t: derivatives_at(
         blaschke_psi(pp, *trailing(t)), pp.p, 4, radius=0.1),
@@ -68,6 +71,8 @@ CASES = {
     "series_add": lambda pp, t: series_add(series(*t), series(t.x2, t.x0, t.x1)),
     "series_mul": lambda pp, t: series_mul(series(*t), series(t.x2, t.x0, t.x1)),
     "series_reciprocal": lambda pp, t: series_reciprocal(series(2.0 + t.x0, t.x1, t.x2)),
+    "ratio_series": lambda pp, t: ratio_series(np.stack(t, axis=-1),
+                                               np.stack([2.0 + t.x0, t.x1, t.x2], axis=-1), 6),
     "series_exp": lambda pp, t: series_exp(series(0.0 * t.x0, t.x1, t.x2)),
     "series_integrate": lambda pp, t: series_integrate(series(*t)),
     "series_derivative": lambda pp, t: series_derivative(series(*t)),

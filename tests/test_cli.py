@@ -345,8 +345,11 @@ class TestExtremal:
 
 
 class TestPinnedOutputs:
-    """Exact bytes of an ``extremal`` payload and a ``bounds`` CSV, pinned so
-    that a faster search cannot change what the CLI writes unnoticed."""
+    """Exact bytes of an ``extremal`` payload, a ``bounds`` CSV and a
+    ``verify`` payload, pinned so that a faster search or verification cannot
+    change what the CLI writes unnoticed."""
+
+    VERIFY = Path(__file__).parent / "pinned" / "verify_p0.3_0.9_samples40_seed2.json"
 
     EXTREMAL = (
         b'{\n  "p": 0.37,\n  "m_estimate": 1.1608924826218605,\n  "arg_sigma": {\n'
@@ -375,6 +378,12 @@ class TestPinnedOutputs:
         assert run(["extremal", "--p", "0.37", "--grid", "10", "--iters", "40",
                     "--seed", "3", "--out", str(out)]) == EXIT_OK
         assert out.read_bytes() == self.EXTREMAL
+
+    def test_verify_payload(self, tmp_path):
+        out = tmp_path / "verify.json"
+        assert run(["verify", "--p", "0.3,0.9", "--samples", "40", "--seed", "2",
+                    "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == self.VERIFY.read_bytes()
 
     def test_bounds_csv(self, tmp_path, capsys):
         out = tmp_path / "bounds.csv"

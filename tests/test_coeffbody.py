@@ -7,6 +7,7 @@ from hankelbody import (CoeffTriple, ParamTriple, PoleParam, c_from_sigma,
                         w_from_sigma)
 from hankelbody.errors import InvalidInput
 from hankelbody.search import sample_polydisk
+from hankelbody.series import taylor_from_samples
 
 from conftest import triples
 
@@ -73,13 +74,37 @@ class TestAgainstSeriesOracle:
             assert np.max(np.abs(ser)) <= 1.0 + 1e-12
             assert np.max(np.abs(ser[:, :3] - np.column_stack(c_from_w(pp, w)))) <= 1e-13
 
-    def test_phi_series_samples_enough_points_for_long_series(self, pp05, rng):
-        # past 16 terms the sampling grows to 4 points a term; the two
-        # samplings differ by rounding times 2^k in coefficient k
+    def test_long_series_extend_short_ones(self, pp05, rng):
         w = ParamTriple(*sample_polydisk(rng, 20).T)
         long = phi_series_from_w(pp05, w, 40).coeffs
         assert np.max(np.abs(long)) <= 1.0 + 1e-12
         assert np.max(np.abs(long[:, :9] - phi_series_from_w(pp05, w, 9).coeffs)) <= 1e-13
+
+    @pytest.mark.parametrize("p", [0.01, 0.3, 0.7, 0.95, 0.99])
+    def test_phi_series_matches_the_sampled_route(self, p, rng):
+        pp = PoleParam(p)
+        W = sample_polydisk(rng, 200)
+        W[:40] /= np.abs(W[:40])
+        w = ParamTriple(*W.T)
+        ser = phi_series_from_w(pp, w, 40).coeffs
+        ev = phi_evaluator(pp, ParamTriple(*W.T[..., None]))
+        # 64 points on |z| = 1/2, whose rounding grows like 2^k in
+        # coefficient k; then 512 points on |z| = 0.9 for all 40 terms,
+        # where |c_k| <= 1 bounds the aliasing by 0.9^512 / (1 - 0.9^512)
+        old = taylor_from_samples(ev, 0.5, 16, 64).coeffs
+        assert np.all(np.abs(ser[:, :16] - old) <= 1e-13 * 2.0 ** np.arange(16))
+        wide = taylor_from_samples(ev, 0.9, 40, 512).coeffs
+        assert np.max(np.abs(ser - wide)) <= 1e-12
+        assert np.max(np.abs(ser)) <= 1.0 + 1e-14
+        assert np.max(np.abs(ser[:, :3] - np.column_stack(c_from_w(pp, w)))) <= 1e-13
+        # scalar parameters give the rows of the stacked call
+        for row, want in zip(triples(W[::10]), ser[::10]):
+            got = phi_series_from_w(pp, row, 40).coeffs
+            assert got.shape == (40,) and np.max(np.abs(got - want)) <= 1e-14
+
+    def test_phi_evaluator_takes_no_points(self, pp05):
+        ev = phi_evaluator(pp05, ParamTriple(0.1, 0.2j, -0.3))
+        assert ev(np.array([], dtype=np.complex128)).shape == (0,)
 
     def test_phi_fixes_p(self, pp05, rng):
         for w in triples(sample_polydisk(rng, 30)):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from hankelbody import (DiskRegion, PoleParam, blaschke_psi, derivatives_at,
-                        dieudonne2_lhs, dieudonne2_rhs, dieudonne_disk1,
-                        mobius_T, pseudo_hyperbolic, rho_coeffs, rho_eval)
+from hankelbody import (DiskRegion, ParamTriple, PoleParam, blaschke_psi,
+                        derivatives_at, dieudonne2_lhs, dieudonne2_rhs,
+                        dieudonne_disk1, mobius_T, omega_pair, psi_jet,
+                        pseudo_hyperbolic, rho_coeffs, rho_eval, tau_from_w)
 from hankelbody.disk import P_MIN
 from hankelbody.errors import DegenerateDenominator, InvalidInput
 from hankelbody.search import sample_polydisk
@@ -40,6 +41,11 @@ class TestMobius:
     def test_degenerate_denominator(self):
         with pytest.raises(DegenerateDenominator):
             mobius_T(1.0 + 0j, 1.0 + 0j)
+
+    def test_empty_input_gives_empty_output(self):
+        z = np.array([], dtype=np.complex128)
+        assert mobius_T(0.5, z).shape == (0,)
+        assert pseudo_hyperbolic(z, 0.5).shape == (0,)
 
     def test_pseudo_hyperbolic_antisymmetry_of_modulus(self, rng):
         z, w = 0.3 + 0.1j, -0.5 + 0.2j
@@ -124,6 +130,39 @@ class TestBlaschkePsi:
         for w in sample_polydisk(rng, 10):
             psi = blaschke_psi(pp05, *w)
             assert np.max(np.abs(psi(zs))) <= 1.0 + 1e-12
+
+
+class TestRationalForm:
+    def test_omega_pair_is_the_moebius_chain(self, rng):
+        W = sample_polydisk(rng, 300)
+        u = 0.99 * np.sqrt(rng.uniform(size=300)) * np.exp(2j * np.pi * rng.uniform(size=300))
+        num, den = omega_pair(*W.T)
+        assert num.shape == den.shape == (300, 3)
+        polyval = np.polynomial.polynomial.polyval
+        got = polyval(u, num.T, tensor=False) / polyval(u, den.T, tensor=False)
+        w0, w1, w2 = W.T
+        inner = pseudo_hyperbolic(u * pseudo_hyperbolic(w2 * u, -w1), -w0)
+        assert np.max(np.abs(got - inner)) <= 1e-13
+
+    @pytest.mark.parametrize("p", [0.05, 0.5, 0.95, 0.99])
+    def test_psi_jet_matches_closed_form_and_sampling(self, p, rng):
+        pp = PoleParam(p)
+        W = 0.99 * sample_polydisk(rng, 200)
+        jet = psi_jet(pp, *W.T, 3).coeffs
+        tau = np.column_stack(tau_from_w(pp, ParamTriple(*W.T)))
+        sampled = derivatives_at(blaschke_psi(pp, *W.T[..., None]), p, 2,
+                                 radius=min(0.4 * (1 - p), 0.2))
+        # relative to the jet's size, which grows like 1/(1-p^2)^2
+        scale = np.maximum(1.0, np.abs(tau))
+        assert np.max(np.abs(jet - tau) / scale) <= 1e-12
+        assert np.max(np.abs(jet - sampled) / scale) <= 1e-12
+
+    def test_psi_jet_is_the_taylor_series_at_p(self, pp05, rng):
+        for w in 0.99 * sample_polydisk(rng, 10):
+            jet = psi_jet(pp05, *w, 6).coeffs
+            sampled = derivatives_at(blaschke_psi(pp05, *w), 0.5, 5, radius=0.15)
+            assert jet.shape == (6,)
+            assert np.max(np.abs(jet - sampled)) <= 1e-9
 
 
 class TestDiskRegion:

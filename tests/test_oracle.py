@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -43,6 +44,10 @@ class TestBatchedRoute:
         for k, w in enumerate(triples(W)):
             scalar = np.array(a_from_phi(pp05, phi_series_from_w(pp05, w, 8)))
             assert np.max(np.abs(batched[k] - scalar)) < 1e-10
+
+    def test_no_rows_give_no_coefficients(self, pp05):
+        A = a_batch_from_w(pp05, np.zeros((0, 3), dtype=np.complex128))
+        assert A.shape == (0, 3)
 
     def test_hankel_against_algebra(self, rng):
         for p in (0.2, 0.5, 0.8):
@@ -175,9 +180,27 @@ class TestFPrimeSampling:
         report = verify_all(p_values=(0.5,), n_random=300)
         fam = next(f for f in report["families"]
                    if f["name"].startswith("fprime_series_vs_sampling"))
-        # three 300-row samplings at 64 points (two phi series and the
-        # self-map check), the fixed-point check, the 50-row phi series and
-        # the f' sampling; 512 points x 32 nodes for f' made 1,005,100
-        assert sum(points) == (300 * (3 * 64 + 1) + 50 * 64
-                               + 50 * fam["n_samples"] * fam["nodes"])
+        # the self-map check at 64 points and the fixed-point check on 300
+        # rows, and the f' sampling; the phi series are algebraic, and
+        # 512 points x 32 nodes for f' made 1,005,100
+        assert sum(points) == 300 * (64 + 1) + 50 * fam["n_samples"] * fam["nodes"]
         assert sum(points) <= 120_000
+
+    @pytest.mark.parametrize("p_values", [(0.5,), (0.3, 0.9)])
+    def test_phi_series_and_psi_jets_take_no_samples(self, p_values, monkeypatch):
+        # the Cauchy samplings left are taylor_polynomial_recovery's, and
+        # per p the rho family's and fprime_sampled's
+        import hankelbody
+        calls = []
+        for mod in vars(hankelbody).values():
+            orig = getattr(mod, "taylor_from_samples", None)
+            if inspect.ismodule(mod) and orig is not None:
+                def counting(*args, _orig=orig, **kwargs):
+                    calls.append(args[1])
+                    return _orig(*args, **kwargs)
+
+                monkeypatch.setattr(mod, "taylor_from_samples", counting)
+        report = verify_all(p_values=p_values, n_random=60, seed=4)
+        assert report["pass"]
+        radii = [0.5] + [r for p in p_values for r in (0.5, p / 2)]
+        assert calls == radii

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hankelbody import (PoleParam, TruncatedSeries, rho_coeffs, rho_eval,
-                        series_derivative, series_exp, series_from_constant,
-                        series_integrate, series_mul, series_reciprocal,
-                        taylor_from_samples)
+from hankelbody import (PoleParam, TruncatedSeries, ratio_series, rho_coeffs,
+                        rho_eval, series_derivative, series_exp,
+                        series_from_constant, series_integrate, series_mul,
+                        series_reciprocal, taylor_from_samples)
 from hankelbody.errors import NonzeroConstantTerm, ZeroConstantTerm
 
 
@@ -51,6 +51,37 @@ class TestReciprocal:
     def test_zero_constant_raises(self):
         with pytest.raises(ZeroConstantTerm):
             series_reciprocal(TruncatedSeries([0, 1]))
+
+
+class TestRatioSeries:
+    def test_geometric(self):
+        assert np.allclose(coeffs(ratio_series([1.0], [1.0, -1.0], 6)), np.ones(6), atol=0)
+
+    def test_exact_quotient_terminates(self):
+        # (1 - z^2) / (1 - z) = 1 + z
+        got = coeffs(ratio_series([1.0, 0.0, -1.0], [1.0, -1.0], 5))
+        assert np.array_equal(got, [1, 1, 0, 0, 0])
+
+    def test_matches_product_with_reciprocal(self, rng):
+        num = rng.normal(size=(40, 4)) + 1j * rng.normal(size=(40, 4))
+        den = rng.normal(size=(40, 4)) + 1j * rng.normal(size=(40, 4))
+        den[:, 0] += 4.0
+        pad = np.zeros((40, 8), dtype=np.complex128)
+        want = series_mul(TruncatedSeries(np.concatenate([num, pad], axis=1)),
+                          series_reciprocal(TruncatedSeries(np.concatenate([den, pad], axis=1))))
+        got = ratio_series(num, den, 12)
+        assert got.coeffs.shape == (40, 12)
+        assert np.max(np.abs(coeffs(got) - coeffs(want))) <= 1e-12
+
+    def test_leading_axes_broadcast(self):
+        den = np.array([[1.0, -0.5], [2.0, 1.0]])
+        got = ratio_series([1.0, 1.0], den, 4)
+        assert got.coeffs.shape == (2, 4)
+        assert np.allclose(coeffs(got)[0], [1.0, 1.5, 0.75, 0.375], atol=1e-15)
+
+    def test_zero_constant_raises(self):
+        with pytest.raises(ZeroConstantTerm):
+            ratio_series([1.0], np.array([[1.0, 1.0], [0.0, 1.0]]), 3)
 
 
 class TestExp:
