@@ -9,6 +9,7 @@ are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -318,8 +319,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _main_parser() -> argparse.ArgumentParser:
+    """``main``'s parser, built once per process: a parser keeps no state
+    between ``parse_args`` calls, and building one costs about a millisecond."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
+    ap = _main_parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

@@ -18,11 +18,18 @@ make one array call per p.
 
 The evaluator route samples: ``fprime_sampled`` recovers the same
 coefficients by Cauchy sampling of f' in closed form, through the pointwise
-Moebius chain of ``phi_evaluator``; its sampling sizes come from the
-a-priori error bounds ``fprime_aliasing_bound`` and
-``fprime_quadrature_bound``.  The fixed-point and self-map families also
+Moebius chain of ``phi_evaluator``.  It evaluates phi only at its M sampling
+points on |z| = p/2 and integrates the exponent there spectrally, with the
+trapezoidal rule on the circle (Trefethen & Weideman, SIAM Review 56,
+2014); M comes from the a-priori error bounds ``fprime_aliasing_bound`` and
+``fprime_exponent_bound``.  The fixed-point and self-map families also
 evaluate ``phi_evaluator``, and the rotation family and
 ``taylor_polynomial_recovery`` sample their own evaluators.
+
+Each series is expanded only to the order its answer reads: four terms of
+phi for a2..a4, and _FPRIME_TERMS for the f' family.  Truncated series
+arithmetic never reads a higher term into a lower one, so the cut changes
+no bit of what is read.
 """
 
 from __future__ import annotations
@@ -42,8 +49,6 @@ from .search import sample_polydisk
 from .series import (TruncatedSeries, series_derivative, series_exp,
                      series_integrate, series_mul, series_reciprocal,
                      taylor_from_samples)
-
-DEFAULT_ORDER = 8
 
 #: the f' family compares this many coefficients, to this tolerance
 _FPRIME_TERMS = 5
@@ -80,35 +85,49 @@ def a_from_phi(pp: PoleParam, phi: TruncatedSeries) -> ACoeffs:
 
 def a_batch_from_w(pp: PoleParam, W: np.ndarray) -> np.ndarray:
     """Series-route (a2, a3, a4) for the rows of an (n, 3) array of w-triples; (n, 3)."""
-    phi = phi_series_from_w(pp, ParamTriple(*W.T), DEFAULT_ORDER + 1)
+    # a_from_phi reads f' up to z^3, which needs phi's first four terms
+    phi = phi_series_from_w(pp, ParamTriple(*W.T), 4)
     return np.column_stack(a_from_phi(pp, phi))
 
 
 # --- the evaluator route for f' ----------------------------------------------
 
-def fprime_sampled(pp: PoleParam, w: ParamTriple, n_samples: int,
-                   nodes: int) -> TruncatedSeries:
+def fprime_sampled(pp: PoleParam, w: ParamTriple, n_samples: int) -> TruncatedSeries:
     """First _FPRIME_TERMS Taylor coefficients of f' by Cauchy sampling of
-    its closed form on |z| = p/2.
+    its closed form at M = ``n_samples`` points z_j on |z| = r = p/2.
 
-    The integral over [0, z] in the exponent is taken by an ``nodes``-point
-    Gauss-Legendre rule.  Array parameters give a stack of series with the
-    same leading axes.
+    phi is evaluated at the same z_j, through the pointwise Moebius chain,
+    and G = -2 phi / (1 - z phi) with it.  The exponent E(z) = int_0^z G dt
+    is integrated spectrally, by the trapezoidal rule on the circle
+    (``_circle_antiderivative``): G's DFT is integrated term by term and an
+    inverse DFT gives E(z_j).  So phi is evaluated at exactly M points per
+    row.  Array parameters give a stack of series with the same leading
+    axes.
     """
     p = pp.p
-    t, weights = np.polynomial.legendre.leggauss(nodes)
-    t = 0.5 * (t + 1.0)
-    weights = 0.5 * weights
-    # trailing axes on each parameter meet the sample and node axes
-    ev = phi_evaluator(pp, ParamTriple(*(np.asarray(x)[..., None, None] for x in w)))
+    r = p / 2
+    # trailing axes on each parameter meet the sample axis
+    ev = phi_evaluator(pp, ParamTriple(*(np.asarray(x)[..., None] for x in w)))
 
     def fprime(z):
-        s = z[:, None] * t
-        vals = ev(s)
-        integral = (-2.0 * vals / (1.0 - s * vals)) @ weights * z
-        return p**2 / ((z - p) ** 2 * (1.0 - p * z) ** 2) * np.exp(integral)
+        # z are taylor_from_samples' points r e^(2 pi i j / M), in order
+        vals = ev(z)
+        expo = _circle_antiderivative(-2.0 * vals / (1.0 - z * vals), r)
+        return p**2 / ((z - p) ** 2 * (1.0 - p * z) ** 2) * np.exp(expo)
 
-    return taylor_from_samples(fprime, p / 2, _FPRIME_TERMS, n_samples)
+    return taylor_from_samples(fprime, r, _FPRIME_TERMS, n_samples)
+
+
+def _circle_antiderivative(vals: np.ndarray, r: float) -> np.ndarray:
+    """Values at z_j = r e^(2 pi i j / M), j < M, of the antiderivative
+    vanishing at 0 of an analytic g, from g's values there (last axis).
+
+    Bin k of the DFT holds M g_k r^k, up to aliasing; integration weights
+    it by r/(k+1) and moves it to power k+1, with power M aliasing to 0.
+    """
+    m = vals.shape[-1]
+    spectrum = np.fft.fft(vals) * (r / np.arange(1, m + 1))
+    return np.fft.ifft(np.roll(spectrum, 1, axis=-1))
 
 
 def fprime_aliasing_bound(p: float, n_samples: int) -> float:
@@ -125,40 +144,34 @@ def fprime_aliasing_bound(p: float, n_samples: int) -> float:
     return p**-k / (1.0 - p * p) * ((k + 1) * q / (1.0 - q) + n_samples * q / (1.0 - q) ** 2)
 
 
-def fprime_quadrature_bound(p: float, nodes: int) -> float:
-    """A-priori error the Gauss-Legendre rule adds to ``fprime_sampled``'s coefficients.
+def fprime_exponent_bound(p: float, n_samples: int) -> float:
+    """A-priori error the spectral exponent adds to ``fprime_sampled``'s coefficients.
 
-    On |z| = r = p/2 the integrand z*g(tz) of t in [0, 1], with
-    g = -2 phi / (1 - s phi), is analytic for |t| < R = 1/r, and
-    |g(s)| <= 2/(1-|s|) because |phi| <= 1.  The Bernstein ellipse of
-    [0, 1] with parameter rho = R + sqrt(R^2 - 1) reaches out to
-    |t| = (1+R)/2, where |z g| <= M = 4r/(1-r); the Gauss error on [0, 1]
-    is then at most (32/15) M rho^(2-2m) / (rho^2 - 1) for m nodes
-    (Trefethen, Approximation Theory and Approximation Practice, Thm 19.3).
-    An error e in the exponent moves f' by |f'| (e^e - 1), where
-    |f'| <= p^2 / ((p-r)^2 (1-pr)^2 (1-r)^2), and the Cauchy sum divides
-    coefficient k by r^k.
+    G = -2 phi / (1 - t phi) is analytic on |t| < 1 with |G| <= 2/(1-R) on
+    |t| <= R, because |phi| <= 1, so its coefficients obey
+    |g_n| <= 2 / ((1-R) R^n).  On |z| = r = p/2 the M-point rule keeps
+    g_0..g_{M-1}, each with the tail g_{k+lM} folded onto it, and weights
+    every term by at most 1; so E is off by at most the sum over n >= M of
+    |g_n| r^(n+1) <= 2r (r/R)^M / ((1-R)(1-r/R)), minimised here over a grid
+    of R in (r, 1).  An error e in the exponent moves f' by |f'| (e^e - 1),
+    where |f'| <= p^2 / ((p-r)^2 (1-pr)^2 (1-r)^2), and the Cauchy sum
+    divides coefficient k by r^k.
     """
     r = p / 2
-    R = 1.0 / r
-    rho = R + np.sqrt(R * R - 1.0)
-    M = 4.0 * r / (1.0 - r)
-    err = 32.0 / 15.0 * M * rho ** (2.0 - 2.0 * nodes) / (rho * rho - 1.0)
+    R = r + (1.0 - r) * np.linspace(0.0, 1.0, 1001)[1:-1]
+    err = np.min(2.0 * r * (r / R) ** n_samples / ((1.0 - R) * (1.0 - r / R)))
     fmax = p * p / ((p - r) ** 2 * (1.0 - p * r) ** 2 * (1.0 - r) ** 2)
     return float(fmax * np.expm1(err) / r ** (_FPRIME_TERMS - 1))
 
 
-def fprime_sampling_sizes(p: float) -> tuple[int, int]:
-    """(n_samples, nodes) for ``fprime_sampled``: the smallest powers of two
-    whose a-priori bounds are each at most _FPRIME_TOL/10, with
-    n_samples >= 4*_FPRIME_TERMS."""
-    def smallest(n, bound):
-        while bound(p, n) > _FPRIME_TOL / 10:
-            n *= 2
-        return n
-
-    return (smallest(1 << (4 * _FPRIME_TERMS - 1).bit_length(), fprime_aliasing_bound),
-            smallest(1, fprime_quadrature_bound))
+def fprime_sampling_size(p: float) -> int:
+    """n_samples for ``fprime_sampled``: the smallest power of two at least
+    4*_FPRIME_TERMS at which the aliasing and exponent bounds are each at
+    most _FPRIME_TOL/10."""
+    n = 1 << (4 * _FPRIME_TERMS - 1).bit_length()
+    while max(fprime_aliasing_bound(p, n), fprime_exponent_bound(p, n)) > _FPRIME_TOL / 10:
+        n *= 2
+    return n
 
 
 # --- batch verification ------------------------------------------------------
@@ -226,7 +239,7 @@ def verify_all(p_values=(0.2, 0.5, 0.8), n_random: int = 1000, seed: int = 1) ->
     for p in p_values:
         pp = PoleParam(p)
         P = pp.P
-        tag = f"p={p:g}"
+        tag = f"p={float(p)!r}"
 
         u = rng.uniform(size=(50, 2))
         zeta = np.sqrt(u[:, 0]) * np.exp(1j * (2 * np.pi * u[:, 1]))
@@ -338,14 +351,14 @@ def verify_all(p_values=(0.2, 0.5, 0.8), n_random: int = 1000, seed: int = 1) ->
         # sampled no finer than its error bounds need
         n_fprime = min(n_random, 50)
         wf = ParamTriple(*W[:n_fprime].T)
-        n_samples, nodes = fprime_sampling_sizes(p)
-        fp = fprime_series(pp, phi_series_from_w(pp, wf, DEFAULT_ORDER + 1))
-        sampled = fprime_sampled(pp, wf, n_samples, nodes)
-        worst = np.max(np.abs(sampled.coeffs - fp.coeffs[:, :_FPRIME_TERMS]))
+        n_samples = fprime_sampling_size(p)
+        fp = fprime_series(pp, phi_series_from_w(pp, wf, _FPRIME_TERMS))
+        sampled = fprime_sampled(pp, wf, n_samples)
+        worst = np.max(np.abs(sampled.coeffs - fp.coeffs))
         families.append({
             **_family(f"fprime_series_vs_sampling[{tag}]", n_fprime, worst, _FPRIME_TOL),
             "n_samples": n_samples,
-            "nodes": nodes,
+            "exponent_bound": float(fprime_exponent_bound(p, n_samples)),
             "aliasing_bound": float(fprime_aliasing_bound(p, n_samples)),
         })
 

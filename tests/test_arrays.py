@@ -77,7 +77,7 @@ CASES = {
     "series_integrate": lambda pp, t: series_integrate(series(*t)),
     "series_derivative": lambda pp, t: series_derivative(series(*t)),
     "a_from_phi": lambda pp, t: a_from_phi(pp, phi_series_from_w(pp, t, 9)),
-    "fprime_sampled": lambda pp, t: fprime_sampled(pp, t, 64, 16),
+    "fprime_sampled": lambda pp, t: fprime_sampled(pp, t, 64),
     "rho_coeffs": lambda pp, t: rho_coeffs(pp, t.x0, 6),
     "dieudonne_disk1": disk1,
     "dieudonne2_lhs": lambda pp, t: dieudonne2_lhs(*jet(pp, t)),

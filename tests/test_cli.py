@@ -275,6 +275,51 @@ class TestRegionWriters:
         assert cli._region_svg(*pair) == _reference_svg(*pair)
 
 
+class TestParserReuse:
+    """``main`` builds its parser once per process; every run must write what
+    a run with a freshly built parser writes."""
+
+    ARGVS = [
+        ["extremal", "--p", "0.4", "--grid", "8", "--iters", "5"],
+        ["verify", "--p", "2"],
+        ["bounds", "--p", "0.3,0.7", "--grid", "8", "--iters", "5"],
+        ["region", "--p", "0.6", "--samples", "32", "--format", "json"],
+        ["verify", "--p", "0.5", "--samples", "20"],
+    ]
+
+    @staticmethod
+    def _run(argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.unlink(missing_ok=True)
+        code = main(argv + ["--out", str(out)])
+        std = capsys.readouterr()
+        return code, std.out, std.err, out.read_bytes() if out.exists() else None
+
+    def test_runs_in_one_process_match_fresh_parser_runs(self, tmp_path, monkeypatch, capsys):
+        built = []
+        orig = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return orig()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        fresh = []
+        for argv in self.ARGVS:
+            cli._main_parser.cache_clear()
+            fresh.append(self._run(argv, tmp_path, capsys))
+        assert len(built) == len(self.ARGVS)
+        cli._main_parser.cache_clear()
+        reused = [self._run(argv, tmp_path, capsys) for argv in self.ARGVS]
+        assert len(built) == len(self.ARGVS) + 1
+        assert reused == fresh
+        assert [r[0] for r in reused] == [EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK]
+        assert [r[3] is None for r in reused] == [False, True, False, False, False]
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+
+
 class TestVerify:
     def test_passing_run_exits_zero(self, tmp_path):
         out = tmp_path / "verify.json"

@@ -7,10 +7,13 @@ import pytest
 from hankelbody import (ParamTriple, PoleParam, TruncatedSeries, a_from_c,
                         a_from_phi, aw_disk, c_from_w, fprime_series, hankel2,
                         phi_series_from_w, verify_all)
-from hankelbody.oracle import (_FPRIME_TERMS, _FPRIME_TOL, a_batch_from_w,
-                               fprime_aliasing_bound, fprime_quadrature_bound,
-                               fprime_sampled, fprime_sampling_sizes)
+from hankelbody.coeffbody import phi_evaluator
+from hankelbody.oracle import (_FPRIME_TERMS, _FPRIME_TOL, _circle_antiderivative,
+                               a_batch_from_w, fprime_aliasing_bound,
+                               fprime_exponent_bound, fprime_sampled,
+                               fprime_sampling_size)
 from hankelbody.search import sample_polydisk
+from hankelbody.series import taylor_from_samples
 
 from conftest import triples
 
@@ -73,7 +76,7 @@ class TestVerifyAll:
         assert report["p_values"] == [0.5]
         assert report["seed"] == 2
         for fam in report["families"]:
-            extra = (["n_samples", "nodes", "aliasing_bound"]
+            extra = (["n_samples", "exponent_bound", "aliasing_bound"]
                      if fam["name"].startswith("fprime_series_vs_sampling") else [])
             assert list(fam) == ["name", "samples", "worst_residual",
                                  "tolerance", "pass"] + extra
@@ -87,6 +90,20 @@ class TestVerifyAll:
                 if f["name"] == f"rho_closed_form_vs_sampling[p={p:g}]")
         assert fam["pass"]
         assert fam["worst_residual"] < 1e-14
+
+    def test_family_names_tell_close_p_apart(self):
+        # 0.1234567 and 0.1234568 share six significant digits
+        report = verify_all(p_values=(0.1234567, 0.1234568), n_random=8, seed=1)
+        names = [f["name"] for f in report["families"]]
+        assert len(set(names)) == len(names)
+        assert "fprime_series_vs_sampling[p=0.1234568]" in names
+
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.123456, 0.999999, 1e-05, 0.00012])
+    def test_family_names_of_short_p_are_unchanged(self, p):
+        # repr and the old :g format agree up to six significant digits, for
+        # numpy floats too
+        report = verify_all(p_values=(np.float64(p),), n_random=8, seed=1)
+        assert report["families"][-1]["name"] == f"fprime_series_vs_sampling[p={p:g}]"
 
     def test_reproducible(self):
         r1 = verify_all(p_values=(0.4,), n_random=60, seed=3)
@@ -128,19 +145,19 @@ class TestFPrimeSampling:
         pp = PoleParam(p)
         w = ParamTriple(*sample_polydisk(rng, 50).T)
         fp = fprime_series(pp, phi_series_from_w(pp, w, 9)).coeffs[:, :_FPRIME_TERMS]
-        worst = np.max(np.abs(fprime_sampled(pp, w, 32, 16).coeffs - fp))
+        worst = np.max(np.abs(fprime_sampled(pp, w, 32).coeffs - fp))
         assert _FPRIME_TOL < worst <= fprime_aliasing_bound(p, 32)
 
     def test_sizes_are_the_smallest_powers_of_two_within_the_bounds(self):
         tol = _FPRIME_TOL
         for p in (0.01, 0.1, 0.25, 0.5, 0.8, 0.95, 0.999):
-            n_samples, nodes = fprime_sampling_sizes(p)
-            assert n_samples & (n_samples - 1) == 0 and nodes & (nodes - 1) == 0
+            n_samples = fprime_sampling_size(p)
+            assert n_samples & (n_samples - 1) == 0
             assert n_samples >= 4 * _FPRIME_TERMS
             assert fprime_aliasing_bound(p, n_samples) <= tol / 10
-            assert fprime_quadrature_bound(p, nodes) <= tol / 10
+            assert fprime_exponent_bound(p, n_samples) <= tol / 10
+            # the aliasing bound decides: at half the size it alone is too large
             assert n_samples == 32 or fprime_aliasing_bound(p, n_samples // 2) > tol / 10
-            assert nodes == 1 or fprime_quadrature_bound(p, nodes // 2) > tol / 10
 
     def test_family_catches_one_wrong_coefficient(self, monkeypatch):
         import hankelbody.oracle as oracle
@@ -159,11 +176,17 @@ class TestFPrimeSampling:
         assert not fam["pass"] and fam["worst_residual"] > 9e-7
 
     def test_verify_all_stays_within_its_evaluation_budget(self, monkeypatch):
-        # every phi evaluation of verify_all goes through phi_evaluator
+        # every phi evaluation of verify_all goes through phi_evaluator, and
+        # no exponent is integrated by a Gauss-Legendre rule
         import hankelbody.coeffbody as coeffbody
         import hankelbody.oracle as oracle
         orig = coeffbody.phi_evaluator
         points = []
+
+        def no_gauss_legendre(*args, **kwargs):
+            raise AssertionError("leggauss called")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_gauss_legendre)
 
         def counting(pp, w):
             ev = orig(pp, w)
@@ -181,10 +204,10 @@ class TestFPrimeSampling:
         fam = next(f for f in report["families"]
                    if f["name"].startswith("fprime_series_vs_sampling"))
         # the self-map check at 64 points and the fixed-point check on 300
-        # rows, and the f' sampling; the phi series are algebraic, and
-        # 512 points x 32 nodes for f' made 1,005,100
-        assert sum(points) == 300 * (64 + 1) + 50 * fam["n_samples"] * fam["nodes"]
-        assert sum(points) <= 120_000
+        # rows, and the f' sampling at its n_samples points per row; the phi
+        # series are algebraic, and 512 points x 32 nodes for f' made 1,005,100
+        assert sum(points) == 300 * (64 + 1) + 50 * fam["n_samples"]
+        assert sum(points) <= 25_000
 
     @pytest.mark.parametrize("p_values", [(0.5,), (0.3, 0.9)])
     def test_phi_series_and_psi_jets_take_no_samples(self, p_values, monkeypatch):
@@ -204,3 +227,86 @@ class TestFPrimeSampling:
         assert report["pass"]
         radii = [0.5] + [r for p in p_values for r in (0.5, p / 2)]
         assert calls == radii
+
+
+def _gauss_legendre_exponent(pp, w, z, nodes=64):
+    """E(z) = int_0^z -2 phi / (1 - t phi) dt by a Gauss-Legendre rule on the
+    ray [0, z]: a reference that shares nothing with the spectral rule."""
+    t, weights = np.polynomial.legendre.leggauss(nodes)
+    t, weights = 0.5 * (t + 1.0), 0.5 * weights
+    ev = phi_evaluator(pp, ParamTriple(*(np.asarray(x)[..., None, None] for x in w)))
+    s = z[:, None] * t
+    vals = ev(s)
+    return (-2.0 * vals / (1.0 - s * vals)) @ weights * z
+
+
+def _prefactor(p, z):
+    return p**2 / ((z - p) ** 2 * (1.0 - p * z) ** 2)
+
+
+class TestSpectralExponent:
+    """``fprime_sampled`` integrates the exponent on its own sampling circle."""
+
+    @pytest.mark.parametrize("p", [0.01, 0.05, 0.25, 0.5, 0.8, 0.95, 0.999])
+    def test_matches_gauss_legendre_and_the_series(self, p, rng):
+        pp = PoleParam(p)
+        w = ParamTriple(*sample_polydisk(rng, 50).T)
+        got = fprime_sampled(pp, w, 64).coeffs
+        ref = taylor_from_samples(
+            lambda z: _prefactor(p, z) * np.exp(_gauss_legendre_exponent(pp, w, z)),
+            p / 2, _FPRIME_TERMS, 64).coeffs
+        ser = fprime_series(pp, phi_series_from_w(pp, w, _FPRIME_TERMS)).coeffs
+        # the Cauchy sum divides coefficient k by (p/2)^k, and its rounding with it
+        scale = (2.0 / p) ** np.arange(_FPRIME_TERMS)
+        assert np.max(np.abs(got - ref) / scale) < 1e-14
+        assert np.max(np.abs(got - ser) / scale) < 1e-14
+
+    @pytest.mark.parametrize("p", [0.25, 0.5, 0.8, 0.95, 0.999])
+    def test_exponent_bound_covers_a_coarse_rule(self, p, rng):
+        # at 8 and 16 points the rule's own error dominates rounding for
+        # these p; it moves f' on the circle by at most the bound times r^4
+        pp = PoleParam(p)
+        w = ParamTriple(*sample_polydisk(rng, 50).T)
+        r = p / 2
+        ev = phi_evaluator(pp, ParamTriple(*(np.asarray(x)[..., None] for x in w)))
+        for m in (8, 16):
+            z = r * np.exp(2j * np.pi * np.arange(m) / m)
+            vals = ev(z)
+            expo = _circle_antiderivative(-2.0 * vals / (1.0 - z * vals), r)
+            exact = _gauss_legendre_exponent(pp, w, z)
+            moved = np.max(np.abs(_prefactor(p, z) * (np.exp(expo) - np.exp(exact))))
+            measured = moved / r ** (_FPRIME_TERMS - 1)
+            assert measured <= fprime_exponent_bound(p, m)
+            if m == 8:
+                assert measured > _FPRIME_TOL  # the coarse rule is measurably off
+        assert fprime_exponent_bound(p, fprime_sampling_size(p)) <= _FPRIME_TOL / 10
+
+    def test_antiderivative_is_exact_on_low_degree_polynomials(self):
+        # g = sum_k c_k z^k with k < m - 1 integrates exactly
+        c = np.array([1.0, -2.0 + 1j, 0.5j, 3.0])
+        r, m = 0.4, 8
+        z = r * np.exp(2j * np.pi * np.arange(m) / m)
+        got = _circle_antiderivative(np.polynomial.polynomial.polyval(z, c), r)
+        want = np.polynomial.polynomial.polyval(z, np.concatenate([[0.0], c / np.arange(1, 5)]))
+        assert np.max(np.abs(got - want)) < 1e-15
+
+
+class TestSeriesCut:
+    """The series are expanded only to the orders read, bit for bit as the
+    10-term expansions read them."""
+
+    @pytest.mark.parametrize("p", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("rows", [50, 850, 2000])
+    def test_a_batch_from_w_equals_a_ten_term_expansion(self, p, rows, rng):
+        pp = PoleParam(p)
+        W = sample_polydisk(rng, rows)
+        ref = np.column_stack(a_from_phi(pp, phi_series_from_w(pp, ParamTriple(*W.T), 10)))
+        assert a_batch_from_w(pp, W).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("p", [0.05, 0.5, 0.95])
+    def test_fprime_family_series_equals_a_ten_term_expansion(self, p, rng):
+        pp = PoleParam(p)
+        w = ParamTriple(*sample_polydisk(rng, 50).T)
+        got = fprime_series(pp, phi_series_from_w(pp, w, _FPRIME_TERMS)).coeffs
+        ref = fprime_series(pp, phi_series_from_w(pp, w, 10)).coeffs[:, :_FPRIME_TERMS]
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
