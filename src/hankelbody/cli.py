@@ -9,8 +9,10 @@ are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -18,29 +20,20 @@ import numpy as np
 from .disk import P_MIN, PoleParam
 from .errors import HankelBodyError, InvalidInput
 from .oracle import verify_all
-from .search import (MIN_GRID, OMEGA_MIN_POINTS, RegionSample, estimate_M,
-                     estimate_M_batch, sample_omega_boundary, sample_region_H)
+from .search import (GRID_RADII, MIN_GRID, OMEGA_MIN_POINTS, RegionSample,
+                     estimate_M, estimate_M_batch, sample_omega_boundary,
+                     sample_region_H)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-
-def _check_p(p: float) -> float:
-    if not P_MIN <= p < 1.0:
-        raise argparse.ArgumentTypeError(f"p must lie in [{P_MIN:g}, 1), got {p}")
-    return p
-
-
-def _parse_p_list(text: str) -> list[float]:
-    try:
-        ps = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad p list {text!r}: {exc}") from exc
-    if not ps:
-        raise argparse.ArgumentTypeError("empty p list")
-    return sorted(map(_check_p, ps))
+#: the largest --samples and --grid whose arrays' sizes in bytes fit an intp:
+#: 72 bytes a sample in region, 16 a point of the ((GRID_RADII - 1) grid + 1)**2 sweep
+_INTP_MAX = np.iinfo(np.intp).max
+_MAX_SIZE = {"samples": _INTP_MAX // 72,
+             "grid": (math.isqrt(_INTP_MAX // 16) - 1) // (GRID_RADII - 1)}
 
 
 def _parse_p(text: str) -> float:
@@ -48,11 +41,21 @@ def _parse_p(text: str) -> float:
         p = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"p must be a number, got {text!r}") from exc
-    return _check_p(p)
+    if not P_MIN <= p < 1.0:
+        raise argparse.ArgumentTypeError(f"p must lie in [{P_MIN:g}, 1), got {p}")
+    return p
+
+
+def _parse_p_list(text: str) -> list[float]:
+    ps = [_parse_p(tok) for tok in text.split(",") if tok.strip()]
+    if not ps:
+        raise argparse.ArgumentTypeError("empty p list")
+    return sorted(ps)
 
 
 def _parse_int(flag: str, minimum: int):
-    """An argparse type for the integer flag ``--flag``, at least ``minimum``."""
+    """An argparse type for the integer flag ``--flag``, at least ``minimum``
+    and, for a size flag, at most ``_MAX_SIZE[flag]``."""
     def parse(text: str) -> int:
         try:
             n = int(text)
@@ -60,6 +63,8 @@ def _parse_int(flag: str, minimum: int):
             raise argparse.ArgumentTypeError(f"{flag} must be an integer, got {text!r}") from exc
         if n < minimum:
             raise argparse.ArgumentTypeError(f"{flag} must be >= {minimum}, got {n}")
+        if n > _MAX_SIZE.get(flag, n):
+            raise argparse.ArgumentTypeError(f"{flag} must be <= {_MAX_SIZE[flag]}, got {n}")
         return n
     return parse
 
@@ -76,15 +81,8 @@ def _write_text(path: str | None, pieces: list[str]) -> None:
         for piece in pieces:
             sys.stdout.write(piece)
         return
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
-    except OSError as exc:
-        raise _IOFailure(f"cannot write {path}: {exc}") from exc
-
-
-class _IOFailure(Exception):
-    pass
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(pieces)
 
 
 # --- bounds ------------------------------------------------------------------
@@ -327,19 +325,26 @@ def _main_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = _main_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _main_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
+    # an --out file or stdout (a closed pipe, a full disk) raises OSError
     try:
-        return args.func(args)
-    except _IOFailure as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_IO
-    except HankelBodyError as exc:
-        print(f"hankelbody {args.command}: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except OSError as exc:
+        code, error = EXIT_IO, exc
+        try:  # close stdout if it holds unwritable text: the exit flush would fail (status 120)
+            sys.stdout.flush()
+        except OSError:
+            with contextlib.suppress(OSError):
+                sys.stdout.close()
+    except (HankelBodyError, MemoryError) as exc:
+        code, error = EXIT_USAGE, str(exc) or type(exc).__name__
+    print(f"hankelbody {args.command}: error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

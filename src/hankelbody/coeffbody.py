@@ -39,9 +39,6 @@ class ParamTriple(NamedTuple):
     x1: complex
     x2: complex
 
-    def in_closed_polydisk(self, tol: float = 1e-12) -> bool:
-        return bool(np.all(np.abs(self) <= 1.0 + tol))
-
 
 class CoeffTriple(NamedTuple):
     """First three Taylor coefficients (c0, c1, c2) of a self-map about 0 (or stacks of them)."""
@@ -58,7 +55,7 @@ class MembershipResult:
 
 
 def _check_polydisk(w: ParamTriple):
-    if not w.in_closed_polydisk(1e-10):
+    if not np.all(np.abs(w) <= 1.0 + 1e-10):
         raise InvalidInput(f"parameters must lie in the closed polydisk: {w}")
 
 
@@ -152,8 +149,7 @@ def tau_from_c(pp: PoleParam, c: CoeffTriple) -> CoeffTriple:
     return CoeffTriple(as_complex(tau0), as_complex(tau1), as_complex(tau2))
 
 
-def membership_x2(pp: PoleParam, c: CoeffTriple,
-                  tol: float = BOUNDARY_TOL) -> MembershipResult:
+def membership_x2(pp: PoleParam, c: CoeffTriple) -> MembershipResult:
     """Decide whether (c0,c1,c2) lies in the order-2 coefficient body.
 
     Inverts the chain: c -> jet at p -> (w0, w1, w2).  A unimodular parameter
@@ -161,7 +157,7 @@ def membership_x2(pp: PoleParam, c: CoeffTriple,
     vanish), so they are canonicalized to 0, and it forces the rest of the
     jet: |w0| = 1 forces tau1 = w0 and tau2 = 0, and |w1| = 1 forces
     q^2 tau2 = m0 (1 - p conj(w0) w1) w1.  The verdict is "boundary" when the
-    forced data hold within 8 ``tol`` and "outside" otherwise.
+    forced data hold within 8 ``BOUNDARY_TOL`` and "outside" otherwise.
     An "outside" verdict has nan parameters.  Array coefficients give an
     array of verdicts and stacked parameters.
     """
@@ -185,11 +181,11 @@ def membership_x2(pp: PoleParam, c: CoeffTriple,
         r2 = q * q * tau2 - m0 * (1.0 - p * np.conj(w0) * w1) * w1
         w2 = r2 / (p * m0 * m1)
         a2 = np.abs(w2)
-    lo, hi = 1.0 - tol, 1.0 + tol
+    lo, hi = 1.0 - BOUNDARY_TOL, 1.0 + BOUNDARY_TOL
     # within tol of a unimodular step, |m0| or |m1| is at most 2 tol + tol^2
     # and r1, q^2 tau2 or r2 is that times at most 3, which leaves room for
     # rounding below 8 tol
-    slack = 8.0 * tol
+    slack = 8.0 * BOUNDARY_TOL
     on0, on1 = a0 >= lo, a1 >= lo
     unforced0 = ~(np.maximum(np.abs(r1), q * q * np.abs(tau2)) <= slack)
     unforced1 = ~(np.abs(r2) <= slack)

@@ -47,8 +47,8 @@ class DiskRegion:
         if np.any(self.radius < 0):
             raise InvalidInput("disk radius must be >= 0")
 
-    def contains(self, z: complex, tol: float = 1e-12) -> bool:
-        return abs(z - self.center) <= self.radius + tol
+    def contains(self, z: complex) -> bool:
+        return abs(z - self.center) <= self.radius + 1e-12
 
 
 @dataclass(frozen=True)

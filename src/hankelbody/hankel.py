@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .coeffbody import CoeffTriple, ParamTriple, c_from_sigma
+from .coeffbody import CoeffTriple, ParamTriple
 from .disk import DiskRegion, PoleParam
 from .errors import InvalidInput
 from .series import as_complex, as_real
@@ -195,8 +195,3 @@ def G_p(pp: PoleParam, t: float) -> float:
         + 3.0 * (-3.0 * P**3 - 6.0 * P**2 + 4.0 * P + 1.0) * t * t
         + 3.0 * P * (3.0 * P + 1.0) * t**3
     )
-
-
-def hankel_from_sigma_chain(pp: PoleParam, sigma: ParamTriple) -> complex:
-    """H via the algebraic sigma-chain route (a-coefficients of c_from_sigma)."""
-    return hankel2(a_from_c(pp, c_from_sigma(pp, sigma)))

@@ -37,10 +37,12 @@ from __future__ import annotations
 import numpy as np
 
 from . import hankel
-from .coeffbody import (ParamTriple, c_from_sigma, c_from_w, membership_x2,
-                        phi_evaluator, phi_series_from_w, sigma_from_w)
+from .coeffbody import (CoeffTriple, ParamTriple, c_from_sigma, c_from_w,
+                        membership_x2, phi_evaluator, phi_series_from_w,
+                        sigma_from_w)
 from .disk import (PoleParam, dieudonne2_lhs, dieudonne2_rhs, dieudonne_disk1,
                    mobius_T, psi_jet, rho_coeffs, rho_eval)
+from .errors import InvalidInput
 from .hankel import (ACoeffs, H_F, A_n, a_from_c, h_p, h_p_prime, hankel2,
                      hankel_from_c, hankel_from_sigma, lower_bound_M, omega_map,
                      phi_p, upper_bound_M)
@@ -190,8 +192,11 @@ def verify_all(p_values=(0.2, 0.5, 0.8), n_random: int = 1000, seed: int = 1) ->
     """Run every invariant family; returns a JSON-ready report.
 
     Failures are entries with pass=False, never exceptions.  The report is
-    byte-reproducible for fixed inputs.
+    byte-reproducible for fixed inputs.  Equal p values raise InvalidInput,
+    since the per-p family names carry p.
     """
+    if len(set(map(float, p_values))) < len(p_values):
+        raise InvalidInput(f"p values must be distinct, got {list(p_values)}")
     rng = np.random.default_rng(seed)
     families = []
 
@@ -268,8 +273,9 @@ def verify_all(p_values=(0.2, 0.5, 0.8), n_random: int = 1000, seed: int = 1) ->
         families.append(_family(f"dieudonne_second_order[{tag}]", n_jet, worst2, 1e-8))
 
         # chain equivalence
-        cw = np.column_stack(c_from_w(pp, w_all))
-        cs = np.column_stack(c_from_sigma(pp, sigma_from_w(pp, w_all)))
+        c_w, s_w = c_from_w(pp, w_all), sigma_from_w(pp, w_all)
+        cw = np.column_stack(c_w)
+        cs = np.column_stack(c_from_sigma(pp, s_w))
         worst = np.max(np.abs(cw - cs))
         families.append(_family(f"chain_equivalence_w_vs_sigma[{tag}]", n_random, worst, 1e-11))
 
@@ -336,13 +342,11 @@ def verify_all(p_values=(0.2, 0.5, 0.8), n_random: int = 1000, seed: int = 1) ->
         sandwich = max(lower_bound_M(pp) - upper_bound_M(pp), 0.0)
         families.append(_family(f"bound_sandwich[{tag}]", 1, sandwich, 0.0))
 
-        # triple path: sigma chain vs w chain vs series route
+        # triple path: sigma chain vs w chain vs series route, on the chain rows above
         n_triple = min(n_random, 2000)
-        Wt = W[:n_triple]
-        wt = ParamTriple(*Wt.T)
-        h_w = hankel2(a_from_c(pp, c_from_w(pp, wt)))
-        h_s = hankel_from_sigma(pp, sigma_from_w(pp, wt))
-        A = a_batch_from_w(pp, Wt)
+        h_w = hankel2(a_from_c(pp, CoeffTriple(*(c[:n_triple] for c in c_w))))
+        h_s = hankel_from_sigma(pp, ParamTriple(*(s[:n_triple] for s in s_w)))
+        A = a_batch_from_w(pp, W[:n_triple])
         h_ser = A[:, 0] * A[:, 2] - A[:, 1] ** 2
         worst = float(max(np.max(np.abs(h_w - h_s)), np.max(np.abs(h_w - h_ser))))
         families.append(_family(f"triple_path_agreement[{tag}]", n_triple, worst, 1e-8))

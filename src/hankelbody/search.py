@@ -332,14 +332,14 @@ def sample_region_H(pp: PoleParam, n_samples: int = 1000, seed: int = 1) -> Regi
                         meta={"p": pp.p, "n_samples": n_samples, "seed": seed})
 
 
-def _binned_boundary(points: np.ndarray, n_bins: int = REGION_BINS) -> np.ndarray:
+def _binned_boundary(points: np.ndarray) -> np.ndarray:
     center = points.mean()
     rel = points - center
     ang = np.mod(np.angle(rel), 2.0 * np.pi)
-    bins = np.minimum((ang / (2.0 * np.pi) * n_bins).astype(int), n_bins - 1)
+    bins = np.minimum((ang / (2.0 * np.pi) * REGION_BINS).astype(int), REGION_BINS - 1)
     # the farthest point of each occupied bin, first index on ties
     r = np.abs(rel)
-    farthest = np.zeros(n_bins)
+    farthest = np.zeros(REGION_BINS)
     np.maximum.at(farthest, bins, r)
     reach = np.flatnonzero(r == farthest[bins])
     _, first = np.unique(bins[reach], return_index=True)
@@ -358,10 +358,10 @@ def sample_omega_boundary(pp: PoleParam, n_theta: int = 512) -> RegionSample:
                         meta={"p": pp.p, "n_theta": n_theta})
 
 
-def contains(region: RegionSample, z, tol: float = 1e-9):
+def contains(region: RegionSample, z):
     """Winding-number membership test against the closed boundary polyline.
 
-    Returns "inside", "boundary" (within tol of the polyline), or "outside"
+    Returns "inside", "boundary" (within 1e-9 of the polyline), or "outside"
     for a scalar z, and an array of them, shaped like z, for an array.
     The points go through in chunks of ``CONTAINS_CHUNK``, so memory stays
     bounded by the chunk times the vertex count.
@@ -373,12 +373,12 @@ def contains(region: RegionSample, z, tol: float = 1e-9):
     flat = z.ravel()
     verdict = np.empty(flat.shape, dtype="<U8")
     for i in range(0, flat.size, CONTAINS_CHUNK):
-        verdict[i:i + CONTAINS_CHUNK] = _verdicts(b, flat[i:i + CONTAINS_CHUNK], tol)
+        verdict[i:i + CONTAINS_CHUNK] = _verdicts(b, flat[i:i + CONTAINS_CHUNK])
     verdict = verdict.reshape(z.shape)
     return verdict.item() if verdict.ndim == 0 else verdict
 
 
-def _verdicts(b: np.ndarray, z: np.ndarray, tol: float) -> np.ndarray:
+def _verdicts(b: np.ndarray, z: np.ndarray) -> np.ndarray:
     """``contains`` verdicts for the 1-D array ``z`` against the closed polyline ``b``."""
     z = z[:, None]  # meets the vertex axis
     a, c = b[:-1], b[1:]
@@ -393,17 +393,16 @@ def _verdicts(b: np.ndarray, z: np.ndarray, tol: float) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         dphi = np.angle(rel[:, 1:] / rel[:, :-1])
     wind = np.round(np.sum(dphi, axis=-1) / (2.0 * np.pi))
-    return np.where(dist <= tol, "boundary", np.where(wind != 0, "inside", "outside"))
+    return np.where(dist <= 1e-9, "boundary", np.where(wind != 0, "inside", "outside"))
 
 
-def check_omega_monotone(p_small: float, p_large: float, n_theta: int = 512,
-                         tol: float = 1e-9) -> bool:
+def check_omega_monotone(p_small: float, p_large: float, n_theta: int = 512) -> bool:
     """True iff the Omega boundary for p_large sits inside Omega for p_small."""
     if not 0.0 < p_small < p_large < 1.0:
         raise InvalidInput("need 0 < p_small < p_large < 1")
     outer = sample_omega_boundary(PoleParam(p_small), n_theta)
     inner = sample_omega_boundary(PoleParam(p_large), n_theta)
-    return not np.any(contains(outer, inner.points, tol=tol) == "outside")
+    return not np.any(contains(outer, inner.points) == "outside")
 
 
 def hausdorff_distance(a: Sequence[complex], b: Sequence[complex]) -> float:

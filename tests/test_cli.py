@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -81,6 +82,11 @@ class TestParsing:
         ["bounds", "--iters", "-2"],
         ["region", "--what", "hankel", "--samples", "0"],
         ["bounds", "--grid", "2.5"],
+        # sizes whose arrays numpy cannot index
+        ["region", "--samples", "99999999999999999999"],
+        ["verify", "--p", "0.5", "--samples", "99999999999999999999"],
+        ["extremal", "--grid", "99999999999999999999"],
+        ["bounds", "--grid", "99999999999999999999"],
     ])
     def test_invalid_values_are_usage_errors(self, argv, capsys):
         assert run(argv) == EXIT_USAGE
@@ -88,6 +94,7 @@ class TestParsing:
         assert captured.out == ""
         assert "error:" in captured.err
         assert "Traceback" not in captured.err
+        assert argv[-2] in captured.err  # the flag at fault
         # messages name the flags, not internal functions or parameters
         for internal in ("_parse_", "n_theta", "refine_iters", "n_samples"):
             assert internal not in captured.err
@@ -348,6 +355,13 @@ class TestVerify:
                   if not f["pass"]}
         assert {"triple_path_agreement", "fprime_series_vs_sampling"} <= failed
 
+    def test_repeated_p_is_a_usage_error(self, capsys):
+        # the per-p family names would no longer identify their family
+        assert run(["verify", "--p", "0.3,0.3", "--samples", "5"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("hankelbody verify: error: p values must be distinct")
+
     def test_failing_run_exits_one(self, tmp_path, monkeypatch):
         import hankelbody.hankel as hk
         orig = hk.hp_numerator_coeffs
@@ -548,12 +562,90 @@ class TestBenchmarkHooks:
         assert counters["kernels.phi_sigma2_max.evals"] > 2 * 21 * (4 + 4)
 
 
+class _FailingStdout:
+    """A stdout whose ``write`` or ``flush``, as ``failing`` names, raises ``error``."""
+
+    def __init__(self, failing, error):
+        self.failing, self.error, self.closed = failing, error, False
+
+    def write(self, text):
+        if self.failing == "write":
+            raise self.error
+        return len(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise self.error
+
+    def close(self):
+        self.closed = True
+        self.flush()
+
+
+#: small runs of each subcommand and region format, all writing to stdout
+STDOUT_RUNS = [
+    ["bounds", "--p", "0.3,0.6", "--grid", "8", "--iters", "2"],
+    ["extremal", "--grid", "8", "--iters", "2"],
+    ["verify", "--p", "0.5", "--samples", "8"],
+    ["region", "--samples", "32", "--format", "json"],
+    ["region", "--samples", "32", "--format", "svg"],
+    ["region", "--samples", "32", "--format", "csv"],
+]
+
+
 class TestIO:
-    def test_unwritable_path(self, tmp_path):
+    def test_unwritable_path(self, tmp_path, capsys):
         bad = tmp_path / "no_such_dir" / "x.json"
         code = run(["extremal", "--p", "0.5", "--grid", "8", "--iters", "0",
                     "--out", str(bad)])
         assert code == EXIT_IO
+        assert capsys.readouterr().err.startswith("hankelbody extremal: error: ")
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    @pytest.mark.parametrize("error", [BrokenPipeError(errno.EPIPE, "Broken pipe"),
+                                       OSError(errno.ENOSPC, "No space left on device")])
+    @pytest.mark.parametrize("argv", STDOUT_RUNS)
+    def test_stdout_failures_exit_io(self, argv, error, failing, monkeypatch, capsys):
+        stdout = _FailingStdout(failing, error)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert run(argv) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err == f"hankelbody {argv[0]}: error: {error}\n"
+        # text a flush could not write is dropped, so the exit flush has none
+        assert stdout.closed == (failing == "flush")
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("sink", ["/dev/full", "closed pipe"])
+    @pytest.mark.parametrize("argv", [STDOUT_RUNS[0],
+                                      ["region", "--samples", "2000", "--format", "json"]])
+    def test_process_stdout_failures_exit_io(self, argv, sink, unbuffered):
+        # small outputs fail in main's flush and large ones in a write, and
+        # neither may leave the interpreter's exit flush an error to report
+        if sink == "/dev/full" and not os.path.exists(sink):
+            pytest.skip("no /dev/full")
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "PYTHONUNBUFFERED": unbuffered}
+        cmd = [sys.executable, "-m", "hankelbody.cli", *argv]
+        kw = dict(stderr=subprocess.PIPE, env=env, text=True)
+        if sink == "closed pipe":
+            proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, **kw)
+            proc.stdout.close()  # before the child, still importing, writes
+        else:
+            with open(sink, "w") as out:
+                proc = subprocess.Popen(cmd, stdout=out, **kw)
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == EXIT_IO
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"hankelbody {argv[0]}: error: ")
+
+    def test_memory_error_is_a_usage_error(self, monkeypatch, capsys):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "sample_region_H", no_memory)
+        assert run(["region", "--what", "hankel", "--samples", "32"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "hankelbody region: error: MemoryError\n"
 
 
 # --- argv fuzzing --------------------------------------------------------------
@@ -611,6 +703,10 @@ def out_dir(tmp_path_factory):
 @example(argv=["extremal", "--grid", "8", "--iters", "2", "--p", "1e-100"])
 @example(argv=["bounds", "--grid", "8", "--iters", "2", "--p", "1e-100"])
 @example(argv=["region", "--samples", "32", "--p", "1e-100"])
+@example(argv=["verify", "--samples", "99999999999999999999"])
+@example(argv=["region", "--samples", "99999999999999999999"])
+@example(argv=["extremal", "--grid", "99999999999999999999"])
+@example(argv=["bounds", "--grid", "99999999999999999999"])
 def test_any_argv_keeps_the_exit_code_contract(argv, out_dir):
     paths = {"tmp": str(out_dir / "out"), "unwritable": str(out_dir / "missing" / "out")}
     argv = [paths.get(a, a) for a in argv]

@@ -38,6 +38,10 @@ class TestChains:
     def test_rejects_outside_polydisk(self, pp05):
         with pytest.raises(InvalidInput):
             c_from_w(pp05, ParamTriple(1.5, 0.0, 0.0))
+        # moduli up to 1 + 1e-10 are accepted as rounding
+        c_from_w(pp05, ParamTriple(0.0, 1.0 + 5e-11, 0.0))
+        with pytest.raises(InvalidInput):
+            c_from_w(pp05, ParamTriple(0.0, 0.0, 1.0 + 1e-9))
 
     def test_identity_map_parameters(self, pp05):
         # w = (1, *, *) generates phi = identity: c = (0, 1, 0)
