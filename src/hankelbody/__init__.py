@@ -17,8 +17,7 @@ from .oracle import a_from_phi, fprime_series, verify_all
 from .search import (ExtremalReport, RegionSample, check_omega_monotone,
                      contains, estimate_M, hausdorff_distance,
                      sample_omega_boundary, sample_region_H)
-from .series import (TruncatedSeries, series_add, series_derivative,
-                     series_exp, series_from_constant, series_integrate,
+from .series import (series_derivative, series_exp, series_integrate,
                      series_mul, series_reciprocal, ratio_series,
                      taylor_from_samples)
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .disk import PoleParam, blaschke_psi, mobius_T, omega_pair
 from .errors import InvalidInput
-from .series import TruncatedSeries, as_complex, ratio_series
+from .series import as_complex, ratio_series
 
 #: modulus within this distance of 1 counts as a boundary parameter
 BOUNDARY_TOL = 1e-9
@@ -218,7 +218,7 @@ def phi_evaluator(pp: PoleParam, w: ParamTriple):
     return phi
 
 
-def phi_series_from_w(pp: PoleParam, w: ParamTriple, n_terms: int) -> TruncatedSeries:
+def phi_series_from_w(pp: PoleParam, w: ParamTriple, n_terms: int) -> np.ndarray:
     """Taylor series of phi about 0, from the rational form of the chain.
 
     [T_p(z), p] = -z, so phi = T_p(T_p(z) omega(-z)).  With omega = N/D from
@@ -226,8 +226,8 @@ def phi_series_from_w(pp: PoleParam, w: ParamTriple, n_terms: int) -> TruncatedS
     phi = (p Dt - Nt) / (Dt - p Nt), a ratio of cubics whose denominator has
     the constant term 1 - p^2 w0; ``ratio_series`` expands it.  No sampling
     is involved, so the series is independent of ``phi_evaluator``'s
-    pointwise Moebius chain.  Array parameters give a stack of series with
-    the same leading axes.
+    pointwise Moebius chain.  Array parameters give a stack of series, the
+    coefficient axis last behind the same leading axes.
     """
     p = pp.p
     num, den = omega_pair(*w)

@@ -27,8 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateDenominator, InvalidInput
-from .series import (TruncatedSeries, as_complex, as_real, ratio_series,
-                     taylor_from_samples)
+from .series import as_complex, as_real, ratio_series, taylor_from_samples
 
 DENOM_EPS = 1e-14
 #: smallest accepted pole location: powers such as P**4 = (p + 1/p)**4 overflow
@@ -89,12 +88,13 @@ def rho_eval(pp: PoleParam, zeta, z):
             / (-(1 - zeta) * p * z + 1 - p * p * zeta))
 
 
-def rho_coeffs(pp: PoleParam, zeta, n_terms: int) -> TruncatedSeries:
+def rho_coeffs(pp: PoleParam, zeta, n_terms: int) -> np.ndarray:
     """Closed-form Taylor coefficients of the rotation conjugate about 0.
 
     alpha_0 = (1 - zeta) p / (1 - p^2 zeta) and for k >= 1
     alpha_k = zeta (1-p^2)^2 (1-zeta)^(k-1) p^(k-1) / (1 - p^2 zeta)^(k+1).
-    An array of zetas gives a stack of series, the coefficient axis last.
+    An array of zetas gives a stack of coefficient rows, the coefficient
+    axis last.
     """
     if n_terms < 1:
         raise InvalidInput("n_terms must be >= 1")
@@ -103,7 +103,7 @@ def rho_coeffs(pp: PoleParam, zeta, n_terms: int) -> TruncatedSeries:
     d = 1.0 - p * p * zeta
     k = np.arange(1, n_terms)
     tail = zeta * (1 - p * p) ** 2 * (1 - zeta) ** (k - 1) * p ** (k - 1) / d ** (k + 1)
-    return TruncatedSeries(np.concatenate([(1.0 - zeta) * p / d, tail], axis=-1))
+    return np.concatenate([(1.0 - zeta) * p / d, tail], axis=-1)
 
 
 def _jet_moduli(z0, tau0, slack: float):
@@ -171,7 +171,7 @@ def omega_pair(w0, w1, w2):
     return num, den
 
 
-def psi_jet(pp: PoleParam, w0, w1, w2, n_terms: int) -> TruncatedSeries:
+def psi_jet(pp: PoleParam, w0, w1, w2, n_terms: int) -> np.ndarray:
     """Taylor coefficients psi(p), psi'(p), psi''(p)/2, ... of ``blaschke_psi``
     about p, from the rational form of omega.
 
@@ -193,14 +193,15 @@ def psi_jet(pp: PoleParam, w0, w1, w2, n_terms: int) -> TruncatedSeries:
     num, den = (cleared(c) for c in omega_pair(w0, w1, w2))
     n0, n1, n2 = np.moveaxis(num, -1, 0)
     num = np.stack([p * n0, p * n1 + q * n0, p * n2 + q * n1, q * n2], axis=-1)
-    return TruncatedSeries(ratio_series(num, den, n_terms).coeffs / q ** np.arange(n_terms))
+    return ratio_series(num, den, n_terms) / q ** np.arange(n_terms)
 
 
 def derivatives_at(f: Callable, z0: complex, n: int, radius: float = 0.05,
                    n_samples: int = 128) -> np.ndarray:
     """Local Taylor coefficients f(z0), f'(z0), f''(z0)/2, ... via Cauchy sampling.
 
-    ``f`` must be analytic on |z - z0| <= radius.  Returns n+1 coefficients,
-    behind any leading batch axes that ``f`` puts in front of the sample axis.
+    ``f`` must be analytic on |z - z0| <= radius.  Returns a complex128
+    array of n+1 coefficients on its last axis, behind any leading batch
+    axes that ``f`` puts in front of the sample axis.
     """
-    return taylor_from_samples(lambda z: f(z0 + z), radius, n + 1, n_samples).coeffs
+    return taylor_from_samples(lambda z: f(z0 + z), radius, n + 1, n_samples)

@@ -1,11 +1,12 @@
 """Truncated power-series arithmetic about z = 0.
 
-A series is stored as a complex128 coefficient vector ``c[0..N]`` where
-``c[k]`` multiplies ``z**k``.  Arithmetic truncates at the smaller of the
-two operand orders, so these objects behave like elements of
-``C[[z]] / z^(N+1)``.  A coefficient array may also carry leading batch
-axes, with the coefficient axis last: then one object holds a stack of
-series, and every operation below acts on the whole stack at once.
+A series is a complex128 array whose last axis holds the coefficients
+``c[..., 0..N]``, where ``c[..., k]`` multiplies ``z**k``; any leading axes
+index a stack of series, and every function below acts on the whole stack
+at once.  Arithmetic truncates at the smaller of the two operand orders, as
+in ``C[[z]] / z^(N+1)``.  The functions take array-likes, check that the
+coefficient axis is not empty, and return fresh arrays: they never write
+to or alias their inputs.
 
 Two routes give the coefficients of a function.  ``ratio_series`` expands
 a ratio of polynomials algebraically, by long division; the package's
@@ -18,11 +19,11 @@ family) and the tests.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import NonzeroConstantTerm, ZeroConstantTerm
+from .errors import InvalidInput, NonzeroConstantTerm, ZeroConstantTerm
 
 #: below this magnitude a constant term counts as zero in preconditions
 CONSTANT_TERM_EPS = 1e-13
@@ -45,106 +46,74 @@ def _dot(x, y):
     return np.einsum("...j,...j->...", x, y)
 
 
-class TruncatedSeries:
-    """Immutable coefficient vector of a power series about 0 (or a stack of them)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[complex] | np.ndarray):
-        c = np.asarray(coeffs, dtype=np.complex128).copy()
-        if c.ndim == 0 or c.shape[-1] == 0:
-            raise ValueError("coeffs must have a non-empty last axis")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
-
-    @property
-    def order(self) -> int:
-        return self.coeffs.shape[-1] - 1
-
-    def __getitem__(self, k: int):
-        return as_complex(self.coeffs[..., k])
-
-    def __len__(self) -> int:
-        return self.coeffs.shape[-1]
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({list(self.coeffs)!r})"
-
-    def truncated(self, order: int) -> "TruncatedSeries":
-        if order >= self.order:
-            return self
-        return TruncatedSeries(self.coeffs[..., : order + 1])
-
-    def scaled(self, a: complex) -> "TruncatedSeries":
-        return TruncatedSeries(a * self.coeffs)
+def _series(a) -> np.ndarray:
+    """a as a complex128 coefficient array, after checking that its last axis
+    is not empty."""
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim == 0 or a.shape[-1] == 0:
+        raise InvalidInput("a series needs a non-empty last axis")
+    return a
 
 
-def series_from_constant(value: complex, order: int) -> TruncatedSeries:
-    c = np.zeros(order + 1, dtype=np.complex128)
-    c[0] = value
-    return TruncatedSeries(c)
-
-
-def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    n = min(a.order, b.order)
-    return TruncatedSeries(a.coeffs[..., : n + 1] + b.coeffs[..., : n + 1])
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated at min(order(a), order(b))."""
-    n = min(a.order, b.order)
-    x, y = a.coeffs[..., : n + 1], b.coeffs[..., : n + 1]
+def series_mul(a, b) -> np.ndarray:
+    """Cauchy product truncated at the smaller of the two orders."""
+    a, b = _series(a), _series(b)
+    n = min(a.shape[-1], b.shape[-1])
+    x, y = a[..., :n], b[..., :n]
     out = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=np.complex128)
-    for k in range(n + 1):
+    for k in range(n):
         out[..., k] = _dot(x[..., : k + 1], y[..., k::-1])
-    return TruncatedSeries(out)
+    return out
 
 
-def series_reciprocal(a: TruncatedSeries) -> TruncatedSeries:
+def series_reciprocal(a) -> np.ndarray:
     """Multiplicative inverse modulo z^(N+1).  Requires a nonzero constant term."""
-    a0 = a.coeffs[..., 0]
+    a = _series(a)
+    a0 = a[..., 0]
     if np.any(abs(a0) <= CONSTANT_TERM_EPS):
         raise ZeroConstantTerm("cannot invert a series with zero constant term")
-    r = np.zeros_like(a.coeffs)
+    r = np.zeros_like(a)
     r[..., 0] = 1.0 / a0
-    for k in range(1, a.order + 1):
-        r[..., k] = -_dot(a.coeffs[..., 1 : k + 1], r[..., k - 1 :: -1]) / a0
-    return TruncatedSeries(r)
+    for k in range(1, a.shape[-1]):
+        r[..., k] = -_dot(a[..., 1 : k + 1], r[..., k - 1 :: -1]) / a0
+    return r
 
 
-def series_exp(a: TruncatedSeries) -> TruncatedSeries:
+def series_exp(a) -> np.ndarray:
     """exp of a series with vanishing constant term.
 
     Uses the recurrence k*e_k = sum_{j=1..k} j*a_j*e_{k-j} with e_0 = 1.
     """
-    if np.any(abs(a.coeffs[..., 0]) > CONSTANT_TERM_EPS):
+    a = _series(a)
+    if np.any(abs(a[..., 0]) > CONSTANT_TERM_EPS):
         raise NonzeroConstantTerm("series_exp requires a0 = 0")
-    e = np.zeros_like(a.coeffs)
+    e = np.zeros_like(a)
     e[..., 0] = 1.0
-    ja = np.arange(a.order + 1) * a.coeffs
-    for k in range(1, a.order + 1):
+    ja = np.arange(a.shape[-1]) * a
+    for k in range(1, a.shape[-1]):
         e[..., k] = _dot(ja[..., 1 : k + 1], e[..., k - 1 :: -1]) / k
-    return TruncatedSeries(e)
+    return e
 
 
-def series_integrate(a: TruncatedSeries) -> TruncatedSeries:
+def series_integrate(a) -> np.ndarray:
     """Term-wise antiderivative vanishing at 0; the order grows by one."""
-    out = np.zeros(a.coeffs.shape[:-1] + (a.order + 2,), dtype=np.complex128)
-    out[..., 1:] = a.coeffs / np.arange(1, a.order + 2)
-    return TruncatedSeries(out)
+    a = _series(a)
+    n = a.shape[-1]
+    out = np.zeros(a.shape[:-1] + (n + 1,), dtype=np.complex128)
+    out[..., 1:] = a / np.arange(1, n + 1)
+    return out
 
 
-def series_derivative(a: TruncatedSeries) -> TruncatedSeries:
-    """Term-wise derivative; the order drops by one."""
-    if a.order == 0:
-        return TruncatedSeries(np.zeros_like(a.coeffs))
-    return TruncatedSeries(a.coeffs[..., 1:] * np.arange(1, a.order + 1))
+def series_derivative(a) -> np.ndarray:
+    """Term-wise derivative; the order drops by one, and a constant's is 0."""
+    a = _series(a)
+    n = a.shape[-1]
+    if n == 1:
+        return np.zeros_like(a)
+    return a[..., 1:] * np.arange(1, n)
 
 
-def ratio_series(num, den, n_terms: int) -> TruncatedSeries:
+def ratio_series(num, den, n_terms: int) -> np.ndarray:
     """First ``n_terms`` Taylor coefficients of num/den for polynomial
     coefficient arrays (coefficient axis last, leading axes broadcast).
 
@@ -153,9 +122,11 @@ def ratio_series(num, den, n_terms: int) -> TruncatedSeries:
     Requires b_0 != 0; any nonzero b_0 is accepted, since a small b_0 such
     as 1 - p^2 near p = 1 is exact data, not a rounding residue.
     """
+    if n_terms < 1:
+        raise InvalidInput("n_terms must be >= 1")
     # coefficient axis first inside, so each term is one contiguous stack
-    a = np.moveaxis(np.asarray(num, dtype=np.complex128), -1, 0)
-    b = np.moveaxis(np.asarray(den, dtype=np.complex128), -1, 0)
+    a = np.moveaxis(_series(num), -1, 0)
+    b = np.moveaxis(_series(den), -1, 0)
     if np.any(b[0] == 0):
         raise ZeroConstantTerm("the denominator has a zero constant term")
     c = np.zeros((n_terms,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]),
@@ -165,7 +136,7 @@ def ratio_series(num, den, n_terms: int) -> TruncatedSeries:
         for j in range(1, min(k, len(b) - 1) + 1):
             acc = acc - b[j] * c[k - j]
         c[k] = acc / b[0]
-    return TruncatedSeries(np.moveaxis(c, 0, -1))
+    return np.moveaxis(c, 0, -1)
 
 
 def taylor_from_samples(
@@ -173,7 +144,7 @@ def taylor_from_samples(
     radius: float,
     n_terms: int,
     n_samples: int = 256,
-) -> TruncatedSeries:
+) -> np.ndarray:
     """Taylor coefficients of an analytic evaluator via the DFT form of
     Cauchy's integral formula.
 
@@ -181,16 +152,17 @@ def taylor_from_samples(
     strictly larger than ``radius``; then the trapezoidal discretization of
     the Cauchy integral converges geometrically in ``n_samples``.  An
     evaluator may return leading batch axes in front of the sample axis;
-    the series then carries the same axes.
+    the coefficients then carry the same axes.
     """
+    if n_terms < 1:
+        raise InvalidInput("n_terms must be >= 1")
     if radius <= 0:
-        raise ValueError("radius must be positive")
+        raise InvalidInput("radius must be positive")
     if n_samples < 4 * n_terms:
-        raise ValueError("need n_samples >= 4*n_terms for a trustworthy DFT")
+        raise InvalidInput("need n_samples >= 4*n_terms for a trustworthy DFT")
     j = np.arange(n_samples)
     zs = radius * np.exp(2j * np.pi * j / n_samples)
     vals = np.asarray(eval_fn(zs), dtype=np.complex128)
     spectrum = np.fft.fft(vals)  # sum_j vals_j e^{-2pi i jk/m}, along the last axis
     ks = np.arange(n_terms)
-    coeffs = spectrum[..., :n_terms] / (n_samples * radius**ks)
-    return TruncatedSeries(coeffs)
+    return spectrum[..., :n_terms] / (n_samples * radius**ks)

@@ -266,8 +266,8 @@ def _omega_residual(n=100):
     for p in (0.2, 0.5, 0.8):
         pp = PoleParam(p)
         w = ParamTriple(*sample_polydisk(rng, n).T)
-        ser = phi_series_from_w(pp, w, 3).coeffs
-        jet = psi_jet(pp, *w, 3).coeffs
+        ser = phi_series_from_w(pp, w, 3)
+        jet = psi_jet(pp, *w, 3)
         worst = max(worst, float(np.max(np.abs(ser - np.column_stack(c_from_w(pp, w))))),
                     float(np.max(np.abs(jet - np.column_stack(tau_from_w(pp, w))))))
     return worst

@@ -355,6 +355,21 @@ class TestVerify:
                   if not f["pass"]}
         assert {"triple_path_agreement", "fprime_series_vs_sampling"} <= failed
 
+    def test_p_next_to_one_fails_quietly(self, tmp_path, capsys):
+        # 1 - p^2 counts as a vanished Moebius denominator: the families that
+        # evaluate the pointwise chain fail with residual inf, and none raises
+        out = tmp_path / "verify.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["verify", "--p", "0.9999999999999999", "--samples", "3",
+                        "--out", str(out)])
+        assert code == EXIT_VERIFY_FAIL
+        assert capsys.readouterr().err == ""
+        worst = {f["name"].split("[")[0]: f["worst_residual"]
+                 for f in json.loads(out.read_text())["families"] if not f["pass"]}
+        for name in ("fixed_point_phi_p", "self_map_bound", "fprime_series_vs_sampling"):
+            assert worst[name] == float("inf")
+
     def test_repeated_p_is_a_usage_error(self, capsys):
         # the per-p family names would no longer identify their family
         assert run(["verify", "--p", "0.3,0.3", "--samples", "5"]) == EXIT_USAGE

@@ -62,7 +62,7 @@ class TestAgainstSeriesOracle:
         for p in (0.2, 0.5, 0.8):
             pp = PoleParam(p)
             for w in triples(sample_polydisk(rng, 30)):
-                ser = np.asarray(phi_series_from_w(pp, w, 3).coeffs)
+                ser = np.asarray(phi_series_from_w(pp, w, 3))
                 cw = np.array(c_from_w(pp, w))
                 assert np.max(np.abs(ser - cw)) < 1e-9
 
@@ -74,15 +74,15 @@ class TestAgainstSeriesOracle:
         w = ParamTriple(*W.T)
         for p in (0.01, 0.05, 0.3, 0.7, 0.95, 0.99):
             pp = PoleParam(p)
-            ser = phi_series_from_w(pp, w, 9).coeffs
+            ser = phi_series_from_w(pp, w, 9)
             assert np.max(np.abs(ser)) <= 1.0 + 1e-12
             assert np.max(np.abs(ser[:, :3] - np.column_stack(c_from_w(pp, w)))) <= 1e-13
 
     def test_long_series_extend_short_ones(self, pp05, rng):
         w = ParamTriple(*sample_polydisk(rng, 20).T)
-        long = phi_series_from_w(pp05, w, 40).coeffs
+        long = phi_series_from_w(pp05, w, 40)
         assert np.max(np.abs(long)) <= 1.0 + 1e-12
-        assert np.max(np.abs(long[:, :9] - phi_series_from_w(pp05, w, 9).coeffs)) <= 1e-13
+        assert np.max(np.abs(long[:, :9] - phi_series_from_w(pp05, w, 9))) <= 1e-13
 
     @pytest.mark.parametrize("p", [0.01, 0.3, 0.7, 0.95, 0.99])
     def test_phi_series_matches_the_sampled_route(self, p, rng):
@@ -90,20 +90,20 @@ class TestAgainstSeriesOracle:
         W = sample_polydisk(rng, 200)
         W[:40] /= np.abs(W[:40])
         w = ParamTriple(*W.T)
-        ser = phi_series_from_w(pp, w, 40).coeffs
+        ser = phi_series_from_w(pp, w, 40)
         ev = phi_evaluator(pp, ParamTriple(*W.T[..., None]))
         # 64 points on |z| = 1/2, whose rounding grows like 2^k in
         # coefficient k; then 512 points on |z| = 0.9 for all 40 terms,
         # where |c_k| <= 1 bounds the aliasing by 0.9^512 / (1 - 0.9^512)
-        old = taylor_from_samples(ev, 0.5, 16, 64).coeffs
+        old = taylor_from_samples(ev, 0.5, 16, 64)
         assert np.all(np.abs(ser[:, :16] - old) <= 1e-13 * 2.0 ** np.arange(16))
-        wide = taylor_from_samples(ev, 0.9, 40, 512).coeffs
+        wide = taylor_from_samples(ev, 0.9, 40, 512)
         assert np.max(np.abs(ser - wide)) <= 1e-12
         assert np.max(np.abs(ser)) <= 1.0 + 1e-14
         assert np.max(np.abs(ser[:, :3] - np.column_stack(c_from_w(pp, w)))) <= 1e-13
         # scalar parameters give the rows of the stacked call
         for row, want in zip(triples(W[::10]), ser[::10]):
-            got = phi_series_from_w(pp, row, 40).coeffs
+            got = phi_series_from_w(pp, row, 40)
             assert got.shape == (40,) and np.max(np.abs(got - want)) <= 1e-14
 
     def test_phi_evaluator_takes_no_points(self, pp05):

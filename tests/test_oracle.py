@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from hankelbody import (ParamTriple, PoleParam, TruncatedSeries, a_from_c,
-                        a_from_phi, aw_disk, c_from_w, fprime_series, hankel2,
+from hankelbody import (ParamTriple, PoleParam, a_from_c, a_from_phi,
+                        aw_disk, c_from_w, fprime_series, hankel2,
                         phi_series_from_w, verify_all)
 from hankelbody.coeffbody import phi_evaluator
 from hankelbody.oracle import (_FPRIME_TERMS, _FPRIME_TOL, _circle_antiderivative,
@@ -22,14 +22,14 @@ class TestFPrimeSeries:
     def test_constant_term_is_one(self, pp05, rng):
         for w in triples(sample_polydisk(rng, 20)):
             fp = fprime_series(pp05, phi_series_from_w(pp05, w, 8))
-            assert abs(fp.coeffs[0] - 1.0) < 1e-10
+            assert abs(fp[0] - 1.0) < 1e-10
 
     def test_zero_phi_gives_prefactor(self, pp05):
         # phi = 0: exponential factor is 1 and f' is the rational prefactor
         from hankelbody.oracle import _prefactor_series
-        fp = fprime_series(pp05, TruncatedSeries(np.zeros(7)))
+        fp = fprime_series(pp05, np.zeros(7))
         pre = _prefactor_series(pp05, 6)
-        assert np.max(np.abs(fp.coeffs - pre.coeffs)) < 1e-13
+        assert np.max(np.abs(fp - pre)) < 1e-13
 
     def test_a_from_phi_matches_algebra(self, rng):
         for p in (0.2, 0.5, 0.8):
@@ -144,8 +144,8 @@ class TestFPrimeSampling:
         # covers the residual and predicts the failure
         pp = PoleParam(p)
         w = ParamTriple(*sample_polydisk(rng, 50).T)
-        fp = fprime_series(pp, phi_series_from_w(pp, w, 9)).coeffs[:, :_FPRIME_TERMS]
-        worst = np.max(np.abs(fprime_sampled(pp, w, 32).coeffs - fp))
+        fp = fprime_series(pp, phi_series_from_w(pp, w, 9))[:, :_FPRIME_TERMS]
+        worst = np.max(np.abs(fprime_sampled(pp, w, 32) - fp))
         assert _FPRIME_TOL < worst <= fprime_aliasing_bound(p, 32)
 
     def test_sizes_are_the_smallest_powers_of_two_within_the_bounds(self):
@@ -165,9 +165,9 @@ class TestFPrimeSampling:
 
         def bad(pp, phi):
             # one coefficient of one row off by 1e-6
-            c = orig(pp, phi).coeffs.copy()
+            c = orig(pp, phi).copy()
             c[7, 3] += 1e-6
-            return TruncatedSeries(c)
+            return c
 
         monkeypatch.setattr(oracle, "fprime_series", bad)
         report = verify_all(p_values=(0.5,), n_random=50, seed=2)
@@ -251,11 +251,11 @@ class TestSpectralExponent:
     def test_matches_gauss_legendre_and_the_series(self, p, rng):
         pp = PoleParam(p)
         w = ParamTriple(*sample_polydisk(rng, 50).T)
-        got = fprime_sampled(pp, w, 64).coeffs
+        got = fprime_sampled(pp, w, 64)
         ref = taylor_from_samples(
             lambda z: _prefactor(p, z) * np.exp(_gauss_legendre_exponent(pp, w, z)),
-            p / 2, _FPRIME_TERMS, 64).coeffs
-        ser = fprime_series(pp, phi_series_from_w(pp, w, _FPRIME_TERMS)).coeffs
+            p / 2, _FPRIME_TERMS, 64)
+        ser = fprime_series(pp, phi_series_from_w(pp, w, _FPRIME_TERMS))
         # the Cauchy sum divides coefficient k by (p/2)^k, and its rounding with it
         scale = (2.0 / p) ** np.arange(_FPRIME_TERMS)
         assert np.max(np.abs(got - ref) / scale) < 1e-14
@@ -307,6 +307,6 @@ class TestSeriesCut:
     def test_fprime_family_series_equals_a_ten_term_expansion(self, p, rng):
         pp = PoleParam(p)
         w = ParamTriple(*sample_polydisk(rng, 50).T)
-        got = fprime_series(pp, phi_series_from_w(pp, w, _FPRIME_TERMS)).coeffs
-        ref = fprime_series(pp, phi_series_from_w(pp, w, 10)).coeffs[:, :_FPRIME_TERMS]
+        got = fprime_series(pp, phi_series_from_w(pp, w, _FPRIME_TERMS))
+        ref = fprime_series(pp, phi_series_from_w(pp, w, 10))[:, :_FPRIME_TERMS]
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
