@@ -3,7 +3,7 @@
 Two equivalent three-parameter chains describe the body: the w-chain built
 directly from the Blaschke construction, and the sigma-chain obtained from
 it by a Moebius change of variables in the first parameter.  Membership
-testing inverts the w-chain step by step, so an inside verdict also
+testing inverts the w-chain by Schur's algorithm, so an inside verdict also
 recovers the generating parameters.
 
 Sign conventions follow the constructive chain (psi(z) = z*omega([z,p]))
@@ -152,55 +152,52 @@ def tau_from_c(pp: PoleParam, c: CoeffTriple) -> CoeffTriple:
 def membership_x2(pp: PoleParam, c: CoeffTriple) -> MembershipResult:
     """Decide whether (c0,c1,c2) lies in the order-2 coefficient body.
 
-    Inverts the chain: c -> jet at p -> (w0, w1, w2).  A unimodular parameter
-    at some step makes the later parameters unidentifiable (their factors
-    vanish), so they are canonicalized to 0, and it forces the rest of the
-    jet: |w0| = 1 forces tau1 = w0 and tau2 = 0, and |w1| = 1 forces
-    q^2 tau2 = m0 (1 - p conj(w0) w1) w1.  The verdict is "boundary" when the
-    forced data hold within 8 ``BOUNDARY_TOL`` and "outside" otherwise.
-    An "outside" verdict has nan parameters.  Array coefficients give an
-    array of verdicts and stacked parameters.
+    Runs Schur's algorithm on omega's series: [T_p(z), p] = -z, so
+    omega(u) = (p - phi(-u)) (1 + pu) / ((1 - p phi(-u)) (p + u)), a ratio of
+    cubics in (c0, c1, c2).  Each step reads w_k = omega_k(0) and takes the
+    Schur transform omega_{k+1} = (omega_k - w_k) / (u (1 - conj(w_k) omega_k)).
+    A unimodular w_k forces omega_k to be constant, so the verdict is
+    "boundary" when the rest of omega_k's series is within 8 ``BOUNDARY_TOL``
+    and "outside" otherwise; once settled, omega is set to 0, which makes
+    the later parameters 0.  An "outside" verdict has nan parameters.
+    Array coefficients give an array of verdicts and stacked parameters.
     """
     p = pp.p
-    q = 1.0 - p * p
     # arrays all the way, a scalar as one row: numpy's scalar complex product
-    # can differ from its array loop in the last ulp, and a vanishing
-    # denominator gives inf or nan in a step an earlier step has settled
+    # can differ from its array loop in the last ulp
     shape = np.broadcast(*c).shape
-    c = CoeffTriple(*(np.array(x, dtype=np.complex128, ndmin=1) for x in c))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        tau0, tau1, tau2 = tau_from_c(pp, c)
-        w0 = tau0 / p
-        a0 = np.abs(w0)
-        m0 = 1.0 - a0 * a0
-        # q (tau1 - w0) = p m0 w1 and r2 = p m0 m1 w2 along the chain
-        r1 = q * (tau1 - w0)
-        w1 = r1 / (p * m0)
-        a1 = np.abs(w1)
-        m1 = 1.0 - a1 * a1
-        r2 = q * q * tau2 - m0 * (1.0 - p * np.conj(w0) * w1) * w1
-        w2 = r2 / (p * m0 * m1)
-        a2 = np.abs(w2)
-    lo, hi = 1.0 - BOUNDARY_TOL, 1.0 + BOUNDARY_TOL
-    # within tol of a unimodular step, |m0| or |m1| is at most 2 tol + tol^2
-    # and r1, q^2 tau2 or r2 is that times at most 3, which leaves room for
-    # rounding below 8 tol
+    c0, c1, c2 = np.broadcast_arrays(*(np.array(x, dtype=np.complex128, ndmin=1)
+                                       for x in c))
+    # within tol of a unimodular w_k, 1 - |w_k|^2 is at most 2 tol + tol^2 and
+    # the rest of omega_k's series is that times at most 2, which leaves room
+    # for rounding below 8 tol
     slack = 8.0 * BOUNDARY_TOL
-    on0, on1 = a0 >= lo, a1 >= lo
-    unforced0 = ~(np.maximum(np.abs(r1), q * q * np.abs(tau2)) <= slack)
-    unforced1 = ~(np.abs(r2) <= slack)
-    # the first step that settles the verdict wins
-    decision = np.select(
-        [(np.abs(1.0 - p * c.c0) <= 1e-14) | (a0 > hi) | (on0 & unforced0), on0,
-         (a1 > hi) | (on1 & unforced1), on1, a2 > hi, a2 >= lo],
-        ["outside", "boundary", "outside", "boundary", "outside", "boundary"],
-        "inside")
-    outside = decision == "outside"
-    w1 = np.where(on0, 0.0, w1)
-    w2 = np.where(on0 | on1, 0.0, w2)
-    params = ParamTriple(*(as_complex(np.where(outside, np.nan, w).reshape(shape))
-                           for w in (w0, w1, w2)))
-    decision = decision.reshape(shape)
+    # non-finite or huge coefficients give inf or nan in omega's series,
+    # which the comparisons below read as outside
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pole = np.abs(1.0 - p * c0) <= 1e-14
+        verdict = np.where(pole, 2, 0)  # inside, boundary, outside as 0, 1, 2
+        c0 = np.where(pole, 0.0, c0)  # any finite omega: the verdict is settled
+        a0, a1, a2 = p - c0, c1, -c2  # p - phi(-u)
+        b0, b1, b2 = 1.0 - p * c0, p * c1, -p * c2  # 1 - p phi(-u)
+        omega = ratio_series(np.stack([a0, a1 + p * a0, a2 + p * a1, p * a2], axis=-1),
+                             np.stack([p * b0, b0 + p * b1, b1 + p * b2, b2], axis=-1), 3)
+        w = []
+        for k in range(3):
+            w.append(omega[..., 0].copy())
+            a = np.abs(w[-1])
+            varies = ~(np.max(np.abs(omega[..., 1:]), axis=-1, initial=0.0) <= slack)
+            on = (verdict == 0) & ~(a < 1.0 - BOUNDARY_TOL)
+            verdict = np.where(on, 1 + (~(a <= 1.0 + BOUNDARY_TOL) | varies), verdict)
+            omega[verdict > 0] = 0.0
+            if k < 2:
+                a = np.abs(omega[..., 0])
+                den = -np.conj(omega[..., :1]) * omega[..., :-1]
+                den[..., 0] = (1.0 - a) * (1.0 + a)  # 1 - conj(w_k) omega_k
+                omega = ratio_series(omega[..., 1:], den, 2 - k)
+    params = ParamTriple(*(as_complex(np.where(verdict == 2, np.nan, x).reshape(shape))
+                           for x in w))
+    decision = np.array(["inside", "boundary", "outside"])[verdict.reshape(shape)]
     return MembershipResult(decision.item() if decision.ndim == 0 else decision, params)
 
 

@@ -219,6 +219,10 @@ def test_verdict_edge_cases_neither_raise_nor_warn(p):
         assert res.decision == "outside" and np.all(np.isnan(res.params))
         stacked = membership_x2(pp, CoeffTriple(np.array([1.0 / p, 0.0]), 0.3, 0.1))
         assert stacked.decision[0] == "outside" and np.all(np.isnan(np.array(stacked.params)[:, 0]))
+        # coefficients that are not finite, or so large that omega's series
+        # overflows
+        for c in ((np.nan, 0.0, 0.0), (0.1, np.inf, 0.0), (1e200, 1e200j, -1e200)):
+            assert membership_x2(pp, CoeffTriple(*c)).decision == "outside"
         # z on a vertex of the polyline, alone and among other points
         assert contains(reg, reg.boundary[5]) == "boundary"
         assert list(contains(reg, reg.boundary[[0, 5, 5]] * [1.0, 1.0, 0.5])) == [

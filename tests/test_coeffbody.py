@@ -196,3 +196,28 @@ class TestMembership:
         c = c_from_w(pp, ParamTriple(*W.T))
         moved = CoeffTriple(c.c0, c.c1, c.c2 + 0.05 * (1.0 - np.abs(c.c0) ** 2))
         assert np.all(membership_x2(pp, moved).decision == "outside")
+
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.7, 0.9, 0.95])
+    def test_verdicts_agree_with_the_pick_matrix(self, p, rng):
+        # phi(0) = c0, phi'(0) = c1, phi''(0)/2 = c2 and phi(p) = p have a
+        # self-map solution iff the Pick matrix of the kernel 1/(1 - z conj(w))
+        # is positive semidefinite: I - T T^H on the jet at 0 (T the lower
+        # triangular Toeplitz matrix of c), the z^i coefficients of
+        # (1 - p phi(z)) / (1 - pz) against p, and (1 - p^2)/(1 - p^2) = 1
+        pp = PoleParam(p)
+        c = np.column_stack(c_from_w(pp, ParamTriple(*sample_polydisk(rng, 4000).T)))
+        c = c + 0.02 * (rng.standard_normal(c.shape) + 1j * rng.standard_normal(c.shape))
+        T = np.zeros((len(c), 3, 3), dtype=np.complex128)
+        for i, j in zip(*np.tril_indices(3)):
+            T[:, i, j] = c[:, i - j]
+        pick = np.zeros((len(c), 4, 4), dtype=np.complex128)
+        pick[:, :3, :3] = np.eye(3) - T @ np.conj(T.transpose(0, 2, 1))
+        pk = p ** np.arange(3)
+        pick[:, :3, 3] = pk - p * pk * np.cumsum(c / pk, axis=1)
+        pick[:, 3, :3] = np.conj(pick[:, :3, 3])
+        pick[:, 3, 3] = 1.0
+        smallest = np.linalg.eigvalsh(pick)[:, 0]
+        outside = membership_x2(pp, CoeffTriple(*c.T)).decision == "outside"
+        assert np.sum(smallest > 1e-8) >= 100 and np.sum(smallest < -1e-8) >= 100
+        assert not np.any(outside[smallest > 1e-8])
+        assert np.all(outside[smallest < -1e-8])
