@@ -6,10 +6,10 @@ variability disks for derivatives of self-maps with two interpolation
 conditions, and the three-parameter Blaschke-type construction that
 realizes every admissible second-order jet.
 
-The Blaschke construction has two forms.  ``blaschke_psi`` evaluates it
-pointwise through the Moebius chain; ``omega_pair`` transcribes its inner
-map omega once as a ratio of two quadratics, and ``psi_jet`` expands psi
-about p from that ratio algebraically, with no sampling.
+``blaschke_psi`` evaluates the Blaschke construction pointwise through
+the Moebius chain; ``omega_pair`` transcribes its inner map omega once as
+a ratio of two quadratics, from which ``coeffbody.phi_series_from_w``
+expands phi algebraically.
 
 The Moebius maps, ``rho_coeffs``, the variability-disk predicates and the
 Blaschke construction take scalars or equal-shape arrays and answer in
@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateDenominator, InvalidInput
-from .series import as_complex, as_real, ratio_series, taylor_from_samples
+from .series import as_complex, as_real, taylor_from_samples
 
 DENOM_EPS = 1e-14
 #: smallest accepted pole location: powers such as P**4 = (p + 1/p)**4 overflow
@@ -169,31 +169,6 @@ def omega_pair(w0, w1, w2):
     num = np.stack([w0, w1 + w0 * cw1 * w2, w2], axis=-1)
     den = np.stack([np.ones_like(w0), cw1 * w2 + cw0 * w1, cw0 * w2], axis=-1)
     return num, den
-
-
-def psi_jet(pp: PoleParam, w0, w1, w2, n_terms: int) -> np.ndarray:
-    """Taylor coefficients psi(p), psi'(p), psi''(p)/2, ... of ``blaschke_psi``
-    about p, from the rational form of omega.
-
-    At z = p + q s with q = 1 - p^2, u = [z, p] = s / (1 - p s), so
-    clearing (1 - p s)^2 from omega's pair makes psi = (p + q s) num_s / den_s
-    a ratio of a cubic and a quadratic in s, with den_s(0) = 1.  The jet's
-    k-th coefficient is the s-series' over q^k: expanding in s keeps the
-    recurrence's terms of unit size, where an expansion in z - p divides by
-    q^2 at each term.
-    """
-    p = pp.p
-    q = 1.0 - p * p
-
-    def cleared(c):
-        # c0 (1 - ps)^2 + c1 s (1 - ps) + c2 s^2
-        c0, c1, c2 = np.moveaxis(c, -1, 0)
-        return np.stack([c0, c1 - 2.0 * p * c0, p * p * c0 - p * c1 + c2], axis=-1)
-
-    num, den = (cleared(c) for c in omega_pair(w0, w1, w2))
-    n0, n1, n2 = np.moveaxis(num, -1, 0)
-    num = np.stack([p * n0, p * n1 + q * n0, p * n2 + q * n1, q * n2], axis=-1)
-    return ratio_series(num, den, n_terms) / q ** np.arange(n_terms)
 
 
 def derivatives_at(f: Callable, z0: complex, n: int, radius: float = 0.05,

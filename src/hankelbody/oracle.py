@@ -11,11 +11,11 @@ the two algebraic chains gives the triple-path consistency check, and
 
 The series route is algebraic: phi's series comes from the rational form
 of the chain (``phi_series_from_w``), and the Dieudonne families take psi's
-jet at p the same way (``psi_jet``).  A series is a coefficient array with
-the coefficient axis last, and leading axes stack series like the chain
-functions stack parameters, so ``a_batch_from_w`` is the scalar route
-called once on an array, and the families of ``verify_all`` make one array
-call per p.
+jet at p from its closed form (``tau_from_w``).  A series is a coefficient
+array with the coefficient axis last, and leading axes stack series like
+the chain functions stack parameters, so ``a_batch_from_w`` is the scalar
+route called once on an array, and the families of ``verify_all`` make one
+array call per p.
 
 The evaluator route samples: ``fprime_sampled`` recovers the same
 coefficients by Cauchy sampling of f' in closed form, through the pointwise
@@ -28,7 +28,8 @@ evaluate ``phi_evaluator``, and the rotation family and
 ``taylor_polynomial_recovery`` sample their own evaluators.
 
 Each series is expanded only to the order its answer reads: four terms of
-phi for a2..a4, and _FPRIME_TERMS for the f' family.  Truncated series
+phi for a2..a4, and _FPRIME_TERMS for the f' family, whose expansion the
+oracle-equivalence family reads the first three terms of.  Truncated series
 arithmetic never reads a higher term into a lower one, so the cut changes
 no bit of what is read.
 """
@@ -40,9 +41,9 @@ import numpy as np
 from . import hankel
 from .coeffbody import (CoeffTriple, ParamTriple, c_from_sigma, c_from_w,
                         membership_x2, phi_evaluator, phi_series_from_w,
-                        sigma_from_w)
+                        sigma_from_w, tau_from_w)
 from .disk import (PoleParam, dieudonne2_lhs, dieudonne2_rhs, dieudonne_disk1,
-                   mobius_T, psi_jet, rho_coeffs, rho_eval)
+                   mobius_T, rho_coeffs, rho_eval)
 from .errors import HankelBodyError, InvalidInput
 from .hankel import (ACoeffs, H_F, A_n, a_from_c, h_p, h_p_prime, hankel2,
                      hankel_from_c, hankel_from_sigma, lower_bound_M, omega_map,
@@ -273,7 +274,7 @@ def verify_all(p_values=(0.2, 0.5, 0.8), n_random: int = 1000, seed: int = 1) ->
         # variability-disk membership of constructed jets; worst residuals
         # are floored at 0.0, and the second order skips |tau0| near p
         n_jet = min(n_random, 400)
-        tau0, tau1, tau2 = psi_jet(pp, *Winterior[:n_jet].T, 3).T
+        tau0, tau1, tau2 = tau_from_w(pp, ParamTriple(*Winterior[:n_jet].T))
         disk = dieudonne_disk1(p, tau0)
         worst1 = np.max(np.abs(tau1 - disk.center) - disk.radius, initial=0.0)
         inner = np.abs(tau0) < p * (1 - 1e-6)
@@ -293,8 +294,9 @@ def verify_all(p_values=(0.2, 0.5, 0.8), n_random: int = 1000, seed: int = 1) ->
         zs_disk = np.sqrt(rng.uniform(size=64)) * np.exp(1j * rng.uniform(0, 2 * np.pi, 64))
         n_oracle = min(n_random, 300)
         Wo = W[:n_oracle]
-        ser = phi_series_from_w(pp, ParamTriple(*Wo.T), 3)
-        worst_o = np.max(np.abs(ser - cw[:n_oracle]))
+        # one expansion serves this family and the f' family below
+        phi = phi_series_from_w(pp, ParamTriple(*Wo.T), _FPRIME_TERMS)
+        worst_o = np.max(np.abs(phi[:, :3] - cw[:n_oracle]))
         ev = phi_evaluator(pp, ParamTriple(*Wo.T[..., None]))  # rows meet the points
         worst_f = _residual(lambda: np.max(np.abs(ev(np.array([p])) - p)))
         worst_s = _residual(lambda: max(0.0, np.max(np.abs(ev(zs_disk))) - 1.0))
@@ -366,7 +368,7 @@ def verify_all(p_values=(0.2, 0.5, 0.8), n_random: int = 1000, seed: int = 1) ->
         n_fprime = min(n_random, 50)
         wf = ParamTriple(*W[:n_fprime].T)
         n_samples = fprime_sampling_size(p)
-        fp = fprime_series(pp, phi_series_from_w(pp, wf, _FPRIME_TERMS))
+        fp = fprime_series(pp, phi[:n_fprime])
         worst = _residual(lambda: np.max(np.abs(fprime_sampled(pp, wf, n_samples) - fp)))
         families.append({
             **_family(f"fprime_series_vs_sampling[{tag}]", n_fprime, worst, _FPRIME_TOL),

@@ -406,9 +406,10 @@ def check_omega_monotone(p_small: float, p_large: float, n_theta: int = 512) -> 
 
 
 def hausdorff_distance(a: Sequence[complex], b: Sequence[complex]) -> float:
-    """Discrete symmetric Hausdorff distance between two nonempty point sets."""
-    A = np.asarray(a, dtype=np.complex128)[:, None]
-    B = np.asarray(b, dtype=np.complex128)[None, :]
+    """Discrete symmetric Hausdorff distance between two nonempty point sets;
+    an array of any shape is the set of its elements, a scalar one point."""
+    A = np.asarray(a, dtype=np.complex128).ravel()[:, None]
+    B = np.asarray(b, dtype=np.complex128).ravel()[None, :]
     if not (A.size and B.size):
         raise InvalidInput("hausdorff_distance needs two nonempty point sets")
     D = np.abs(A - B)

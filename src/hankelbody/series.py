@@ -124,19 +124,17 @@ def ratio_series(num, den, n_terms: int) -> np.ndarray:
     """
     if n_terms < 1:
         raise InvalidInput("n_terms must be >= 1")
-    # coefficient axis first inside, so each term is one contiguous stack
-    a = np.moveaxis(_series(num), -1, 0)
-    b = np.moveaxis(_series(den), -1, 0)
-    if np.any(b[0] == 0):
+    a, b = _series(num), _series(den)
+    if np.any(b[..., 0] == 0):
         raise ZeroConstantTerm("the denominator has a zero constant term")
-    c = np.zeros((n_terms,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]),
+    c = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (n_terms,),
                  dtype=np.complex128)
     for k in range(n_terms):
-        acc = a[k] if k < len(a) else 0.0
-        for j in range(1, min(k, len(b) - 1) + 1):
-            acc = acc - b[j] * c[k - j]
-        c[k] = acc / b[0]
-    return np.moveaxis(c, 0, -1)
+        acc = a[..., k] if k < a.shape[-1] else 0.0
+        for j in range(1, min(k, b.shape[-1] - 1) + 1):
+            acc = acc - b[..., j] * c[..., k - j]
+        c[..., k] = acc / b[..., 0]
+    return c
 
 
 def taylor_from_samples(

@@ -16,8 +16,8 @@ from hankelbody import (H_F, A_n, ParamTriple, PoleParam, a_from_c, aw_disk,
                         c_from_w, check_omega_monotone, dieudonne2_lhs,
                         dieudonne2_rhs, estimate_M, g_poly, h_p, h_p_prime,
                         hankel2, hausdorff_distance, lower_bound_M,
-                        membership_x2, phi_series_from_w, psi_jet,
-                        sample_omega_boundary, tau_from_w, upper_bound_M)
+                        membership_x2, phi_series_from_w,
+                        sample_omega_boundary, upper_bound_M)
 from hankelbody.cli import main as cli_main
 from hankelbody.kernels import phi_batch
 from hankelbody.oracle import a_batch_from_w
@@ -259,17 +259,14 @@ def test_criterion_9_mutation_sensitivity(monkeypatch):
 
 
 def _omega_residual(n=100):
-    """phi's series and psi's jet, both built from the omega pair, against
-    the closed forms c_from_w and tau_from_w."""
+    """phi's series, built from the omega pair, against the closed form c_from_w."""
     rng = np.random.default_rng(15)
     worst = 0.0
     for p in (0.2, 0.5, 0.8):
         pp = PoleParam(p)
         w = ParamTriple(*sample_polydisk(rng, n).T)
         ser = phi_series_from_w(pp, w, 3)
-        jet = psi_jet(pp, *w, 3)
-        worst = max(worst, float(np.max(np.abs(ser - np.column_stack(c_from_w(pp, w))))),
-                    float(np.max(np.abs(jet - np.column_stack(tau_from_w(pp, w))))))
+        worst = max(worst, float(np.max(np.abs(ser - np.column_stack(c_from_w(pp, w))))))
     return worst
 
 
@@ -298,13 +295,12 @@ def test_criterion_9_omega_pair_mutation_sensitivity(monkeypatch):
     import hankelbody.disk as dk
 
     assert _omega_residual() < 1e-10
-    # the one transcription of omega, behind phi_series_from_w and psi_jet:
+    # the one transcription of omega, behind phi_series_from_w:
     # every coefficient of its numerator and denominator must matter
     undetected = []
     n_omega = 0
     for label, bad in _list_entry_mutants(dk.omega_pair):
         n_omega += 1
-        monkeypatch.setattr(dk, "omega_pair", bad)
         monkeypatch.setattr(cb, "omega_pair", bad)
         if _omega_residual() <= 1e-10:
             undetected.append(label)

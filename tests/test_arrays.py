@@ -14,7 +14,7 @@ from hankelbody import (CoeffTriple, ParamTriple, PoleParam, a_from_c,
                         dieudonne2_rhs, dieudonne_disk1, h_p, h_p_prime, hankel2,
                         hankel_from_c, hankel_from_sigma, membership_x2,
                         omega_map, omega_pair, phi_evaluator, phi_p,
-                        phi_series_from_w, psi_jet, ratio_series,
+                        phi_series_from_w, ratio_series,
                         rho_coeffs, sample_omega_boundary, series_derivative,
                         series_exp, series_integrate, series_mul,
                         series_reciprocal, sigma_from_w, tau_from_c,
@@ -63,7 +63,6 @@ CASES = {
     "phi_series_from_w": lambda pp, t: phi_series_from_w(pp, t, 9),
     "phi_evaluator": lambda pp, t: phi_evaluator(pp, trailing(t))(ZS),
     "omega_pair": lambda pp, t: omega_pair(*t),
-    "psi_jet": lambda pp, t: psi_jet(pp, *t, 3),
     "blaschke_psi": lambda pp, t: blaschke_psi(pp, *trailing(t))(ZS),
     "derivatives_at": lambda pp, t: derivatives_at(
         blaschke_psi(pp, *trailing(t)), pp.p, 4, radius=0.1),

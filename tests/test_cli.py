@@ -73,6 +73,7 @@ class TestParsing:
         ["verify", "--samples", "-3"],
         ["region", "--samples", "8"],
         ["verify", "--samples", "abc"],
+        ["verify", "--p", ","],
         ["extremal", "--p", "x"],
         ["verify", "--seed", "-1"],
         ["extremal", "--seed", "-1"],

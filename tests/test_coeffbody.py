@@ -125,6 +125,27 @@ class TestJetChain:
             jet = derivatives_at(blaschke_psi(pp05, *w), p, 2, radius=0.15)
             assert np.max(np.abs(tau - jet)) < 1e-9
 
+    @pytest.mark.parametrize("p", [0.9, 0.95, 0.99])
+    def test_tau_from_w_matches_a_40_digit_jet(self, p, rng):
+        # near the circle the jet grows like 1/(1-p^2)^2; the closed form
+        # must keep its rounding relative to that size
+        mp = pytest.importorskip("mpmath").mp
+        W = 0.99 * sample_polydisk(rng, 40)
+        tau = np.column_stack(tau_from_w(PoleParam(p), ParamTriple(*W.T)))
+        with mp.workdps(40):
+            pm = mp.mpf(p)
+            ref = []
+            for w0, w1, w2 in (map(mp.mpc, w) for w in W):
+                def psi(z):
+                    # blaschke_psi's chain, at 40 digits
+                    u = (z - pm) / (1 - pm * z)
+                    inner = (w2 * u + w1) / (1 + mp.conj(w1) * w2 * u)
+                    return z * (u * inner + w0) / (1 + mp.conj(w0) * u * inner)
+
+                ref.append([complex(t) for t in mp.taylor(psi, pm, 2)])
+        ref = np.array(ref)
+        assert np.max(np.abs(tau - ref) / np.maximum(1.0, np.abs(ref))) <= 2e-14
+
     def test_tau_from_c_consistent(self, pp05, rng):
         for w in triples(sample_polydisk(rng, 50)):
             t1 = np.array(tau_from_w(pp05, w))

@@ -3,7 +3,7 @@ import pytest
 
 from hankelbody import (DiskRegion, ParamTriple, PoleParam, blaschke_psi,
                         derivatives_at, dieudonne2_lhs, dieudonne2_rhs,
-                        dieudonne_disk1, mobius_T, omega_pair, psi_jet,
+                        dieudonne_disk1, mobius_T, omega_pair,
                         pseudo_hyperbolic, rho_coeffs, rho_eval, tau_from_w)
 from hankelbody.disk import P_MIN
 from hankelbody.errors import DegenerateDenominator, InvalidInput
@@ -146,23 +146,16 @@ class TestRationalForm:
 
     @pytest.mark.parametrize("p", [0.05, 0.5, 0.95, 0.99])
     def test_psi_jet_matches_closed_form_and_sampling(self, p, rng):
+        # psi's jet at p is the closed form tau_from_w; Cauchy sampling of
+        # the pointwise chain shares nothing with it
         pp = PoleParam(p)
         W = 0.99 * sample_polydisk(rng, 200)
-        jet = psi_jet(pp, *W.T, 3)
         tau = np.column_stack(tau_from_w(pp, ParamTriple(*W.T)))
         sampled = derivatives_at(blaschke_psi(pp, *W.T[..., None]), p, 2,
                                  radius=min(0.4 * (1 - p), 0.2))
         # relative to the jet's size, which grows like 1/(1-p^2)^2
         scale = np.maximum(1.0, np.abs(tau))
-        assert np.max(np.abs(jet - tau) / scale) <= 1e-12
-        assert np.max(np.abs(jet - sampled) / scale) <= 1e-12
-
-    def test_psi_jet_is_the_taylor_series_at_p(self, pp05, rng):
-        for w in 0.99 * sample_polydisk(rng, 10):
-            jet = psi_jet(pp05, *w, 6)
-            sampled = derivatives_at(blaschke_psi(pp05, *w), 0.5, 5, radius=0.15)
-            assert jet.shape == (6,)
-            assert np.max(np.abs(jet - sampled)) <= 1e-9
+        assert np.max(np.abs(tau - sampled) / scale) <= 1e-12
 
 
 class TestDiskRegion:

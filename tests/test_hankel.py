@@ -162,3 +162,5 @@ class TestBoundPolynomials:
             B_coeffs(pp05, 1.5)
         with pytest.raises(InvalidInput):
             G_p(pp05, -0.1)
+        with pytest.raises(InvalidInput):
+            A_n(pp05, 0.5, 0)

@@ -364,6 +364,12 @@ class TestRegions:
         with pytest.raises(DegenerateBoundary):
             contains(bad, 1.0 + 0j)
 
+    def test_sample_sizes_are_checked(self, pp05):
+        with pytest.raises(InvalidInput):
+            sample_region_H(pp05, n_samples=0)
+        with pytest.raises(InvalidInput):
+            sample_omega_boundary(pp05, n_theta=15)
+
     def test_monotone_pairs(self):
         assert check_omega_monotone(0.3, 0.7, n_theta=128)
         with pytest.raises(InvalidInput):
@@ -394,6 +400,13 @@ class TestRegions:
         for a, b in (([], [1.0]), ([1.0], []), ([], [])):
             with pytest.raises(InvalidInput):
                 hausdorff_distance(a, b)
+
+    def test_hausdorff_treats_any_shape_as_a_point_set(self):
+        # the rows of a (2, 2) array are not separate sets: its points are
+        # 0 and 10, at distance 10 from 10j and 0 from 0
+        assert hausdorff_distance([[0, 10], [0, 10]], [0, 10j]) == 10.0
+        assert hausdorff_distance(3.0, [3.0, 7.0]) == 4.0
+        assert hausdorff_distance(1j, 1j) == 0.0
 
     def test_hausdorff_symmetry_and_zero(self):
         a = np.array([0.0, 1.0, 1j])

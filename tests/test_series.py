@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hankelbody import (ParamTriple, PoleParam, fprime_series, phi_series_from_w,
-                        psi_jet, ratio_series, rho_coeffs, rho_eval,
+                        ratio_series, rho_coeffs, rho_eval,
                         series_derivative, series_exp, series_integrate,
                         series_mul, series_reciprocal, taylor_from_samples)
 from hankelbody.errors import InvalidInput, NonzeroConstantTerm, ZeroConstantTerm
@@ -189,7 +189,6 @@ def test_outputs_are_fresh_writable_arrays(rng):
         "series_derivative of a constant": (series_derivative, s[:, :1]),
         "ratio_series": (ratio_series, s, s, 4),
         "taylor_from_samples": (taylor_from_samples, lambda z: z * z, 0.5, 3, 16),
-        "psi_jet": (psi_jet, pp, *w, 4),
         "rho_coeffs": (rho_coeffs, pp, zeta, 4),
         "phi_series_from_w": (phi_series_from_w, pp, w, 4),
         "fprime_series": (fprime_series, pp, phi),
@@ -199,6 +198,18 @@ def test_outputs_are_fresh_writable_arrays(rng):
         assert isinstance(out, np.ndarray) and out.flags.writeable, name
         inputs = [a for a in args if isinstance(a, np.ndarray)] + list(w)
         assert not any(np.shares_memory(out, a) for a in inputs), name
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ratio_series([1.0], [1.0, -1.0], 0),
+    lambda: taylor_from_samples(lambda z: z, 0.5, 0, 16),
+    lambda: taylor_from_samples(lambda z: z, 0.0, 2, 16),
+    lambda: rho_coeffs(PoleParam(0.5), 0.3, 0),
+], ids=["ratio_series-no-terms", "taylor-no-terms", "taylor-zero-radius",
+        "rho_coeffs-no-terms"])
+def test_invalid_sizes_are_invalid_input(call):
+    with pytest.raises(InvalidInput):
+        call()
 
 
 @pytest.mark.parametrize("fn", [series_reciprocal, series_exp, series_integrate,
