@@ -6,9 +6,9 @@ from .coeffbody import (CoeffTriple, MembershipResult, ParamTriple, c_from_sigma
                         c_from_w, membership_x2, phi_evaluator,
                         phi_series_from_w, sigma_from_w, tau_from_c, tau_from_w,
                         w_from_sigma)
-from .disk import (DiskRegion, PoleParam, blaschke_psi, derivatives_at,
-                   dieudonne2_lhs, dieudonne2_rhs, dieudonne_disk1, mobius_T,
-                   omega_pair, pseudo_hyperbolic, rho_coeffs, rho_eval)
+from .disk import (DiskRegion, PoleParam, blaschke_psi, dieudonne2_lhs,
+                   dieudonne2_rhs, dieudonne_disk1, mobius_T, omega_pair,
+                   pseudo_hyperbolic, rho_coeffs, rho_eval)
 from .hankel import (ACoeffs, H_F, A_n, B_coeffs, G_p, a_from_c, aw_disk,
                      g_poly, h_p, h_p_prime, hankel2, hankel_from_c,
                      hankel_from_sigma, lower_bound_M, omega_map, phi_p,

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .disk import P_MIN, PoleParam
+from .disk import PoleParam
 from .errors import HankelBodyError, InvalidInput
 from .oracle import verify_all
 from .search import (GRID_RADII, MIN_GRID, OMEGA_MIN_POINTS, RegionSample,
@@ -38,12 +38,11 @@ _MAX_SIZE = {"samples": _INTP_MAX // 72,
 
 def _parse_p(text: str) -> float:
     try:
-        p = float(text)
+        return PoleParam(float(text)).p
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"p must be a number, got {text!r}") from exc
-    if not P_MIN <= p < 1.0:
-        raise argparse.ArgumentTypeError(f"p must lie in [{P_MIN:g}, 1), got {p}")
-    return p
+    except InvalidInput as exc:  # PoleParam's range rule
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _parse_p_list(text: str) -> list[float]:

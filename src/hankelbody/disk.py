@@ -14,9 +14,8 @@ expands phi algebraically.
 The Moebius maps, ``rho_coeffs``, the variability-disk predicates and the
 Blaschke construction take scalars or equal-shape arrays and answer in
 kind (a scalar in gives a Python number out); their ``InvalidInput``
-checks fail if any element is out of range.  ``derivatives_at`` is
-``series.taylor_from_samples`` recentred at z0: it samples, and serves as
-the independent check on the algebraic jets.
+checks fail if any element is out of range.  ``PoleParam`` holds the one
+range rule for p, which the command line applies through it.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateDenominator, InvalidInput
-from .series import as_complex, as_real, taylor_from_samples
+from .series import as_complex, as_real
 
 DENOM_EPS = 1e-14
 #: smallest accepted pole location: powers such as P**4 = (p + 1/p)**4 overflow
@@ -65,20 +64,22 @@ class PoleParam:
         return self.p + 1.0 / self.p
 
 
+def _mobius_denominator(a, z):
+    """1 - conj(a) z, after checking that no element of it vanishes."""
+    denom = 1.0 - np.conj(a) * z
+    if np.any(np.abs(denom) <= DENOM_EPS):
+        raise DegenerateDenominator("1 - conj(a) z vanished")
+    return denom
+
+
 def pseudo_hyperbolic(z, w):
     """[z,w] = (z - w) / (1 - conj(w) z); works elementwise on arrays."""
-    denom = 1.0 - np.conj(w) * z
-    if np.any(np.abs(denom) <= DENOM_EPS):
-        raise DegenerateDenominator("1 - conj(w) z vanished")
-    return (z - w) / denom
+    return (z - w) / _mobius_denominator(w, z)
 
 
 def mobius_T(a, z):
     """The involution T_a(z) = (a - z)/(1 - conj(a) z) swapping 0 and a."""
-    denom = 1.0 - np.conj(a) * z
-    if np.any(np.abs(denom) <= DENOM_EPS):
-        raise DegenerateDenominator("1 - conj(a) z vanished")
-    return (a - z) / denom
+    return (a - z) / _mobius_denominator(a, z)
 
 
 def rho_eval(pp: PoleParam, zeta, z):
@@ -170,13 +171,3 @@ def omega_pair(w0, w1, w2):
     den = np.stack([np.ones_like(w0), cw1 * w2 + cw0 * w1, cw0 * w2], axis=-1)
     return num, den
 
-
-def derivatives_at(f: Callable, z0: complex, n: int, radius: float = 0.05,
-                   n_samples: int = 128) -> np.ndarray:
-    """Local Taylor coefficients f(z0), f'(z0), f''(z0)/2, ... via Cauchy sampling.
-
-    ``f`` must be analytic on |z - z0| <= radius.  Returns a complex128
-    array of n+1 coefficients on its last axis, behind any leading batch
-    axes that ``f`` puts in front of the sample axis.
-    """
-    return taylor_from_samples(lambda z: f(z0 + z), radius, n + 1, n_samples)

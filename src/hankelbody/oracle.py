@@ -10,12 +10,11 @@ the two algebraic chains gives the triple-path consistency check, and
 ``verify_all`` batches every invariant family into one report.
 
 The series route is algebraic: phi's series comes from the rational form
-of the chain (``phi_series_from_w``), and the Dieudonne families take psi's
-jet at p from its closed form (``tau_from_w``).  A series is a coefficient
-array with the coefficient axis last, and leading axes stack series like
-the chain functions stack parameters, so ``a_batch_from_w`` is the scalar
-route called once on an array, and the families of ``verify_all`` make one
-array call per p.
+of the chain (``phi_series_from_w``), the f' integrand from one long
+division, and the Dieudonne families take psi's jet at p from its closed
+form (``tau_from_w``).  Leading axes stack series like the chain functions
+stack parameters, so ``a_batch_from_w`` is the scalar route called once on
+an array, and the families of ``verify_all`` make one array call per p.
 
 The evaluator route samples: ``fprime_sampled`` recovers the same
 coefficients by Cauchy sampling of f' in closed form, through the pointwise
@@ -50,7 +49,7 @@ from .hankel import (ACoeffs, H_F, A_n, a_from_c, h_p, h_p_prime, hankel2,
                      phi_p, upper_bound_M)
 from .kernels import phi_batch
 from .search import sample_polydisk
-from .series import (as_complex, series_derivative, series_exp,
+from .series import (as_complex, ratio_series, series_derivative, series_exp,
                      series_integrate, series_mul, series_reciprocal,
                      taylor_from_samples)
 
@@ -74,10 +73,8 @@ def fprime_series(pp: PoleParam, phi) -> np.ndarray:
     the constant term is 1."""
     phi = np.asarray(phi, dtype=np.complex128)
     order = phi.shape[-1] - 1
-    one_minus_zphi = np.zeros_like(phi)
-    one_minus_zphi[..., 0] = 1.0
-    one_minus_zphi[..., 1:] = -phi[..., :-1]
-    integrand = series_mul(-2.0 * phi, series_reciprocal(one_minus_zphi))
+    one_minus_zphi = np.concatenate([np.ones_like(phi[..., :1]), -phi], axis=-1)
+    integrand = ratio_series(-2.0 * phi, one_minus_zphi, order + 1)
     expo = series_exp(series_integrate(integrand)[..., : order + 1])
     return series_mul(_prefactor_series(pp, order), expo)
 
@@ -90,7 +87,7 @@ def a_from_phi(pp: PoleParam, phi) -> ACoeffs:
 
 def a_batch_from_w(pp: PoleParam, W: np.ndarray) -> np.ndarray:
     """Series-route (a2, a3, a4) for the rows of an (n, 3) array of w-triples; (n, 3)."""
-    # a_from_phi reads f' up to z^3, which needs phi's first four terms
+    # a2..a4 read f' to z^3, hence phi to z^2: phi's z^3 term only sets the length
     phi = phi_series_from_w(pp, ParamTriple(*W.T), 4)
     return np.column_stack(a_from_phi(pp, phi))
 

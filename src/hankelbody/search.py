@@ -362,19 +362,20 @@ def contains(region: RegionSample, z):
     """Winding-number membership test against the closed boundary polyline.
 
     Returns "inside", "boundary" (within 1e-9 of the polyline), or "outside"
-    for a scalar z, and an array of them, shaped like z, for an array.
-    The points go through in chunks of ``CONTAINS_CHUNK``, so memory stays
-    bounded by the chunk times the vertex count.
+    (every non-finite z) for a scalar z, and an array of them, shaped like z,
+    for an array.  The points go through in chunks of ``CONTAINS_CHUNK``, so
+    memory stays bounded by the chunk times the vertex count.
     """
     b = np.asarray(region.boundary, dtype=np.complex128)
     if np.unique(np.round(b, 12)).size < 3:
         raise DegenerateBoundary("boundary polyline needs >= 3 distinct points")
     z = np.asarray(z, dtype=np.complex128)
-    flat = z.ravel()
+    finite = np.isfinite(z)
+    flat = np.where(finite, z, 0.0).ravel()  # 0 stands in for a non-finite z
     verdict = np.empty(flat.shape, dtype="<U8")
     for i in range(0, flat.size, CONTAINS_CHUNK):
         verdict[i:i + CONTAINS_CHUNK] = _verdicts(b, flat[i:i + CONTAINS_CHUNK])
-    verdict = verdict.reshape(z.shape)
+    verdict = np.where(finite, verdict.reshape(z.shape), "outside")
     return verdict.item() if verdict.ndim == 0 else verdict
 
 
@@ -398,8 +399,8 @@ def _verdicts(b: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def check_omega_monotone(p_small: float, p_large: float, n_theta: int = 512) -> bool:
     """True iff the Omega boundary for p_large sits inside Omega for p_small."""
-    if not 0.0 < p_small < p_large < 1.0:
-        raise InvalidInput("need 0 < p_small < p_large < 1")
+    if not p_small < p_large:  # PoleParam checks the range of each
+        raise InvalidInput("need p_small < p_large")
     outer = sample_omega_boundary(PoleParam(p_small), n_theta)
     inner = sample_omega_boundary(PoleParam(p_large), n_theta)
     return not np.any(contains(outer, inner.points) == "outside")

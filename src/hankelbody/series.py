@@ -10,7 +10,7 @@ to or alias their inputs.
 
 Two routes give the coefficients of a function.  ``ratio_series`` expands
 a ratio of polynomials algebraically, by long division; the package's
-self-maps are such ratios, so their series and jets take this route.
+self-maps and every series quotient, ``series_reciprocal`` included, take it.
 ``taylor_from_samples`` extracts them from an arbitrary analytic evaluator
 through Cauchy's integral formula on a sampling circle; it serves the
 closed-form checks against sampled evaluators (the rotation family, the f'
@@ -67,16 +67,11 @@ def series_mul(a, b) -> np.ndarray:
 
 
 def series_reciprocal(a) -> np.ndarray:
-    """Multiplicative inverse modulo z^(N+1).  Requires a nonzero constant term."""
+    """Multiplicative inverse modulo z^(N+1) by ``ratio_series``; needs a0 != 0."""
     a = _series(a)
-    a0 = a[..., 0]
-    if np.any(abs(a0) <= CONSTANT_TERM_EPS):
+    if np.any(abs(a[..., 0]) <= CONSTANT_TERM_EPS):
         raise ZeroConstantTerm("cannot invert a series with zero constant term")
-    r = np.zeros_like(a)
-    r[..., 0] = 1.0 / a0
-    for k in range(1, a.shape[-1]):
-        r[..., k] = -_dot(a[..., 1 : k + 1], r[..., k - 1 :: -1]) / a0
-    return r
+    return ratio_series([1.0], a, a.shape[-1])
 
 
 def series_exp(a) -> np.ndarray:

@@ -10,8 +10,8 @@ import pytest
 import hankelbody.series
 from hankelbody import (CoeffTriple, ParamTriple, PoleParam, a_from_c,
                         a_from_phi, blaschke_psi, c_from_sigma, c_from_w,
-                        contains, derivatives_at, dieudonne2_lhs,
-                        dieudonne2_rhs, dieudonne_disk1, h_p, h_p_prime, hankel2,
+                        contains, dieudonne2_lhs, dieudonne2_rhs,
+                        dieudonne_disk1, h_p, h_p_prime, hankel2,
                         hankel_from_c, hankel_from_sigma, membership_x2,
                         omega_map, omega_pair, phi_evaluator, phi_p,
                         phi_series_from_w, ratio_series,
@@ -64,8 +64,6 @@ CASES = {
     "phi_evaluator": lambda pp, t: phi_evaluator(pp, trailing(t))(ZS),
     "omega_pair": lambda pp, t: omega_pair(*t),
     "blaschke_psi": lambda pp, t: blaschke_psi(pp, *trailing(t))(ZS),
-    "derivatives_at": lambda pp, t: derivatives_at(
-        blaschke_psi(pp, *trailing(t)), pp.p, 4, radius=0.1),
     "taylor_from_samples": lambda pp, t: taylor_from_samples(
         blaschke_psi(pp, *trailing(t)), 0.2, 6),
     "series_mul": lambda pp, t: series_mul(series(*t), series(t.x2, t.x0, t.x1)),

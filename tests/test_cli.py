@@ -18,6 +18,7 @@ from hankelbody import PoleParam, RegionSample, cli
 from hankelbody.cli import (EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL,
                             build_parser, main)
 from hankelbody.disk import P_MIN
+from hankelbody.errors import InvalidInput
 from hankelbody.search import sample_omega_boundary, sample_region_H
 
 from conftest import slice_max_on_grid
@@ -27,6 +28,15 @@ REPO = Path(__file__).resolve().parents[1]
 
 def run(argv):
     return main(argv)
+
+
+#: finite and non-finite p outside [P_MIN, 1), each a usage error
+P_OUTSIDE_THE_RULE = [
+    ["extremal", "--p", "nan"],
+    ["bounds", "--p", "inf"],
+    ["region", "--p=-0.5"],
+    ["verify", "--p", "1e-61"],
+]
 
 
 class TestParsing:
@@ -88,6 +98,7 @@ class TestParsing:
         ["verify", "--p", "0.5", "--samples", "99999999999999999999"],
         ["extremal", "--grid", "99999999999999999999"],
         ["bounds", "--grid", "99999999999999999999"],
+        *P_OUTSIDE_THE_RULE,
     ])
     def test_invalid_values_are_usage_errors(self, argv, capsys):
         assert run(argv) == EXIT_USAGE
@@ -99,6 +110,14 @@ class TestParsing:
         # messages name the flags, not internal functions or parameters
         for internal in ("_parse_", "n_theta", "refine_iters", "n_samples"):
             assert internal not in captured.err
+
+    @pytest.mark.parametrize("argv", P_OUTSIDE_THE_RULE)
+    def test_p_outside_the_rule_prints_poleparams_message(self, argv, capsys):
+        # the command line applies PoleParam's rule for p and passes its message on
+        with pytest.raises(InvalidInput) as rule:
+            PoleParam(float(argv[-1].removeprefix("--p=")))
+        assert run(argv) == EXIT_USAGE
+        assert f"argument --p: {rule.value}\n" in capsys.readouterr().err
 
 
 class TestBounds:

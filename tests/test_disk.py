@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from hankelbody import (DiskRegion, ParamTriple, PoleParam, blaschke_psi,
-                        derivatives_at, dieudonne2_lhs, dieudonne2_rhs,
-                        dieudonne_disk1, mobius_T, omega_pair,
-                        pseudo_hyperbolic, rho_coeffs, rho_eval, tau_from_w)
+                        dieudonne2_lhs, dieudonne2_rhs, dieudonne_disk1,
+                        mobius_T, omega_pair, pseudo_hyperbolic, rho_coeffs,
+                        rho_eval, tau_from_w, taylor_from_samples)
 from hankelbody.disk import P_MIN
 from hankelbody.errors import DegenerateDenominator, InvalidInput
 from hankelbody.search import sample_polydisk
@@ -74,8 +74,8 @@ class TestRotationConjugate:
             zeta = complex(np.sqrt(rng.uniform())
                            * np.exp(1j * rng.uniform(0, 2 * np.pi)))
             closed = np.asarray(rho_coeffs(pp05, zeta, 6))
-            sampled = derivatives_at(lambda z: rho_eval(pp05, zeta, z),
-                                     0.0, 5, radius=0.25, n_samples=256)
+            sampled = taylor_from_samples(lambda z: rho_eval(pp05, zeta, z),
+                                          0.25, 6, 256)
             assert np.max(np.abs(closed - sampled)) < 1e-10
 
 
@@ -103,7 +103,7 @@ class TestVariabilityDisks:
         p = pp05.p
         for w in 0.98 * sample_polydisk(rng, 40):
             psi = blaschke_psi(pp05, *w)
-            tau0, tau1, tau2 = derivatives_at(psi, p, 2, radius=0.15)
+            tau0, tau1, tau2 = taylor_from_samples(lambda z: psi(p + z), 0.15, 3, 128)
             disk = dieudonne_disk1(p, complex(tau0))
             assert abs(tau1 - disk.center) <= disk.radius + 1e-8
             lhs = dieudonne2_lhs(p, complex(tau0), complex(tau1), complex(tau2))
@@ -151,8 +151,9 @@ class TestRationalForm:
         pp = PoleParam(p)
         W = 0.99 * sample_polydisk(rng, 200)
         tau = np.column_stack(tau_from_w(pp, ParamTriple(*W.T)))
-        sampled = derivatives_at(blaschke_psi(pp, *W.T[..., None]), p, 2,
-                                 radius=min(0.4 * (1 - p), 0.2))
+        psi = blaschke_psi(pp, *W.T[..., None])
+        sampled = taylor_from_samples(lambda z: psi(p + z),
+                                      min(0.4 * (1 - p), 0.2), 3, 128)
         # relative to the jet's size, which grows like 1/(1-p^2)^2
         scale = np.maximum(1.0, np.abs(tau))
         assert np.max(np.abs(tau - sampled) / scale) <= 1e-12

@@ -9,11 +9,12 @@ from hankelbody import (ParamTriple, PoleParam, a_from_c, a_from_phi,
                         phi_series_from_w, verify_all)
 from hankelbody.coeffbody import phi_evaluator
 from hankelbody.oracle import (_FPRIME_TERMS, _FPRIME_TOL, _circle_antiderivative,
-                               a_batch_from_w, fprime_aliasing_bound,
-                               fprime_exponent_bound, fprime_sampled,
-                               fprime_sampling_size)
+                               _prefactor_series, a_batch_from_w,
+                               fprime_aliasing_bound, fprime_exponent_bound,
+                               fprime_sampled, fprime_sampling_size)
 from hankelbody.search import sample_polydisk
-from hankelbody.series import taylor_from_samples
+from hankelbody.series import (series_exp, series_integrate, series_mul,
+                               series_reciprocal, taylor_from_samples)
 
 from conftest import triples
 
@@ -310,3 +311,54 @@ class TestSeriesCut:
         got = fprime_series(pp, phi_series_from_w(pp, w, _FPRIME_TERMS))
         ref = fprime_series(pp, phi_series_from_w(pp, w, 10))[:, :_FPRIME_TERMS]
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def _reciprocal_recurrence(a):
+    """1/a by the recurrence r_0 = 1/a_0, r_k = -sum_{j=1..k} a_j r_{k-j} / a_0,
+    one dot product per term: the route ``series_reciprocal`` took before it
+    divided by ``ratio_series``."""
+    a = np.asarray(a, dtype=np.complex128)
+    r = np.zeros_like(a)
+    r[..., 0] = 1.0 / a[..., 0]
+    for k in range(1, a.shape[-1]):
+        r[..., k] = -np.einsum("...j,...j->...", a[..., 1:k + 1], r[..., k - 1::-1]) / a[..., 0]
+    return r
+
+
+def _fprime_series_by_reciprocal(pp, phi):
+    """``fprime_series`` with the integrand as -2 phi times the reciprocal of
+    1 - z phi cut to phi's order: the route it took before its one long
+    division."""
+    order = phi.shape[-1] - 1
+    one_minus_zphi = np.zeros_like(phi)
+    one_minus_zphi[..., 0] = 1.0
+    one_minus_zphi[..., 1:] = -phi[..., :-1]
+    integrand = series_mul(-2.0 * phi, _reciprocal_recurrence(one_minus_zphi))
+    expo = series_exp(series_integrate(integrand)[..., : order + 1])
+    return series_mul(_prefactor_series(pp, order), expo)
+
+
+class TestReplacedRoutes:
+    """The long divisions agree with the recurrences they replaced."""
+
+    @pytest.mark.parametrize("p", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("n_terms", [_FPRIME_TERMS, 10])
+    def test_fprime_series_matches_the_reciprocal_route(self, p, n_terms, rng):
+        pp = PoleParam(p)
+        W = sample_polydisk(rng, 300)
+        scale = (2.0 / p) ** np.arange(n_terms)
+        for rows in (0.99 * W, W / np.abs(W)):  # interior and unimodular
+            phi = phi_series_from_w(pp, ParamTriple(*rows.T), n_terms)
+            got, ref = fprime_series(pp, phi), _fprime_series_by_reciprocal(pp, phi)
+            assert np.max(np.abs(got - ref) / scale) < 1e-13
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_series_reciprocal_matches_the_recurrence(self, seed):
+        # verify_all's draw: |c0| in [0.1, 10], where the recurrence grows
+        # the coefficients to about 1e9, so the bound is relative to each row
+        u = np.random.default_rng(seed).uniform(size=(200, 20))
+        c = (-1 + 2 * u[:, :9]) + 1j * (-1 + 2 * u[:, 9:18])
+        c[:, 0] = (0.1 + 9.9 * u[:, 18]) * np.exp(1j * (2 * np.pi * u[:, 19]))
+        got, ref = series_reciprocal(c), _reciprocal_recurrence(c)
+        size = np.max(np.abs(ref), axis=-1, keepdims=True)
+        assert np.max(np.abs(got - ref) / size) < 1e-13

@@ -10,7 +10,8 @@ from hankelbody import (ParamTriple, PoleParam, a_from_c, c_from_sigma,
                         omega_map, sample_omega_boundary, sample_region_H,
                         upper_bound_M)
 from hankelbody.errors import DegenerateBoundary, InvalidInput
-from hankelbody.kernels import best_sigma2, phi_batch, phi_factors, phi_sigma2_max
+from hankelbody.kernels import (_phi_terms, best_sigma2, phi_batch, phi_factors,
+                                phi_sigma2_max)
 from hankelbody.hankel import phi_p
 from hankelbody import search
 from hankelbody.search import (_FATOL, _XATOL, REGION_BINS, _binned_boundary,
@@ -53,6 +54,15 @@ class TestKernels:
                                      np.array([s2]))[0])
             assert attained <= sup[k] + 1e-9
             assert attained >= sup[k] - 1e-8
+
+    def test_best_sigma2_at_a_zero_head(self):
+        # at p = 0.5, sigma0 = -1/4 is a root of 1 + (P^2 - 2) s + s^2, so with
+        # sigma1 = 0 the head of Phi is exactly 0 and only sigma2's term is left
+        P, s0, s1 = 2.5, -0.25, 0.0
+        assert _phi_terms(P, complex(s0), complex(s1)) == (0.0, 35.15625)
+        s2 = best_sigma2(P, s0, s1)
+        assert abs(s2) == 1.0
+        assert abs(phi_batch(P, s0, s1, s2)) == phi_sigma2_max(P, s0, s1)
 
     def test_sigma2_max_dominates_random_sigma2(self, rng):
         P = 4.0
@@ -489,6 +499,20 @@ class TestContainsChunks:
         assert set(one_pass) == {"inside", "outside", "boundary"}
         assert np.array_equal(chunked, one_pass)
         assert np.array_equal(chunked_grid, one_pass.reshape(2, -1))
+
+    def test_non_finite_points_are_outside(self, region):
+        bad = [np.nan, np.inf, -np.inf, complex(np.nan, np.nan), complex(0, np.inf),
+               complex(np.inf, np.inf), complex(1, np.nan)]
+        for z in bad:
+            assert contains(region, z) == "outside"
+        assert list(contains(region, np.array([np.nan, 1e300, -1e300j]))) == ["outside"] * 3
+        # finite points keep their verdicts, bit for bit, among non-finite ones
+        z = np.concatenate([region.points[:50], region.boundary[:3], [3.0, 0.0]])
+        mixed = np.insert(z, [0, 7, 40, 55], np.array(bad[:4]))
+        got = contains(region, mixed)
+        finite = np.isfinite(mixed)
+        assert np.array_equal(got[finite], contains(region, z))
+        assert set(got[~finite]) == {"outside"}
 
     def test_scalar_gives_a_str(self, region):
         assert contains(region, complex(region.boundary[7])) == "boundary"
