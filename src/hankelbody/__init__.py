@@ -7,7 +7,7 @@ from .coeffbody import (CoeffTriple, MembershipResult, ParamTriple, c_from_sigma
                         phi_series_from_w, sigma_from_w, tau_from_c, tau_from_w,
                         w_from_sigma)
 from .disk import (DiskRegion, PoleParam, blaschke_psi, dieudonne2_lhs,
-                   dieudonne2_rhs, dieudonne_disk1, mobius_T, omega_pair,
+                   dieudonne2_rhs, dieudonne_disk1, mobius_T,
                    pseudo_hyperbolic, rho_coeffs, rho_eval)
 from .hankel import (ACoeffs, H_F, A_n, B_coeffs, G_p, a_from_c, aw_disk,
                      g_poly, h_p, h_p_prime, hankel2, hankel_from_c,

@@ -2,9 +2,9 @@
 
 Two equivalent three-parameter chains describe the body: the w-chain built
 directly from the Blaschke construction, and the sigma-chain obtained from
-it by a Moebius change of variables in the first parameter.  Membership
-testing inverts the w-chain by Schur's algorithm, so an inside verdict also
-recovers the generating parameters.
+it by a Moebius change of variables in the first parameter.  The w-chain
+is Schur's recursion, run forwards by ``phi_series_from_w`` and inverted by
+``membership_x2``, so an inside verdict also recovers the parameters.
 
 Sign conventions follow the constructive chain (psi(z) = z*omega([z,p]))
 throughout; both closed-form chains below agree with the Taylor
@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .disk import PoleParam, blaschke_psi, mobius_T, omega_pair
+from .disk import PoleParam, blaschke_psi, mobius_T
 from .errors import InvalidInput
 from .series import as_complex, ratio_series
 
@@ -218,18 +218,23 @@ def phi_evaluator(pp: PoleParam, w: ParamTriple):
 def phi_series_from_w(pp: PoleParam, w: ParamTriple, n_terms: int) -> np.ndarray:
     """Taylor series of phi about 0, from the rational form of the chain.
 
-    [T_p(z), p] = -z, so phi = T_p(T_p(z) omega(-z)).  With omega = N/D from
-    ``omega_pair``, Nt = (p - z) N(-z) and Dt = (1 - pz) D(-z) make
-    phi = (p Dt - Nt) / (Dt - p Nt), a ratio of cubics whose denominator has
-    the constant term 1 - p^2 w0; ``ratio_series`` expands it.  No sampling
-    is involved, so the series is independent of ``phi_evaluator``'s
-    pointwise Moebius chain.  Array parameters give a stack of series, the
-    coefficient axis last behind the same leading axes.
+    omega = [u [u w2, -w1], -w0] is Schur's recursion
+    omega_k = (w_k + u omega_{k+1}) / (1 + conj(w_k) u omega_{k+1}) from
+    omega_2 = w2; two steps give omega = N/D, two quadratics in u.
+    [T_p(z), p] = -z, so phi = T_p(T_p(z) omega(-z)); with Nt = (p - z) N(-z)
+    and Dt = (1 - pz) D(-z), phi = (p Dt - Nt) / (Dt - p Nt), a ratio of
+    cubics whose denominator has the constant term 1 - p^2 w0;
+    ``ratio_series`` expands it.  No sampling is involved, so the series is
+    independent of ``phi_evaluator``'s pointwise Moebius chain.  Array
+    parameters give a stack of series, the coefficient axis last.
     """
     p = pp.p
-    num, den = omega_pair(*w)
-    n0, n1, n2 = np.moveaxis(num, -1, 0)
-    d0, d1, d2 = np.moveaxis(den, -1, 0)
+    w0, w1, w2 = np.broadcast_arrays(*(np.asarray(x, dtype=np.complex128) for x in w))
+    # omega_2 = w2, then (N, D) <- (w_k D + u N, D + conj(w_k) u N); D(0) stays 1
+    n0, n1, n2, d1, d2 = w2, 0.0, 0.0, 0.0, 0.0
+    for wk in (w1, w0):
+        cw = np.conj(wk)
+        n0, n1, n2, d1, d2 = wk, wk * d1 + n0, wk * d2 + n1, d1 + cw * n0, d2 + cw * n1
     nt = np.stack([p * n0, -p * n1 - n0, p * n2 + n1, -n2], axis=-1)
-    dt = np.stack([d0, -d1 - p * d0, d2 + p * d1, -p * d2], axis=-1)
+    dt = np.stack([np.ones_like(w0), -d1 - p, d2 + p * d1, -p * d2], axis=-1)
     return ratio_series(p * dt - nt, dt - p * nt, n_terms)

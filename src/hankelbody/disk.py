@@ -7,9 +7,8 @@ conditions, and the three-parameter Blaschke-type construction that
 realizes every admissible second-order jet.
 
 ``blaschke_psi`` evaluates the Blaschke construction pointwise through
-the Moebius chain; ``omega_pair`` transcribes its inner map omega once as
-a ratio of two quadratics, from which ``coeffbody.phi_series_from_w``
-expands phi algebraically.
+the nested Moebius chain; ``coeffbody.phi_series_from_w`` builds the same
+inner map omega by Schur's recursion and expands phi algebraically.
 
 The Moebius maps, ``rho_coeffs``, the variability-disk predicates and the
 Blaschke construction take scalars or equal-shape arrays and answer in
@@ -155,19 +154,4 @@ def blaschke_psi(pp: PoleParam, w0: complex, w1: complex, w2: complex) -> Callab
         return z * omega
 
     return psi
-
-
-def omega_pair(w0, w1, w2):
-    """omega(u) = [u [w2 u, -w1], -w0] as num(u) / den(u), two quadratics in u.
-
-    Each is a coefficient array with the coefficient axis last, behind the
-    broadcast shape of the parameters.  den(0) = 1.  For |w0| = 1 the pair
-    keeps the common factor that makes omega constant.
-    """
-    w0, w1, w2 = np.broadcast_arrays(*(np.asarray(x, dtype=np.complex128)
-                                       for x in (w0, w1, w2)))
-    cw0, cw1 = np.conj(w0), np.conj(w1)
-    num = np.stack([w0, w1 + w0 * cw1 * w2, w2], axis=-1)
-    den = np.stack([np.ones_like(w0), cw1 * w2 + cw0 * w1, cw0 * w2], axis=-1)
-    return num, den
 

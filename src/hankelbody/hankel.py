@@ -136,8 +136,7 @@ def h_p(pp: PoleParam, t):
 def h_p_prime(pp: PoleParam, t):
     """Derivative of h_p; at t=1 equals -2(P-2)(P+1)/(3P)."""
     P = pp.P
-    c = hp_numerator_coeffs(P)
-    dc = c[1:] * np.arange(1, c.size)
+    dc = np.polynomial.polynomial.polyder(hp_numerator_coeffs(P))
     return as_real(np.polynomial.polynomial.polyval(t, dc) / (18.0 * P**3))
 
 

@@ -92,7 +92,7 @@ def _slice_argmax(P: float) -> float:
     near-double root keeps its candidate even when rounding makes it complex.
     """
     c = hp_numerator_coeffs(P)
-    crit = np.polynomial.polynomial.polyroots(c[1:] * np.arange(1, c.size))
+    crit = np.polynomial.polynomial.polyroots(np.polynomial.polynomial.polyder(c))
     t = np.clip(np.concatenate(([0.0, 1.0], crit.real)), 0.0, 1.0)
     return float(t[np.argmax(np.abs(np.polynomial.polynomial.polyval(t, c)))])
 

@@ -258,54 +258,43 @@ def test_criterion_9_mutation_sensitivity(monkeypatch):
               f"{undetected or 'none'}", not undetected)
 
 
-def _omega_residual(n=100):
-    """phi's series, built from the omega pair, against the closed form c_from_w."""
+def _omega_residual(n=100, series=phi_series_from_w):
+    """phi's series, built by ``series``, against the closed form c_from_w."""
     rng = np.random.default_rng(15)
     worst = 0.0
     for p in (0.2, 0.5, 0.8):
         pp = PoleParam(p)
         w = ParamTriple(*sample_polydisk(rng, n).T)
-        ser = phi_series_from_w(pp, w, 3)
+        ser = series(pp, w, 3)
         worst = max(worst, float(np.max(np.abs(ser - np.column_stack(c_from_w(pp, w))))))
     return worst
 
 
-def _list_entry_mutants(fn):
-    """Copies of ``fn``, each copy with one entry of one list literal
-    raised by 1e-3."""
+#: named edits of phi_series_from_w's Schur recursion: (label, source, mutant)
+OMEGA_MUTANTS = [
+    ("conjugate dropped", "cw = np.conj(wk)", "cw = wk"),
+    ("parameters in the order (w0, w1)", "for wk in (w1, w0):", "for wk in (w0, w1):"),
+    ("u-shift + n0 dropped", "wk * d1 + n0", "wk * d1"),
+    ("conj(w2) as the start", "n0, n1, n2, d1, d2 = w2,", "n0, n1, n2, d1, d2 = np.conj(w2),"),
+]
+
+
+def _source_mutants(fn, edits):
+    """Copies of ``fn``, each copy with one (label, old, new) edit of its
+    source; ``old`` must occur exactly once."""
     source = textwrap.dedent(inspect.getsource(fn))
-
-    def entries(tree):
-        return [(node, k) for node in ast.walk(tree) if isinstance(node, ast.List)
-                for k in range(len(node.elts))]
-
-    for i in range(len(entries(ast.parse(source)))):
-        tree = ast.parse(source)
-        node, k = entries(tree)[i]
-        label = f"{fn.__name__} line {node.lineno}: {ast.unparse(node.elts[k])}"
-        node.elts[k] = ast.BinOp(node.elts[k], ast.Add(), ast.Constant(1e-3))
-        ast.fix_missing_locations(tree)
+    for label, old, new in edits:
+        assert source.count(old) == 1, label
         namespace = dict(fn.__globals__)
-        exec(compile(tree, fn.__code__.co_filename, "exec"), namespace)
+        exec(compile(source.replace(old, new), fn.__code__.co_filename, "exec"), namespace)
         yield label, namespace[fn.__name__]
 
 
-def test_criterion_9_omega_pair_mutation_sensitivity(monkeypatch):
-    import hankelbody.coeffbody as cb
-    import hankelbody.disk as dk
-
+def test_criterion_9_omega_pair_mutation_sensitivity():
     assert _omega_residual() < 1e-10
-    # the one transcription of omega, behind phi_series_from_w:
-    # every coefficient of its numerator and denominator must matter
-    undetected = []
-    n_omega = 0
-    for label, bad in _list_entry_mutants(dk.omega_pair):
-        n_omega += 1
-        monkeypatch.setattr(cb, "omega_pair", bad)
-        if _omega_residual() <= 1e-10:
-            undetected.append(label)
-        monkeypatch.undo()
-    assert n_omega == 6
-
-    report(9, f"mutation sensitivity ({n_omega} omega coefficients), undetected: "
-              f"{undetected or 'none'}", not undetected)
+    # omega's numerator and denominator, the pair behind phi_series_from_w,
+    # come from two steps of Schur's recursion: each named edit must matter
+    undetected = [label for label, bad in _source_mutants(phi_series_from_w, OMEGA_MUTANTS)
+                  if _omega_residual(series=bad) <= 1e-10]
+    report(9, f"mutation sensitivity ({len(OMEGA_MUTANTS)} omega recursion edits), "
+              f"undetected: {undetected or 'none'}", not undetected)

@@ -13,7 +13,7 @@ from hankelbody import (CoeffTriple, ParamTriple, PoleParam, a_from_c,
                         contains, dieudonne2_lhs, dieudonne2_rhs,
                         dieudonne_disk1, h_p, h_p_prime, hankel2,
                         hankel_from_c, hankel_from_sigma, membership_x2,
-                        omega_map, omega_pair, phi_evaluator, phi_p,
+                        omega_map, phi_evaluator, phi_p,
                         phi_series_from_w, ratio_series,
                         rho_coeffs, sample_omega_boundary, series_derivative,
                         series_exp, series_integrate, series_mul,
@@ -62,7 +62,6 @@ CASES = {
     "hankel_from_sigma": lambda pp, t: hankel_from_sigma(pp, t),
     "phi_series_from_w": lambda pp, t: phi_series_from_w(pp, t, 9),
     "phi_evaluator": lambda pp, t: phi_evaluator(pp, trailing(t))(ZS),
-    "omega_pair": lambda pp, t: omega_pair(*t),
     "blaschke_psi": lambda pp, t: blaschke_psi(pp, *trailing(t))(ZS),
     "taylor_from_samples": lambda pp, t: taylor_from_samples(
         blaschke_psi(pp, *trailing(t)), 0.2, 6),

@@ -106,6 +106,30 @@ class TestAgainstSeriesOracle:
             got = phi_series_from_w(pp, row, 40)
             assert got.shape == (40,) and np.max(np.abs(got - want)) <= 1e-14
 
+    @pytest.mark.parametrize("p", [0.9, 0.95, 0.99])
+    def test_phi_series_matches_a_40_digit_series_near_the_circle(self, p, rng):
+        # omega's pair recovers (1 - |w0|^2) w1 by cancellation, so the rows
+        # put w0, and in half of them w1, close to the circle
+        mp = pytest.importorskip("mpmath").mp
+        W = sample_polydisk(rng, 16)
+        W[:, 0] = np.tile([0.99, 0.9999], 8) * np.exp(1j * np.angle(W[:, 0]))
+        W[::2, 1] = 0.999 * np.exp(1j * np.angle(W[::2, 1]))
+        ser = phi_series_from_w(PoleParam(p), ParamTriple(*W.T), 5)
+        with mp.workdps(40):
+            pm = mp.mpf(p)
+            ref = []
+            for w0, w1, w2 in (map(mp.mpc, w) for w in W):
+                def phi(z):
+                    # phi_evaluator's chain T_p . psi . T_p, at 40 digits
+                    z = (pm - z) / (1 - pm * z)
+                    u = (z - pm) / (1 - pm * z)
+                    inner = (w2 * u + w1) / (1 + mp.conj(w1) * w2 * u)
+                    psi = z * (u * inner + w0) / (1 + mp.conj(w0) * u * inner)
+                    return (pm - psi) / (1 - pm * psi)
+
+                ref.append([complex(c) for c in mp.taylor(phi, 0, 4)])
+        assert np.max(np.abs(ser - np.array(ref))) <= 1e-14
+
     def test_phi_evaluator_takes_no_points(self, pp05):
         ev = phi_evaluator(pp05, ParamTriple(0.1, 0.2j, -0.3))
         assert ev(np.array([], dtype=np.complex128)).shape == (0,)

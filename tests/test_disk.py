@@ -3,7 +3,7 @@ import pytest
 
 from hankelbody import (DiskRegion, ParamTriple, PoleParam, blaschke_psi,
                         dieudonne2_lhs, dieudonne2_rhs, dieudonne_disk1,
-                        mobius_T, omega_pair, pseudo_hyperbolic, rho_coeffs,
+                        mobius_T, pseudo_hyperbolic, rho_coeffs,
                         rho_eval, tau_from_w, taylor_from_samples)
 from hankelbody.disk import P_MIN
 from hankelbody.errors import DegenerateDenominator, InvalidInput
@@ -133,17 +133,6 @@ class TestBlaschkePsi:
 
 
 class TestRationalForm:
-    def test_omega_pair_is_the_moebius_chain(self, rng):
-        W = sample_polydisk(rng, 300)
-        u = 0.99 * np.sqrt(rng.uniform(size=300)) * np.exp(2j * np.pi * rng.uniform(size=300))
-        num, den = omega_pair(*W.T)
-        assert num.shape == den.shape == (300, 3)
-        polyval = np.polynomial.polynomial.polyval
-        got = polyval(u, num.T, tensor=False) / polyval(u, den.T, tensor=False)
-        w0, w1, w2 = W.T
-        inner = pseudo_hyperbolic(u * pseudo_hyperbolic(w2 * u, -w1), -w0)
-        assert np.max(np.abs(got - inner)) <= 1e-13
-
     @pytest.mark.parametrize("p", [0.05, 0.5, 0.95, 0.99])
     def test_psi_jet_matches_closed_form_and_sampling(self, p, rng):
         # psi's jet at p is the closed form tau_from_w; Cauchy sampling of
