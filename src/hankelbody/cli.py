@@ -11,9 +11,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import sys
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -30,9 +32,10 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 #: the largest --samples and --grid whose arrays' sizes in bytes fit an intp:
-#: 72 bytes a sample in region, 16 a point of the ((GRID_RADII - 1) grid + 1)**2 sweep
+#: 48 bytes a sample in the largest array of region and verify, ``sample_polydisk``'s
+#: (samples, 3) complex parameters, and 16 a point of the ((GRID_RADII - 1) grid + 1)**2 sweep
 _INTP_MAX = np.iinfo(np.intp).max
-_MAX_SIZE = {"samples": _INTP_MAX // 72,
+_MAX_SIZE = {"samples": _INTP_MAX // 48,
              "grid": (math.isqrt(_INTP_MAX // 16) - 1) // (GRID_RADII - 1)}
 
 
@@ -72,10 +75,13 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _write_text(path: str | None, pieces: list[str]) -> None:
+def _write_text(path: str | None, pieces: Iterable[str]) -> None:
     """Write the text ``"".join(pieces)`` to ``path``, or to stdout for None,
     piece by piece, so that no joined copy of the text is made.  stdout gets
-    one ``write`` per piece: a stand-in for it may have no ``writelines``."""
+    one ``write`` per piece: a stand-in for it may have no ``writelines``.
+
+    ``pieces`` may be a generator: its pieces are then formed after ``path``
+    is opened, and an error in one leaves the pieces before it written."""
     if path is None:
         for piece in pieces:
             sys.stdout.write(piece)
@@ -126,26 +132,49 @@ def _region_rows(omega: RegionSample | None, hank: RegionSample | None):
     return rows
 
 
+#: rows per piece of a region json or svg document: a piece is formatted from
+#: its own ``.tolist()`` slice, so no text as large as the document is made
+_ROWS_PER_PIECE = 4096
+
+
+def _row_pieces(z: np.ndarray, row: str, sep: str, cells) -> Iterator[str]:
+    """``sep.join(row % pair for each point of z)`` in pieces, ``sep`` alone
+    between two pieces, where ``cells(part)`` gives the tuple of the two cell
+    values of each point of the slice ``part`` of ``z``, flattened."""
+    full = sep.join([row] * _ROWS_PER_PIECE)
+    for i in range(0, z.size, _ROWS_PER_PIECE):
+        part = z[i:i + _ROWS_PER_PIECE]
+        if i:
+            yield sep
+        yield (full if part.size == _ROWS_PER_PIECE else sep.join([row] * part.size)) % cells(part)
+
+
 #: one ``[re, im]`` row as ``json.dumps(..., indent=2)`` writes it in the
 #: region document, three levels deep.  ``%s`` of a float is ``float.__repr__``,
 #: which is how json writes a finite float.
 _JSON_ROW = "      [\n        %s,\n        %s\n      ]"
 
 
-def _json_rows(z: np.ndarray) -> str:
-    """The ``[re, im]`` rows of the complex array ``z``, comma-separated as in
-    the region document, formatted in one ``%`` pass."""
-    xy = np.ascontiguousarray(z, dtype=np.complex128).view(np.float64)
+def _json_cells(z: np.ndarray) -> tuple:
+    xy = z.view(np.float64)
     vals = xy.tolist()
-    if not np.isfinite(xy).all():
-        vals = map(json.dumps, vals)  # NaN, Infinity, -Infinity
-    return ",\n".join([_JSON_ROW] * (xy.size // 2)) % tuple(vals)
+    return tuple(vals if np.isfinite(xy).all() else map(json.dumps, vals))  # NaN, Infinity
 
 
-def _json_array(rows: list[str]) -> list[str]:
-    """The pieces of a json array whose rows text is ``"".join(rows)``, left
-    unjoined so that no array text is copied."""
-    return ["[\n", *rows, "\n    ]"] if rows[0] else ["[]"]
+def _json_rows(z: np.ndarray) -> Iterator[str]:
+    """The ``[re, im]`` rows of the contiguous complex128 array ``z``,
+    comma-separated as in the region document."""
+    return _row_pieces(z, _JSON_ROW, ",\n", _json_cells)
+
+
+def _json_array(rows: Iterable[str], n: int) -> Iterator[str]:
+    """The pieces of a json array of ``n`` rows whose text is ``"".join(rows)``."""
+    if n:
+        yield "[\n"
+        yield from rows
+        yield "\n    ]"
+    else:
+        yield "[]"
 
 
 #: stands in for a coordinate array in the document skeleton
@@ -153,72 +182,73 @@ _HOLE = "\0"
 
 
 def _region_json_text(omega: RegionSample | None,
-                      hank: RegionSample | None) -> list[str]:
+                      hank: RegionSample | None) -> Iterator[str]:
     """The pieces of ``json.dumps(doc, indent=2) + "\\n"`` of the region
     document, where each sample is ``{"points": [[re, im], ...], "boundary":
     [...], "meta": {...}}``.
 
     json's indent encoder is pure Python, so the coordinate arrays are
-    formatted here in one pass each and spliced into a skeleton that
-    ``json.dumps`` writes with holes in their place.  The pieces are left
-    unjoined for ``_write_text``.
+    formatted here, ``_ROWS_PER_PIECE`` rows a piece, between the pieces of
+    a skeleton that ``json.dumps`` writes with holes in their place.  Only
+    Omega_p's rows are kept, for its closed boundary.
     """
-    doc, arrays = {}, []
-    for name, sample in (("omega", omega), ("hankel", hank)):
+    samples = {"omega": omega, "hankel": hank}
+    doc = {name: None if sample is None else
+           {"points": _HOLE, "boundary": _HOLE, "meta": sample.meta}
+           for name, sample in samples.items()}
+    skeleton = iter(json.dumps(doc, indent=2).split(json.dumps(_HOLE)))
+    yield next(skeleton)
+    for sample in samples.values():
         if sample is None:
-            doc[name] = None
             continue
-        points = np.asarray(sample.points, dtype=np.complex128)
-        boundary = np.asarray(sample.boundary, dtype=np.complex128)
-        p_rows = _json_rows(points)
+        points = np.ascontiguousarray(sample.points, dtype=np.complex128)
+        boundary = np.ascontiguousarray(sample.boundary, dtype=np.complex128)
         # Omega_p's points are its closed polyline without the closing point
-        if points.size and points.tobytes() == boundary[:-1].tobytes():
-            b_rows = [p_rows, ",\n", _json_rows(boundary[-1:])]
+        if points.size and np.array_equal(points.view(np.uint64),
+                                          boundary[:-1].view(np.uint64)):
+            p_rows = list(_json_rows(points))
+            b_rows = itertools.chain(p_rows, [",\n"], _json_rows(boundary[-1:]))
         else:
-            b_rows = [_json_rows(boundary)]
-        arrays += [_json_array([p_rows]), _json_array(b_rows)]
-        doc[name] = {"points": _HOLE, "boundary": _HOLE, "meta": sample.meta}
-    pieces = json.dumps(doc, indent=2).split(json.dumps(_HOLE))
-    out = [pieces[0]]
-    for array, piece in zip(arrays, pieces[1:]):
-        out += [*array, piece]
-    out.append("\n")
-    return out
+            p_rows, b_rows = _json_rows(points), _json_rows(boundary)
+        yield from _json_array(p_rows, points.size)
+        yield next(skeleton)
+        yield from _json_array(b_rows, boundary.size)
+        yield next(skeleton)
+    yield "\n"
 
 
 _SVG_CIRCLE = '<circle cx="%.6f" cy="%.6f" r="0.006" fill="#4477aa" fill-opacity="0.5"/>'
 
 
-def _svg_coords(z: np.ndarray) -> tuple[float, ...]:
+def _svg_cells(z: np.ndarray) -> tuple:
     """The interleaved ``(x, -y)`` coordinates of ``z``: SVG's y axis points down."""
-    return tuple(np.conj(np.asarray(z, dtype=np.complex128)).view(np.float64).tolist())
+    return tuple(np.conj(z).view(np.float64).tolist())
 
 
-def _svg_polyline(z: np.ndarray, stroke: str, width: str) -> str:
-    xy = _svg_coords(z)
-    pts = " ".join(["%.6f,%.6f"] * (len(xy) // 2)) % xy
-    return (f'<polyline points="{pts}" fill="none" stroke="{stroke}" '
-            f'stroke-width="{width}"/>')
+def _svg_polyline(z, stroke: str, width: str) -> Iterator[str]:
+    yield '\n<polyline points="'
+    yield from _row_pieces(np.ascontiguousarray(z, dtype=np.complex128),
+                           "%.6f,%.6f", " ", _svg_cells)
+    yield f'" fill="none" stroke="{stroke}" stroke-width="{width}"/>'
 
 
-def _region_svg(omega: RegionSample | None, hank: RegionSample | None) -> str:
+def _region_svg(omega: RegionSample | None, hank: RegionSample | None) -> Iterator[str]:
+    """The pieces of the region svg document, ``_ROWS_PER_PIECE`` points a piece."""
     # viewport fitted to the unit-disk frame [-1.5, 1.5]^2, y flipped
-    parts = [
-        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-1.5 -1.5 3 3" '
-        'width="600" height="600">',
-        '<rect x="-1.5" y="-1.5" width="3" height="3" fill="white"/>',
-        '<circle cx="0" cy="0" r="1" fill="none" stroke="#bbbbbb" '
-        'stroke-width="0.006" stroke-dasharray="0.03,0.03"/>',
-    ]
+    yield ('<svg xmlns="http://www.w3.org/2000/svg" viewBox="-1.5 -1.5 3 3" '
+           'width="600" height="600">\n'
+           '<rect x="-1.5" y="-1.5" width="3" height="3" fill="white"/>\n'
+           '<circle cx="0" cy="0" r="1" fill="none" stroke="#bbbbbb" '
+           'stroke-width="0.006" stroke-dasharray="0.03,0.03"/>')
     if hank is not None:
-        xy = _svg_coords(hank.points)
-        if xy:
-            parts.append("\n".join([_SVG_CIRCLE] * (len(xy) // 2)) % xy)
-        parts.append(_svg_polyline(hank.boundary, "#4477aa", "0.008"))
+        points = np.ascontiguousarray(hank.points, dtype=np.complex128)
+        if points.size:
+            yield "\n"
+            yield from _row_pieces(points, _SVG_CIRCLE, "\n", _svg_cells)
+        yield from _svg_polyline(hank.boundary, "#4477aa", "0.008")
     if omega is not None:
-        parts.append(_svg_polyline(omega.boundary, "#cc3311", "0.010"))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        yield from _svg_polyline(omega.boundary, "#cc3311", "0.010")
+    yield "\n</svg>\n"
 
 
 def cmd_region(args) -> int:
@@ -237,7 +267,7 @@ def cmd_region(args) -> int:
             lines.append(f"{re!r},{im!r},{kind}")
         _write_text(args.out, ["\n".join(lines) + "\n"])
     elif args.format == "svg":
-        _write_text(args.out, [_region_svg(omega, hank)])
+        _write_text(args.out, _region_svg(omega, hank))
     else:
         _write_text(args.out, _region_json_text(omega, hank))
     return EXIT_OK

@@ -40,6 +40,9 @@ GRID_STARTS = 16
 BOUNDARY_RATE = 0.1
 #: points per pass of ``contains``; each holds a few complex rows of the boundary's length
 CONTAINS_CHUNK = 512
+#: parameter rows per ``phi_batch`` call of ``sample_region_H``; each call
+#: holds a few complex temporaries of the chunk's length
+REGION_CHUNK = 2**15
 
 
 @dataclass(frozen=True)
@@ -299,12 +302,17 @@ def estimate_M_batch(pps: Sequence[PoleParam], grid: int = 24, refine_iters: int
 
 
 def sample_polydisk(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Area-uniform polydisk samples (n, 3), a ``BOUNDARY_RATE`` share of moduli set to 1."""
-    r = np.sqrt(rng.uniform(0.0, 1.0, size=(n, 3)))
+    """Area-uniform polydisk samples (n, 3), a ``BOUNDARY_RATE`` share of moduli set to 1.
+
+    The moduli, angles and the result are each formed in one array, in place.
+    """
+    r = rng.uniform(0.0, 1.0, size=(n, 3))
+    np.sqrt(r, out=r)
     th = rng.uniform(0.0, 2.0 * np.pi, size=(n, 3))
-    on_boundary = rng.uniform(size=(n, 3)) < BOUNDARY_RATE
-    r = np.where(on_boundary, 1.0, r)
-    return r * np.exp(1j * th)
+    r[rng.uniform(size=(n, 3)) < BOUNDARY_RATE] = 1.0
+    z = np.multiply(1j, th, out=np.empty((n, 3), dtype=np.complex128))
+    np.exp(z, out=z)
+    return np.multiply(r, z, out=z)
 
 
 def sample_region_H(pp: PoleParam, n_samples: int = 1000, seed: int = 1) -> RegionSample:
@@ -315,21 +323,38 @@ def sample_region_H(pp: PoleParam, n_samples: int = 1000, seed: int = 1) -> Regi
     """
     if n_samples < 1:
         raise InvalidInput("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    sig = sample_polydisk(rng, n_samples)
-    # dedicated all-boundary slice plus the rotation-family slice
-    n_extra = max(n_samples // 4, 8)
-    th = rng.uniform(0.0, 2.0 * np.pi, size=(n_extra, 3))
-    sig_bdry = np.exp(1j * th)
-    p2 = pp.p**2
-    zetas = np.exp(2j * np.pi * np.arange(n_extra) / n_extra)
-    sig_rot = np.column_stack([(zetas - p2) / (1.0 - p2 * zetas),
-                               np.zeros(n_extra, complex), np.zeros(n_extra, complex)])
-    sig = np.vstack([sig, sig_bdry, sig_rot])
-    vals = phi_batch(pp.P, sig[:, 0], sig[:, 1], sig[:, 2]) / (18.0 * pp.P**3)
+    vals = _region_values(pp, np.random.default_rng(seed), n_samples)
     boundary = _binned_boundary(vals)
     return RegionSample(points=vals, boundary=boundary,
                         meta={"p": pp.p, "n_samples": n_samples, "seed": seed})
+
+
+def _region_values(pp: PoleParam, rng: np.random.Generator, n_samples: int) -> np.ndarray:
+    """H at ``n_samples`` polydisk samples, then at a dedicated all-boundary
+    slice and the rotation-family slice, each ``max(n_samples // 4, 8)`` rows.
+
+    The three blocks are read in chunks of ``REGION_CHUNK`` rows, one
+    ``phi_batch`` call each, so no stacked copy of them is made.
+    """
+    sig = sample_polydisk(rng, n_samples)
+    n_extra = max(n_samples // 4, 8)
+    sig_bdry = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(n_extra, 3)))
+    p2 = pp.p**2
+    zetas = np.exp(2j * np.pi * np.arange(n_extra) / n_extra)
+    sig_rot = np.zeros((n_extra, 3), dtype=np.complex128)
+    sig_rot[:, 0] = (zetas - p2) / (1.0 - p2 * zetas)
+    # each block with the index of its first row in the stacked rows
+    blocks = ((sig, 0), (sig_bdry, n_samples), (sig_rot, n_samples + n_extra))
+    vals = np.empty(n_samples + 2 * n_extra, dtype=np.complex128)
+    # one parameter a row, so that each row of a chunk is contiguous
+    buf = np.empty((3, min(REGION_CHUNK, vals.size)), dtype=np.complex128)
+    scale = 18.0 * pp.P**3
+    for i in range(0, vals.size, REGION_CHUNK):
+        j = min(i + REGION_CHUNK, vals.size)
+        s = np.concatenate([b[max(i - k, 0):max(j - k, 0)].T for b, k in blocks],
+                           axis=1, out=buf[:, :j - i])
+        np.divide(phi_batch(pp.P, s[0], s[1], s[2]), scale, out=vals[i:j])
+    return vals
 
 
 def _binned_boundary(points: np.ndarray) -> np.ndarray:

@@ -1,10 +1,12 @@
 import contextlib
 import errno
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -250,6 +252,14 @@ def _region_pairs(draw):
     return draw(st.sampled_from([(omega, hank), (omega, None), (None, hank), (None, None)]))
 
 
+def _assert_writers_match(pair):
+    assert "".join(cli._region_json_text(*pair)) == _reference_json(*pair)
+    assert "".join(cli._region_svg(*pair)) == _reference_svg(*pair)
+
+
+_WRITER_EXAMPLES = settings(max_examples=300, deadline=None, derandomize=True)
+
+
 class TestRegionWriters:
     @pytest.mark.parametrize("what", ["omega", "hankel", "both"])
     @pytest.mark.parametrize("p, samples, seed", [
@@ -293,13 +303,106 @@ class TestRegionWriters:
             text = "".join(cli._region_json_text(o, h))
             assert text == _reference_json(o, h)
             assert "NaN" in text and "-Infinity" in text and "5e-324" in text
-            assert cli._region_svg(o, h) == _reference_svg(o, h)
+            assert "".join(cli._region_svg(o, h)) == _reference_svg(o, h)
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @_WRITER_EXAMPLES
     @given(pair=_region_pairs())
     def test_writers_match_the_references(self, pair):
-        assert "".join(cli._region_json_text(*pair)) == _reference_json(*pair)
-        assert cli._region_svg(*pair) == _reference_svg(*pair)
+        _assert_writers_match(pair)
+
+    # pieces of one to three rows put a seam between every few rows: at
+    # Omega_p's reused closing row, around empty arrays and non-finite rows
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_piece_seams_match_the_references(self, rows, monkeypatch):
+        monkeypatch.setattr(cli, "_ROWS_PER_PIECE", rows)
+        self.test_non_finite_and_extreme_floats()
+        _WRITER_EXAMPLES(given(pair=_region_pairs())(_assert_writers_match))()
+
+
+class TestRegionStreaming:
+    """The region json and svg documents are formed piece by piece while they
+    are written."""
+
+    # sha256 of `region --what both` documents written by the whole-array
+    # writers that preceded the streaming ones; 70,000 samples span several
+    # pieces of the writers and several kernel chunks of `sample_region_H`
+    @pytest.mark.parametrize("p, samples, seed, fmt, digest", [
+        (0.37, 300, 5, "json", "a748a9081df7fe9130ed3d5a8c6cf31a5bac5de3ca8ac79c3913ef703b676f56"),
+        (0.37, 300, 5, "svg", "1c005757fb030d4806e2338e89df3e9414464c6e6822de78060c56cfeac334b5"),
+        (0.61, 70000, 9, "json", "d0e41660a43a008e134c7f4d01573cce7ba7a4611e2df5366b7763fa0f349cfc"),
+        (0.61, 70000, 9, "svg", "3c0972eade624eb747491cde6ee07e6e664dc76d2711990c8ce2773bb8ee1885"),
+    ])
+    def test_documents_match_the_recorded_digests(self, tmp_path, p, samples, seed, fmt, digest):
+        out = tmp_path / f"region.{fmt}"
+        assert run(["region", "--p", str(p), "--what", "both", "--samples", str(samples),
+                    "--seed", str(seed), "--format", fmt, "--out", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    # the whole-array writers peaked at 42 MB (json) and 57 MB (svg) here; the
+    # streaming ones hold one piece, Omega_p's json rows and the sampled arrays
+    @pytest.mark.parametrize("fmt", ["json", "svg"])
+    def test_peak_memory_is_bounded(self, tmp_path, fmt):
+        argv = ["region", "--p", "0.43", "--what", "both", "--samples", "100000",
+                "--format", fmt, "--out", str(tmp_path / f"region.{fmt}")]
+        tracemalloc.start()
+        try:
+            assert run(argv) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24e6
+
+    @pytest.mark.parametrize("fmt", ["json", "svg"])
+    def test_os_error_mid_document_exits_io(self, fmt, capsys):
+        # /dev/full takes the open and fails the first buffered write
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        argv = ["region", "--samples", "20000", "--format", fmt, "--out", "/dev/full"]
+        assert run(argv) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"hankelbody region: error: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}\n")
+
+    @pytest.mark.parametrize("error, code", [
+        (BrokenPipeError(errno.EPIPE, "Broken pipe"), EXIT_IO), (MemoryError(), EXIT_USAGE)])
+    @pytest.mark.parametrize("fmt, cells", [("json", "_json_cells"), ("svg", "_svg_cells")])
+    def test_error_in_a_later_piece_keeps_the_exit_code(self, tmp_path, fmt, cells, error,
+                                                        code, monkeypatch, capsys):
+        calls, original = [], getattr(cli, cells)
+
+        def fail_on_the_third(part):
+            calls.append(part.size)
+            if len(calls) == 3:
+                raise error
+            return original(part)
+
+        monkeypatch.setattr(cli, cells, fail_on_the_third)
+        monkeypatch.setattr(cli, "_ROWS_PER_PIECE", 16)
+        out = tmp_path / f"region.{fmt}"
+        argv = ["region", "--what", "hankel", "--samples", "64", "--format", fmt, "--out", str(out)]
+        assert run(argv) == code
+        assert capsys.readouterr().err == f"hankelbody region: error: {str(error) or 'MemoryError'}\n"
+        # the two pieces before the failing one are written, the rest is not
+        text = out.read_text()
+        assert len(calls) == 3 and text.count('r="0.006"') == (2 * 16 if fmt == "svg" else 0)
+        assert text.startswith("{\n" if fmt == "json" else "<svg")
+        assert not text.endswith("}\n" if fmt == "json" else "</svg>\n")
+
+    @pytest.mark.parametrize("failing, argv", [
+        ("sample_region_H", ["--what", "hankel"]),
+        ("sample_omega_boundary", ["--what", "both"]),
+        (None, ["--what", "both", "--samples", "8"])])
+    def test_failed_sampling_leaves_the_out_file_untouched(self, tmp_path, failing, argv,
+                                                           monkeypatch, capsys):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        if failing:
+            monkeypatch.setattr(cli, failing, no_memory)
+        out = tmp_path / "region.json"
+        out.write_text("kept\n")
+        assert run(["region", *argv, "--format", "json", "--out", str(out)]) == EXIT_USAGE
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert out.read_text() == "kept\n"
 
 
 class TestParserReuse:

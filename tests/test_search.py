@@ -481,6 +481,32 @@ class TestBinnedBoundary:
         assert got[0] == got[-1]
 
 
+class TestRegionChunks:
+    # 50 samples give 50 + 12 + 12 rows: chunks of 7 straddle both block seams
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("n", [50, 1000])
+    def test_chunked_cloud_matches_the_default(self, n, chunk, monkeypatch):
+        pp = PoleParam(0.61)
+        default = sample_region_H(pp, n, seed=4)
+        monkeypatch.setattr(search, "REGION_CHUNK", chunk)
+        chunked = sample_region_H(pp, n, seed=4)
+        assert chunked.points.tobytes() == default.points.tobytes()
+        assert chunked.boundary.tobytes() == default.boundary.tobytes()
+
+    @pytest.mark.parametrize("n, calls", [(1, 1), (1000, 1), (70_000, 4)])
+    def test_one_kernel_call_per_chunk(self, n, calls, monkeypatch):
+        seen = []
+
+        def counted(P, s0, s1, s2):
+            seen.append(s0.size)
+            return phi_batch(P, s0, s1, s2)
+
+        monkeypatch.setattr(search, "phi_batch", counted)
+        sample_region_H(PoleParam(0.3), n)
+        assert len(seen) == calls and max(seen) <= search.REGION_CHUNK
+        assert sum(seen) == n + 2 * max(n // 4, 8)
+
+
 class TestContainsChunks:
     @pytest.fixture
     def region(self):
