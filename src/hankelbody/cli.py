@@ -122,17 +122,7 @@ def cmd_bounds(args) -> int:
 
 # --- region ------------------------------------------------------------------
 
-def _region_rows(omega: RegionSample | None, hank: RegionSample | None):
-    rows = []
-    if hank is not None:
-        rows += [(z.real, z.imag, "cloud") for z in hank.points]
-        rows += [(z.real, z.imag, "boundary") for z in hank.boundary]
-    if omega is not None:
-        rows += [(z.real, z.imag, "omega_boundary") for z in omega.boundary]
-    return rows
-
-
-#: rows per piece of a region json or svg document: a piece is formatted from
+#: rows per piece of a region document: a piece is formatted from
 #: its own ``.tolist()`` slice, so no text as large as the document is made
 _ROWS_PER_PIECE = 4096
 
@@ -251,6 +241,29 @@ def _region_svg(omega: RegionSample | None, hank: RegionSample | None) -> Iterat
     yield "\n</svg>\n"
 
 
+#: the ``re,im,`` cells of a region csv row.  They read as numpy >= 2 writes
+#: the repr of a float64 scalar, which wraps ``float.__repr__`` (``%r``), as
+#: the per-point writer wrote them; plain floats wait for ROADMAP item 8
+_CSV_CELLS = "np.float64(%r),np.float64(%r),"
+
+
+def _csv_cells(z: np.ndarray) -> tuple:
+    return tuple(z.view(np.float64).tolist())
+
+
+def _region_csv(omega: RegionSample | None, hank: RegionSample | None) -> Iterator[str]:
+    """The pieces of the region csv document, one ``re,im,kind`` row a point."""
+    yield "re,im,kind\n"
+    arrays = [] if hank is None else [(hank.points, "cloud"), (hank.boundary, "boundary")]
+    if omega is not None:
+        arrays.append((omega.boundary, "omega_boundary"))
+    for z, kind in arrays:
+        z = np.ascontiguousarray(z, dtype=np.complex128)
+        if z.size:
+            yield from _row_pieces(z, _CSV_CELLS + kind, "\n", _csv_cells)
+            yield "\n"
+
+
 def cmd_region(args) -> int:
     pp = PoleParam(args.p)
     omega = hank = None
@@ -262,10 +275,7 @@ def cmd_region(args) -> int:
     if args.what in ("hankel", "both"):
         hank = sample_region_H(pp, n_samples=args.samples, seed=args.seed)
     if args.format == "csv":
-        lines = ["re,im,kind"]
-        for re, im, kind in _region_rows(omega, hank):
-            lines.append(f"{re!r},{im!r},{kind}")
-        _write_text(args.out, ["\n".join(lines) + "\n"])
+        _write_text(args.out, _region_csv(omega, hank))
     elif args.format == "svg":
         _write_text(args.out, _region_svg(omega, hank))
     else:

@@ -31,6 +31,17 @@ phi for a2..a4, and _FPRIME_TERMS for the f' family, whose expansion the
 oracle-equivalence family reads the first three terms of.  Truncated series
 arithmetic never reads a higher term into a lower one, so the cut changes
 no bit of what is read.
+
+``verify_all`` runs two family generators, ``_series_families`` once and
+``_families_at`` per p.  Each yields a row (name, residuals, tolerance[,
+extra fields]) right after making its own draws, so the order of the rng
+stream is the order of the report.  ``residuals`` holds one value per
+checked row, of one of three kinds: an absolute difference of two routes,
+a difference over a stated scale, or a one-sided excess.  ``_entry`` makes
+every report entry: ``samples`` counts the rows, the worst residual is
+floored at 0 (the rows the second-order Dieudonne family skips read 0), and
+a NaN residual fails its family as an inf one does.  A family whose
+evaluation raises a package error reads inf on every row.
 """
 
 from __future__ import annotations
@@ -178,59 +189,51 @@ def fprime_sampling_size(p: float) -> int:
 
 # --- batch verification ------------------------------------------------------
 
-def _family(name, samples, worst, tol):
-    return {
-        "name": name,
-        "samples": int(samples),
-        "worst_residual": float(worst),
-        "tolerance": float(tol),
-        "pass": bool(worst <= tol),
-    }
+def _entry(name: str, residuals, tol: float, extra: dict | None = None) -> dict:
+    """The report entry of a family from its per-row residuals: ``samples``
+    counts the rows, and the worst residual is floored at 0.  np.max
+    propagates a NaN, so a NaN residual fails its family, as inf does."""
+    worst = float(np.max(residuals, initial=0.0))
+    return {"name": name, "samples": len(residuals), "worst_residual": worst,
+            "tolerance": float(tol), "pass": worst <= tol, **(extra or {})}
 
 
-def _residual(evaluate) -> float:
-    """evaluate(), or inf when the evaluation raises a package error: near
-    p = 1 the pointwise Moebius chain meets a denominator 1 - p^2 that
-    counts as vanished, and the family that evaluates it fails."""
+def _or_inf(n: int, evaluate) -> np.ndarray:
+    """evaluate(), or n residuals of inf when it raises a package error: near
+    p = 1 the pointwise Moebius chain meets a denominator 1 - p^2 that counts
+    as vanished, and the family that evaluates it fails."""
     try:
         return evaluate()
     except HankelBodyError:
-        return np.inf
+        return np.full(n, np.inf)
 
 
-def verify_all(p_values=(0.2, 0.5, 0.8), n_random: int = 1000, seed: int = 1) -> dict:
-    """Run every invariant family; returns a JSON-ready report.
+def _disk(u: np.ndarray) -> np.ndarray:
+    """Area-uniform points of the unit disk; u[:, 0] and u[:, 1] interleave
+    as the modulus and argument draws of one point at a time."""
+    return np.sqrt(u[:, 0]) * np.exp(1j * (2 * np.pi * u[:, 1]))
 
-    Failures are entries with pass=False, never exceptions: a family whose
-    evaluation raises a package error reports the residual inf.  The report
-    is byte-reproducible for fixed inputs.  Equal p values raise
-    InvalidInput, since the per-p family names carry p.
-    """
-    if len(set(map(float, p_values))) < len(p_values):
-        raise InvalidInput(f"p values must be distinct, got {list(p_values)}")
-    rng = np.random.default_rng(seed)
-    families = []
 
-    # series algebra; each row of u holds one sample's draws in the order
-    # that rng.uniform(low, high, n) calls would take them
+def _series_families(rng):
+    """The series-algebra families, as (name, residuals, tolerance) rows."""
+    # each row of u holds one sample's draws in the order that
+    # rng.uniform(low, high, n) calls would take them
     u = rng.uniform(size=(200, 20))
     c = (-1 + 2 * u[:, :9]) + 1j * (-1 + 2 * u[:, 9:18])
     c[:, 0] = (0.1 + 9.9 * u[:, 18]) * np.exp(1j * (2 * np.pi * u[:, 19]))
     recip = series_reciprocal(c)
-    prod = series_mul(c, recip) - np.eye(9)[0]
     # backward-error scale: the convolution sums terms of this size, so
     # |a0| near 0.1 amplifies the recurrence far beyond unit magnitude
-    conv = series_mul(np.abs(c), np.abs(recip))
-    scale = np.maximum(1.0, np.max(conv.real, axis=-1))
-    worst = np.max(np.max(np.abs(prod), axis=-1) / scale)
-    families.append(_family("series_reciprocal_identity", 200, worst, 1e-12))
+    scale = np.maximum(1.0, np.max(series_mul(np.abs(c), np.abs(recip)).real, axis=-1))
+    yield ("series_reciprocal_identity",
+           np.max(np.abs(series_mul(c, recip) - np.eye(9)[0]), axis=-1) / scale, 1e-12)
 
     u = rng.uniform(size=(200, 16))
     d = (-1 + 2 * u[:, :8]) + 1j * (-1 + 2 * u[:, 8:])
     e = series_exp(series_integrate(d))
     # e' = e d, both to d's order
-    worst = np.max(np.abs(series_derivative(e) - series_mul(e, d)))
-    families.append(_family("series_exp_integrate_derivative", 200, worst, 1e-10))
+    yield ("series_exp_integrate_derivative",
+           np.max(np.abs(series_derivative(e) - series_mul(e, d)), axis=-1), 1e-10)
 
     # each sample draws its degree between its coefficient draws, so only
     # the draws are per sample; one call recovers the padded polynomials
@@ -240,145 +243,133 @@ def verify_all(p_values=(0.2, 0.5, 0.8), n_random: int = 1000, seed: int = 1) ->
         row[: deg + 1] = rng.uniform(-2, 2, deg + 1) + 1j * rng.uniform(-2, 2, deg + 1)
     got = taylor_from_samples(
         lambda z: np.polynomial.polynomial.polyval(z, coeffs.T), 0.5, 7, 88)
-    worst = np.max(np.abs(got - coeffs))
-    families.append(_family("taylor_polynomial_recovery", 100, worst, 1e-11))
+    yield "taylor_polynomial_recovery", np.max(np.abs(got - coeffs), axis=-1), 1e-11
 
     u = rng.uniform(size=(300, 4))
     a = 0.95 * np.sqrt(u[:, 0]) * np.exp(1j * (2 * np.pi * u[:, 1]))
     z = 0.95 * np.sqrt(u[:, 2]) * np.exp(1j * (2 * np.pi * u[:, 3]))
-    worst = np.max(np.abs(mobius_T(a, mobius_T(a, z)) - z))
-    families.append(_family("mobius_involution", 300, worst, 1e-12))
+    yield "mobius_involution", np.abs(mobius_T(a, mobius_T(a, z)) - z), 1e-12
 
-    for p in p_values:
-        pp = PoleParam(p)
-        P = pp.P
-        tag = f"p={float(p)!r}"
 
-        u = rng.uniform(size=(50, 2))
-        zeta = np.sqrt(u[:, 0]) * np.exp(1j * (2 * np.pi * u[:, 1]))
-        closed = rho_coeffs(pp, zeta, 6)
-        # for |zeta| <= 1 the pole in z lies at |z| >= (1 + p^2)/(2p) >= 1, so
-        # the radius 1/2 suits every p; dividing by r^k, a radius that shrinks
-        # with p would amplify rounding
-        sampled = taylor_from_samples(lambda z: rho_eval(pp, zeta[:, None], z), 0.5, 6, 256)
-        worst = np.max(np.abs(closed - sampled))
-        families.append(_family(f"rho_closed_form_vs_sampling[{tag}]", 50, worst, 1e-9))
+def _families_at(pp: PoleParam, rng, n_random: int):
+    """The families at one p, as (name, residuals, tolerance[, extra fields])
+    rows without the p tag; the chain families share n_random body points W."""
+    p, P = pp.p, pp.P
+    phi_scale = 18.0 * P**3  # Phi = 18 P^3 H
 
-        W = sample_polydisk(rng, n_random)
-        Winterior = W * 0.99
-        w_all = ParamTriple(*W.T)
+    zeta = _disk(rng.uniform(size=(50, 2)))
+    # for |zeta| <= 1 the pole in z lies at |z| >= (1 + p^2)/(2p) >= 1, so
+    # the radius 1/2 suits every p; dividing by r^k, a radius that shrinks
+    # with p would amplify rounding
+    sampled = taylor_from_samples(lambda z: rho_eval(pp, zeta[:, None], z), 0.5, 6, 256)
+    yield ("rho_closed_form_vs_sampling",
+           np.max(np.abs(rho_coeffs(pp, zeta, 6) - sampled), axis=-1), 1e-9)
 
-        # variability-disk membership of constructed jets; worst residuals
-        # are floored at 0.0, and the second order skips |tau0| near p
-        n_jet = min(n_random, 400)
-        tau0, tau1, tau2 = tau_from_w(pp, ParamTriple(*Winterior[:n_jet].T))
-        disk = dieudonne_disk1(p, tau0)
-        worst1 = np.max(np.abs(tau1 - disk.center) - disk.radius, initial=0.0)
-        inner = np.abs(tau0) < p * (1 - 1e-6)
-        lhs = dieudonne2_lhs(p, tau0[inner], tau1[inner], tau2[inner])
-        worst2 = np.max(lhs - dieudonne2_rhs(p, tau0[inner]), initial=0.0)
-        families.append(_family(f"dieudonne_first_order[{tag}]", n_jet, worst1, 1e-8))
-        families.append(_family(f"dieudonne_second_order[{tag}]", n_jet, worst2, 1e-8))
+    W = sample_polydisk(rng, n_random)
+    Winterior = W * 0.99
+    w_all = ParamTriple(*W.T)
 
-        # chain equivalence
-        c_w, s_w = c_from_w(pp, w_all), sigma_from_w(pp, w_all)
-        cw = np.column_stack(c_w)
-        cs = np.column_stack(c_from_sigma(pp, s_w))
-        worst = np.max(np.abs(cw - cs))
-        families.append(_family(f"chain_equivalence_w_vs_sigma[{tag}]", n_random, worst, 1e-11))
+    # variability-disk membership of constructed jets, on up to 400 rows;
+    # the second order reads 0 on the rows it skips, where |tau0| is near p
+    tau0, tau1, tau2 = tau_from_w(pp, ParamTriple(*Winterior[:400].T))
+    disk = dieudonne_disk1(p, tau0)
+    yield "dieudonne_first_order", np.abs(tau1 - disk.center) - disk.radius, 1e-8
+    inner = np.abs(tau0) < p * (1 - 1e-6)
+    excess = np.zeros(len(tau0))
+    excess[inner] = (dieudonne2_lhs(p, tau0[inner], tau1[inner], tau2[inner])
+                     - dieudonne2_rhs(p, tau0[inner]))
+    yield "dieudonne_second_order", excess, 1e-8
 
-        # oracle equivalence + fixed point + self-map, on a subset
-        zs_disk = np.sqrt(rng.uniform(size=64)) * np.exp(1j * rng.uniform(0, 2 * np.pi, 64))
-        n_oracle = min(n_random, 300)
-        Wo = W[:n_oracle]
-        # one expansion serves this family and the f' family below
-        phi = phi_series_from_w(pp, ParamTriple(*Wo.T), _FPRIME_TERMS)
-        worst_o = np.max(np.abs(phi[:, :3] - cw[:n_oracle]))
-        ev = phi_evaluator(pp, ParamTriple(*Wo.T[..., None]))  # rows meet the points
-        worst_f = _residual(lambda: np.max(np.abs(ev(np.array([p])) - p)))
-        worst_s = _residual(lambda: max(0.0, np.max(np.abs(ev(zs_disk))) - 1.0))
-        families.append(_family(f"oracle_equivalence_series_vs_w[{tag}]", n_oracle, worst_o, 1e-8))
-        families.append(_family(f"fixed_point_phi_p[{tag}]", n_oracle, worst_f, 1e-12))
-        families.append(_family(f"self_map_bound[{tag}]", n_oracle, worst_s, 1e-12))
+    c_w, s_w = c_from_w(pp, w_all), sigma_from_w(pp, w_all)
+    cw = np.column_stack(c_w)
+    cs = np.column_stack(c_from_sigma(pp, s_w))
+    yield "chain_equivalence_w_vs_sigma", np.max(np.abs(cw - cs), axis=1), 1e-11
 
-        # membership round trip on interior parameters; a verdict other
-        # than "inside" counts as a residual of 1
-        n_member = min(n_random, 500)
-        Wm = Winterior[:n_member]
-        res = membership_x2(pp, c_from_w(pp, ParamTriple(*Wm.T)))
-        err = np.max(np.abs(np.column_stack(res.params) - Wm), axis=1)
-        worst = np.max(np.where(res.decision == "inside", err, 1.0))
-        families.append(_family(f"membership_round_trip[{tag}]", n_member, worst, 1e-9))
+    # oracle equivalence, fixed point and self-map, on up to 300 rows; one
+    # expansion of phi serves this family and the f' family below
+    Wo = ParamTriple(*W[:300].T)
+    phi = phi_series_from_w(pp, Wo, _FPRIME_TERMS)
+    yield "oracle_equivalence_series_vs_w", np.max(np.abs(phi[:, :3] - cw[:300]), axis=1), 1e-8
+    ev = phi_evaluator(pp, ParamTriple(*(w[:, None] for w in Wo)))  # rows meet the points
+    yield "fixed_point_phi_p", _or_inf(len(phi), lambda: np.abs(ev(np.array([p])) - p)[:, 0]), 1e-12
+    zs_disk = np.sqrt(rng.uniform(size=64)) * np.exp(1j * rng.uniform(0, 2 * np.pi, 64))
+    yield ("self_map_bound",
+           _or_inf(len(phi), lambda: np.max(np.abs(ev(zs_disk)), axis=1) - 1.0), 1e-12)
 
-        # Phi consistency (relative) and eq:H consistency
-        S = sample_polydisk(rng, n_random)
-        c_sig = c_from_sigma(pp, ParamTriple(*S.T))
-        hs_chain = hankel2(a_from_c(pp, c_sig))
-        hs_phi = phi_batch(P, S[:, 0], S[:, 1], S[:, 2]) / (18.0 * P**3)
-        scale_ref = max(1.0, float(np.max(np.abs(hs_chain))))
-        families.append(_family(
-            f"phi_consistency[{tag}]", n_random,
-            float(np.max(np.abs(hs_chain - hs_phi))) / scale_ref, 1e-10))
-        hs_c = hankel_from_c(pp, c_sig)
-        families.append(_family(
-            f"eqH_consistency[{tag}]", n_random,
-            float(np.max(np.abs(hs_c - hs_chain))) / scale_ref, 1e-10))
+    # membership round trip on up to 500 interior rows; a verdict other
+    # than "inside" counts as a residual of 1
+    Wm = Winterior[:500]
+    res = membership_x2(pp, c_from_w(pp, ParamTriple(*Wm.T)))
+    err = np.max(np.abs(np.column_stack(res.params) - Wm), axis=1)
+    yield "membership_round_trip", np.where(res.decision == "inside", err, 1.0), 1e-9
 
-        # rotation family closed form; u[:, 0] and u[:, 1] interleave as
-        # the modulus and argument draws of one zeta at a time
-        u = rng.uniform(size=(200, 2))
-        zeta = np.sqrt(u[:, 0]) * np.exp(1j * (2 * np.pi * u[:, 1]))
-        coeffs = ACoeffs(A_n(pp, zeta, 2), A_n(pp, zeta, 3), A_n(pp, zeta, 4))
-        worst = np.max(np.abs(hankel2(coeffs) - H_F(pp, zeta)))
-        families.append(_family(f"HF_closed_form[{tag}]", 200, worst, 1e-12))
+    # Phi and eq:H against the chain, over the chain's scale
+    S = sample_polydisk(rng, n_random)
+    c_sig = c_from_sigma(pp, ParamTriple(*S.T))
+    hs_chain = hankel2(a_from_c(pp, c_sig))
+    scale = max(1.0, float(np.max(np.abs(hs_chain))))
+    hs_phi = phi_batch(P, S[:, 0], S[:, 1], S[:, 2]) / phi_scale
+    yield "phi_consistency", np.abs(hs_chain - hs_phi) / scale, 1e-10
+    yield "eqH_consistency", np.abs(hankel_from_c(pp, c_sig) - hs_chain) / scale, 1e-10
 
-        u = rng.uniform(size=(100, 2))
-        s0 = np.sqrt(u[:, 0]) * np.exp(1j * (2 * np.pi * u[:, 1]))
-        worst = np.max(np.abs(omega_map(pp, s0)
-                              - phi_p(pp, ParamTriple(s0, 0.0, 0.0)) / (18.0 * P**3)))
-        families.append(_family(f"omega_slice[{tag}]", 100, worst, 1e-12))
+    zeta = _disk(rng.uniform(size=(200, 2)))
+    coeffs = ACoeffs(A_n(pp, zeta, 2), A_n(pp, zeta, 3), A_n(pp, zeta, 4))
+    yield "HF_closed_form", np.abs(hankel2(coeffs) - H_F(pp, zeta)), 1e-12
 
-        # h_p transcription vs Phi slice, anchors, lower identity
-        ts = rng.uniform(0.0, 1.0, 100)
-        worst = np.max(np.abs(h_p(pp, ts) + phi_p(pp, ParamTriple(ts, -1.0, 0.0)) / (18.0 * P**3)))
-        families.append(_family(f"hp_vs_phi_slice[{tag}]", 100, worst, 1e-11))
-        anchor = max(abs(h_p(pp, 1.0) - 1.0),
-                     abs(h_p_prime(pp, 1.0) + 2.0 * (P - 2.0) * (P + 1.0) / (3.0 * P)))
-        families.append(_family(f"hp_anchors[{tag}]", 2, anchor, 1e-12))
-        ident = abs(lower_bound_M(pp)
-                    - (1.0 / (3.0 * p) + p / 3.0 + hankel.g_poly(1.0 / P)))
-        families.append(_family(f"lower_bound_identity[{tag}]", 1, ident, 1e-10))
-        sandwich = max(lower_bound_M(pp) - upper_bound_M(pp), 0.0)
-        families.append(_family(f"bound_sandwich[{tag}]", 1, sandwich, 0.0))
+    s0 = _disk(rng.uniform(size=(100, 2)))
+    yield ("omega_slice",
+           np.abs(omega_map(pp, s0) - phi_p(pp, ParamTriple(s0, 0.0, 0.0)) / phi_scale), 1e-12)
 
-        # triple path: sigma chain vs w chain vs series route, on the chain rows above
-        n_triple = min(n_random, 2000)
-        h_w = hankel2(a_from_c(pp, CoeffTriple(*(c[:n_triple] for c in c_w))))
-        h_s = hankel_from_sigma(pp, ParamTriple(*(s[:n_triple] for s in s_w)))
-        A = a_batch_from_w(pp, W[:n_triple])
-        h_ser = A[:, 0] * A[:, 2] - A[:, 1] ** 2
-        worst = float(max(np.max(np.abs(h_w - h_s)), np.max(np.abs(h_w - h_ser))))
-        families.append(_family(f"triple_path_agreement[{tag}]", n_triple, worst, 1e-8))
+    # h_p transcription vs Phi slice, anchors, lower identity
+    ts = rng.uniform(0.0, 1.0, 100)
+    yield ("hp_vs_phi_slice",
+           np.abs(h_p(pp, ts) + phi_p(pp, ParamTriple(ts, -1.0, 0.0)) / phi_scale), 1e-11)
+    yield "hp_anchors", np.abs([h_p(pp, 1.0) - 1.0, h_p_prime(pp, 1.0)
+                                + 2.0 * (P - 2.0) * (P + 1.0) / (3.0 * P)]), 1e-12
+    yield "lower_bound_identity", np.abs([lower_bound_M(pp) - (
+        1.0 / (3.0 * p) + p / 3.0 + hankel.g_poly(1.0 / P))]), 1e-10
+    yield "bound_sandwich", [lower_bound_M(pp) - upper_bound_M(pp)], 0.0
 
-        # reconstructed f' series vs direct sampling of the evaluator form,
-        # sampled no finer than its error bounds need
-        n_fprime = min(n_random, 50)
-        wf = ParamTriple(*W[:n_fprime].T)
-        n_samples = fprime_sampling_size(p)
-        fp = fprime_series(pp, phi[:n_fprime])
-        worst = _residual(lambda: np.max(np.abs(fprime_sampled(pp, wf, n_samples) - fp)))
-        families.append({
-            **_family(f"fprime_series_vs_sampling[{tag}]", n_fprime, worst, _FPRIME_TOL),
-            "n_samples": n_samples,
+    # triple path: sigma chain vs w chain vs series route, on up to 2000 chain rows
+    h_w = hankel2(a_from_c(pp, CoeffTriple(*(c[:2000] for c in c_w))))
+    h_s = hankel_from_sigma(pp, ParamTriple(*(s[:2000] for s in s_w)))
+    A = a_batch_from_w(pp, W[:2000])
+    h_ser = A[:, 0] * A[:, 2] - A[:, 1] ** 2
+    yield ("triple_path_agreement",
+           np.maximum(np.abs(h_w - h_s), np.abs(h_w - h_ser)), 1e-8)
+
+    # reconstructed f' series vs direct sampling of the evaluator form, on
+    # up to 50 rows, sampled no finer than its error bounds need
+    wf = ParamTriple(*W[:50].T)
+    n_samples = fprime_sampling_size(p)
+    fp = fprime_series(pp, phi[:50])
+    yield ("fprime_series_vs_sampling",
+           _or_inf(len(fp), lambda: np.max(np.abs(fprime_sampled(pp, wf, n_samples) - fp),
+                                           axis=-1)),
+           _FPRIME_TOL,
+           {"n_samples": n_samples,
             "exponent_bound": float(fprime_exponent_bound(p, n_samples)),
-            "aliasing_bound": float(fprime_aliasing_bound(p, n_samples)),
-        })
+            "aliasing_bound": float(fprime_aliasing_bound(p, n_samples))})
 
-    report = {
+
+def verify_all(p_values=(0.2, 0.5, 0.8), n_random: int = 1000, seed: int = 1) -> dict:
+    """Run every invariant family; returns a JSON-ready report.
+
+    Failures are entries with pass=False, never exceptions.  The report is
+    byte-reproducible for fixed inputs.  Equal p values raise InvalidInput,
+    since the per-p family names carry p.
+    """
+    if len(set(map(float, p_values))) < len(p_values):
+        raise InvalidInput(f"p values must be distinct, got {list(p_values)}")
+    rng = np.random.default_rng(seed)
+    families = [_entry(*row) for row in _series_families(rng)]
+    for p in p_values:
+        families += [_entry(f"{name}[p={float(p)!r}]", *rest)
+                     for name, *rest in _families_at(PoleParam(p), rng, n_random)]
+    return {
         "p_values": [float(p) for p in p_values],
         "seed": int(seed),
         "n_random": int(n_random),
         "families": families,
         "pass": all(f["pass"] for f in families),
     }
-    return report

@@ -221,6 +221,18 @@ def _reference_svg(omega, hank):
     return "\n".join(parts) + "\n"
 
 
+def _reference_csv(omega, hank):
+    """The region CSV as written by one f-string per point, from numpy's
+    float64 scalars."""
+    rows = []
+    if hank is not None:
+        rows += [(z, "cloud") for z in hank.points] + [(z, "boundary") for z in hank.boundary]
+    if omega is not None:
+        rows += [(z, "omega_boundary") for z in omega.boundary]
+    return "\n".join(["re,im,kind"] + [f"{z.real!r},{z.imag!r},{kind}"
+                                        for z, kind in rows]) + "\n"
+
+
 #: coordinates that stress the writers: non-finite values, signed zeros, the
 #: extremes of the float range, exact .6f ties (odd multiples of 1/128) and
 #: ordinary floats
@@ -255,6 +267,7 @@ def _region_pairs(draw):
 def _assert_writers_match(pair):
     assert "".join(cli._region_json_text(*pair)) == _reference_json(*pair)
     assert "".join(cli._region_svg(*pair)) == _reference_svg(*pair)
+    assert "".join(cli._region_csv(*pair)) == _reference_csv(*pair)
 
 
 _WRITER_EXAMPLES = settings(max_examples=300, deadline=None, derandomize=True)
@@ -265,7 +278,7 @@ class TestRegionWriters:
     @pytest.mark.parametrize("p, samples, seed", [
         (0.5, 16, 1), (0.07, 129, 4), (0.93, 1000, 77)])
     @pytest.mark.parametrize("fmt, reference", [
-        ("json", _reference_json), ("svg", _reference_svg)])
+        ("json", _reference_json), ("svg", _reference_svg), ("csv", _reference_csv)])
     def test_cli_output_matches_reference(self, tmp_path, what, p, samples, seed,
                                           fmt, reference):
         out = tmp_path / f"region.{fmt}"
@@ -281,7 +294,7 @@ class TestRegionWriters:
     @pytest.mark.parametrize("what, p, samples, seed", [
         ("hankel", 0.37, 1, 5), ("omega", 0.81, 16, 2)])
     @pytest.mark.parametrize("fmt, reference", [
-        ("json", _reference_json), ("svg", _reference_svg)])
+        ("json", _reference_json), ("svg", _reference_svg), ("csv", _reference_csv)])
     def test_smallest_inputs_match_reference(self, tmp_path, what, p, samples, seed,
                                              fmt, reference):
         self.test_cli_output_matches_reference(tmp_path, what, p, samples, seed,
@@ -304,6 +317,7 @@ class TestRegionWriters:
             assert text == _reference_json(o, h)
             assert "NaN" in text and "-Infinity" in text and "5e-324" in text
             assert "".join(cli._region_svg(o, h)) == _reference_svg(o, h)
+            assert "".join(cli._region_csv(o, h)) == _reference_csv(o, h)
 
     @_WRITER_EXAMPLES
     @given(pair=_region_pairs())
@@ -320,17 +334,20 @@ class TestRegionWriters:
 
 
 class TestRegionStreaming:
-    """The region json and svg documents are formed piece by piece while they
-    are written."""
+    """The region json, svg and csv documents are formed piece by piece while
+    they are written."""
 
-    # sha256 of `region --what both` documents written by the whole-array
-    # writers that preceded the streaming ones; 70,000 samples span several
-    # pieces of the writers and several kernel chunks of `sample_region_H`
+    # sha256 of `region --what both` documents written by the whole-array (json,
+    # svg) and per-point (csv) writers that preceded the streaming ones; 70,000
+    # samples span several pieces of the writers and several kernel chunks of
+    # `sample_region_H`
     @pytest.mark.parametrize("p, samples, seed, fmt, digest", [
         (0.37, 300, 5, "json", "a748a9081df7fe9130ed3d5a8c6cf31a5bac5de3ca8ac79c3913ef703b676f56"),
         (0.37, 300, 5, "svg", "1c005757fb030d4806e2338e89df3e9414464c6e6822de78060c56cfeac334b5"),
         (0.61, 70000, 9, "json", "d0e41660a43a008e134c7f4d01573cce7ba7a4611e2df5366b7763fa0f349cfc"),
         (0.61, 70000, 9, "svg", "3c0972eade624eb747491cde6ee07e6e664dc76d2711990c8ce2773bb8ee1885"),
+        (0.37, 300, 5, "csv", "ae870feef8d303fbdd4ae6055afedcea77f2fdb937ea1542f883a854dd0a9fee"),
+        (0.61, 70000, 9, "csv", "31566dedaede8b38f5412a3ec23f6ab7ed28a8b2247a1e77b2f2929a9646d50d"),
     ])
     def test_documents_match_the_recorded_digests(self, tmp_path, p, samples, seed, fmt, digest):
         out = tmp_path / f"region.{fmt}"
@@ -338,9 +355,10 @@ class TestRegionStreaming:
                     "--seed", str(seed), "--format", fmt, "--out", str(out)]) == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
-    # the whole-array writers peaked at 42 MB (json) and 57 MB (svg) here; the
-    # streaming ones hold one piece, Omega_p's json rows and the sampled arrays
-    @pytest.mark.parametrize("fmt", ["json", "svg"])
+    # the whole-document writers peaked at 42 MB (json), 57 MB (svg) and 74 MB
+    # (csv) here; the streaming ones hold one piece, Omega_p's json rows and
+    # the sampled arrays
+    @pytest.mark.parametrize("fmt", ["json", "svg", "csv"])
     def test_peak_memory_is_bounded(self, tmp_path, fmt):
         argv = ["region", "--p", "0.43", "--what", "both", "--samples", "100000",
                 "--format", fmt, "--out", str(tmp_path / f"region.{fmt}")]
@@ -352,7 +370,7 @@ class TestRegionStreaming:
             tracemalloc.stop()
         assert peak <= 24e6
 
-    @pytest.mark.parametrize("fmt", ["json", "svg"])
+    @pytest.mark.parametrize("fmt", ["json", "svg", "csv"])
     def test_os_error_mid_document_exits_io(self, fmt, capsys):
         # /dev/full takes the open and fails the first buffered write
         if not os.path.exists("/dev/full"):
@@ -364,7 +382,8 @@ class TestRegionStreaming:
 
     @pytest.mark.parametrize("error, code", [
         (BrokenPipeError(errno.EPIPE, "Broken pipe"), EXIT_IO), (MemoryError(), EXIT_USAGE)])
-    @pytest.mark.parametrize("fmt, cells", [("json", "_json_cells"), ("svg", "_svg_cells")])
+    @pytest.mark.parametrize("fmt, cells", [("json", "_json_cells"), ("svg", "_svg_cells"),
+                                            ("csv", "_csv_cells")])
     def test_error_in_a_later_piece_keeps_the_exit_code(self, tmp_path, fmt, cells, error,
                                                         code, monkeypatch, capsys):
         calls, original = [], getattr(cli, cells)
@@ -383,9 +402,10 @@ class TestRegionStreaming:
         assert capsys.readouterr().err == f"hankelbody region: error: {str(error) or 'MemoryError'}\n"
         # the two pieces before the failing one are written, the rest is not
         text = out.read_text()
-        assert len(calls) == 3 and text.count('r="0.006"') == (2 * 16 if fmt == "svg" else 0)
-        assert text.startswith("{\n" if fmt == "json" else "<svg")
-        assert not text.endswith("}\n" if fmt == "json" else "</svg>\n")
+        cloud_row = {"json": "      [\n", "svg": 'r="0.006"', "csv": ",cloud\n"}[fmt]
+        assert len(calls) == 3 and text.count(cloud_row) == 2 * 16
+        assert text.startswith({"json": "{\n", "svg": "<svg", "csv": "re,im,kind\n"}[fmt])
+        assert not text.endswith({"json": "}\n", "svg": "</svg>\n", "csv": ",boundary\n"}[fmt])
 
     @pytest.mark.parametrize("failing, argv", [
         ("sample_region_H", ["--what", "hankel"]),
@@ -547,6 +567,8 @@ class TestPinnedOutputs:
     change what the CLI writes unnoticed."""
 
     VERIFY = Path(__file__).parent / "pinned" / "verify_p0.3_0.9_samples40_seed2.json"
+    VERIFY_FAILING = (Path(__file__).parent / "pinned"
+                      / "verify_p0.1_0.9999999999999999_samples40_seed2.json")
 
     EXTREMAL = (
         b'{\n  "p": 0.37,\n  "m_estimate": 1.1608924826218605,\n  "arg_sigma": {\n'
@@ -581,6 +603,15 @@ class TestPinnedOutputs:
         assert run(["verify", "--p", "0.3,0.9", "--samples", "40", "--seed", "2",
                     "--out", str(out)]) == EXIT_OK
         assert out.read_bytes() == self.VERIFY.read_bytes()
+
+    def test_failing_verify_payload(self, tmp_path):
+        # fails HF_closed_form at p = 0.1 (an absolute tolerance on values
+        # that grow like 1/p^2), and at the largest p below 1 the three
+        # evaluator families read inf and membership_round_trip 1.0
+        out = tmp_path / "verify.json"
+        assert run(["verify", "--p", "0.1,0.9999999999999999", "--samples", "40",
+                    "--seed", "2", "--out", str(out)]) == EXIT_VERIFY_FAIL
+        assert out.read_bytes() == self.VERIFY_FAILING.read_bytes()
 
     def test_bounds_csv(self, tmp_path, capsys):
         out = tmp_path / "bounds.csv"

@@ -1,9 +1,11 @@
 import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hankelbody.oracle as oracle
 from hankelbody import (ParamTriple, PoleParam, a_from_c, a_from_phi,
                         aw_disk, c_from_w, fprime_series, hankel2,
                         phi_series_from_w, verify_all)
@@ -65,6 +67,24 @@ class TestBatchedRoute:
             assert np.max(np.abs(h_ser - h_alg)) < 1e-8
 
 
+#: the family names of a report, in report order: the series-algebra
+#: families once, then these per-p families for each p, tagged with p
+SERIES_FAMILIES = ["series_reciprocal_identity", "series_exp_integrate_derivative",
+                   "taylor_polynomial_recovery", "mobius_involution"]
+PER_P_FAMILIES = [
+    "rho_closed_form_vs_sampling", "dieudonne_first_order", "dieudonne_second_order",
+    "chain_equivalence_w_vs_sigma", "oracle_equivalence_series_vs_w", "fixed_point_phi_p",
+    "self_map_bound", "membership_round_trip", "phi_consistency", "eqH_consistency",
+    "HF_closed_form", "omega_slice", "hp_vs_phi_slice", "hp_anchors",
+    "lower_bound_identity", "bound_sandwich", "triple_path_agreement",
+    "fprime_series_vs_sampling"]
+PINNED_VERIFY = Path(__file__).parent / "pinned" / "verify_p0.3_0.9_samples40_seed2.json"
+
+
+def _family(report, name):
+    return next(f for f in report["families"] if f["name"] == name)
+
+
 class TestVerifyAll:
     def test_default_report_passes(self):
         report = verify_all(p_values=(0.3, 0.6), n_random=200, seed=7)
@@ -72,17 +92,21 @@ class TestVerifyAll:
         assert report["pass"], f"failing families: {failed}"
 
     def test_report_shape_and_serializable(self):
-        report = verify_all(p_values=(0.5,), n_random=50, seed=2)
+        report = verify_all(p_values=(0.3, 0.9), n_random=40, seed=2)
         json.dumps(report)  # must be JSON-ready
-        assert report["p_values"] == [0.5]
+        assert report["p_values"] == [0.3, 0.9]
         assert report["seed"] == 2
         for fam in report["families"]:
             extra = (["n_samples", "exponent_bound", "aliasing_bound"]
                      if fam["name"].startswith("fprime_series_vs_sampling") else [])
             assert list(fam) == ["name", "samples", "worst_residual",
                                  "tolerance", "pass"] + extra
-            assert fam["worst_residual"] >= 0.0 or fam["name"].startswith(
-                ("self_map", "dieudonne", "bound_sandwich", "membership"))
+            assert fam["worst_residual"] >= 0.0
+        names = [f["name"] for f in report["families"]]
+        assert names == SERIES_FAMILIES + [f"{name}[p={p}]" for p in (0.3, 0.9)
+                                           for name in PER_P_FAMILIES]
+        pinned = json.loads(PINNED_VERIFY.read_text())
+        assert names == [f["name"] for f in pinned["families"]]
 
     @pytest.mark.parametrize("p", [0.001, 0.01])
     def test_rho_family_passes_at_small_p(self, p):
@@ -114,7 +138,6 @@ class TestVerifyAll:
     def test_detects_injected_drift(self, monkeypatch):
         # a perturbed quartic table must show up as a failing family
         import hankelbody.hankel as hk
-        import hankelbody.oracle as oracle
         orig = hk.hp_numerator_coeffs
 
         def bad(P):
@@ -127,6 +150,34 @@ class TestVerifyAll:
         failed = {f["name"] for f in report["families"] if not f["pass"]}
         assert any(name.startswith("hp_") for name in failed)
         assert not report["pass"]
+
+
+class TestNonFiniteResiduals:
+    """A NaN residual fails its family, as an inf one does."""
+
+    def test_nan_series_route_fails_the_triple_path(self, monkeypatch):
+        orig = oracle.a_batch_from_w
+        monkeypatch.setattr(oracle, "a_batch_from_w", lambda pp, W: orig(pp, W) * np.nan)
+        fam = _family(verify_all((0.5,), 50, 2), "triple_path_agreement[p=0.5]")
+        assert not fam["pass"] and np.isnan(fam["worst_residual"])
+
+    def test_nan_evaluator_fails_the_self_map_bound(self, monkeypatch):
+        orig = oracle.phi_evaluator
+
+        def nan_evaluator(pp, w):
+            ev = orig(pp, w)
+            return lambda z: ev(z) * np.nan
+
+        monkeypatch.setattr(oracle, "phi_evaluator", nan_evaluator)
+        with np.errstate(invalid="ignore"):  # the f' family divides by the NaNs
+            report = verify_all((0.5,), 50, 2)
+        fam = _family(report, "self_map_bound[p=0.5]")
+        assert not fam["pass"] and np.isnan(fam["worst_residual"])
+
+    def test_nan_hp_prime_fails_the_anchors(self, monkeypatch):
+        monkeypatch.setattr(oracle, "h_p_prime", lambda pp, t: np.nan)
+        fam = _family(verify_all((0.5,), 50, 2), "hp_anchors[p=0.5]")
+        assert not fam["pass"] and np.isnan(fam["worst_residual"])
 
 
 class TestFPrimeSampling:
@@ -161,7 +212,6 @@ class TestFPrimeSampling:
             assert n_samples == 32 or fprime_aliasing_bound(p, n_samples // 2) > tol / 10
 
     def test_family_catches_one_wrong_coefficient(self, monkeypatch):
-        import hankelbody.oracle as oracle
         orig = oracle.fprime_series
 
         def bad(pp, phi):
@@ -180,7 +230,6 @@ class TestFPrimeSampling:
         # every phi evaluation of verify_all goes through phi_evaluator, and
         # no exponent is integrated by a Gauss-Legendre rule
         import hankelbody.coeffbody as coeffbody
-        import hankelbody.oracle as oracle
         orig = coeffbody.phi_evaluator
         points = []
 
