@@ -77,17 +77,14 @@ def _dump_json(payload: dict) -> str:
 
 def _write_text(path: str | None, pieces: Iterable[str]) -> None:
     """Write the text ``"".join(pieces)`` to ``path``, or to stdout for None,
-    piece by piece, so that no joined copy of the text is made.  stdout gets
-    one ``write`` per piece: a stand-in for it may have no ``writelines``.
+    one ``write`` per piece, so that no joined copy of the text is made.
 
     ``pieces`` may be a generator: its pieces are then formed after ``path``
     is opened, and an error in one leaves the pieces before it written."""
-    if path is None:
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8")) as fh:
         for piece in pieces:
-            sys.stdout.write(piece)
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(pieces)
+            fh.write(piece)
 
 
 # --- bounds ------------------------------------------------------------------
@@ -274,12 +271,8 @@ def cmd_region(args) -> int:
         omega = sample_omega_boundary(pp, n_theta=args.samples)
     if args.what in ("hankel", "both"):
         hank = sample_region_H(pp, n_samples=args.samples, seed=args.seed)
-    if args.format == "csv":
-        _write_text(args.out, _region_csv(omega, hank))
-    elif args.format == "svg":
-        _write_text(args.out, _region_svg(omega, hank))
-    else:
-        _write_text(args.out, _region_json_text(omega, hank))
+    document = {"csv": _region_csv, "svg": _region_svg, "json": _region_json_text}[args.format]
+    _write_text(args.out, document(omega, hank))
     return EXIT_OK
 
 

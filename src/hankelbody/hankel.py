@@ -154,10 +154,7 @@ G_POLY_COEFFS = (
 
 def g_poly(x: float) -> float:
     """The degree-7 correction polynomial in the lower-bound identity."""
-    acc = 0.0
-    for c in reversed(G_POLY_COEFFS):
-        acc = (acc + c) * x
-    return acc
+    return float(np.polynomial.polynomial.polyval(x, (0.0, *G_POLY_COEFFS)))
 
 
 def lower_bound_M(pp: PoleParam) -> float:

@@ -39,9 +39,10 @@ stream is the order of the report.  ``residuals`` holds one value per
 checked row, of one of three kinds: an absolute difference of two routes,
 a difference over a stated scale, or a one-sided excess.  ``_entry`` makes
 every report entry: ``samples`` counts the rows, the worst residual is
-floored at 0 (the rows the second-order Dieudonne family skips read 0), and
-a NaN residual fails its family as an inf one does.  A family whose
-evaluation raises a package error reads inf on every row.
+floored at 0, and a NaN residual fails its family as an inf one does.  A
+family whose evaluation raises a package error reads inf on every row.
+Every H taken from Phi is ``hankel_from_sigma``'s, every a2 a4 - a3^2 is
+``hankel2``'s, and every point of the disk is drawn by ``_disk``.
 """
 
 from __future__ import annotations
@@ -57,8 +58,7 @@ from .disk import (PoleParam, dieudonne2_lhs, dieudonne2_rhs, dieudonne_disk1,
 from .errors import HankelBodyError, InvalidInput
 from .hankel import (ACoeffs, H_F, A_n, a_from_c, h_p, h_p_prime, hankel2,
                      hankel_from_c, hankel_from_sigma, lower_bound_M, omega_map,
-                     phi_p, upper_bound_M)
-from .kernels import phi_batch
+                     upper_bound_M)
 from .search import sample_polydisk
 from .series import (as_complex, ratio_series, series_derivative, series_exp,
                      series_integrate, series_mul, series_reciprocal,
@@ -208,10 +208,10 @@ def _or_inf(n: int, evaluate) -> np.ndarray:
         return np.full(n, np.inf)
 
 
-def _disk(u: np.ndarray) -> np.ndarray:
-    """Area-uniform points of the unit disk; u[:, 0] and u[:, 1] interleave
-    as the modulus and argument draws of one point at a time."""
-    return np.sqrt(u[:, 0]) * np.exp(1j * (2 * np.pi * u[:, 1]))
+def _disk(u: np.ndarray, r: float = 1.0) -> np.ndarray:
+    """Area-uniform points of the disk |z| < r from the uniform draws
+    u[:, 0] (modulus) and u[:, 1] (argument) of one point a row."""
+    return r * np.sqrt(u[:, 0]) * np.exp(1j * (2 * np.pi * u[:, 1]))
 
 
 def _series_families(rng):
@@ -246,8 +246,7 @@ def _series_families(rng):
     yield "taylor_polynomial_recovery", np.max(np.abs(got - coeffs), axis=-1), 1e-11
 
     u = rng.uniform(size=(300, 4))
-    a = 0.95 * np.sqrt(u[:, 0]) * np.exp(1j * (2 * np.pi * u[:, 1]))
-    z = 0.95 * np.sqrt(u[:, 2]) * np.exp(1j * (2 * np.pi * u[:, 3]))
+    a, z = _disk(u[:, :2], 0.95), _disk(u[:, 2:], 0.95)
     yield "mobius_involution", np.abs(mobius_T(a, mobius_T(a, z)) - z), 1e-12
 
 
@@ -255,7 +254,6 @@ def _families_at(pp: PoleParam, rng, n_random: int):
     """The families at one p, as (name, residuals, tolerance[, extra fields])
     rows without the p tag; the chain families share n_random body points W."""
     p, P = pp.p, pp.P
-    phi_scale = 18.0 * P**3  # Phi = 18 P^3 H
 
     zeta = _disk(rng.uniform(size=(50, 2)))
     # for |zeta| <= 1 the pole in z lies at |z| >= (1 + p^2)/(2p) >= 1, so
@@ -270,15 +268,12 @@ def _families_at(pp: PoleParam, rng, n_random: int):
     w_all = ParamTriple(*W.T)
 
     # variability-disk membership of constructed jets, on up to 400 rows;
-    # the second order reads 0 on the rows it skips, where |tau0| is near p
+    # the interior draws keep |tau0| <= 0.99 p
     tau0, tau1, tau2 = tau_from_w(pp, ParamTriple(*Winterior[:400].T))
     disk = dieudonne_disk1(p, tau0)
     yield "dieudonne_first_order", np.abs(tau1 - disk.center) - disk.radius, 1e-8
-    inner = np.abs(tau0) < p * (1 - 1e-6)
-    excess = np.zeros(len(tau0))
-    excess[inner] = (dieudonne2_lhs(p, tau0[inner], tau1[inner], tau2[inner])
-                     - dieudonne2_rhs(p, tau0[inner]))
-    yield "dieudonne_second_order", excess, 1e-8
+    yield ("dieudonne_second_order",
+           dieudonne2_lhs(p, tau0, tau1, tau2) - dieudonne2_rhs(p, tau0), 1e-8)
 
     c_w, s_w = c_from_w(pp, w_all), sigma_from_w(pp, w_all)
     cw = np.column_stack(c_w)
@@ -292,7 +287,7 @@ def _families_at(pp: PoleParam, rng, n_random: int):
     yield "oracle_equivalence_series_vs_w", np.max(np.abs(phi[:, :3] - cw[:300]), axis=1), 1e-8
     ev = phi_evaluator(pp, ParamTriple(*(w[:, None] for w in Wo)))  # rows meet the points
     yield "fixed_point_phi_p", _or_inf(len(phi), lambda: np.abs(ev(np.array([p])) - p)[:, 0]), 1e-12
-    zs_disk = np.sqrt(rng.uniform(size=64)) * np.exp(1j * rng.uniform(0, 2 * np.pi, 64))
+    zs_disk = _disk(rng.uniform(size=(2, 64)).T)  # 64 moduli, then 64 arguments
     yield ("self_map_bound",
            _or_inf(len(phi), lambda: np.max(np.abs(ev(zs_disk)), axis=1) - 1.0), 1e-12)
 
@@ -308,7 +303,7 @@ def _families_at(pp: PoleParam, rng, n_random: int):
     c_sig = c_from_sigma(pp, ParamTriple(*S.T))
     hs_chain = hankel2(a_from_c(pp, c_sig))
     scale = max(1.0, float(np.max(np.abs(hs_chain))))
-    hs_phi = phi_batch(P, S[:, 0], S[:, 1], S[:, 2]) / phi_scale
+    hs_phi = hankel_from_sigma(pp, ParamTriple(*S.T))
     yield "phi_consistency", np.abs(hs_chain - hs_phi) / scale, 1e-10
     yield "eqH_consistency", np.abs(hankel_from_c(pp, c_sig) - hs_chain) / scale, 1e-10
 
@@ -318,12 +313,12 @@ def _families_at(pp: PoleParam, rng, n_random: int):
 
     s0 = _disk(rng.uniform(size=(100, 2)))
     yield ("omega_slice",
-           np.abs(omega_map(pp, s0) - phi_p(pp, ParamTriple(s0, 0.0, 0.0)) / phi_scale), 1e-12)
+           np.abs(omega_map(pp, s0) - hankel_from_sigma(pp, ParamTriple(s0, 0.0, 0.0))), 1e-12)
 
     # h_p transcription vs Phi slice, anchors, lower identity
     ts = rng.uniform(0.0, 1.0, 100)
     yield ("hp_vs_phi_slice",
-           np.abs(h_p(pp, ts) + phi_p(pp, ParamTriple(ts, -1.0, 0.0)) / phi_scale), 1e-11)
+           np.abs(h_p(pp, ts) + hankel_from_sigma(pp, ParamTriple(ts, -1.0, 0.0))), 1e-11)
     yield "hp_anchors", np.abs([h_p(pp, 1.0) - 1.0, h_p_prime(pp, 1.0)
                                 + 2.0 * (P - 2.0) * (P + 1.0) / (3.0 * P)]), 1e-12
     yield "lower_bound_identity", np.abs([lower_bound_M(pp) - (
@@ -333,8 +328,7 @@ def _families_at(pp: PoleParam, rng, n_random: int):
     # triple path: sigma chain vs w chain vs series route, on up to 2000 chain rows
     h_w = hankel2(a_from_c(pp, CoeffTriple(*(c[:2000] for c in c_w))))
     h_s = hankel_from_sigma(pp, ParamTriple(*(s[:2000] for s in s_w)))
-    A = a_batch_from_w(pp, W[:2000])
-    h_ser = A[:, 0] * A[:, 2] - A[:, 1] ** 2
+    h_ser = hankel2(ACoeffs(*a_batch_from_w(pp, W[:2000]).T))
     yield ("triple_path_agreement",
            np.maximum(np.abs(h_w - h_s), np.abs(h_w - h_ser)), 1e-8)
 
@@ -357,10 +351,14 @@ def verify_all(p_values=(0.2, 0.5, 0.8), n_random: int = 1000, seed: int = 1) ->
 
     Failures are entries with pass=False, never exceptions.  The report is
     byte-reproducible for fixed inputs.  Equal p values raise InvalidInput,
-    since the per-p family names carry p.
+    since the per-p family names carry p, and so do n_random < 1 and seed < 0.
     """
     if len(set(map(float, p_values))) < len(p_values):
         raise InvalidInput(f"p values must be distinct, got {list(p_values)}")
+    if n_random < 1:
+        raise InvalidInput(f"n_random must be >= 1, got {n_random}")
+    if seed < 0:
+        raise InvalidInput(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     families = [_entry(*row) for row in _series_families(rng)]
     for p in p_values:

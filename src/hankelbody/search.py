@@ -262,8 +262,11 @@ def estimate_M_batch(pps: Sequence[PoleParam], grid: int = 24, refine_iters: int
         raise InvalidInput(f"grid must be >= {MIN_GRID}")
     if refine_iters < 0:
         raise InvalidInput("refine_iters must be >= 0")
+    if seed < 0:
+        raise InvalidInput("seed must be >= 0")
 
     rng = np.random.default_rng(seed)
+    # optimizer starts, drawn modulus-uniform: not area-uniform polydisk samples
     rand = rng.uniform(size=(2, 4)) * np.exp(2j * np.pi * rng.uniform(size=(2, 4)))
     starts = []
     for pp in pps:
@@ -323,6 +326,8 @@ def sample_region_H(pp: PoleParam, n_samples: int = 1000, seed: int = 1) -> Regi
     """
     if n_samples < 1:
         raise InvalidInput("n_samples must be >= 1")
+    if seed < 0:
+        raise InvalidInput("seed must be >= 0")
     vals = _region_values(pp, np.random.default_rng(seed), n_samples)
     boundary = _binned_boundary(vals)
     return RegionSample(points=vals, boundary=boundary,
@@ -333,8 +338,9 @@ def _region_values(pp: PoleParam, rng: np.random.Generator, n_samples: int) -> n
     """H at ``n_samples`` polydisk samples, then at a dedicated all-boundary
     slice and the rotation-family slice, each ``max(n_samples // 4, 8)`` rows.
 
-    The three blocks are read in chunks of ``REGION_CHUNK`` rows, one
-    ``phi_batch`` call each, so no stacked copy of them is made.
+    Each block is read on its own in chunks of at most ``REGION_CHUNK``
+    rows, one ``phi_batch`` call each, into the one array of values, so no
+    stacked copy of the blocks is made.
     """
     sig = sample_polydisk(rng, n_samples)
     n_extra = max(n_samples // 4, 8)
@@ -343,17 +349,14 @@ def _region_values(pp: PoleParam, rng: np.random.Generator, n_samples: int) -> n
     zetas = np.exp(2j * np.pi * np.arange(n_extra) / n_extra)
     sig_rot = np.zeros((n_extra, 3), dtype=np.complex128)
     sig_rot[:, 0] = (zetas - p2) / (1.0 - p2 * zetas)
-    # each block with the index of its first row in the stacked rows
-    blocks = ((sig, 0), (sig_bdry, n_samples), (sig_rot, n_samples + n_extra))
     vals = np.empty(n_samples + 2 * n_extra, dtype=np.complex128)
-    # one parameter a row, so that each row of a chunk is contiguous
-    buf = np.empty((3, min(REGION_CHUNK, vals.size)), dtype=np.complex128)
     scale = 18.0 * pp.P**3
-    for i in range(0, vals.size, REGION_CHUNK):
-        j = min(i + REGION_CHUNK, vals.size)
-        s = np.concatenate([b[max(i - k, 0):max(j - k, 0)].T for b, k in blocks],
-                           axis=1, out=buf[:, :j - i])
-        np.divide(phi_batch(pp.P, s[0], s[1], s[2]), scale, out=vals[i:j])
+    i = 0
+    for block in (sig, sig_bdry, sig_rot):
+        for k in range(0, len(block), REGION_CHUNK):
+            s = block[k:k + REGION_CHUNK]
+            np.divide(phi_batch(pp.P, *s.T), scale, out=vals[i:i + len(s)])
+            i += len(s)
     return vals
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import errno
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -26,6 +27,17 @@ from hankelbody.search import sample_omega_boundary, sample_region_H
 from conftest import slice_max_on_grid
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+def _load_sweep():
+    spec = importlib.util.spec_from_file_location(
+        "cli_sweep", REPO / "tests" / "pinned" / "cli_sweep.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SWEEP = _load_sweep()
 
 
 def run(argv):
@@ -625,6 +637,14 @@ class TestPinnedOutputs:
         assert run(["bounds", "--p", "0.1,0.5,0.9", "--grid", "8", "--iters", "25",
                     "--seed", "2"]) == EXIT_OK
         assert capsys.readouterr().out == self.BOUNDS_TABLE
+
+
+@pytest.mark.parametrize("row", json.loads(SWEEP.TABLE.read_text()),
+                         ids=lambda row: " ".join(row["argv"]))
+def test_bytes_and_exit_code_are_pinned(row, tmp_path):
+    # exit code, stdout and --out bytes of 26 argv across the subcommands;
+    # tests/pinned/cli_sweep.py rewrites the table after a deliberate change
+    assert SWEEP.sweep_row(row["argv"], tmp_path / "out") == row
 
 
 class TestBoundsTable:

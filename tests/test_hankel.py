@@ -7,7 +7,7 @@ from hankelbody import (H_F, A_n, B_coeffs, G_p, ParamTriple, PoleParam,
                         lower_bound_M, omega_map, phi_p, sigma_from_w,
                         upper_bound_M)
 from hankelbody.errors import InvalidInput
-from hankelbody.hankel import koebe
+from hankelbody.hankel import G_POLY_COEFFS, koebe
 from hankelbody.search import sample_polydisk
 
 from conftest import triples
@@ -111,6 +111,18 @@ class TestBoundPolynomials:
             pp = PoleParam(p)
             want = 1.0 / (3.0 * p) + p / 3.0 + g_poly(1.0 / pp.P)
             assert abs(lower_bound_M(pp) - want) < 1e-10
+
+    def test_g_poly_is_the_horner_loop(self):
+        # Horner's rule as a plain loop, the reference: polyval takes the
+        # same products and sums, so the bits agree
+        def horner(x):
+            acc = 0.0
+            for c in reversed(G_POLY_COEFFS):
+                acc = (acc + c) * x
+            return acc
+
+        for x in np.linspace(0.0, 0.5, 2001):  # x = 1/P <= 1/2
+            assert g_poly(float(x)) == horner(float(x))
 
     def test_spot_values_p_half(self):
         pp = PoleParam(0.5)

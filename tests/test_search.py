@@ -493,7 +493,9 @@ class TestRegionChunks:
         assert chunked.points.tobytes() == default.points.tobytes()
         assert chunked.boundary.tobytes() == default.boundary.tobytes()
 
-    @pytest.mark.parametrize("n, calls", [(1, 1), (1000, 1), (70_000, 4)])
+    # each of the three blocks is chunked on its own: 70,000 samples give
+    # 3 chunks of polydisk rows and 1 each of the two 17,500-row slices
+    @pytest.mark.parametrize("n, calls", [(1, 3), (1000, 3), (70_000, 5)])
     def test_one_kernel_call_per_chunk(self, n, calls, monkeypatch):
         seen = []
 
