@@ -299,7 +299,6 @@ def cmd_extremal(args) -> int:
         },
         "lower": report.lower,
         "upper": report.upper,
-        "slice_value": report.lower,
         "iterations": report.iterations,
         "grid": report.grid,
         "seed": args.seed,

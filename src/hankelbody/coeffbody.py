@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .disk import PoleParam, blaschke_psi, mobius_T
+from .disk import DENOM_EPS, PoleParam, blaschke_psi, mobius_T
 from .errors import InvalidInput
 from .series import as_complex, ratio_series
 
@@ -175,7 +175,7 @@ def membership_x2(pp: PoleParam, c: CoeffTriple) -> MembershipResult:
     # non-finite or huge coefficients give inf or nan in omega's series,
     # which the comparisons below read as outside
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        pole = np.abs(1.0 - p * c0) <= 1e-14
+        pole = np.abs(1.0 - p * c0) <= DENOM_EPS
         verdict = np.where(pole, 2, 0)  # inside, boundary, outside as 0, 1, 2
         c0 = np.where(pole, 0.0, c0)  # any finite omega: the verdict is settled
         a0, a1, a2 = p - c0, c1, -c2  # p - phi(-u)

@@ -5,21 +5,10 @@ class HankelBodyError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ZeroConstantTerm(HankelBodyError):
-    """Series reciprocal requested for a series with (near-)zero constant term."""
-
-
-class NonzeroConstantTerm(HankelBodyError):
-    """Series exponential requested for a series whose constant term is not 0."""
+class InvalidInput(HankelBodyError):
+    """An argument violated a documented precondition: a range, a zero (or
+    nonzero) constant term, a polyline with fewer than 3 distinct points."""
 
 
 class DegenerateDenominator(HankelBodyError):
     """A Moebius-type denominator 1 - conj(w)*z vanished."""
-
-
-class InvalidInput(HankelBodyError):
-    """An argument violated a documented precondition."""
-
-
-class DegenerateBoundary(HankelBodyError):
-    """A region boundary polyline has fewer than 3 distinct points."""

@@ -23,7 +23,7 @@ import numpy as np
 
 from .coeffbody import ParamTriple
 from .disk import PoleParam
-from .errors import DegenerateBoundary, InvalidInput
+from .errors import InvalidInput
 from .hankel import hp_numerator_coeffs, lower_bound_M, omega_map, upper_bound_M
 from .kernels import best_sigma2, phi_batch, phi_factors, phi_sigma2_max
 
@@ -142,16 +142,16 @@ class SimplexResult(NamedTuple):
     nfev: np.ndarray
 
 
-def minimize(fun, X0: np.ndarray, maxiter: int, args: np.ndarray | None = None) -> SimplexResult:
+def minimize(fun, X0: np.ndarray, maxiter: int, args: np.ndarray) -> SimplexResult:
     """Nelder-Mead from every row of ``X0`` at once, each row as scipy runs it alone.
 
     A transcription of scipy 1.17's ``_minimize_neldermead`` (non-adaptive,
     no bounds, ``maxfev`` unset, ``xatol=_XATOL``, ``fatol=_FATOL``) that
-    advances all starts in lockstep.  ``fun`` maps an (m, d) array to m
-    values.  With ``args``, a (q, n) array that holds a column of arguments
-    per start, it is called as ``fun(A, X)``, column j of ``A`` belonging to
-    row j of ``X``, as a ``functools.partial`` binding them would be; so
-    starts of different objectives share one run.  Each step makes one call,
+    advances all starts in lockstep.  ``args`` is a (q, n) array that holds
+    a column of arguments per start (q may be 0), and ``fun(A, X)`` maps an
+    (m, d) array ``X`` to m values, column j of ``A`` belonging to row j of
+    ``X``, as a ``functools.partial`` binding them would be; so starts of
+    different objectives share one run.  Each step makes one call,
     on the four trial points of every live start (``_TRIAL_A``,
     ``_TRIAL_B``) and the N vertices its shrink would give, which are known
     before the step's outcome; a shrink makes no call of its own.  Every
@@ -162,17 +162,13 @@ def minimize(fun, X0: np.ndarray, maxiter: int, args: np.ndarray | None = None) 
     """
     X0 = np.asarray(X0, dtype=np.float64)
     n, N = X0.shape
-    if args is None:
-        call, args = (lambda A, X: fun(X)), np.empty((0, n))
-    else:
-        call = fun
     nonzdelt, zdelt = 0.05, 0.00025
     k = np.arange(N)
     # the simplices vertex by vertex: sim[j, i] is vertex j of start i
     sim = np.repeat(X0[None], N + 1, axis=0)
     diag = X0[:, k]
     sim[k + 1, :, k] = np.where(diag != 0, (1 + nonzdelt) * diag, zdelt).T
-    fsim = call(np.tile(args, N + 1), sim.reshape(-1, N)).reshape(N + 1, n)
+    fsim = fun(np.tile(args, N + 1), sim.reshape(-1, N)).reshape(N + 1, n)
     nfev = np.full(n, N + 1)
     nit = np.ones(n, dtype=int)
     every = np.indices(fsim.shape)[0]
@@ -211,7 +207,7 @@ def minimize(fun, X0: np.ndarray, maxiter: int, args: np.ndarray | None = None) 
         # the old worst included
         best = S[:1]
         cand = np.concatenate((S, _TRIAL_A * xbar - _TRIAL_B * S[-1], best + 0.5 * (S[1:] - best)))
-        fcand = np.concatenate((F, call(A_step, cand[N + 1:].reshape(-1, N)).reshape(4 + N, -1)))
+        fcand = np.concatenate((F, fun(A_step, cand[N + 1:].reshape(-1, N)).reshape(4 + N, -1)))
         # scipy's comparisons, in scipy's order
         fxr, fxe, fxc, fxcc = fcand[N + 1:N + 5]
         outcome = np.where(fxr < F[0], np.where(fxe < fxr, 1, 4),
@@ -396,7 +392,7 @@ def contains(region: RegionSample, z):
     """
     b = np.asarray(region.boundary, dtype=np.complex128)
     if np.unique(np.round(b, 12)).size < 3:
-        raise DegenerateBoundary("boundary polyline needs >= 3 distinct points")
+        raise InvalidInput("boundary polyline needs >= 3 distinct points")
     z = np.asarray(z, dtype=np.complex128)
     finite = np.isfinite(z)
     flat = np.where(finite, z, 0.0).ravel()  # 0 stands in for a non-finite z

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInput, NonzeroConstantTerm, ZeroConstantTerm
+from .errors import InvalidInput
 
 #: below this magnitude a constant term counts as zero in preconditions
 CONSTANT_TERM_EPS = 1e-13
@@ -70,7 +70,7 @@ def series_reciprocal(a) -> np.ndarray:
     """Multiplicative inverse modulo z^(N+1) by ``ratio_series``; needs a0 != 0."""
     a = _series(a)
     if np.any(abs(a[..., 0]) <= CONSTANT_TERM_EPS):
-        raise ZeroConstantTerm("cannot invert a series with zero constant term")
+        raise InvalidInput("cannot invert a series with zero constant term")
     return ratio_series([1.0], a, a.shape[-1])
 
 
@@ -81,7 +81,7 @@ def series_exp(a) -> np.ndarray:
     """
     a = _series(a)
     if np.any(abs(a[..., 0]) > CONSTANT_TERM_EPS):
-        raise NonzeroConstantTerm("series_exp requires a0 = 0")
+        raise InvalidInput("series_exp requires a0 = 0")
     e = np.zeros_like(a)
     e[..., 0] = 1.0
     ja = np.arange(a.shape[-1]) * a
@@ -121,7 +121,7 @@ def ratio_series(num, den, n_terms: int) -> np.ndarray:
         raise InvalidInput("n_terms must be >= 1")
     a, b = _series(num), _series(den)
     if np.any(b[..., 0] == 0):
-        raise ZeroConstantTerm("the denominator has a zero constant term")
+        raise InvalidInput("the denominator has a zero constant term")
     c = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (n_terms,),
                  dtype=np.complex128)
     for k in range(n_terms):

@@ -1,10 +1,13 @@
 import contextlib
 import errno
 import hashlib
+import importlib
 import importlib.util
+import inspect
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -556,8 +559,7 @@ class TestExtremal:
         assert code == EXIT_OK
         payload = json.loads(out.read_text())
         assert set(payload) == {"p", "m_estimate", "arg_sigma", "lower",
-                                "upper", "slice_value", "iterations", "grid",
-                                "seed"}
+                                "upper", "iterations", "grid", "seed"}
         assert payload["lower"] <= payload["m_estimate"] + 1e-9
         assert all(0.0 <= m <= 1.0 + 1e-12
                    for m in payload["arg_sigma"]["moduli"])
@@ -587,7 +589,7 @@ class TestPinnedOutputs:
         b'    "moduli": [\n      0.6444707445124216,\n      1.0,\n      1.0\n    ],\n'
         b'    "arguments": [\n      0.0,\n      3.141592653589793,\n      0.0\n    ]\n'
         b'  },\n  "lower": 1.154550311758432,\n  "upper": 1.4739366413647352,\n'
-        b'  "slice_value": 1.154550311758432,\n  "iterations": 840,\n  "grid": 10,\n'
+        b'  "iterations": 840,\n  "grid": 10,\n'
         b'  "seed": 3\n}\n')
     BOUNDS = (
         b"p,one_third_p,lower,m_estimate,upper,one_third_p_plus\n"
@@ -719,6 +721,24 @@ def _traced_worker(jobs):
 
 
 class TestBenchmarkHooks:
+    def test_traced_names_are_public_functions(self):
+        # the benchmark's tracer binds each per-layer metric <layer>.<name>.<stat>
+        # to the public function <name> of hankelbody.<layer>, and search.refine
+        # to search.minimize; a renamed function would read 0, not fail
+        modules = {m.name for m in pkgutil.iter_modules(hankelbody.__path__)}
+        metrics = json.loads((REPO / "BENCHMARK.json").read_text())["per_layer"]
+        traced = {tuple(m["name"].split(".")[:2]) for m in metrics
+                  if m["name"].count(".") == 2}
+        traced = {(layer, name) for layer, name in traced
+                  if layer in modules and name != "refine"}
+        assert ("search", "estimate_M") in traced and ("disk", "mobius_T") in traced
+        for layer, name in sorted(traced | {("search", "minimize")}):
+            mod = importlib.import_module(f"hankelbody.{layer}")
+            fn = getattr(mod, name, None)
+            assert inspect.isfunction(fn) and not name.startswith("_"), (layer, name)
+            assert fn.__module__ == mod.__name__, (layer, name)
+        assert hasattr(importlib.import_module("hankelbody.kernels"), "USE_NUMBA")
+
     def test_traced_benchmark_worker_runs_jobs(self, tmp_path):
         # the benchmark's worker reads kernels.USE_NUMBA at startup, its
         # tracer rebinds search.minimize, and its stand-in stdout has only
