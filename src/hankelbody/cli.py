@@ -19,6 +19,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import floattext
 from .disk import PoleParam
 from .errors import HankelBodyError, InvalidInput
 from .oracle import verify_all
@@ -119,39 +120,35 @@ def cmd_bounds(args) -> int:
 
 # --- region ------------------------------------------------------------------
 
-#: rows per piece of a region document: a piece is formatted from
-#: its own ``.tolist()`` slice, so no text as large as the document is made
+#: rows per piece of a region document: a piece is formatted from its own
+#: slice, so no text as large as the document is made
 _ROWS_PER_PIECE = 4096
 
 
-def _row_pieces(z: np.ndarray, row: str, sep: str, cells) -> Iterator[str]:
-    """``sep.join(row % pair for each point of z)`` in pieces, ``sep`` alone
-    between two pieces, where ``cells(part)`` gives the tuple of the two cell
-    values of each point of the slice ``part`` of ``z``, flattened."""
-    full = sep.join([row] * _ROWS_PER_PIECE)
+def _row_pieces(z: np.ndarray, parts: tuple[str, str, str], sep: str, cells) -> Iterator[str]:
+    """``sep.join(parts[0] + x + parts[1] + y + parts[2] for each point of z)``
+    in pieces, ``sep`` alone between two pieces, where ``cells(part)`` gives
+    the (2n, W) text fields of the interleaved ``x`` and ``y`` cells of the
+    points of the slice ``part`` of ``z``."""
     for i in range(0, z.size, _ROWS_PER_PIECE):
         part = z[i:i + _ROWS_PER_PIECE]
         if i:
             yield sep
-        yield (full if part.size == _ROWS_PER_PIECE else sep.join([row] * part.size)) % cells(part)
+        fields = cells(part)
+        yield floattext.join_rows(parts, (fields[0::2], fields[1::2]), sep)
 
 
-#: one ``[re, im]`` row as ``json.dumps(..., indent=2)`` writes it in the
-#: region document, three levels deep.  ``%s`` of a float is ``float.__repr__``,
-#: which is how json writes a finite float.
-_JSON_ROW = "      [\n        %s,\n        %s\n      ]"
-
-
-def _json_cells(z: np.ndarray) -> tuple:
-    xy = z.view(np.float64)
-    vals = xy.tolist()
-    return tuple(vals if np.isfinite(xy).all() else map(json.dumps, vals))  # NaN, Infinity
+def _json_cells(z: np.ndarray) -> np.ndarray:
+    """json's text of the coordinates of ``z``: ``float.__repr__``, and NaN
+    and Infinity for the non-finite values."""
+    return floattext.shortest(z.view(np.float64), json.dumps)
 
 
 def _json_rows(z: np.ndarray) -> Iterator[str]:
     """The ``[re, im]`` rows of the contiguous complex128 array ``z``,
-    comma-separated as in the region document."""
-    return _row_pieces(z, _JSON_ROW, ",\n", _json_cells)
+    comma-separated as ``json.dumps(..., indent=2)`` writes them in the
+    region document, three levels deep."""
+    return _row_pieces(z, ("      [\n        ", ",\n        ", "\n      ]"), ",\n", _json_cells)
 
 
 def _json_array(rows: Iterable[str], n: int) -> Iterator[str]:
@@ -204,18 +201,16 @@ def _region_json_text(omega: RegionSample | None,
     yield "\n"
 
 
-_SVG_CIRCLE = '<circle cx="%.6f" cy="%.6f" r="0.006" fill="#4477aa" fill-opacity="0.5"/>'
-
-
-def _svg_cells(z: np.ndarray) -> tuple:
-    """The interleaved ``(x, -y)`` coordinates of ``z``: SVG's y axis points down."""
-    return tuple(np.conj(z).view(np.float64).tolist())
+def _svg_cells(z: np.ndarray) -> np.ndarray:
+    """``%.6f`` of the interleaved ``(x, -y)`` coordinates of ``z``: SVG's y
+    axis points down."""
+    return floattext.fixed6(np.conj(z).view(np.float64))
 
 
 def _svg_polyline(z, stroke: str, width: str) -> Iterator[str]:
     yield '\n<polyline points="'
     yield from _row_pieces(np.ascontiguousarray(z, dtype=np.complex128),
-                           "%.6f,%.6f", " ", _svg_cells)
+                           ("", ",", ""), " ", _svg_cells)
     yield f'" fill="none" stroke="{stroke}" stroke-width="{width}"/>'
 
 
@@ -231,21 +226,19 @@ def _region_svg(omega: RegionSample | None, hank: RegionSample | None) -> Iterat
         points = np.ascontiguousarray(hank.points, dtype=np.complex128)
         if points.size:
             yield "\n"
-            yield from _row_pieces(points, _SVG_CIRCLE, "\n", _svg_cells)
+            yield from _row_pieces(points, ('<circle cx="', '" cy="', '" r="0.006" fill="#4477aa" '
+                                            'fill-opacity="0.5"/>'), "\n", _svg_cells)
         yield from _svg_polyline(hank.boundary, "#4477aa", "0.008")
     if omega is not None:
         yield from _svg_polyline(omega.boundary, "#cc3311", "0.010")
     yield "\n</svg>\n"
 
 
-#: the ``re,im,`` cells of a region csv row.  They read as numpy >= 2 writes
-#: the repr of a float64 scalar, which wraps ``float.__repr__`` (``%r``), as
-#: the per-point writer wrote them; plain floats wait for ROADMAP item 8
-_CSV_CELLS = "np.float64(%r),np.float64(%r),"
-
-
-def _csv_cells(z: np.ndarray) -> tuple:
-    return tuple(z.view(np.float64).tolist())
+def _csv_cells(z: np.ndarray) -> np.ndarray:
+    """``float.__repr__`` of the coordinates of ``z``.  The csv cells wrap
+    them as numpy >= 2 writes the repr of a float64 scalar, as the per-point
+    writer wrote them; plain floats wait for ROADMAP item 8."""
+    return floattext.shortest(z.view(np.float64))
 
 
 def _region_csv(omega: RegionSample | None, hank: RegionSample | None) -> Iterator[str]:
@@ -257,7 +250,8 @@ def _region_csv(omega: RegionSample | None, hank: RegionSample | None) -> Iterat
     for z, kind in arrays:
         z = np.ascontiguousarray(z, dtype=np.complex128)
         if z.size:
-            yield from _row_pieces(z, _CSV_CELLS + kind, "\n", _csv_cells)
+            yield from _row_pieces(z, ("np.float64(", "),np.float64(", ")," + kind),
+                                   "\n", _csv_cells)
             yield "\n"
 
 

@@ -249,11 +249,18 @@ def _reference_csv(omega, hank):
 
 
 #: coordinates that stress the writers: non-finite values, signed zeros, the
-#: extremes of the float range, exact .6f ties (odd multiples of 1/128) and
-#: ordinary floats
+#: extremes of the float range, exact .6f ties (odd multiples of 1/128),
+#: ordinary floats, and the values at the seams of the float-to-text kernels
+#: (the ends of their ranges and the floats next to them, digits that carry
+#: into a new digit, exact 16- and 17-digit ties), which put kernel and
+#: Python-formatted values into one piece
 _coords = st.one_of(
     st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -0.0,
                      5e-324, -5e-324, 1e308, -1e308]),
+    st.sampled_from([1e-4, 9.999999999999999e-05, 1e9, 999999999.9999999, 1e15,
+                     999999999999999.9, 999999999.9999995, 9.999999999999998,
+                     0.09999999999999999, 100000000000000.25, 100000000000000.125,
+                     0.5, 1e16, 1e-7]).flatmap(lambda v: st.sampled_from([v, -v])),
     st.integers(-2**12, 2**12).map(lambda k: (2 * k + 1) / 128),
     st.floats(allow_nan=False, allow_infinity=False),
 )
