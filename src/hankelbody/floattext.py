@@ -9,10 +9,10 @@ and fields side by side and returns the text of the rows.
 Both kernels round with an exact product.  Dekker's product (Numer. Math.
 18, 1971) gives ``a*b == p + e`` exactly, where ``p`` is the float product,
 from a Veltkamp split of each factor with 2**27 + 1; numpy has no fma.  A
-value outside the range a kernel proves exact is formatted in Python, by
-the kernel's ``fallback``, into the same field array.  The kernels build
-their fields as (slot, row) arrays, so that each numpy operation runs along
-contiguous rows of values, and ``join_rows`` transposes them into the text.
+value outside the range a kernel proves exact is formatted in Python into
+the same field array.  The kernels build their fields as (slot, row)
+arrays, so that each numpy operation runs along contiguous rows of values,
+and ``join_rows`` transposes them into the text.
 """
 
 from __future__ import annotations
@@ -74,14 +74,14 @@ def _fields(x: np.ndarray, ok: np.ndarray, slots: np.ndarray, fallback) -> np.nd
     return slots.T
 
 
-def fixed6(x: np.ndarray, fallback: Callable[[float], str] = "%.6f".__mod__) -> np.ndarray:
+def fixed6(x: np.ndarray) -> np.ndarray:
     """The (n, W) NUL-padded fields of ``"%.6f" % v`` for the float64 values of ``x``.
 
     ``%.6f`` rounds the exact binary value to a multiple of 1e-6, ties to
     even.  With p = |v|*1e6 and e its exact error, n = rint(p) is that
     rounding unless p - n is +-0.5 and e moves the value off the tie.  That
     step is taken in int64, where it is not lost above 2**53.  Non-finite
-    values and |v| >= 1e9 go to ``fallback``.
+    values and |v| >= 1e9 are formatted by Python's ``%``.
     """
     x = np.ascontiguousarray(x, dtype=np.float64).reshape(-1)
     a = np.abs(x)
@@ -104,7 +104,7 @@ def fixed6(x: np.ndarray, fallback: Callable[[float], str] = "%.6f".__mod__) -> 
         slots[width - k] *= whole >= 10**k
     slots[width + 1] = _DOT
     _put_digits(slots[width + 2:], n - whole * 1_000_000)
-    return _fields(x, ok, slots, fallback)
+    return _fields(x, ok, slots, "%.6f".__mod__)
 
 
 def shortest(x: np.ndarray, fallback: Callable[[float], str] = float.__repr__) -> np.ndarray:
@@ -183,7 +183,7 @@ def shortest(x: np.ndarray, fallback: Callable[[float], str] = float.__repr__) -
     return _fields(x, ok, slots, fallback)
 
 
-def join_rows(parts: Sequence[str], fields: Sequence[np.ndarray], sep: str = "") -> str:
+def join_rows(parts: Sequence[str], fields: Sequence[np.ndarray], sep: str) -> str:
     """``sep.join`` over rows i of ``parts[0] + text(fields[0][i]) + parts[1]
     + ... + parts[-1]``, where ``text`` drops a field's NULs.  The parts and
     ``sep`` are ASCII without NULs."""

@@ -4,7 +4,8 @@ bound polynomials used in the sandwich estimate for M(p).
 
 Transcribed polynomial displays live in module-level tables so the test
 suite can perturb a single coefficient and confirm the defining identities
-catch the drift.  Phi_p itself is transcribed once, in ``kernels``.
+catch the drift.  Phi_p is transcribed once, in ``kernels``, as T0 + T1 s1
++ T2 s1^2 + C (1 - |s1|^2) s2; ``B_coeffs`` is |T0|..|C| at a real s0.
 
 Like the chain functions of ``coeffbody``, the coefficient map, the three
 forms of H and ``phi_p`` take scalar triples or triples of equal-shape
@@ -169,16 +170,13 @@ def upper_bound_M(pp: PoleParam) -> float:
 
 
 def B_coeffs(pp: PoleParam, y: float):
-    """The four bound terms (B0..B3) at y = |sigma0| in [0,1]."""
+    """The four bound terms (B0..B3) at y = |sigma0| in [0,1]: the moduli of
+    Phi's sigma0 terms (T0, T1, T2, C) at sigma0 = y."""
     if not 0.0 <= y <= 1.0:
         raise InvalidInput("y must lie in [0,1]")
-    P = pp.P
-    my = 1.0 - y * y
-    B0 = 18.0 * P * (1.0 + (P * P - 2.0) * y + y * y)
-    B1 = 3.0 * (1.0 - 7.0 * P * P + 2.0 * P**4 + (3.0 * P * P - 2.0) * y + y * y) * my
-    B2 = P * (2.0 * my + 3.0 * y * (P * P - 1.0 + y)) * my
-    B3 = 3.0 * P * (P * P - 1.0 + y) * my
-    return B0, B1, B2, B3
+    # a one-element array: numpy squares |y| as y*y, Python's pow may not
+    terms = kernels.phi_sigma0_terms(pp.P, np.array([complex(y)]))
+    return tuple(float(abs(term[0])) for term in terms)
 
 
 def G_p(pp: PoleParam, t: float) -> float:

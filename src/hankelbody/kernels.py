@@ -1,12 +1,13 @@
 """The polydisk functional Phi_p, written once.
 
-H = Phi_p(sigma0, sigma1, sigma2) / (18 P^3) on the closed polydisk, and Phi
-is affine in sigma2.  ``_phi_terms`` is the only transcription of Phi, with
-its factors that depend on P alone formed by ``phi_factors``.  It uses
-nothing but arithmetic, the builtin ``abs`` and ``.conjugate()``, so the
-same code evaluates Python scalars (``hankel.phi_p``, ``best_sigma2``) and
-numpy arrays (``phi_batch``, ``phi_sigma2_max``), with one P or, through
-arrays of factors, one P per point.
+H = Phi_p(sigma0, sigma1, sigma2) / (18 P^3) on the closed polydisk, and
+Phi_p = T0 + T1 s1 + T2 s1^2 + C (1 - |s1|^2) s2 with (T0, T1, T2, C) of
+sigma0 alone, transcribed once by ``phi_sigma0_terms`` from the factors
+that depend on P alone, which ``phi_factors`` forms.  It uses nothing but
+arithmetic, the builtin ``abs`` and ``.conjugate()``, so the same code
+evaluates Python scalars (``hankel.phi_p``, ``best_sigma2``) and numpy
+arrays (``phi_batch``, ``phi_sigma2_max``), with one P or, through arrays
+of factors, one P per point.
 """
 
 from __future__ import annotations
@@ -19,37 +20,38 @@ USE_NUMBA = False
 
 
 def phi_factors(P: float) -> tuple:
-    """The factors of Phi_p that depend on P alone, in the order ``_phi_terms``
-    reads them.
+    """The factors of Phi_p that depend on P alone, in the order
+    ``phi_sigma0_terms`` reads them.
 
     Each is formed from the float ``P`` with Python arithmetic, so ``P**4`` is
     Python's ``pow``, whose last bit numpy's array power does not always
-    match.  P^2 - 1 is formed twice, once for the coefficient of sigma2 and
-    once for the head, as Phi's transcription writes it.
+    match.  P^2 - 1 is formed twice, once for C and once for T2, as Phi's
+    transcription writes it.
     """
     return (P * P - 1.0, 3.0 * P, -18.0 * P, P * P - 2.0,
             1.0 - 7.0 * P * P + 2.0 * P**4, 3.0 * P * P - 2.0, -P, P * P - 1.0)
 
 
-def _phi_terms(P, s0, s1, modulus=False):
-    """(head, coef) with Phi_p(s0, s1, s2) = head + coef * s2.
-
-    ``P`` is a float or its ``phi_factors``; a factor may be an array that
-    broadcasts against s0 and s1, one P per element.  With ``modulus=True``
-    the second value is |coef|, taken factor by factor.
-    """
+def phi_sigma0_terms(P, s0, modulus=False):
+    """(T0, T1, T2, C) with Phi_p = T0 + T1 s1 + T2 s1^2 + C (1 - |s1|^2) s2.
+    ``P`` is a float or its ``phi_factors``, whose factors may be arrays that
+    broadcast against s0; ``modulus=True`` gives |C| factor by factor."""
     if isinstance(P, (float, int, np.number)):
         P = phi_factors(float(P))
     a, b, c, d, e, f, g, h = P
     m0 = 1.0 - abs(s0) ** 2
-    m1 = 1.0 - abs(s1) ** 2
-    # coef first, so that its sigma0 factor is freed before the head terms exist
-    coef = a + s0
-    coef = b * (abs(coef) if modulus else coef) * m0 * m1
-    t0 = c * (1.0 + d * s0 + s0 * s0)
-    t1 = 3.0 * (e + f * s0 + s0 * s0) * m0 * s1
-    t2 = g * (2.0 * m0 + 3.0 * s0.conjugate() * (h + s0)) * m0 * s1 * s1
-    return t0 + t1 + t2, coef
+    # C first, so that its sigma0 factor is freed before the other terms exist
+    C = b * (abs(a + s0) if modulus else a + s0) * m0
+    T0 = c * (1.0 + d * s0 + s0 * s0)
+    T1 = 3.0 * (e + f * s0 + s0 * s0) * m0
+    T2 = g * (2.0 * m0 + 3.0 * s0.conjugate() * (h + s0)) * m0
+    return T0, T1, T2, C
+
+
+def _phi_terms(P, s0, s1, modulus=False):
+    """(head, coef) with Phi_p = head + coef * s2; ``modulus`` as above."""
+    T0, T1, T2, C = phi_sigma0_terms(P, s0, modulus)
+    return T0 + T1 * s1 + T2 * s1 * s1, C * (1.0 - abs(s1) ** 2)
 
 
 def phi_batch(P, s0: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
@@ -63,9 +65,9 @@ def phi_batch(P, s0: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
 
 
 def phi_sigma2_max(P, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
-    """Vectorized sup over |sigma2| <= 1 of |Phi| at fixed (sigma0, sigma1);
-    ``P`` is a float or its ``phi_factors``, whose factors may be arrays of
-    one P per point."""
+    """Vectorized sup over |sigma2| <= 1 of |Phi|, |T0 + T1 s1 + T2 s1^2| +
+    |C| (1 - |s1|^2); ``P`` is a float or its ``phi_factors``, whose factors
+    may be arrays of one P per point."""
     s0 = np.ascontiguousarray(s0, dtype=np.complex128)
     s1 = np.ascontiguousarray(s1, dtype=np.complex128)
     head, lin = _phi_terms(P, s0, s1, modulus=True)

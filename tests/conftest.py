@@ -17,6 +17,17 @@ def rng():
     return np.random.default_rng(1234)
 
 
+def paper_B(P, y):
+    """The paper's bound terms B0..B3 at y = |sigma0|, written out as floats
+    in the order the closed form takes them; P and y may be sympy symbols."""
+    my = 1.0 - y * y
+    B0 = 18.0 * P * (1.0 + (P * P - 2.0) * y + y * y)
+    B1 = 3.0 * (1.0 - 7.0 * P * P + 2.0 * P**4 + (3.0 * P * P - 2.0) * y + y * y) * my
+    B2 = P * (2.0 * my + 3.0 * y * (P * P - 1.0 + y)) * my
+    B3 = 3.0 * P * (P * P - 1.0 + y) * my
+    return B0, B1, B2, B3
+
+
 def triples(arr):
     return [ParamTriple(*map(complex, row)) for row in arr]
 

@@ -44,6 +44,9 @@ ARGV = [
     ["extremal", "--p", "0.05", "--grid", "10", "--iters", "40", "--seed", "3"],
     ["extremal", "--p", "0.97", "--grid", "12", "--iters", "1", "--seed", "9"],
     ["bounds", "--p", "0.1,0.5,0.9"],
+    ["bounds", "--p", "0.05,0.5,0.95", "--iters", "0", "--seed", "4"],
+    ["extremal", "--p", "0.3", "--iters", "0"],
+    ["bounds", "--p", "0.2,0.7", "--grid", "9", "--iters", "25", "--seed", "5"],
     ["region", "--p", "0.4", "--what", "both", "--samples", "3000", "--format", "json"],
     ["region", "--p", "0.4", "--what", "both", "--samples", "3000", "--format", "svg"],
     ["region", "--p", "0.6", "--what", "both", "--samples", "2000", "--format", "csv"],

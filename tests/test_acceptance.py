@@ -242,11 +242,11 @@ def test_criterion_9_mutation_sensitivity(monkeypatch):
             undetected.append(f"quartic[{k}]")
     monkeypatch.setattr(hk, "hp_numerator_coeffs", orig_hp)
 
-    # the one transcription of Phi, behind phi_p, phi_batch, phi_sigma2_max
-    # and best_sigma2, with its P-only factors: every numeric literal in it
-    # must matter
+    # the one transcription of Phi, behind phi_p, phi_batch, phi_sigma2_max,
+    # best_sigma2 and B_coeffs: its sigma0 terms, their composition with
+    # sigma1 and its P-only factors; every numeric literal in them must matter
     n_phi = 0
-    for label, bad in _phi_terms_mutants(kn._phi_terms, kn.phi_factors):
+    for label, bad in _phi_terms_mutants(kn.phi_sigma0_terms, kn._phi_terms, kn.phi_factors):
         n_phi += 1
         monkeypatch.setattr(kn, bad.__name__, bad)
         if _criterion4_residual(60) <= 1e-8:

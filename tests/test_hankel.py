@@ -10,7 +10,7 @@ from hankelbody.errors import InvalidInput
 from hankelbody.hankel import G_POLY_COEFFS, koebe
 from hankelbody.search import sample_polydisk
 
-from conftest import triples
+from conftest import paper_B, triples
 
 
 class TestHankelForms:
@@ -168,6 +168,13 @@ class TestBoundPolynomials:
             scale = sum(want)
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.8, 0.95, 0.999])
+    def test_B_coeffs_are_the_paper_closed_form_bit_for_bit(self, p, rng):
+        # the seeded values include y whose y**2 and y*y differ in the last bit
+        pp = PoleParam(p)
+        for y in np.concatenate([np.linspace(0.0, 1.0, 101), rng.uniform(0, 1, 2000)]).tolist():
+            assert B_coeffs(pp, y) == paper_B(pp.P, y)
 
     def test_domain_checks(self, pp05):
         with pytest.raises(InvalidInput):
