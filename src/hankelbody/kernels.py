@@ -32,25 +32,25 @@ def phi_factors(P: float) -> tuple:
             1.0 - 7.0 * P * P + 2.0 * P**4, 3.0 * P * P - 2.0, -P, P * P - 1.0)
 
 
-def phi_sigma0_terms(P, s0, modulus=False):
+def phi_sigma0_terms(P, s0):
     """(T0, T1, T2, C) with Phi_p = T0 + T1 s1 + T2 s1^2 + C (1 - |s1|^2) s2.
     ``P`` is a float or its ``phi_factors``, whose factors may be arrays that
-    broadcast against s0; ``modulus=True`` gives |C| factor by factor."""
+    broadcast against s0."""
     if isinstance(P, (float, int, np.number)):
         P = phi_factors(float(P))
     a, b, c, d, e, f, g, h = P
     m0 = 1.0 - abs(s0) ** 2
     # C first, so that its sigma0 factor is freed before the other terms exist
-    C = b * (abs(a + s0) if modulus else a + s0) * m0
+    C = b * (a + s0) * m0
     T0 = c * (1.0 + d * s0 + s0 * s0)
     T1 = 3.0 * (e + f * s0 + s0 * s0) * m0
     T2 = g * (2.0 * m0 + 3.0 * s0.conjugate() * (h + s0)) * m0
     return T0, T1, T2, C
 
 
-def _phi_terms(P, s0, s1, modulus=False):
-    """(head, coef) with Phi_p = head + coef * s2; ``modulus`` as above."""
-    T0, T1, T2, C = phi_sigma0_terms(P, s0, modulus)
+def _phi_terms(P, s0, s1):
+    """(head, coef) with Phi_p = head + coef * s2."""
+    T0, T1, T2, C = phi_sigma0_terms(P, s0)
     return T0 + T1 * s1 + T2 * s1 * s1, C * (1.0 - abs(s1) ** 2)
 
 
@@ -65,13 +65,13 @@ def phi_batch(P, s0: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
 
 
 def phi_sigma2_max(P, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
-    """Vectorized sup over |sigma2| <= 1 of |Phi|, |T0 + T1 s1 + T2 s1^2| +
-    |C| (1 - |s1|^2); ``P`` is a float or its ``phi_factors``, whose factors
-    may be arrays of one P per point."""
+    """Vectorized sup over |sigma2| <= 1 of |Phi| = |head + coef sigma2|,
+    which is |head| + |coef|; ``P`` is a float or its ``phi_factors``, whose
+    factors may be arrays of one P per point."""
     s0 = np.ascontiguousarray(s0, dtype=np.complex128)
     s1 = np.ascontiguousarray(s1, dtype=np.complex128)
-    head, lin = _phi_terms(P, s0, s1, modulus=True)
-    return abs(head) + lin
+    head, coef = _phi_terms(P, s0, s1)
+    return abs(head) + abs(coef)
 
 
 def best_sigma2(P: float, s0: complex, s1: complex) -> complex:

@@ -34,6 +34,7 @@ ARGV = [
         "--p 0.1 --samples 200 --seed 1",
         "--p 0.5 --samples 1 --seed 1",
         "--p 0.5 --samples 5 --seed 9",
+        # exits 1: HF_closed_form fails at p = 0.1, the evaluators read inf near 1
         "--p 0.1,0.9999999999999999 --samples 40 --seed 2",
         "--p 1e-60 --samples 30 --seed 3",
         "--p 1e-4 --samples 30 --seed 3",
@@ -52,6 +53,14 @@ ARGV = [
     ["region", "--p", "0.6", "--what", "both", "--samples", "2000", "--format", "csv"],
     ["region", "--p", "0.2", "--what", "omega", "--samples", "16", "--format", "json"],
     ["region", "--p", "0.3", "--what", "hankel", "--samples", "1", "--format", "csv"],
+    ["extremal", "--p", "0.37", "--grid", "10", "--iters", "40", "--seed", "3"],
+    ["bounds", "--p", "0.1,0.5,0.9", "--grid", "8", "--iters", "25", "--seed", "2"],
+    # 70,000 samples span several pieces of the region writers and several
+    # kernel chunks of ``sample_region_H``
+    *(["region", "--p", p, "--what", "both", "--samples", samples, "--seed", seed,
+       "--format", fmt]
+      for p, samples, seed in (("0.37", "300", "5"), ("0.61", "70000", "9"))
+      for fmt in ("json", "svg", "csv")),
 ]
 
 

@@ -1,6 +1,5 @@
 import contextlib
 import errno
-import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -359,24 +358,6 @@ class TestRegionStreaming:
     """The region json, svg and csv documents are formed piece by piece while
     they are written."""
 
-    # sha256 of `region --what both` documents written by the whole-array (json,
-    # svg) and per-point (csv) writers that preceded the streaming ones; 70,000
-    # samples span several pieces of the writers and several kernel chunks of
-    # `sample_region_H`
-    @pytest.mark.parametrize("p, samples, seed, fmt, digest", [
-        (0.37, 300, 5, "json", "a748a9081df7fe9130ed3d5a8c6cf31a5bac5de3ca8ac79c3913ef703b676f56"),
-        (0.37, 300, 5, "svg", "1c005757fb030d4806e2338e89df3e9414464c6e6822de78060c56cfeac334b5"),
-        (0.61, 70000, 9, "json", "d0e41660a43a008e134c7f4d01573cce7ba7a4611e2df5366b7763fa0f349cfc"),
-        (0.61, 70000, 9, "svg", "3c0972eade624eb747491cde6ee07e6e664dc76d2711990c8ce2773bb8ee1885"),
-        (0.37, 300, 5, "csv", "ae870feef8d303fbdd4ae6055afedcea77f2fdb937ea1542f883a854dd0a9fee"),
-        (0.61, 70000, 9, "csv", "31566dedaede8b38f5412a3ec23f6ab7ed28a8b2247a1e77b2f2929a9646d50d"),
-    ])
-    def test_documents_match_the_recorded_digests(self, tmp_path, p, samples, seed, fmt, digest):
-        out = tmp_path / f"region.{fmt}"
-        assert run(["region", "--p", str(p), "--what", "both", "--samples", str(samples),
-                    "--seed", str(seed), "--format", fmt, "--out", str(out)]) == EXIT_OK
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-
     # the whole-document writers peaked at 42 MB (json), 57 MB (svg) and 74 MB
     # (csv) here; the streaming ones hold one piece, Omega_p's json rows and
     # the sampled arrays
@@ -582,78 +563,18 @@ class TestExtremal:
         assert payload["m_estimate"] >= slice_max_on_grid(p) - 1e-13
 
 
-class TestPinnedOutputs:
-    """Exact bytes of an ``extremal`` payload, a ``bounds`` CSV and a
-    ``verify`` payload, pinned so that a faster search or verification cannot
-    change what the CLI writes unnoticed."""
-
-    VERIFY = Path(__file__).parent / "pinned" / "verify_p0.3_0.9_samples40_seed2.json"
-    VERIFY_FAILING = (Path(__file__).parent / "pinned"
-                      / "verify_p0.1_0.9999999999999999_samples40_seed2.json")
-
-    EXTREMAL = (
-        b'{\n  "p": 0.37,\n  "m_estimate": 1.1608924826218605,\n  "arg_sigma": {\n'
-        b'    "moduli": [\n      0.6444707445124216,\n      1.0,\n      1.0\n    ],\n'
-        b'    "arguments": [\n      0.0,\n      3.141592653589793,\n      0.0\n    ]\n'
-        b'  },\n  "lower": 1.154550311758432,\n  "upper": 1.4739366413647352,\n'
-        b'  "iterations": 840,\n  "grid": 10,\n'
-        b'  "seed": 3\n}\n')
-    BOUNDS = (
-        b"p,one_third_p,lower,m_estimate,upper,one_third_p_plus\n"
-        b"0.1,3.333333333333333,3.3707539059040403,3.370954395246107,"
-        b"3.9673267326732673,3.9999999999999996\n"
-        b"0.5,0.6666666666666666,1.0345576,1.0449224440468345,"
-        b"1.2333333333333334,1.3333333333333333\n"
-        b"0.9,0.37037037037037035,0.9845669305449645,1.0000290391256608,"
-        b"1.0055453243298549,1.037037037037037\n")
-
-    BOUNDS_TABLE = (
-        "p             one_third_p     lower           m_estimate      upper           one_third_p_plus\n"
-        "0.100000      3.333333        3.370754        3.370954        3.967327        4.000000        \n"
-        "0.500000      0.666667        1.034558        1.044922        1.233333        1.333333        \n"
-        "0.900000      0.370370        0.984567        1.000029        1.005545        1.037037        \n")
-
-    def test_extremal_payload(self, tmp_path):
-        out = tmp_path / "ext.json"
-        assert run(["extremal", "--p", "0.37", "--grid", "10", "--iters", "40",
-                    "--seed", "3", "--out", str(out)]) == EXIT_OK
-        assert out.read_bytes() == self.EXTREMAL
-
-    def test_verify_payload(self, tmp_path):
-        out = tmp_path / "verify.json"
-        assert run(["verify", "--p", "0.3,0.9", "--samples", "40", "--seed", "2",
-                    "--out", str(out)]) == EXIT_OK
-        assert out.read_bytes() == self.VERIFY.read_bytes()
-
-    def test_failing_verify_payload(self, tmp_path):
-        # fails HF_closed_form at p = 0.1 (an absolute tolerance on values
-        # that grow like 1/p^2), and at the largest p below 1 the three
-        # evaluator families read inf and membership_round_trip 1.0
-        out = tmp_path / "verify.json"
-        assert run(["verify", "--p", "0.1,0.9999999999999999", "--samples", "40",
-                    "--seed", "2", "--out", str(out)]) == EXIT_VERIFY_FAIL
-        assert out.read_bytes() == self.VERIFY_FAILING.read_bytes()
-
-    def test_bounds_csv(self, tmp_path, capsys):
-        out = tmp_path / "bounds.csv"
-        assert run(["bounds", "--p", "0.1,0.5,0.9", "--grid", "8", "--iters", "25",
-                    "--seed", "2", "--out", str(out)]) == EXIT_OK
-        capsys.readouterr()
-        assert out.read_bytes() == self.BOUNDS
-
-    def test_bounds_table(self, capsys):
-        # the stdout table of the run above
-        assert run(["bounds", "--p", "0.1,0.5,0.9", "--grid", "8", "--iters", "25",
-                    "--seed", "2"]) == EXIT_OK
-        assert capsys.readouterr().out == self.BOUNDS_TABLE
-
-
 @pytest.mark.parametrize("row", json.loads(SWEEP.TABLE.read_text()),
                          ids=lambda row: " ".join(row["argv"]))
 def test_bytes_and_exit_code_are_pinned(row, tmp_path):
-    # exit code, stdout and --out bytes of 26 argv across the subcommands;
-    # tests/pinned/cli_sweep.py rewrites the table after a deliberate change
+    # exit code, stdout and --out bytes of each argv of cli_sweep.ARGV, the
+    # one pin of what the CLI writes; tests/pinned/cli_sweep.py rewrites the
+    # table after a deliberate change
     assert SWEEP.sweep_row(row["argv"], tmp_path / "out") == row
+
+
+def test_the_sweep_table_rows_are_the_sweep_argv():
+    # an argv added to ARGV without a rerun of the script would go unchecked
+    assert [row["argv"] for row in json.loads(SWEEP.TABLE.read_text())] == SWEEP.ARGV
 
 
 class TestBoundsTable:

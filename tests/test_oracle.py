@@ -1,6 +1,5 @@
 import inspect
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,7 +78,6 @@ PER_P_FAMILIES = [
     "HF_closed_form", "omega_slice", "hp_vs_phi_slice", "hp_anchors",
     "lower_bound_identity", "bound_sandwich", "triple_path_agreement",
     "fprime_series_vs_sampling"]
-PINNED_VERIFY = Path(__file__).parent / "pinned" / "verify_p0.3_0.9_samples40_seed2.json"
 
 
 def _family(report, name):
@@ -106,8 +104,6 @@ class TestVerifyAll:
         names = [f["name"] for f in report["families"]]
         assert names == SERIES_FAMILIES + [f"{name}[p={p}]" for p in (0.3, 0.9)
                                            for name in PER_P_FAMILIES]
-        pinned = json.loads(PINNED_VERIFY.read_text())
-        assert names == [f["name"] for f in pinned["families"]]
 
     @pytest.mark.parametrize("p", [0.001, 0.01])
     def test_rho_family_passes_at_small_p(self, p):

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -72,62 +73,61 @@ class TestKernels:
 
 
 def _pinned_points():
-    """Eight fixed polydisk points (s0, s1, s2), the first two on the torus."""
+    """10**5 fixed polydisk points (s0, s1, s2): eight, the first two on the
+    torus, then 10**4 torus rows and interior rows, whose |s1| < 1 keeps C's
+    term of Phi."""
     rng = np.random.default_rng(2027)
-    r = np.sqrt(rng.uniform(size=(3, 8)))
-    r[:, :2] = 1.0
-    return r * np.exp(2j * np.pi * rng.uniform(size=(3, 8)))
+    points = []
+    for n, torus in ((8, 2), (10**5 - 8, 10**4)):
+        r = np.sqrt(rng.uniform(size=(3, n)))
+        r[:, :torus] = 1.0
+        points.append(r * np.exp(2j * np.pi * rng.uniform(size=(3, n))))
+    return np.hstack(points)
 
 
-#: p -> (phi_sigma2_max, phi_batch) at ``_pinned_points`` as ``tobytes().hex()``,
-#: taken before P's factors were split out of the kernel.  At these p numpy's
-#: array power ``P**4`` differs in the last bit from Python's, so factors
-#: formed on an array of P would change these bytes
-PINNED_KERNEL_BYTES = {
-    0.23: (
-        "aa9afcfe662499401113ec5e99c7964016627b38713b844086c37842f7719a40"
-        "2725063c2cafa2400e194abcfdfb974076a4e2a7b4ec8e40263c54b586dd8340",
-        "3d810a713ab97cc07e7c6b534c1898409c29ec1282c98c408692f683f8a791c0"
-        "3c61a16902ea62c0b569a582340264c0897bbfc9f8a19340cea58a2fd7ed8c40"
-        "214d66d8fbea9bc0f9bd27c593ce9840a423a36a87737bc069e03272b2f295c0"
-        "597ffa084a448ec0e1068fe3abac62c0b93d8b2717b270c0f02bc9f8bd0182c0"),
-    0.27: (
-        "4b5ee8e6ee0c904053cd2462e3ff8b40ccf3ee2873067b407d02e5e8d6b38e40"
-        "e441e407c24e96402fb45261c04b8e40f18cedc4dc69804057b206dfd85b7e40",
-        "ee7528ba395672c08b9e25778ec38e40c5b1df051ab181400c65aa84b4b385c0"
-        "d491319da6b260c0fc6c016ce7a058c0c68540c66c298640e5777ad6152c8140"
-        "56a2a91d0ae890c0fb94e434970f8d40140e53922e5571c0571aa030d6b18bc0"
-        "8d6aa2bb893680c07cb76fef92642b4061f2052ebc3a6bc0a8ddee5d341a7bc0"),
-    0.97: (
-        "38dd9d86662f57407cd162b4eea63a401777fd4f7c1551405efc99dbf1d83640"
-        "9af4e5be4bad5c403f136e99ec07554098e2c8104bb04640db6040f869425440",
-        "d7a116a0dc7c3ac0e3bcca4b2a385640428fb94d23d73040cf715d0056a834c0"
-        "c1219f3c9cfd46c002a7e36b34bd12c0a7d6d154acdcfe3fdecaad38545c2b40"
-        "8d902df77efd57c04f8453ec513b4f406418e1c47b523dc0ffd2c4a6287d52c0"
-        "c3213991aefb3ac0a9b98b02f6db4140fa527047182548c011d4b865eb2f50c0"),
+def _sha256(values: np.ndarray) -> str:
+    return hashlib.sha256(values.tobytes()).hexdigest()
+
+
+#: p -> sha256 of (phi_sigma2_max, phi_batch) at ``_pinned_points``; the
+#: phi_batch bytes predate the split of P's factors out of the kernel.  At
+#: these p numpy's array power ``P**4`` differs in the last bit from
+#: Python's, so factors formed on an array of P would change these bytes
+PINNED_KERNEL_DIGESTS = {
+    0.23: ("a0e6ab3088424e1baba776504f11784f94447ae9a5247983b93f3ef95d871d07",
+           "c072e05dec4fefc88ed551e2631931f3a02be5c491e2a30452e10c8bff6dcaa3"),
+    0.27: ("ef2b33e0c3a2ffb6d69bb4bc28bea379f29a6be548b2634b8eb7c2a88a904514",
+           "29a700ac95c01ec39e632193e622b8319aed158619ef850cfc9bc3d853afe867"),
+    0.97: ("b4058ed81acd002cd88cf86d40bfc947747caf82636090a70e7e31874b685afd",
+           "a92d00373f950c6c81ebc8bab2620f1e3499879319eda4dbee1b81dd22714190"),
 }
 
 
 class TestKernelBytes:
-    @pytest.mark.parametrize("p", sorted(PINNED_KERNEL_BYTES))
+    @pytest.mark.parametrize("p", sorted(PINNED_KERNEL_DIGESTS))
     def test_float_P_bytes_are_pinned(self, p):
         s0, s1, s2 = _pinned_points()
         P = PoleParam(p).P
-        smax, batch = PINNED_KERNEL_BYTES[p]
-        assert phi_sigma2_max(P, s0, s1).tobytes().hex() == smax
-        assert phi_batch(P, s0, s1, s2).tobytes().hex() == batch
+        smax, batch = PINNED_KERNEL_DIGESTS[p]
+        assert _sha256(phi_sigma2_max(P, s0, s1)) == smax
+        assert _sha256(phi_batch(P, s0, s1, s2)) == batch
 
     def test_per_point_factors_match_the_float_P_path(self):
         # one array of points, each with the factors of its own p, as the
         # lockstep refinement passes them
-        ps = sorted(PINNED_KERNEL_BYTES)
-        s0, s1, s2 = (np.tile(s, len(ps)) for s in _pinned_points())
-        F = np.repeat(np.array([phi_factors(PoleParam(p).P) for p in ps]).T, 8, axis=1)
-        smax = b"".join(bytes.fromhex(PINNED_KERNEL_BYTES[p][0]) for p in ps)
-        batch = b"".join(bytes.fromhex(PINNED_KERNEL_BYTES[p][1]) for p in ps)
-        assert phi_sigma2_max(F, s0, s1).tobytes() == smax
-        assert phi_batch(F, s0, s1, s2).tobytes() == batch
-        assert phi_sigma2_max(tuple(F), s0, s1).tobytes() == smax
+        ps = sorted(PINNED_KERNEL_DIGESTS)
+        S = _pinned_points()
+        s0, s1, s2 = np.tile(S, len(ps))
+        F = np.repeat(np.array([phi_factors(PoleParam(p).P) for p in ps]).T,
+                      S.shape[1], axis=1)
+        smax, batch = (list(col) for col in zip(*map(PINNED_KERNEL_DIGESTS.get, ps)))
+
+        def digests(values):
+            return [_sha256(part) for part in np.split(values, len(ps))]
+
+        assert digests(phi_sigma2_max(F, s0, s1)) == smax
+        assert digests(phi_batch(F, s0, s1, s2)) == batch
+        assert digests(phi_sigma2_max(tuple(F), s0, s1)) == smax
 
 
 class TestEstimateM:
