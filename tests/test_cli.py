@@ -577,6 +577,19 @@ def test_the_sweep_table_rows_are_the_sweep_argv():
     assert [row["argv"] for row in json.loads(SWEEP.TABLE.read_text())] == SWEEP.ARGV
 
 
+def test_the_sweep_pins_every_subcommand_format_and_exit_code():
+    # the sweep is the one pin of the CLI's bytes, so dropping an argv from
+    # ARGV must not leave a subcommand, a region format or an exit code unpinned
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    table = json.loads(SWEEP.TABLE.read_text())
+    assert {row["argv"][0] for row in table} == set(sub.choices)
+    region = sub.choices["region"]
+    formats = next(a for a in region._actions if a.dest == "format").choices
+    assert {argv[argv.index("--format") + 1] for argv in SWEEP.ARGV
+            if "--format" in argv} == set(formats)
+    assert {row["exit"] for row in table} == {EXIT_OK, EXIT_VERIFY_FAIL}
+
+
 class TestBoundsTable:
     @pytest.mark.parametrize("argv", [
         ["--p", "1e-60,0.9999999999999999", "--grid", "8", "--iters", "3"],

@@ -64,6 +64,18 @@ class TestKernels:
         assert abs(s2) == 1.0
         assert abs(phi_batch(P, s0, s1, s2)) == phi_sigma2_max(P, s0, s1)
 
+    @pytest.mark.parametrize("p", [0.05, 0.5, 0.97])
+    def test_sigma2_max_on_the_torus_is_the_head(self, rng, p):
+        # at |sigma1| = 1, where the search's maximizer sits, coef is exactly
+        # 0, so the sup over sigma2 is |Phi| at any sigma2, bit for bit
+        P = PoleParam(p).P
+        S = sample_polydisk(rng, 400)
+        s1 = np.resize(np.array([1.0, -1.0, 1j, -1j]), 400)
+        head, coef = _phi_terms(P, S[:, 0], s1)
+        assert np.all(coef == 0.0)
+        np.testing.assert_array_equal(phi_sigma2_max(P, S[:, 0], s1),
+                                      np.abs(phi_batch(P, S[:, 0], s1, S[:, 2])))
+
     def test_sigma2_max_dominates_random_sigma2(self, rng):
         P = 4.0
         S = sample_polydisk(rng, 300)
