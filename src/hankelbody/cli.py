@@ -100,8 +100,7 @@ def _table_cell(v: float, width: int) -> str:
 
 
 def cmd_bounds(args) -> int:
-    reports = estimate_M_batch([PoleParam(p) for p in args.p], grid=args.grid,
-                               refine_iters=args.iters, seed=args.seed)
+    reports = estimate_M_batch([PoleParam(p) for p in args.p], args.grid, args.iters, args.seed)
     rows = [(p, 1.0 / (3.0 * p), report.lower, report.m_estimate,
              report.upper, 1.0 / (3.0 * p) + 2.0 / 3.0)
             for p, report in zip(args.p, reports)]
@@ -255,6 +254,10 @@ def _region_csv(omega: RegionSample | None, hank: RegionSample | None) -> Iterat
             yield "\n"
 
 
+#: the region writers by ``--format`` name
+_DOCUMENTS = {"csv": _region_csv, "svg": _region_svg, "json": _region_json_text}
+
+
 def cmd_region(args) -> int:
     pp = PoleParam(args.p)
     omega = hank = None
@@ -265,8 +268,7 @@ def cmd_region(args) -> int:
         omega = sample_omega_boundary(pp, n_theta=args.samples)
     if args.what in ("hankel", "both"):
         hank = sample_region_H(pp, n_samples=args.samples, seed=args.seed)
-    document = {"csv": _region_csv, "svg": _region_svg, "json": _region_json_text}[args.format]
-    _write_text(args.out, document(omega, hank))
+    _write_text(args.out, _DOCUMENTS[args.format](omega, hank))
     return EXIT_OK
 
 
@@ -310,35 +312,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bounds", help="sandwich table for the extremal modulus")
     b.add_argument("--p", type=_parse_p_list, default=[0.5])
-    b.add_argument("--grid", type=_parse_int("grid", MIN_GRID), default=24)
-    b.add_argument("--iters", type=_parse_int("iters", 0), default=200)
-    b.add_argument("--seed", type=_parse_int("seed", 0), default=1)
-    b.add_argument("--out", default=None, help="optional CSV path")
-    b.set_defaults(func=cmd_bounds)
-
     r = sub.add_parser("region", help="export region samples")
     r.add_argument("--p", type=_parse_p, default=0.5)
     r.add_argument("--what", choices=("omega", "hankel", "both"), default="both")
-    r.add_argument("--samples", type=_parse_int("samples", 1), default=1000)
-    r.add_argument("--seed", type=_parse_int("seed", 0), default=1)
-    r.add_argument("--format", choices=("csv", "svg", "json"), default="csv")
-    r.add_argument("--out", default=None)
-    r.set_defaults(func=cmd_region)
-
+    r.add_argument("--format", choices=_DOCUMENTS, default="csv")
     v = sub.add_parser("verify", help="run the invariant families")
     v.add_argument("--p", type=_parse_p_list, default=[0.2, 0.5, 0.8])
-    v.add_argument("--samples", type=_parse_int("samples", 1), default=1000)
-    v.add_argument("--seed", type=_parse_int("seed", 0), default=1)
-    v.add_argument("--out", default=None)
-    v.set_defaults(func=cmd_verify)
-
     e = sub.add_parser("extremal", help="single-p extremal search report")
     e.add_argument("--p", type=_parse_p, default=0.5)
-    e.add_argument("--grid", type=_parse_int("grid", MIN_GRID), default=24)
-    e.add_argument("--iters", type=_parse_int("iters", 0), default=200)
-    e.add_argument("--seed", type=_parse_int("seed", 0), default=1)
-    e.add_argument("--out", default=None)
-    e.set_defaults(func=cmd_extremal)
+    # the flags that subcommands share, each declared once
+    for cmd in (b, e):
+        cmd.add_argument("--grid", type=_parse_int("grid", MIN_GRID), default=24)
+        cmd.add_argument("--iters", type=_parse_int("iters", 0), default=200)
+    for cmd in (r, v):
+        cmd.add_argument("--samples", type=_parse_int("samples", 1), default=1000)
+    for cmd, func, out_help in ((b, cmd_bounds, "optional CSV path"), (r, cmd_region, None),
+                                (v, cmd_verify, None), (e, cmd_extremal, None)):
+        cmd.add_argument("--seed", type=_parse_int("seed", 0), default=1)
+        cmd.add_argument("--out", default=None, help=out_help)
+        cmd.set_defaults(func=func)
     return ap
 
 

@@ -24,12 +24,10 @@ def phi_factors(P: float) -> tuple:
     ``phi_sigma0_terms`` reads them.
 
     Each is formed from the float ``P`` with Python arithmetic, so ``P**4`` is
-    Python's ``pow``, whose last bit numpy's array power does not always
-    match.  P^2 - 1 is formed twice, once for C and once for T2, as Phi's
-    transcription writes it.
+    Python's ``pow``, whose last bit numpy's array power does not always match.
     """
     return (P * P - 1.0, 3.0 * P, -18.0 * P, P * P - 2.0,
-            1.0 - 7.0 * P * P + 2.0 * P**4, 3.0 * P * P - 2.0, -P, P * P - 1.0)
+            1.0 - 7.0 * P * P + 2.0 * P**4, 3.0 * P * P - 2.0, -P)
 
 
 def phi_sigma0_terms(P, s0):
@@ -38,13 +36,13 @@ def phi_sigma0_terms(P, s0):
     broadcast against s0."""
     if isinstance(P, (float, int, np.number)):
         P = phi_factors(float(P))
-    a, b, c, d, e, f, g, h = P
+    a, b, c, d, e, f, g = P
     m0 = 1.0 - abs(s0) ** 2
     # C first, so that its sigma0 factor is freed before the other terms exist
     C = b * (a + s0) * m0
     T0 = c * (1.0 + d * s0 + s0 * s0)
     T1 = 3.0 * (e + f * s0 + s0 * s0) * m0
-    T2 = g * (2.0 * m0 + 3.0 * s0.conjugate() * (h + s0)) * m0
+    T2 = g * (2.0 * m0 + 3.0 * s0.conjugate() * (a + s0)) * m0
     return T0, T1, T2, C
 
 

@@ -247,8 +247,8 @@ def estimate_M(pp: PoleParam, grid: int = 24, refine_iters: int = 200,
     return estimate_M_batch([pp], grid, refine_iters, seed)[0]
 
 
-def estimate_M_batch(pps: Sequence[PoleParam], grid: int = 24, refine_iters: int = 200,
-                     seed: int = 1) -> list[ExtremalReport]:
+def estimate_M_batch(pps: Sequence[PoleParam], grid: int, refine_iters: int,
+                     seed: int) -> list[ExtremalReport]:
     """``estimate_M`` at each of ``pps``, one report each, bit-identical to a
     call per p: the refinement runs the starts of every p in one ``minimize``,
     each start with the ``phi_factors`` of its own P."""
@@ -371,7 +371,7 @@ def _binned_boundary(points: np.ndarray) -> np.ndarray:
     return np.append(out, out[0])
 
 
-def sample_omega_boundary(pp: PoleParam, n_theta: int = 512) -> RegionSample:
+def sample_omega_boundary(pp: PoleParam, n_theta: int) -> RegionSample:
     """Closed boundary polyline of the rotation-family region Omega_p."""
     if n_theta < OMEGA_MIN_POINTS:
         raise InvalidInput(f"n_theta must be >= {OMEGA_MIN_POINTS}")

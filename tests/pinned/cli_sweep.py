@@ -61,6 +61,11 @@ ARGV = [
        "--format", fmt]
       for p, samples, seed in (("0.37", "300", "5"), ("0.61", "70000", "9"))
       for fmt in ("json", "svg", "csv")),
+    # each subcommand on its defaults, so that no default changes unnoticed
+    ["bounds"],
+    ["extremal"],
+    ["region"],
+    ["verify"],
 ]
 
 

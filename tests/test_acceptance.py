@@ -252,7 +252,7 @@ def test_criterion_9_mutation_sensitivity(monkeypatch):
         if _criterion4_residual(60) <= 1e-8:
             undetected.append(label)
         monkeypatch.undo()
-    assert n_phi == 19
+    assert n_phi == 18
 
     report(9, f"mutation sensitivity ({n_phi} Phi literals), undetected: "
               f"{undetected or 'none'}", not undetected)

@@ -189,7 +189,7 @@ class TestEstimateM:
 
     def test_batch_needs_a_p(self):
         with pytest.raises(InvalidInput):
-            search.estimate_M_batch([])
+            search.estimate_M_batch([], 24, 200, 1)
 
 
 #: (p, grid, refine_iters, seed, m_estimate.hex(), iterations, arg_sigma as
