@@ -231,7 +231,7 @@ def phi_series_from_w(pp: PoleParam, w: ParamTriple, n_terms: int) -> np.ndarray
     p = pp.p
     w0, w1, w2 = np.broadcast_arrays(*(np.asarray(x, dtype=np.complex128) for x in w))
     # omega_2 = w2, then (N, D) <- (w_k D + u N, D + conj(w_k) u N); D(0) stays 1
-    n0, n1, n2, d1, d2 = w2, 0.0, 0.0, 0.0, 0.0
+    n0, n1, d1, d2 = w2, 0.0, 0.0, 0.0
     for wk in (w1, w0):
         cw = np.conj(wk)
         n0, n1, n2, d1, d2 = wk, wk * d1 + n0, wk * d2 + n1, d1 + cw * n0, d2 + cw * n1

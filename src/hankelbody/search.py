@@ -40,9 +40,10 @@ GRID_STARTS = 16
 BOUNDARY_RATE = 0.1
 #: points per pass of ``contains``; each holds a few complex rows of the boundary's length
 CONTAINS_CHUNK = 512
-#: parameter rows per ``phi_batch`` call of ``sample_region_H``; each call
-#: holds a few complex temporaries of the chunk's length
-REGION_CHUNK = 2**15
+#: parameter rows per ``phi_batch`` call of ``sample_region_H``, and per
+#: block of its polydisk samples; each call holds a few complex temporaries
+#: of the chunk's length
+REGION_CHUNK = 2**13
 
 
 @dataclass(frozen=True)
@@ -301,17 +302,29 @@ def estimate_M_batch(pps: Sequence[PoleParam], grid: int, refine_iters: int,
 
 
 def sample_polydisk(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Area-uniform polydisk samples (n, 3), a ``BOUNDARY_RATE`` share of moduli set to 1.
+    """Area-uniform polydisk samples (n, 3), a ``BOUNDARY_RATE`` share of moduli set to 1."""
+    (z,) = _polydisk_blocks(rng, n, max(n, 1))
+    return z
 
-    The moduli, angles and the result are each formed in one array, in place.
+
+def _polydisk_blocks(rng: np.random.Generator, n: int, block: int):
+    """``sample_polydisk(rng, n)`` as consecutive row blocks of at most
+    ``block`` rows, at least one, with the same draws in the same order.
+
+    The moduli and the angles are drawn whole; the boundary-rate uniforms
+    and the complex rows are formed a block at a time, in place, when the
+    block is asked for.  Float uniforms take one draw each, so drawing them
+    a block at a time leaves the generator where one draw of all would.
     """
     r = rng.uniform(0.0, 1.0, size=(n, 3))
     np.sqrt(r, out=r)
     th = rng.uniform(0.0, 2.0 * np.pi, size=(n, 3))
-    r[rng.uniform(size=(n, 3)) < BOUNDARY_RATE] = 1.0
-    z = np.multiply(1j, th, out=np.empty((n, 3), dtype=np.complex128))
-    np.exp(z, out=z)
-    return np.multiply(r, z, out=z)
+    for k in range(0, max(n, 1), block):
+        rk, tk = r[k:k + block], th[k:k + block]
+        rk[rng.uniform(size=rk.shape) < BOUNDARY_RATE] = 1.0
+        z = np.multiply(1j, tk, out=np.empty(rk.shape, dtype=np.complex128))
+        np.exp(z, out=z)
+        yield np.multiply(rk, z, out=z)
 
 
 def sample_region_H(pp: PoleParam, n_samples: int = 1000, seed: int = 1) -> RegionSample:
@@ -334,26 +347,33 @@ def _region_values(pp: PoleParam, rng: np.random.Generator, n_samples: int) -> n
     """H at ``n_samples`` polydisk samples, then at a dedicated all-boundary
     slice and the rotation-family slice, each ``max(n_samples // 4, 8)`` rows.
 
-    Each block is read on its own in chunks of at most ``REGION_CHUNK``
-    rows, one ``phi_batch`` call each, into the one array of values, so no
-    stacked copy of the blocks is made.
+    Each block is read in chunks of at most ``REGION_CHUNK`` rows, one
+    ``phi_batch`` call each, into the one array of values; the polydisk
+    samples are formed a chunk at a time, so no (n, 3) array of them is held.
     """
-    sig = sample_polydisk(rng, n_samples)
     n_extra = max(n_samples // 4, 8)
+    vals = np.empty(n_samples + 2 * n_extra, dtype=np.complex128)
+    scale = 18.0 * pp.P**3
+    i = 0
+    for s in _region_chunks(pp, rng, n_samples, n_extra):
+        np.divide(phi_batch(pp.P, *s.T), scale, out=vals[i:i + len(s)])
+        i += len(s)
+    return vals
+
+
+def _region_chunks(pp: PoleParam, rng: np.random.Generator, n_samples: int, n_extra: int):
+    """The parameter rows of ``_region_values``, block by block, in chunks of
+    at most ``REGION_CHUNK`` rows; the all-boundary slice is drawn after the
+    last polydisk chunk."""
+    yield from _polydisk_blocks(rng, n_samples, REGION_CHUNK)
     sig_bdry = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(n_extra, 3)))
     p2 = pp.p**2
     zetas = np.exp(2j * np.pi * np.arange(n_extra) / n_extra)
     sig_rot = np.zeros((n_extra, 3), dtype=np.complex128)
     sig_rot[:, 0] = (zetas - p2) / (1.0 - p2 * zetas)
-    vals = np.empty(n_samples + 2 * n_extra, dtype=np.complex128)
-    scale = 18.0 * pp.P**3
-    i = 0
-    for block in (sig, sig_bdry, sig_rot):
-        for k in range(0, len(block), REGION_CHUNK):
-            s = block[k:k + REGION_CHUNK]
-            np.divide(phi_batch(pp.P, *s.T), scale, out=vals[i:i + len(s)])
-            i += len(s)
-    return vals
+    for block in (sig_bdry, sig_rot):
+        for k in range(0, n_extra, REGION_CHUNK):
+            yield block[k:k + REGION_CHUNK]
 
 
 def _binned_boundary(points: np.ndarray) -> np.ndarray:

@@ -275,7 +275,7 @@ OMEGA_MUTANTS = [
     ("conjugate dropped", "cw = np.conj(wk)", "cw = wk"),
     ("parameters in the order (w0, w1)", "for wk in (w1, w0):", "for wk in (w0, w1):"),
     ("u-shift + n0 dropped", "wk * d1 + n0", "wk * d1"),
-    ("conj(w2) as the start", "n0, n1, n2, d1, d2 = w2,", "n0, n1, n2, d1, d2 = np.conj(w2),"),
+    ("conj(w2) as the start", "n0, n1, d1, d2 = w2,", "n0, n1, d1, d2 = np.conj(w2),"),
 ]
 
 

@@ -15,7 +15,8 @@ from hankelbody.kernels import (_phi_terms, best_sigma2, phi_batch, phi_factors,
 from hankelbody.hankel import phi_p
 from hankelbody import search
 from hankelbody.search import (_FATOL, _XATOL, REGION_BINS, _binned_boundary,
-                               _negative_modulus, minimize, sample_polydisk)
+                               _negative_modulus, _polydisk_blocks, minimize,
+                               sample_polydisk)
 
 from conftest import slice_max_on_grid, triples
 
@@ -396,6 +397,8 @@ class TestRegions:
         assert check_omega_monotone(0.3, 0.7, n_theta=128)
         with pytest.raises(InvalidInput):
             check_omega_monotone(0.7, 0.3)
+        with pytest.raises(InvalidInput):
+            check_omega_monotone(0.4, 0.4)
 
     def test_region_H_contains_omega_values(self, pp05):
         # the rotation-family slice is included in the sampled cloud
@@ -506,9 +509,9 @@ class TestRegionChunks:
         assert chunked.boundary.tobytes() == default.boundary.tobytes()
 
     # each of the three blocks is chunked on its own: 70,000 samples give
-    # 3 chunks of polydisk rows and 1 each of the two 17,500-row slices
-    @pytest.mark.parametrize("n, calls", [(1, 3), (1000, 3), (70_000, 5)])
-    def test_one_kernel_call_per_chunk(self, n, calls, monkeypatch):
+    # 9 chunks of polydisk rows and 3 each of the two 17,500-row slices
+    @pytest.mark.parametrize("n", [1, 1000, 70_000])
+    def test_one_kernel_call_per_chunk(self, n, monkeypatch):
         seen = []
 
         def counted(P, s0, s1, s2):
@@ -517,8 +520,36 @@ class TestRegionChunks:
 
         monkeypatch.setattr(search, "phi_batch", counted)
         sample_region_H(PoleParam(0.3), n)
+        n_extra = max(n // 4, 8)
+        calls = sum(-(-rows // search.REGION_CHUNK) for rows in (n, n_extra, n_extra))
         assert len(seen) == calls and max(seen) <= search.REGION_CHUNK
-        assert sum(seen) == n + 2 * max(n // 4, 8)
+        assert sum(seen) == n + 2 * n_extra
+
+    # the values and the binned boundary's temporaries hold about 9.8 MB; a
+    # whole (n, 3) complex parameter array would add 4.8 MB
+    def test_peak_memory_is_bounded(self):
+        tracemalloc.start()
+        try:
+            sample_region_H(PoleParam(0.5), 100_000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 11e6
+
+
+class TestPolydiskBlocks:
+    @pytest.mark.parametrize("block", [1, 7, search.REGION_CHUNK])
+    @pytest.mark.parametrize("n", [0, 1, 7, 8191, 8192, 8193, 3 * 8192 + 5])
+    def test_blocks_are_the_whole_draw(self, n, block):
+        whole_rng, block_rng = np.random.default_rng(n), np.random.default_rng(n)
+        whole = sample_polydisk(whole_rng, n)
+        blocks = list(_polydisk_blocks(block_rng, n, block))
+        assert len(blocks) == max(-(-n // block), 1)
+        assert all(len(b) <= block for b in blocks)
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+        assert whole.shape == (n, 3) and whole.dtype == np.complex128
+        # the next draw, as the all-boundary slice and verify's later draws take it
+        assert block_rng.uniform(size=4).tobytes() == whole_rng.uniform(size=4).tobytes()
 
 
 class TestContainsChunks:
