@@ -11,11 +11,10 @@ from .disk import (DiskRegion, PoleParam, blaschke_psi, dieudonne2_lhs,
                    pseudo_hyperbolic, rho_coeffs, rho_eval)
 from .hankel import (ACoeffs, H_F, A_n, B_coeffs, G_p, a_from_c, aw_disk,
                      g_poly, h_p, h_p_prime, hankel2, hankel_from_c,
-                     hankel_from_sigma, lower_bound_M, omega_map, phi_p,
-                     upper_bound_M)
+                     hankel_from_sigma, lower_bound_M, omega_contains,
+                     omega_map, phi_p, upper_bound_M)
 from .oracle import a_from_phi, fprime_series, verify_all
-from .search import (ExtremalReport, RegionSample, check_omega_monotone,
-                     contains, estimate_M, hausdorff_distance,
+from .search import (ExtremalReport, RegionSample, contains, estimate_M,
                      sample_omega_boundary, sample_region_H)
 from .series import (series_derivative, series_exp, series_integrate,
                      series_mul, series_reciprocal, ratio_series,

@@ -107,9 +107,28 @@ def aw_disk(pp: PoleParam, n: int) -> DiskRegion:
 
 
 def omega_map(pp: PoleParam, z):
-    """-(1/P^2) [1 + (P^2-2) z + z^2]; the image of the closed disk is Omega_p."""
+    """-(1/P^2) [1 + (P^2-2) z + z^2] = H(z, 0, 0), univalent on the closed disk
+    (its critical point -(P^2 - 2)/2 lies outside it); the image is Omega_p, the
+    inside of the limacon w = -e^(i theta) (1 - s sin^2(theta/2)), s = 4/P^2."""
     t = pp.P**2
     return -(1.0 + (t - 2.0) * z + z * z) / t
+
+
+#: half-width of the boundary band of ``omega_contains``, in units of eps (|w| + |w|^2)
+OMEGA_BAND = 8.0
+
+
+def omega_contains(pp: PoleParam, w):
+    """Omega_p membership, answered as ``search.contains`` answers: "inside" iff
+    F = (1 - s/2)|w| - (s/2) Re w - |w|^2 >= 0 (s = 4/P^2), "boundary" within
+    ``OMEGA_BAND``.  F is read over |w| + |w|^2, so the origin is inside."""
+    s, w = 4.0 / pp.P**2, np.asarray(w, dtype=np.complex128)
+    r = np.abs(w)
+    with np.errstate(invalid="ignore"):  # a non-finite w or |w| gives a nan f: "outside"
+        cos = np.divide(w.real, r, out=np.zeros_like(r), where=r > 0)
+        f = ((1.0 - 0.5 * s) - 0.5 * s * cos - r) / (np.finfo(float).eps * (1.0 + r))
+    verdict = np.select([np.abs(f) <= OMEGA_BAND, f > 0], ["boundary", "inside"], "outside")
+    return verdict.item() if verdict.ndim == 0 else verdict
 
 
 # --- bound polynomials for M(p) ----------------------------------------------

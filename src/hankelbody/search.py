@@ -403,16 +403,17 @@ def sample_omega_boundary(pp: PoleParam, n_theta: int) -> RegionSample:
 
 
 def contains(region: RegionSample, z):
-    """Winding-number membership test against the closed boundary polyline.
-
-    Returns "inside", "boundary" (within 1e-9 of the polyline), or "outside"
-    (every non-finite z) for a scalar z, and an array of them, shaped like z,
-    for an array.  The points go through in chunks of ``CONTAINS_CHUNK``, so
-    memory stays bounded by the chunk times the vertex count.
-    """
+    """Winding-number test against the closed, finite boundary polyline (not
+    the curve it samples: Omega_p membership is ``hankel.omega_contains``):
+    "inside", "boundary" (within 1e-9 of it) or "outside" (every non-finite z),
+    a str for a scalar z and an array shaped like z for an array.  The points
+    go through in chunks of ``CONTAINS_CHUNK``, so memory stays bounded by the
+    chunk times the vertex count."""
     b = np.asarray(region.boundary, dtype=np.complex128)
     if np.unique(np.round(b, 12)).size < 3:
         raise InvalidInput("boundary polyline needs >= 3 distinct points")
+    if not (np.all(np.isfinite(b)) and b[0] == b[-1]):
+        raise InvalidInput("boundary polyline must be finite and closed")
     z = np.asarray(z, dtype=np.complex128)
     finite = np.isfinite(z)
     flat = np.where(finite, z, 0.0).ravel()  # 0 stands in for a non-finite z
@@ -439,23 +440,3 @@ def _verdicts(b: np.ndarray, z: np.ndarray) -> np.ndarray:
         dphi = np.angle(rel[:, 1:] / rel[:, :-1])
     wind = np.round(np.sum(dphi, axis=-1) / (2.0 * np.pi))
     return np.where(dist <= 1e-9, "boundary", np.where(wind != 0, "inside", "outside"))
-
-
-def check_omega_monotone(p_small: float, p_large: float, n_theta: int = 512) -> bool:
-    """True iff the Omega boundary for p_large sits inside Omega for p_small."""
-    if not p_small < p_large:  # PoleParam checks the range of each
-        raise InvalidInput("need p_small < p_large")
-    outer = sample_omega_boundary(PoleParam(p_small), n_theta)
-    inner = sample_omega_boundary(PoleParam(p_large), n_theta)
-    return not np.any(contains(outer, inner.points) == "outside")
-
-
-def hausdorff_distance(a: Sequence[complex], b: Sequence[complex]) -> float:
-    """Discrete symmetric Hausdorff distance between two nonempty point sets;
-    an array of any shape is the set of its elements, a scalar one point."""
-    A = np.asarray(a, dtype=np.complex128).ravel()[:, None]
-    B = np.asarray(b, dtype=np.complex128).ravel()[None, :]
-    if not (A.size and B.size):
-        raise InvalidInput("hausdorff_distance needs two nonempty point sets")
-    D = np.abs(A - B)
-    return float(max(D.min(axis=1).max(), D.min(axis=0).max()))

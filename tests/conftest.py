@@ -1,3 +1,5 @@
+import inspect
+import textwrap
 from functools import cache
 
 import numpy as np
@@ -37,3 +39,14 @@ def slice_max_on_grid(p: float) -> float:
     """max |h_p| over 2,000,001 equally spaced t in [0, 1], a reference for the
     slice maximum that takes no root of h_p'."""
     return float(np.max(np.abs(h_p(PoleParam(p), np.linspace(0.0, 1.0, 2_000_001)))))
+
+
+def source_mutants(fn, edits):
+    """Copies of ``fn``, each copy with one (label, old, new) edit of its
+    source; ``old`` must occur exactly once."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    for label, old, new in edits:
+        assert source.count(old) == 1, label
+        namespace = dict(fn.__globals__)
+        exec(compile(source.replace(old, new), fn.__code__.co_filename, "exec"), namespace)
+        yield label, namespace[fn.__name__]

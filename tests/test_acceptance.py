@@ -13,17 +13,16 @@ import numpy as np
 import pytest
 
 from hankelbody import (H_F, A_n, ParamTriple, PoleParam, a_from_c, aw_disk,
-                        c_from_w, check_omega_monotone, dieudonne2_lhs,
-                        dieudonne2_rhs, estimate_M, g_poly, h_p, h_p_prime,
-                        hankel2, hausdorff_distance, lower_bound_M,
-                        membership_x2, phi_series_from_w,
-                        sample_omega_boundary, upper_bound_M)
+                        c_from_w, dieudonne2_lhs, dieudonne2_rhs, estimate_M,
+                        g_poly, h_p, h_p_prime, hankel2, lower_bound_M,
+                        membership_x2, omega_contains, omega_map,
+                        phi_series_from_w, upper_bound_M)
 from hankelbody.cli import main as cli_main
 from hankelbody.kernels import phi_batch
 from hankelbody.oracle import a_batch_from_w
 from hankelbody.search import sample_polydisk
 
-from conftest import triples
+from conftest import source_mutants, triples
 
 P99 = [k / 100.0 for k in range(1, 100)]
 
@@ -125,18 +124,27 @@ def test_criterion_5_rotation_family_closed_form():
 
 
 def test_criterion_6_omega_monotone_and_limits():
+    # Omega_p is the inside of the limacon (1 - s/2) - (s/2) cos(phi), and
+    # s = 4p^2/(1 + p^2)^2 rises with p (tests/test_exact.py proves the sign
+    # of ds/dp), so Omega_p' lies in Omega_p for p < p': no boundary point of
+    # Omega_p' reads "outside" Omega_p, and those near w = -1, where every
+    # radius is 1, may read "boundary"
     ps = (0.1, 0.3, 0.5, 0.7, 0.9)
-    ok = all(check_omega_monotone(a, b, n_theta=512)
+    z = np.exp(2j * np.pi * np.arange(512) / 512)
+    ok = all(not np.any(omega_contains(PoleParam(a), omega_map(PoleParam(b), z)) == "outside")
              for a in ps for b in ps if a < b)
-    th = 2.0 * np.pi * np.arange(512) / 512
-    cardioid = -(1.0 + np.exp(1j * th)) ** 2 / 4.0
-    circle = -np.exp(1j * th)
-    d1 = hausdorff_distance(
-        sample_omega_boundary(PoleParam(0.95), 512).boundary[:-1], cardioid)
-    d0 = hausdorff_distance(
-        sample_omega_boundary(PoleParam(0.05), 512).boundary[:-1], circle)
+
+    def s(p):
+        return 4.0 / PoleParam(p).P ** 2
+
+    # the radial gaps to the limits, the cardioid -(1 + z)^2/4 and the circle
+    # -z, are (1 - s) sin^2(theta/2) and s sin^2(theta/2): the Hausdorff
+    # distances are at most 1 - s and s
+    d1, d0 = 1.0 - s(0.95), s(0.05)
+    ok = ok and np.max(np.abs(omega_map(PoleParam(0.95), z) + (1.0 + z) ** 2 / 4.0)) <= d1 * (1.0 + 1e-9)
+    ok = ok and np.max(np.abs(omega_map(PoleParam(0.05), z) + z)) <= d0 * (1.0 + 1e-9)
     ok = ok and d1 < 0.02 and d0 < 0.02
-    report(6, f"region nesting and limit shapes ({d1:.3f}/{d0:.3f})", ok)
+    report(6, f"region nesting and limit shapes ({d1:.4f}/{d0:.4f})", ok)
 
 
 def test_criterion_7_membership_round_trip():
@@ -279,22 +287,11 @@ OMEGA_MUTANTS = [
 ]
 
 
-def _source_mutants(fn, edits):
-    """Copies of ``fn``, each copy with one (label, old, new) edit of its
-    source; ``old`` must occur exactly once."""
-    source = textwrap.dedent(inspect.getsource(fn))
-    for label, old, new in edits:
-        assert source.count(old) == 1, label
-        namespace = dict(fn.__globals__)
-        exec(compile(source.replace(old, new), fn.__code__.co_filename, "exec"), namespace)
-        yield label, namespace[fn.__name__]
-
-
 def test_criterion_9_omega_pair_mutation_sensitivity():
     assert _omega_residual() < 1e-10
     # omega's numerator and denominator, the pair behind phi_series_from_w,
     # come from two steps of Schur's recursion: each named edit must matter
-    undetected = [label for label, bad in _source_mutants(phi_series_from_w, OMEGA_MUTANTS)
+    undetected = [label for label, bad in source_mutants(phi_series_from_w, OMEGA_MUTANTS)
                   if _omega_residual(series=bad) <= 1e-10]
     report(9, f"mutation sensitivity ({len(OMEGA_MUTANTS)} omega recursion edits), "
               f"undetected: {undetected or 'none'}", not undetected)

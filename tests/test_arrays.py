@@ -13,7 +13,7 @@ from hankelbody import (CoeffTriple, ParamTriple, PoleParam, a_from_c,
                         contains, dieudonne2_lhs, dieudonne2_rhs,
                         dieudonne_disk1, h_p, h_p_prime, hankel2,
                         hankel_from_c, hankel_from_sigma, membership_x2,
-                        omega_map, phi_evaluator, phi_p,
+                        omega_contains, omega_map, phi_evaluator, phi_p,
                         phi_series_from_w, ratio_series,
                         rho_coeffs, sample_omega_boundary, series_derivative,
                         series_exp, series_integrate, series_mul,
@@ -136,9 +136,13 @@ def membership(pp, *c):
     return res.decision, flat(res.params)
 
 
-def omega_contains(pp, z):
-    verdict = contains(sample_omega_boundary(pp, 64), z)
+def no_numbers(verdict):
     return verdict, np.zeros(np.shape(verdict) + (0,))
+
+
+def omega_points(pp, W):
+    """Points of Omega_p moved by 0.3 w1; the corner (-i, 0, 1) is on its boundary."""
+    return (omega_map(pp, W[:, 0]) + 0.3 * W[:, 1])[:, None]
 
 
 #: the functions that answer with verdict strings, beside any numbers: each
@@ -147,9 +151,9 @@ VERDICT_CASES = {
     # attainable triples with c2 moved by 0.2 w2: inside, boundary and outside
     "membership_x2": (lambda pp, W: np.column_stack(c_from_w(pp, ParamTriple(*W.T)))
                       + [0.0, 0.0, 0.2] * W, membership),
-    # points of Omega_p moved by 0.3 w1, against its 64-gon
-    "contains": (lambda pp, W: (omega_map(pp, W[:, 0]) + 0.3 * W[:, 1])[:, None],
-                 omega_contains),
+    # against the 64-gon of Omega_p, and against Omega_p itself
+    "contains": (omega_points, lambda pp, z: no_numbers(contains(sample_omega_boundary(pp, 64), z))),
+    "omega_contains": (omega_points, lambda pp, z: no_numbers(omega_contains(pp, z))),
 }
 
 
@@ -197,6 +201,7 @@ def test_scalar_calls_answer_with_python_numbers():
     res = membership_x2(pp, c_from_w(pp, ParamTriple(0.3, 0.2j, 0.1)))
     assert type(res.decision) is str and all(type(x) is complex for x in res.params)
     assert type(contains(sample_omega_boundary(pp, 64), 0.1j)) is str
+    assert type(omega_contains(pp, 0.1j)) is str
 
 
 @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])

@@ -2,17 +2,19 @@
 transcription: its float literals are all integers, so evaluating it on
 symbols is exact once each literal is read as the rational it holds."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from hankelbody import kernels
-from hankelbody.hankel import G_POLY_COEFFS, hp_numerator_coeffs
+from hankelbody.hankel import G_POLY_COEFFS, hp_numerator_coeffs, omega_map
 
 from conftest import paper_B
 
 sp = pytest.importorskip("sympy")
 
-P = sp.Symbol("P", positive=True)
-t, y, x0, y0, x1, y1 = sp.symbols("t y x0 y0 x1 y1", real=True)
+P, p = sp.symbols("P p", positive=True)
+t, y, x0, y0, x1, y1, theta = sp.symbols("t y x0 y0 x1 y1 theta", real=True)
 s2 = sp.Symbol("s2")
 
 
@@ -61,3 +63,27 @@ def test_sigma0_terms_at_real_sigma0_are_the_paper_bound_terms():
     T0, T1, T2, C = kernels.phi_sigma0_terms(kernels.phi_factors(P), y)
     for term, B in zip((-T0, T1, -T2, C), paper_B(P, y)):
         assert exact(term - B) == 0
+
+
+def test_omega_map_is_the_sigma0_slice_of_phi():
+    s0 = x0 + sp.I * y0
+    assert exact(18 * P**3 * omega_map(SimpleNamespace(P=P), s0) - phi(s0, 0, 0)) == 0
+
+
+def test_omega_map_on_the_circle_is_the_limacon():
+    z = sp.exp(sp.I * theta)
+    want = -z * (1 - 4 / P**2 * sp.sin(theta / 2) ** 2)
+    diff = exact(omega_map(SimpleNamespace(P=P), z)) - want
+    assert sp.simplify(sp.expand(diff.rewrite(sp.exp))) == 0
+
+
+def test_s_rises_with_p_below_one():
+    # s read off omega_map(z) = -z - s (1 - z)^2 / 4 at P = p + 1/p
+    z = sp.Symbol("z")
+    s = sp.cancel(exact(-4 * (omega_map(SimpleNamespace(P=p + 1 / p), z) + z) / (1 - z) ** 2))
+    assert sp.cancel(s - 4 * p**2 / (1 + p**2) ** 2) == 0
+    # ds/dp has the sign of 1 - p^2, so Omega_p shrinks as p rises in (0, 1)
+    positive = 8 * p / (1 + p**2) ** 3
+    assert positive.is_positive and sp.cancel(sp.diff(s, p) - positive * (1 - p**2)) == 0
+    # and s = 2/3, where the limacon stops being convex, at p = sqrt(2 - sqrt 3)
+    assert sp.simplify(s.subs(p, sp.sqrt(2 - sp.sqrt(3))) - sp.Rational(2, 3)) == 0

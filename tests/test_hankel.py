@@ -4,13 +4,13 @@ import pytest
 from hankelbody import (H_F, A_n, B_coeffs, G_p, ParamTriple, PoleParam,
                         a_from_c, aw_disk, c_from_sigma, c_from_w, g_poly, h_p,
                         h_p_prime, hankel2, hankel_from_c, hankel_from_sigma,
-                        lower_bound_M, omega_map, phi_p, sigma_from_w,
-                        upper_bound_M)
+                        lower_bound_M, omega_contains, omega_map, phi_p,
+                        sigma_from_w, upper_bound_M)
 from hankelbody.errors import InvalidInput
 from hankelbody.hankel import G_POLY_COEFFS, koebe
 from hankelbody.search import sample_polydisk
 
-from conftest import paper_B, triples
+from conftest import paper_B, source_mutants, triples
 
 
 class TestHankelForms:
@@ -81,6 +81,85 @@ class TestRotationFamily:
                          * np.exp(1j * rng.uniform(0, 2 * np.pi)))
             direct = phi_p(pp05, ParamTriple(s0, 0.0, 0.0)) / (18.0 * P**3)
             assert abs(direct - omega_map(pp05, s0)) < 1e-13
+
+
+#: p from the small end of the range to within 1e-6 of 1
+OMEGA_PS = (0.001, 0.01, 0.1, 0.3, 0.5, 0.6, 0.8, 0.9, 0.99, 0.999, 0.99999, 0.999999)
+
+
+def root_verdict(pp, w):
+    """"inside" iff w = omega_map(z) for a z in the closed disk: the smaller
+    root of z^2 + (P^2 - 2) z + 1 + P^2 w has |z| <= 1 (the other has
+    |z| >= P^2 - 3 > 1)."""
+    b, c = pp.P**2 - 2.0, 1.0 + pp.P**2 * w
+    larger = -(b + np.sqrt(b * b - 4.0 * c + 0j)) / 2.0  # b > 0, Re sqrt >= 0: no cancellation
+    return np.where(np.abs(c / larger) <= 1.0, "inside", "outside")
+
+
+def omega_misreads(contains_fn, pp, rng, n=100_000):
+    """Exact boundary points ``omega_map(e^(i theta))`` not read "boundary",
+    plus points off the band read otherwise than ``root_verdict``: half of
+    them area-uniform in |w| <= 1.1, half boundary points moved by a relative
+    normal 1e-7; and the count of points in the band."""
+    wb = omega_map(pp, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n)))
+    w = np.concatenate([1.1 * np.sqrt(rng.uniform(size=n // 2))
+                        * np.exp(2j * np.pi * rng.uniform(size=n // 2)),
+                        wb[:n // 2] * (1.0 + 1e-7 * rng.standard_normal(n // 2))])
+    got = contains_fn(pp, w)
+    off = got != "boundary"
+    misread = np.count_nonzero(contains_fn(pp, wb) != "boundary")
+    return misread + np.count_nonzero(got[off] != root_verdict(pp, w[off])), np.count_nonzero(~off)
+
+
+class TestOmegaContains:
+    @pytest.mark.parametrize("p", OMEGA_PS)
+    def test_exact_on_and_off_the_boundary(self, p):
+        misread, in_band = omega_misreads(omega_contains, PoleParam(p), np.random.default_rng(17))
+        assert misread == 0 and in_band <= 100  # of the 10^5 points not on the curve
+
+    @pytest.mark.parametrize("p", [p for p in OMEGA_PS if p <= 0.99])
+    def test_a_radial_move_of_1e_9_leaves_the_band(self, p):
+        # at p >= 0.999 the gradient of F vanishes near the dimple w = 1 - s,
+        # and up to about 0.1% of such moves stay in the band
+        pp = PoleParam(p)
+        wb = omega_map(pp, np.exp(1j * np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, 100_000)))
+        assert np.all(omega_contains(pp, wb * (1.0 + 1e-9)) == "outside")
+        assert np.all(omega_contains(pp, wb * (1.0 - 1e-9)) == "inside")
+
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.55, 0.8])
+    def test_convex_iff_p_at_most_the_threshold(self, p):
+        # the limacon a - b cos(phi), a = 1 - s/2, b = s/2, is convex iff a >= 2b,
+        # that is iff p <= p_c = sqrt(2 - sqrt 3)
+        pp, p_c = PoleParam(p), np.sqrt(2.0 - np.sqrt(3.0))
+        s = 4.0 / pp.P**2
+        a, b = 1.0 - s / 2.0, s / 2.0
+        # the midpoint of the chord between phi = +-0.3 lies on the positive
+        # axis, at a radius of about a - b + 0.3^2 (2b - a)/2: beyond the
+        # dimple at a - b = 1 - s above p_c, short of it below
+        mid = (a - b * np.cos(0.3)) * np.cos(0.3)
+        assert omega_contains(pp, mid) == ("inside" if p < p_c else "outside")
+        if p < p_c:  # no chord of boundary points leaves Omega_p
+            wb = omega_map(pp, np.exp(2j * np.pi * np.arange(256) / 256))
+            midpoints = (wb[:, None] + wb[None, :]) / 2.0
+            assert not np.any(omega_contains(pp, midpoints) == "outside")
+
+    def test_the_origin_and_non_finite_points(self, pp05):
+        assert omega_contains(pp05, 0.0) == "inside"
+        assert omega_contains(pp05, 5e-324) == "inside"
+        # |w| overflows, or w is not finite
+        for w in (1e308 + 1.7e308j, complex(np.nan, 0.0), complex(1.0, np.inf), -np.inf):
+            assert omega_contains(pp05, w) == "outside"
+        assert omega_contains(pp05, np.zeros((2, 0, 3))).shape == (2, 0, 3)
+
+    def test_each_edit_of_the_inequality_is_caught(self, pp05):
+        assert omega_misreads(omega_contains, pp05, np.random.default_rng(3), 20_000)[0] == 0
+        mutants = (("first s/2 -> s/3", "(1.0 - 0.5 * s)", "(1.0 - s / 3.0)"),
+                   ("second s/2 -> s/3", "0.5 * s * cos", "s / 3.0 * cos"),
+                   ("Re w sign", "- 0.5 * s * cos", "+ 0.5 * s * cos"),
+                   ("no band", "np.abs(f) <= OMEGA_BAND", "np.abs(f) <= 0.0"))
+        undetected = [label for label, bad in source_mutants(omega_contains, mutants)
+                      if omega_misreads(bad, pp05, np.random.default_rng(3), 20_000)[0] == 0]
+        assert undetected == []
 
 
 class TestBoundPolynomials:

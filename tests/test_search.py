@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hankelbody import (ParamTriple, PoleParam, a_from_c, c_from_sigma,
-                        check_omega_monotone, contains, estimate_M, hankel2,
-                        hankel_from_sigma, hausdorff_distance, lower_bound_M,
+from hankelbody import (ParamTriple, PoleParam, RegionSample, a_from_c,
+                        c_from_sigma, contains, estimate_M, hankel2,
+                        hankel_from_sigma, lower_bound_M, omega_contains,
                         omega_map, sample_omega_boundary, sample_region_H,
                         upper_bound_M)
 from hankelbody.errors import InvalidInput
@@ -381,11 +381,26 @@ class TestRegions:
         assert contains(reg, complex(omega_map(pp05, 1.0))) == "boundary"
 
     def test_contains_degenerate(self):
-        from hankelbody.search import RegionSample
         bad = RegionSample(points=np.array([0j]),
                            boundary=np.array([0j, 0j, 0j]))
         with pytest.raises(InvalidInput, match="needs >= 3 distinct points"):
             contains(bad, 1.0 + 0j)
+
+    def test_contains_rejects_an_open_polyline(self):
+        # left open, the triangle (0, 1, i) would lose its closing edge and
+        # read 0.5i, on that edge, "outside"
+        tri = np.array([0, 1, 1j, 0])
+        assert contains(RegionSample(tri[:-1], tri), 0.5j) == "boundary"
+        with pytest.raises(InvalidInput, match="finite and closed"):
+            contains(RegionSample(tri[:-1], tri[:-1]), 0.5j)
+
+    def test_contains_rejects_a_non_finite_vertex(self):
+        # a nan vertex would make the triangle's 0.1+0.1j read "inside" of a
+        # polyline that has no inside
+        for bad in (np.nan, complex(np.inf, 0.0)):
+            tri = np.array([0, 1, bad, 1j, 0])
+            with pytest.raises(InvalidInput, match="finite and closed"):
+                contains(RegionSample(tri[:-1], tri), 0.1 + 0.1j)
 
     def test_sample_sizes_are_checked(self, pp05):
         with pytest.raises(InvalidInput):
@@ -394,11 +409,11 @@ class TestRegions:
             sample_omega_boundary(pp05, n_theta=15)
 
     def test_monotone_pairs(self):
-        assert check_omega_monotone(0.3, 0.7, n_theta=128)
-        with pytest.raises(InvalidInput):
-            check_omega_monotone(0.7, 0.3)
-        with pytest.raises(InvalidInput):
-            check_omega_monotone(0.4, 0.4)
+        # the boundary of Omega_0.7 lies in Omega_0.3, and not the other way
+        inner = sample_omega_boundary(PoleParam(0.7), 128).points
+        outer = sample_omega_boundary(PoleParam(0.3), 128).points
+        assert not np.any(omega_contains(PoleParam(0.3), inner) == "outside")
+        assert np.any(omega_contains(PoleParam(0.7), outer) == "outside")
 
     def test_region_H_contains_omega_values(self, pp05):
         # the rotation-family slice is included in the sampled cloud
@@ -413,32 +428,15 @@ class TestRegions:
         assert np.array_equal(r1.boundary, r2.boundary)
 
     def test_limit_shapes(self):
+        # the radial gaps to the cardioid -(1 + z)^2/4 and the circle -z are
+        # (1 - s) sin^2(theta/2) and s sin^2(theta/2), s = 4/P^2
         th = 2.0 * np.pi * np.arange(512) / 512
-        near_one = sample_omega_boundary(PoleParam(0.95), 512)
-        cardioid = -(1.0 + np.exp(1j * th)) ** 2 / 4.0
-        assert hausdorff_distance(near_one.boundary[:-1], cardioid) < 0.02
-        near_zero = sample_omega_boundary(PoleParam(0.05), 512)
-        circle = -np.exp(1j * th)
-        assert hausdorff_distance(near_zero.boundary[:-1], circle) < 0.02
-
-    def test_hausdorff_rejects_an_empty_set(self):
-        for a, b in (([], [1.0]), ([1.0], []), ([], [])):
-            with pytest.raises(InvalidInput):
-                hausdorff_distance(a, b)
-
-    def test_hausdorff_treats_any_shape_as_a_point_set(self):
-        # the rows of a (2, 2) array are not separate sets: its points are
-        # 0 and 10, at distance 10 from 10j and 0 from 0
-        assert hausdorff_distance([[0, 10], [0, 10]], [0, 10j]) == 10.0
-        assert hausdorff_distance(3.0, [3.0, 7.0]) == 4.0
-        assert hausdorff_distance(1j, 1j) == 0.0
-
-    def test_hausdorff_symmetry_and_zero(self):
-        a = np.array([0.0, 1.0, 1j])
-        assert hausdorff_distance(a, a) == 0.0
-        b = a + 0.1
-        assert hausdorff_distance(a, b) == pytest.approx(
-            hausdorff_distance(b, a))
+        z, sin2 = np.exp(1j * th), np.sin(th / 2.0) ** 2
+        for p, limit, gap in ((0.95, -(1.0 + z) ** 2 / 4.0, 1.0 - 4.0 / PoleParam(0.95).P**2),
+                              (0.05, -z, 4.0 / PoleParam(0.05).P**2)):
+            d = np.abs(sample_omega_boundary(PoleParam(p), 512).points - limit)
+            np.testing.assert_allclose(d, gap * sin2, rtol=0, atol=1e-15)
+            assert gap < 0.02
 
 
 def _lexsort_boundary(points, n_bins=REGION_BINS):
