@@ -14,7 +14,7 @@ from .hankel import (ACoeffs, H_F, A_n, B_coeffs, G_p, a_from_c, aw_disk,
                      hankel_from_sigma, lower_bound_M, omega_contains,
                      omega_map, phi_p, upper_bound_M)
 from .oracle import a_from_phi, fprime_series, verify_all
-from .search import (ExtremalReport, RegionSample, contains, estimate_M,
+from .search import (ExtremalReport, RegionSample, estimate_M,
                      sample_omega_boundary, sample_region_H)
 from .series import (series_derivative, series_exp, series_integrate,
                      series_mul, series_reciprocal, ratio_series,

@@ -7,7 +7,7 @@ class HankelBodyError(Exception):
 
 class InvalidInput(HankelBodyError):
     """An argument violated a documented precondition: a range, a zero (or
-    nonzero) constant term, a polyline with fewer than 3 distinct points."""
+    nonzero) constant term."""
 
 
 class DegenerateDenominator(HankelBodyError):

@@ -119,9 +119,10 @@ OMEGA_BAND = 8.0
 
 
 def omega_contains(pp: PoleParam, w):
-    """Omega_p membership, answered as ``search.contains`` answers: "inside" iff
-    F = (1 - s/2)|w| - (s/2) Re w - |w|^2 >= 0 (s = 4/P^2), "boundary" within
-    ``OMEGA_BAND``.  F is read over |w| + |w|^2, so the origin is inside."""
+    """Omega_p membership: "inside" iff F = (1 - s/2)|w| - (s/2) Re w - |w|^2
+    >= 0 (s = 4/P^2), "boundary" within ``OMEGA_BAND``, and "outside" for a
+    non-finite w.  F is read over |w| + |w|^2, so the origin is inside.  A
+    scalar w gives a str, an array w an array of verdicts shaped like w."""
     s, w = 4.0 / pp.P**2, np.asarray(w, dtype=np.complex128)
     r = np.abs(w)
     with np.errstate(invalid="ignore"):  # a non-finite w or |w| gives a nan f: "outside"

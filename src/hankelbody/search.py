@@ -27,6 +27,7 @@ from .errors import InvalidInput
 from .hankel import hp_numerator_coeffs, lower_bound_M, omega_map, upper_bound_M
 from .kernels import best_sigma2, phi_batch, phi_factors, phi_sigma2_max
 
+#: angular bins of the H-cloud's boundary polyline
 REGION_BINS = 256
 #: fewest angular samples per parameter in the grid sweep
 MIN_GRID = 8
@@ -38,8 +39,6 @@ GRID_RADII = 8
 GRID_STARTS = 16
 #: share of ``sample_polydisk`` moduli forced onto |s| = 1
 BOUNDARY_RATE = 0.1
-#: points per pass of ``contains``; each holds a few complex rows of the boundary's length
-CONTAINS_CHUNK = 512
 #: parameter rows per ``phi_batch`` call of ``sample_region_H``, and per
 #: block of its polydisk samples; each call holds a few complex temporaries
 #: of the chunk's length
@@ -48,7 +47,10 @@ REGION_CHUNK = 2**13
 
 @dataclass(frozen=True)
 class RegionSample:
-    """Point cloud plus an ordered closed boundary polyline."""
+    """Point cloud plus an ordered closed boundary polyline.
+
+    The H-cloud's ``boundary`` is an export only, not a membership test: some
+    of its own cloud's points lie outside it (ROADMAP item 7)."""
 
     points: np.ndarray
     boundary: np.ndarray
@@ -401,42 +403,3 @@ def sample_omega_boundary(pp: PoleParam, n_theta: int) -> RegionSample:
     return RegionSample(points=bdry[:-1], boundary=bdry,
                         meta={"p": pp.p, "n_theta": n_theta})
 
-
-def contains(region: RegionSample, z):
-    """Winding-number test against the closed, finite boundary polyline (not
-    the curve it samples: Omega_p membership is ``hankel.omega_contains``):
-    "inside", "boundary" (within 1e-9 of it) or "outside" (every non-finite z),
-    a str for a scalar z and an array shaped like z for an array.  The points
-    go through in chunks of ``CONTAINS_CHUNK``, so memory stays bounded by the
-    chunk times the vertex count."""
-    b = np.asarray(region.boundary, dtype=np.complex128)
-    if np.unique(np.round(b, 12)).size < 3:
-        raise InvalidInput("boundary polyline needs >= 3 distinct points")
-    if not (np.all(np.isfinite(b)) and b[0] == b[-1]):
-        raise InvalidInput("boundary polyline must be finite and closed")
-    z = np.asarray(z, dtype=np.complex128)
-    finite = np.isfinite(z)
-    flat = np.where(finite, z, 0.0).ravel()  # 0 stands in for a non-finite z
-    verdict = np.empty(flat.shape, dtype="<U8")
-    for i in range(0, flat.size, CONTAINS_CHUNK):
-        verdict[i:i + CONTAINS_CHUNK] = _verdicts(b, flat[i:i + CONTAINS_CHUNK])
-    verdict = np.where(finite, verdict.reshape(z.shape), "outside")
-    return verdict.item() if verdict.ndim == 0 else verdict
-
-
-def _verdicts(b: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``contains`` verdicts for the 1-D array ``z`` against the closed polyline ``b``."""
-    z = z[:, None]  # meets the vertex axis
-    a, c = b[:-1], b[1:]
-    # distance from z to each segment [a, c]
-    seg = c - a
-    L2 = np.abs(seg) ** 2
-    t = np.clip(np.where(L2 > 0, ((z - a) * np.conj(seg)).real / np.where(L2 > 0, L2, 1.0), 0.0), 0.0, 1.0)
-    dist = np.min(np.abs(a + t * seg - z), axis=-1)
-    # winding number via summed argument increments; a z on a vertex is a
-    # boundary point, whose nan increment the verdict never reads
-    rel = b - z
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dphi = np.angle(rel[:, 1:] / rel[:, :-1])
-    wind = np.round(np.sum(dphi, axis=-1) / (2.0 * np.pi))
-    return np.where(dist <= 1e-9, "boundary", np.where(wind != 0, "inside", "outside"))

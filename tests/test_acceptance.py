@@ -10,7 +10,6 @@ import textwrap
 import time
 
 import numpy as np
-import pytest
 
 from hankelbody import (H_F, A_n, ParamTriple, PoleParam, a_from_c, aw_disk,
                         c_from_w, dieudonne2_lhs, dieudonne2_rhs, estimate_M,

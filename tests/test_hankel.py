@@ -151,6 +151,20 @@ class TestOmegaContains:
             assert omega_contains(pp05, w) == "outside"
         assert omega_contains(pp05, np.zeros((2, 0, 3))).shape == (2, 0, 3)
 
+    def test_non_finite_points_among_finite_ones(self, pp05):
+        # boundary points, the same points moved in and out, and 3, 0 and 1e300i
+        wb = omega_map(pp05, np.exp(2j * np.pi * np.arange(20) / 20))
+        w = np.concatenate([wb, 0.5 * wb, 1.5 * wb, [3.0, 0.0, 1e300j]])
+        bad = [np.nan, np.inf, -np.inf, complex(np.nan, np.nan), complex(0, np.inf),
+               complex(np.inf, np.inf), complex(1, np.nan)]
+        mixed = np.insert(w, [0, 7, 25, 40, 55, 60, 62], np.array(bad))
+        got = omega_contains(pp05, mixed)
+        finite = np.isfinite(mixed)
+        assert set(got[finite]) == {"inside", "boundary", "outside"}
+        assert np.array_equal(got[finite], omega_contains(pp05, w))
+        assert set(got[~finite]) == {"outside"} and np.count_nonzero(~finite) == len(bad)
+        assert np.array_equal(omega_contains(pp05, mixed.reshape(2, -1)), got.reshape(2, -1))
+
     def test_each_edit_of_the_inequality_is_caught(self, pp05):
         assert omega_misreads(omega_contains, pp05, np.random.default_rng(3), 20_000)[0] == 0
         mutants = (("first s/2 -> s/3", "(1.0 - 0.5 * s)", "(1.0 - s / 3.0)"),

@@ -4,8 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hankelbody import (ParamTriple, PoleParam, RegionSample, a_from_c,
-                        c_from_sigma, contains, estimate_M, hankel2,
+from hankelbody import (PoleParam, a_from_c, c_from_sigma, estimate_M, hankel2,
                         hankel_from_sigma, lower_bound_M, omega_contains,
                         omega_map, sample_omega_boundary, sample_region_H,
                         upper_bound_M)
@@ -373,35 +372,6 @@ class TestRegions:
         assert np.allclose(reg.boundary[:-1], omega_map(pp05, np.exp(
             2j * np.pi * np.arange(64) / 64)))
 
-    def test_contains_omega_center(self, pp05):
-        reg = sample_omega_boundary(pp05, 256)
-        # omega_map(0) = -1/P^2 is interior
-        assert contains(reg, omega_map(pp05, 0.0)) == "inside"
-        assert contains(reg, 100.0 + 0j) == "outside"
-        assert contains(reg, complex(omega_map(pp05, 1.0))) == "boundary"
-
-    def test_contains_degenerate(self):
-        bad = RegionSample(points=np.array([0j]),
-                           boundary=np.array([0j, 0j, 0j]))
-        with pytest.raises(InvalidInput, match="needs >= 3 distinct points"):
-            contains(bad, 1.0 + 0j)
-
-    def test_contains_rejects_an_open_polyline(self):
-        # left open, the triangle (0, 1, i) would lose its closing edge and
-        # read 0.5i, on that edge, "outside"
-        tri = np.array([0, 1, 1j, 0])
-        assert contains(RegionSample(tri[:-1], tri), 0.5j) == "boundary"
-        with pytest.raises(InvalidInput, match="finite and closed"):
-            contains(RegionSample(tri[:-1], tri[:-1]), 0.5j)
-
-    def test_contains_rejects_a_non_finite_vertex(self):
-        # a nan vertex would make the triangle's 0.1+0.1j read "inside" of a
-        # polyline that has no inside
-        for bad in (np.nan, complex(np.inf, 0.0)):
-            tri = np.array([0, 1, bad, 1j, 0])
-            with pytest.raises(InvalidInput, match="finite and closed"):
-                contains(RegionSample(tri[:-1], tri), 0.1 + 0.1j)
-
     def test_sample_sizes_are_checked(self, pp05):
         with pytest.raises(InvalidInput):
             sample_region_H(pp05, n_samples=0)
@@ -548,51 +518,3 @@ class TestPolydiskBlocks:
         assert whole.shape == (n, 3) and whole.dtype == np.complex128
         # the next draw, as the all-boundary slice and verify's later draws take it
         assert block_rng.uniform(size=4).tobytes() == whole_rng.uniform(size=4).tobytes()
-
-
-class TestContainsChunks:
-    @pytest.fixture
-    def region(self):
-        return sample_region_H(PoleParam(0.5), 2000, seed=3)
-
-    def test_chunked_verdicts_match_one_pass(self, region, monkeypatch):
-        rng = np.random.default_rng(5)
-        # 2.5 chunks, so the last chunk is ragged; scaled to reach all three verdicts
-        n = 5 * search.CONTAINS_CHUNK // 2
-        z = rng.choice(region.points, n) * rng.uniform(0.5, 1.5, n)
-        z[:3] = region.boundary[:3]
-        chunked = contains(region, z)
-        chunked_grid = contains(region, z.reshape(2, -1))
-        monkeypatch.setattr(search, "CONTAINS_CHUNK", n)
-        one_pass = contains(region, z)
-        assert set(one_pass) == {"inside", "outside", "boundary"}
-        assert np.array_equal(chunked, one_pass)
-        assert np.array_equal(chunked_grid, one_pass.reshape(2, -1))
-
-    def test_non_finite_points_are_outside(self, region):
-        bad = [np.nan, np.inf, -np.inf, complex(np.nan, np.nan), complex(0, np.inf),
-               complex(np.inf, np.inf), complex(1, np.nan)]
-        for z in bad:
-            assert contains(region, z) == "outside"
-        assert list(contains(region, np.array([np.nan, 1e300, -1e300j]))) == ["outside"] * 3
-        # finite points keep their verdicts, bit for bit, among non-finite ones
-        z = np.concatenate([region.points[:50], region.boundary[:3], [3.0, 0.0]])
-        mixed = np.insert(z, [0, 7, 40, 55], np.array(bad[:4]))
-        got = contains(region, mixed)
-        finite = np.isfinite(mixed)
-        assert np.array_equal(got[finite], contains(region, z))
-        assert set(got[~finite]) == {"outside"}
-
-    def test_scalar_gives_a_str(self, region):
-        assert contains(region, complex(region.boundary[7])) == "boundary"
-        assert type(contains(region, region.points.mean())) is str
-
-    def test_memory_is_bounded_by_the_chunk(self, region):
-        z = np.resize(region.points, 20_000) * 1.01
-        tracemalloc.start()
-        try:
-            contains(region, z)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32e6
