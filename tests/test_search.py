@@ -372,6 +372,45 @@ class TestRegions:
         assert np.allclose(reg.boundary[:-1], omega_map(pp05, np.exp(
             2j * np.pi * np.arange(64) / 64)))
 
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
+    def test_omega_boundary_vertices_read_boundary(self, p):
+        # Omega_p is star-shaped about 0, so halving a vertex moves it inside
+        # and doubling moves it out
+        pp = PoleParam(p)
+        reg = sample_omega_boundary(pp, 64)
+        assert np.all(omega_contains(pp, reg.boundary) == "boundary")
+        assert np.all(omega_contains(pp, 0.5 * reg.points) == "inside")
+        assert np.all(omega_contains(pp, 2.0 * reg.points) == "outside")
+
+    @pytest.mark.parametrize("p", [0.05, 0.5, 0.95])
+    def test_omega_center_and_a_far_point(self, p):
+        pp = PoleParam(p)
+        # omega_map(0) = -1/P^2 is interior, omega_map(1) on the boundary
+        assert complex(omega_map(pp, 0.0)) == pytest.approx(-1.0 / pp.P**2)
+        assert omega_contains(pp, omega_map(pp, 0.0)) == "inside"
+        assert omega_contains(pp, complex(omega_map(pp, 1.0))) == "boundary"
+        assert omega_contains(pp, 100.0 + 0j) == "outside"
+
+    @pytest.mark.parametrize("p", [0.2, 0.8])
+    @pytest.mark.parametrize("kind", ["omega", "H"])
+    def test_boundaries_are_finite_and_closed(self, kind, p):
+        pp = PoleParam(p)
+        reg = (sample_omega_boundary(pp, 16) if kind == "omega"
+               else sample_region_H(pp, n_samples=200, seed=2))
+        assert reg.boundary.dtype == np.complex128 and reg.boundary.ndim == 1
+        assert np.all(np.isfinite(reg.boundary)) and np.all(np.isfinite(reg.points))
+        assert reg.boundary[0] == reg.boundary[-1]
+        assert np.unique(reg.boundary).size >= 3
+
+    @pytest.mark.parametrize("p", [0.13, 0.5, 0.87])
+    def test_region_H_boundary_is_drawn_from_its_cloud(self, p):
+        reg = sample_region_H(PoleParam(p), n_samples=500, seed=4)
+        assert np.all(np.isin(reg.boundary, reg.points))
+        # one vertex per occupied angle bin, at most, plus the closing one
+        assert len(reg.boundary) <= REGION_BINS + 1
+        assert np.unique(reg.boundary[:-1]).size == len(reg.boundary) - 1
+        assert reg.meta == {"p": p, "n_samples": 500, "seed": 4}
+
     def test_sample_sizes_are_checked(self, pp05):
         with pytest.raises(InvalidInput):
             sample_region_H(pp05, n_samples=0)
