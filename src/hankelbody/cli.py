@@ -21,7 +21,8 @@ import numpy as np
 
 from . import floattext
 from .disk import PoleParam
-from .errors import HankelBodyError, InvalidInput
+from .errors import InvalidInput
+from .hankel import lower_bound_M, upper_bound_M
 from .oracle import verify_all
 from .search import (GRID_RADII, MIN_GRID, OMEGA_MIN_POINTS, RegionSample,
                      estimate_M, estimate_M_batch, sample_omega_boundary,
@@ -100,10 +101,11 @@ def _table_cell(v: float, width: int) -> str:
 
 
 def cmd_bounds(args) -> int:
-    reports = estimate_M_batch([PoleParam(p) for p in args.p], args.grid, args.iters, args.seed)
-    rows = [(p, 1.0 / (3.0 * p), report.lower, report.m_estimate,
-             report.upper, 1.0 / (3.0 * p) + 2.0 / 3.0)
-            for p, report in zip(args.p, reports)]
+    pps = [PoleParam(p) for p in args.p]
+    reports = estimate_M_batch(pps, args.grid, args.iters, args.seed)
+    rows = [(pp.p, 1.0 / (3.0 * pp.p), lower_bound_M(pp), report.m_estimate,
+             upper_bound_M(pp), 1.0 / (3.0 * pp.p) + 2.0 / 3.0)
+            for pp, report in zip(pps, reports)]
     header = ("p", "one_third_p", "lower", "m_estimate", "upper", "one_third_p_plus")
     widths = [12, 14, 14, 14, 14, 16]
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
@@ -184,8 +186,7 @@ def _region_json_text(omega: RegionSample | None,
     for sample in samples.values():
         if sample is None:
             continue
-        points = np.ascontiguousarray(sample.points, dtype=np.complex128)
-        boundary = np.ascontiguousarray(sample.boundary, dtype=np.complex128)
+        points, boundary = sample.points, sample.boundary
         # Omega_p's points are its closed polyline without the closing point
         if points.size and np.array_equal(points.view(np.uint64),
                                           boundary[:-1].view(np.uint64)):
@@ -208,8 +209,7 @@ def _svg_cells(z: np.ndarray) -> np.ndarray:
 
 def _svg_polyline(z, stroke: str, width: str) -> Iterator[str]:
     yield '\n<polyline points="'
-    yield from _row_pieces(np.ascontiguousarray(z, dtype=np.complex128),
-                           ("", ",", ""), " ", _svg_cells)
+    yield from _row_pieces(z, ("", ",", ""), " ", _svg_cells)
     yield f'" fill="none" stroke="{stroke}" stroke-width="{width}"/>'
 
 
@@ -222,11 +222,10 @@ def _region_svg(omega: RegionSample | None, hank: RegionSample | None) -> Iterat
            '<circle cx="0" cy="0" r="1" fill="none" stroke="#bbbbbb" '
            'stroke-width="0.006" stroke-dasharray="0.03,0.03"/>')
     if hank is not None:
-        points = np.ascontiguousarray(hank.points, dtype=np.complex128)
-        if points.size:
+        if hank.points.size:
             yield "\n"
-            yield from _row_pieces(points, ('<circle cx="', '" cy="', '" r="0.006" fill="#4477aa" '
-                                            'fill-opacity="0.5"/>'), "\n", _svg_cells)
+            yield from _row_pieces(hank.points, ('<circle cx="', '" cy="', '" r="0.006" fill="#4477aa" '
+                                                 'fill-opacity="0.5"/>'), "\n", _svg_cells)
         yield from _svg_polyline(hank.boundary, "#4477aa", "0.008")
     if omega is not None:
         yield from _svg_polyline(omega.boundary, "#cc3311", "0.010")
@@ -247,7 +246,6 @@ def _region_csv(omega: RegionSample | None, hank: RegionSample | None) -> Iterat
     if omega is not None:
         arrays.append((omega.boundary, "omega_boundary"))
     for z, kind in arrays:
-        z = np.ascontiguousarray(z, dtype=np.complex128)
         if z.size:
             yield from _row_pieces(z, ("np.float64(", "),np.float64(", ")," + kind),
                                    "\n", _csv_cells)
@@ -293,10 +291,10 @@ def cmd_extremal(args) -> int:
             "moduli": [abs(s) for s in sig],
             "arguments": [float(np.angle(s)) for s in sig],
         },
-        "lower": report.lower,
-        "upper": report.upper,
+        "lower": lower_bound_M(pp),
+        "upper": upper_bound_M(pp),
         "iterations": report.iterations,
-        "grid": report.grid,
+        "grid": args.grid,
         "seed": args.seed,
     }
     _write_text(args.out, [_dump_json(payload)])
@@ -358,7 +356,7 @@ def main(argv=None) -> int:
         except OSError:
             with contextlib.suppress(OSError):
                 sys.stdout.close()
-    except (HankelBodyError, MemoryError) as exc:
+    except (InvalidInput, MemoryError) as exc:
         code, error = EXIT_USAGE, str(exc) or type(exc).__name__
     print(f"hankelbody {args.command}: error: {error}", file=sys.stderr)
     return code

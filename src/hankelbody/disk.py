@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateDenominator, InvalidInput
+from .errors import InvalidInput
 from .series import as_complex, as_real
 
 DENOM_EPS = 1e-14
@@ -67,7 +67,7 @@ def _mobius_denominator(a, z):
     """1 - conj(a) z, after checking that no element of it vanishes."""
     denom = 1.0 - np.conj(a) * z
     if np.any(np.abs(denom) <= DENOM_EPS):
-        raise DegenerateDenominator("1 - conj(a) z vanished")
+        raise InvalidInput("1 - conj(a) z vanished")
     return denom
 
 

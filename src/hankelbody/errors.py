@@ -1,14 +1,7 @@
-"""Exception types shared across the package."""
+"""The package's one exception type."""
 
 
-class HankelBodyError(Exception):
-    """Base class for all package-specific errors."""
-
-
-class InvalidInput(HankelBodyError):
+class InvalidInput(Exception):
     """An argument violated a documented precondition: a range, a zero (or
-    nonzero) constant term."""
-
-
-class DegenerateDenominator(HankelBodyError):
-    """A Moebius-type denominator 1 - conj(w)*z vanished."""
+    nonzero) constant term, or a Moebius denominator 1 - conj(a)*z that
+    vanished at the given points."""

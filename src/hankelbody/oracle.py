@@ -55,7 +55,7 @@ from .coeffbody import (CoeffTriple, ParamTriple, c_from_sigma, c_from_w,
                         sigma_from_w, tau_from_w)
 from .disk import (PoleParam, dieudonne2_lhs, dieudonne2_rhs, dieudonne_disk1,
                    mobius_T, rho_coeffs, rho_eval)
-from .errors import HankelBodyError, InvalidInput
+from .errors import InvalidInput
 from .hankel import (ACoeffs, H_F, A_n, a_from_c, h_p, h_p_prime, hankel2,
                      hankel_from_c, hankel_from_sigma, lower_bound_M, omega_map,
                      upper_bound_M)
@@ -199,12 +199,12 @@ def _entry(name: str, residuals, tol: float, extra: dict | None = None) -> dict:
 
 
 def _or_inf(n: int, evaluate) -> np.ndarray:
-    """evaluate(), or n residuals of inf when it raises a package error: near
+    """evaluate(), or n residuals of inf when it raises ``InvalidInput``: near
     p = 1 the pointwise Moebius chain meets a denominator 1 - p^2 that counts
     as vanished, and the family that evaluates it fails."""
     try:
         return evaluate()
-    except HankelBodyError:
+    except InvalidInput:
         return np.full(n, np.inf)
 
 

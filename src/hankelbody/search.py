@@ -16,7 +16,7 @@ does.  Everything is deterministic for a fixed (grid, refine_iters, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from .coeffbody import ParamTriple
 from .disk import PoleParam
 from .errors import InvalidInput
-from .hankel import hp_numerator_coeffs, lower_bound_M, omega_map, upper_bound_M
+from .hankel import hp_numerator_coeffs, omega_map
 from .kernels import best_sigma2, phi_batch, phi_factors, phi_sigma2_max
 
 #: angular bins of the H-cloud's boundary polyline
@@ -49,23 +49,28 @@ REGION_CHUNK = 2**13
 class RegionSample:
     """Point cloud plus an ordered closed boundary polyline.
 
-    The H-cloud's ``boundary`` is an export only, not a membership test: some
-    of its own cloud's points lie outside it (ROADMAP item 7)."""
+    ``points`` and ``boundary`` are 1-D C-contiguous complex128 arrays, as
+    the region writers take them, and Omega_p's ``points`` are its
+    ``boundary`` without the closing point.  ``meta`` holds the sampler's
+    inputs.  The H-cloud's ``boundary`` is an export only, not a membership
+    test: some of its own cloud's points lie outside it (ROADMAP item 7)."""
 
     points: np.ndarray
     boundary: np.ndarray
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
 
 @dataclass(frozen=True)
 class ExtremalReport:
+    """What one search computed: the best modulus ``m_estimate`` of H at p,
+    the polydisk point ``arg_sigma`` where it was found, and the Nelder-Mead
+    iterations of all starts together.  The paper's closed-form bounds on
+    M(p) are ``hankel.lower_bound_M`` and ``hankel.upper_bound_M``."""
+
     p: float
     m_estimate: float
     arg_sigma: ParamTriple
-    lower: float
-    upper: float
     iterations: int
-    grid: int
 
 
 def _polar_grid(n_angle: int) -> np.ndarray:
@@ -295,10 +300,7 @@ def estimate_M_batch(pps: Sequence[PoleParam], grid: int, refine_iters: int,
             p=pp.p,
             m_estimate=-float(f[k]) / (18.0 * P**3),
             arg_sigma=ParamTriple(sig0, sig1, best_sigma2(P, sig0, sig1)),
-            lower=lower_bound_M(pp),
-            upper=upper_bound_M(pp),
             iterations=int(its),
-            grid=grid,
         ))
     return reports
 

@@ -1,13 +1,17 @@
-"""Exact identities behind Phi_p, proved with sympy on the package's own
-transcription: its float literals are all integers, so evaluating it on
-symbols is exact once each literal is read as the rational it holds."""
+"""Exact identities behind Phi_p, the coefficient map and the rotation
+family, proved with sympy on the package's own transcription.  Phi's float
+literals are all integers, so evaluating it on symbols is exact once each
+literal is read as the rational it holds; the coefficient map divides by
+3.0, 6.0 and 18.0, so its floats are read as the nearest fractions with
+small denominators."""
 
 from types import SimpleNamespace
 
 import pytest
 
-from hankelbody import kernels
-from hankelbody.hankel import G_POLY_COEFFS, hp_numerator_coeffs, omega_map
+from hankelbody import hankel, kernels
+from hankelbody.hankel import (G_POLY_COEFFS, H_F, A_n, ACoeffs, a_from_c, hankel2,
+                               hankel_from_c, hp_numerator_coeffs, omega_map)
 
 from conftest import paper_B
 
@@ -22,6 +26,20 @@ def exact(expr):
     """``expr`` expanded, each float in it read as the exact rational it holds."""
     expr = sp.sympify(expr)
     return sp.expand(expr.xreplace({f: sp.Rational(f) for f in expr.atoms(sp.Float)}))
+
+
+def rational(expr):
+    """``expr`` expanded, each float in it read as the nearest fraction with a
+    denominator of at most 10**6: the float of 1/3 is not 1/3."""
+    expr = sp.sympify(expr)
+    return sp.expand(expr.xreplace(
+        {f: sp.Rational(f).limit_denominator(10**6) for f in expr.atoms(sp.Float)}))
+
+
+@pytest.fixture
+def symbolic(monkeypatch):
+    """``hankel``'s functions with their results left as sympy expressions."""
+    monkeypatch.setattr(hankel, "as_complex", lambda z: z)
 
 
 def phi(s0, s1, s2):
@@ -87,3 +105,23 @@ def test_s_rises_with_p_below_one():
     assert positive.is_positive and sp.cancel(sp.diff(s, p) - positive * (1 - p**2)) == 0
     # and s = 2/3, where the limacon stops being convex, at p = sqrt(2 - sqrt 3)
     assert sp.simplify(s.subs(p, sp.sqrt(2 - sp.sqrt(3))) - sp.Rational(2, 3)) == 0
+
+
+def test_hankel_from_c_is_hankel2_of_a_from_c(symbolic):
+    # eq:H, H written directly in (c0, c1, c2)
+    c = sp.symbols("c0 c1 c2")
+    pp = SimpleNamespace(P=P)
+    assert rational(hankel_from_c(pp, c) - hankel2(a_from_c(pp, c))) == 0
+
+
+def test_rotation_family_hankel_is_H_F(symbolic):
+    zeta = sp.Symbol("zeta")
+    pp = SimpleNamespace(p=p)
+    a = ACoeffs(*(A_n(pp, zeta, n) for n in (2, 3, 4)))
+    assert sp.cancel(rational(hankel2(a) - H_F(pp, zeta))) == 0
+
+
+def test_hp_anchors_at_one():
+    h = sum(exact(c) * t**k for k, c in enumerate(hp_numerator_coeffs(P))) / (18 * P**3)
+    assert sp.cancel(h.subs(t, 1) - 1) == 0
+    assert sp.cancel(sp.diff(h, t).subs(t, 1) + 2 * (P - 2) * (P + 1) / (3 * P)) == 0

@@ -1,13 +1,14 @@
+import dataclasses
 import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from hankelbody import (PoleParam, a_from_c, c_from_sigma, estimate_M, hankel2,
-                        hankel_from_sigma, lower_bound_M, omega_contains,
-                        omega_map, sample_omega_boundary, sample_region_H,
-                        upper_bound_M)
+from hankelbody import (ExtremalReport, PoleParam, a_from_c, c_from_sigma,
+                        estimate_M, hankel2, hankel_from_sigma, lower_bound_M,
+                        omega_contains, omega_map, sample_omega_boundary,
+                        sample_region_H, upper_bound_M)
 from hankelbody.errors import InvalidInput
 from hankelbody.kernels import (_phi_terms, best_sigma2, phi_batch, phi_factors,
                                 phi_sigma2_max)
@@ -190,6 +191,11 @@ class TestEstimateM:
     def test_batch_needs_a_p(self):
         with pytest.raises(InvalidInput):
             search.estimate_M_batch([], 24, 200, 1)
+
+    def test_report_holds_only_search_results(self):
+        # the paper's bounds come from hankel and the grid from the caller
+        names = tuple(f.name for f in dataclasses.fields(ExtremalReport))
+        assert names == ("p", "m_estimate", "arg_sigma", "iterations")
 
 
 #: (p, grid, refine_iters, seed, m_estimate.hex(), iterations, arg_sigma as
@@ -397,7 +403,11 @@ class TestRegions:
         pp = PoleParam(p)
         reg = (sample_omega_boundary(pp, 16) if kind == "omega"
                else sample_region_H(pp, n_samples=200, seed=2))
-        assert reg.boundary.dtype == np.complex128 and reg.boundary.ndim == 1
+        # the region writers format these arrays as they are given
+        for z in (reg.points, reg.boundary):
+            assert z.dtype == np.complex128 and z.ndim == 1 and z.flags.c_contiguous
+        if kind == "omega":
+            assert np.array_equal(reg.points.view(np.uint64), reg.boundary[:-1].view(np.uint64))
         assert np.all(np.isfinite(reg.boundary)) and np.all(np.isfinite(reg.points))
         assert reg.boundary[0] == reg.boundary[-1]
         assert np.unique(reg.boundary).size >= 3
