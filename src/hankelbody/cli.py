@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import sys
+import tempfile
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -164,6 +165,22 @@ def _json_array(rows: Iterable[str], n: int) -> Iterator[str]:
 
 #: stands in for a coordinate array in the document skeleton
 _HOLE = "\0"
+#: characters per read of the spooled Omega_p rows
+_SPOOL_READ = 2**16
+
+
+def _spooled(rows: Iterable[str], spool) -> Iterator[str]:
+    """``rows``, each written to the text file ``spool`` as it is yielded."""
+    for row in rows:
+        spool.write(row)
+        yield row
+
+
+def _replayed(spool) -> Iterator[str]:
+    """The text of ``spool`` from its start, ``_SPOOL_READ`` characters a piece."""
+    spool.seek(0)
+    while piece := spool.read(_SPOOL_READ):
+        yield piece
 
 
 def _region_json_text(omega: RegionSample | None,
@@ -174,8 +191,9 @@ def _region_json_text(omega: RegionSample | None,
 
     json's indent encoder is pure Python, so the coordinate arrays are
     formatted here, ``_ROWS_PER_PIECE`` rows a piece, between the pieces of
-    a skeleton that ``json.dumps`` writes with holes in their place.  Only
-    Omega_p's rows are kept, for its closed boundary.
+    a skeleton that ``json.dumps`` writes with holes in their place.  Omega_p's
+    rows are formatted once: they go to a temporary file as they are yielded,
+    and its closed boundary replays that file before its closing row.
     """
     samples = {"omega": omega, "hankel": hank}
     doc = {name: None if sample is None else
@@ -187,16 +205,19 @@ def _region_json_text(omega: RegionSample | None,
         if sample is None:
             continue
         points, boundary = sample.points, sample.boundary
-        # Omega_p's points are its closed polyline without the closing point
-        if points.size and np.array_equal(points.view(np.uint64),
-                                          boundary[:-1].view(np.uint64)):
-            p_rows = list(_json_rows(points))
-            b_rows = itertools.chain(p_rows, [",\n"], _json_rows(boundary[-1:]))
-        else:
-            p_rows, b_rows = _json_rows(points), _json_rows(boundary)
-        yield from _json_array(p_rows, points.size)
-        yield next(skeleton)
-        yield from _json_array(b_rows, boundary.size)
+        with contextlib.ExitStack() as stack:
+            # Omega_p's points are its closed polyline without the closing point
+            if points.size and np.array_equal(points.view(np.uint64),
+                                              boundary[:-1].view(np.uint64)):
+                spool = stack.enter_context(
+                    tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
+                p_rows = _spooled(_json_rows(points), spool)
+                b_rows = itertools.chain(_replayed(spool), [",\n"], _json_rows(boundary[-1:]))
+            else:
+                p_rows, b_rows = _json_rows(points), _json_rows(boundary)
+            yield from _json_array(p_rows, points.size)
+            yield next(skeleton)
+            yield from _json_array(b_rows, boundary.size)
         yield next(skeleton)
     yield "\n"
 

@@ -39,9 +39,10 @@ GRID_RADII = 8
 GRID_STARTS = 16
 #: share of ``sample_polydisk`` moduli forced onto |s| = 1
 BOUNDARY_RATE = 0.1
-#: parameter rows per ``phi_batch`` call of ``sample_region_H``, and per
-#: block of its polydisk samples; each call holds a few complex temporaries
-#: of the chunk's length
+#: rows per chunk of the region samplers: per ``phi_batch`` call and block
+#: of polydisk samples of ``sample_region_H``, per pass of its binned
+#: boundary, and per ``omega_map`` call of ``sample_omega_boundary``; each
+#: chunk holds a few temporaries of its length
 REGION_CHUNK = 2**13
 
 
@@ -306,29 +307,51 @@ def estimate_M_batch(pps: Sequence[PoleParam], grid: int, refine_iters: int,
 
 
 def sample_polydisk(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Area-uniform polydisk samples (n, 3), a ``BOUNDARY_RATE`` share of moduli set to 1."""
+    """Area-uniform polydisk samples (n, 3), a ``BOUNDARY_RATE`` share of moduli set to 1.
+
+    ``rng`` must run on a PCG64 or PCG64DXSM bit generator, as ``default_rng``
+    does; it draws the moduli, then the angles, then the boundary-rate
+    uniforms, 3n float uniforms each."""
     (z,) = _polydisk_blocks(rng, n, max(n, 1))
     return z
+
+
+def _advanced(rng: np.random.Generator, steps: int) -> np.random.Generator:
+    """A generator on a copy of ``rng``'s bit generator, ``steps`` draws ahead."""
+    bit_generator = type(rng.bit_generator)(0)
+    bit_generator.state = rng.bit_generator.state
+    return np.random.Generator(bit_generator.advance(steps))
 
 
 def _polydisk_blocks(rng: np.random.Generator, n: int, block: int):
     """``sample_polydisk(rng, n)`` as consecutive row blocks of at most
     ``block`` rows, at least one, with the same draws in the same order.
 
-    The moduli and the angles are drawn whole; the boundary-rate uniforms
-    and the complex rows are formed a block at a time, in place, when the
-    block is asked for.  Float uniforms take one draw each, so drawing them
-    a block at a time leaves the generator where one draw of all would.
+    Each block's moduli, angles and boundary-rate uniforms are drawn when it
+    is asked for, from their own places in the stream: the moduli from
+    ``rng``, the angles and the uniforms from copies of its bit generator
+    advanced by 3n and 6n draws.  A float uniform is one draw, and
+    ``advance(k)`` of a PCG64 is k draws, so each block reads the values one
+    whole draw would give it.  After the last block ``rng`` takes the state
+    that one whole draw leaves, 9n draws on; its buffered 32-bit value is
+    kept as a float draw keeps it.
     """
-    r = rng.uniform(0.0, 1.0, size=(n, 3))
-    np.sqrt(r, out=r)
-    th = rng.uniform(0.0, 2.0 * np.pi, size=(n, 3))
+    if not isinstance(rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
+        raise InvalidInput("sample_polydisk needs a PCG64 or PCG64DXSM generator, "
+                           f"got {type(rng.bit_generator).__name__}")
+    angles, uniforms = _advanced(rng, 3 * n), _advanced(rng, 6 * n)
     for k in range(0, max(n, 1), block):
-        rk, tk = r[k:k + block], th[k:k + block]
-        rk[rng.uniform(size=rk.shape) < BOUNDARY_RATE] = 1.0
-        z = np.multiply(1j, tk, out=np.empty(rk.shape, dtype=np.complex128))
+        m = min(block, n - k)
+        r = rng.uniform(0.0, 1.0, size=(m, 3))
+        np.sqrt(r, out=r)
+        r[uniforms.uniform(size=(m, 3)) < BOUNDARY_RATE] = 1.0
+        z = np.multiply(1j, angles.uniform(0.0, 2.0 * np.pi, size=(m, 3)),
+                        out=np.empty((m, 3), dtype=np.complex128))
         np.exp(z, out=z)
-        yield np.multiply(rk, z, out=z)
+        yield np.multiply(r, z, out=z)
+    state = rng.bit_generator.state
+    state["state"] = uniforms.bit_generator.state["state"]
+    rng.bit_generator.state = state
 
 
 def sample_region_H(pp: PoleParam, n_samples: int = 1000, seed: int = 1) -> RegionSample:
@@ -351,9 +374,9 @@ def _region_values(pp: PoleParam, rng: np.random.Generator, n_samples: int) -> n
     """H at ``n_samples`` polydisk samples, then at a dedicated all-boundary
     slice and the rotation-family slice, each ``max(n_samples // 4, 8)`` rows.
 
-    Each block is read in chunks of at most ``REGION_CHUNK`` rows, one
-    ``phi_batch`` call each, into the one array of values; the polydisk
-    samples are formed a chunk at a time, so no (n, 3) array of them is held.
+    The rows come from ``_region_chunks`` and each chunk is one ``phi_batch``
+    call, written into the one array of values; no parameter array longer
+    than a chunk is held.
     """
     n_extra = max(n_samples // 4, 8)
     vals = np.empty(n_samples + 2 * n_extra, dtype=np.complex128)
@@ -367,41 +390,64 @@ def _region_values(pp: PoleParam, rng: np.random.Generator, n_samples: int) -> n
 
 def _region_chunks(pp: PoleParam, rng: np.random.Generator, n_samples: int, n_extra: int):
     """The parameter rows of ``_region_values``, block by block, in chunks of
-    at most ``REGION_CHUNK`` rows; the all-boundary slice is drawn after the
-    last polydisk chunk."""
+    at most ``REGION_CHUNK`` rows, each formed when it is asked for.
+
+    The all-boundary slice is drawn after the last polydisk chunk, a chunk
+    at a time; consecutive draws are the one stream a whole draw reads.  The
+    rotation slice's chunk from row k is formed from ``np.arange(k, k + m)``.
+    """
     yield from _polydisk_blocks(rng, n_samples, REGION_CHUNK)
-    sig_bdry = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(n_extra, 3)))
+    for k in range(0, n_extra, REGION_CHUNK):
+        m = min(REGION_CHUNK, n_extra - k)
+        yield np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(m, 3)))
     p2 = pp.p**2
-    zetas = np.exp(2j * np.pi * np.arange(n_extra) / n_extra)
-    sig_rot = np.zeros((n_extra, 3), dtype=np.complex128)
-    sig_rot[:, 0] = (zetas - p2) / (1.0 - p2 * zetas)
-    for block in (sig_bdry, sig_rot):
-        for k in range(0, n_extra, REGION_CHUNK):
-            yield block[k:k + REGION_CHUNK]
+    for k in range(0, n_extra, REGION_CHUNK):
+        zetas = np.exp(2j * np.pi * np.arange(k, min(k + REGION_CHUNK, n_extra)) / n_extra)
+        sig_rot = np.zeros((zetas.size, 3), dtype=np.complex128)
+        sig_rot[:, 0] = (zetas - p2) / (1.0 - p2 * zetas)
+        yield sig_rot
 
 
 def _binned_boundary(points: np.ndarray) -> np.ndarray:
+    """The farthest point from ``points.mean()`` in each occupied one of
+    ``REGION_BINS`` angle bins, the first index on ties, in bin order and
+    closed by its first vertex.
+
+    One pass over ``REGION_CHUNK`` slices keeps each bin's farthest radius
+    and its index so far; a later chunk takes a bin only with a strictly
+    larger radius, so the earliest of equal radii stays.
+    """
     center = points.mean()
-    rel = points - center
-    ang = np.mod(np.angle(rel), 2.0 * np.pi)
-    bins = np.minimum((ang / (2.0 * np.pi) * REGION_BINS).astype(int), REGION_BINS - 1)
-    # the farthest point of each occupied bin, first index on ties
-    r = np.abs(rel)
-    farthest = np.zeros(REGION_BINS)
-    np.maximum.at(farthest, bins, r)
-    reach = np.flatnonzero(r == farthest[bins])
-    _, first = np.unique(bins[reach], return_index=True)
-    out = points[reach[first]]
+    far = np.full(REGION_BINS, -1.0)  # -1: no point in the bin yet
+    first = np.zeros(REGION_BINS, dtype=np.intp)
+    for k in range(0, points.size, REGION_CHUNK):
+        rel = points[k:k + REGION_CHUNK] - center
+        ang = np.mod(np.angle(rel), 2.0 * np.pi)
+        bins = np.minimum((ang / (2.0 * np.pi) * REGION_BINS).astype(int), REGION_BINS - 1)
+        # the farthest point of each bin in the chunk, first index on ties
+        r = np.abs(rel)
+        chunk_far = np.full(REGION_BINS, -1.0)
+        np.maximum.at(chunk_far, bins, r)
+        reach = np.flatnonzero(r == chunk_far[bins])
+        hit, at = np.unique(bins[reach], return_index=True)
+        farther = chunk_far[hit] > far[hit]
+        hit = hit[farther]
+        far[hit], first[hit] = chunk_far[hit], k + reach[at[farther]]
+    out = points[first[far >= 0.0]]
     return np.append(out, out[0])
 
 
 def sample_omega_boundary(pp: PoleParam, n_theta: int) -> RegionSample:
-    """Closed boundary polyline of the rotation-family region Omega_p."""
+    """Closed boundary polyline of the rotation-family region Omega_p.
+
+    The polyline is filled in place, ``omega_map`` taken on a
+    ``REGION_CHUNK`` slice of the e^(i theta) at a time."""
     if n_theta < OMEGA_MIN_POINTS:
         raise InvalidInput(f"n_theta must be >= {OMEGA_MIN_POINTS}")
-    th = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    bdry = omega_map(pp, np.exp(1j * th))
-    bdry = np.concatenate([bdry, bdry[:1]])
+    bdry = np.empty(n_theta + 1, dtype=np.complex128)
+    for k in range(0, n_theta, REGION_CHUNK):
+        th = 2.0 * np.pi * np.arange(k, min(k + REGION_CHUNK, n_theta)) / n_theta
+        bdry[k:k + th.size] = omega_map(pp, np.exp(1j * th))
+    bdry[-1] = bdry[0]
     return RegionSample(points=bdry[:-1], boundary=bdry,
                         meta={"p": pp.p, "n_theta": n_theta})
-

@@ -359,8 +359,8 @@ class TestRegionStreaming:
     they are written."""
 
     # the whole-document writers peaked at 42 MB (json), 57 MB (svg) and 74 MB
-    # (csv) here; the streaming ones hold one piece, Omega_p's json rows
-    # (7.4 MB) and the sampled arrays, 13.0 MB (json) and 11.4 MB (svg, csv)
+    # (csv) here; the streaming ones hold one piece and the sampled arrays,
+    # about 6.9 MB (json) and 6.0 MB (svg, csv)
     @pytest.mark.parametrize("fmt", ["json", "svg", "csv"])
     def test_peak_memory_is_bounded(self, tmp_path, fmt):
         argv = ["region", "--p", "0.43", "--what", "both", "--samples", "100000",
@@ -372,6 +372,46 @@ class TestRegionStreaming:
         finally:
             tracemalloc.stop()
         assert peak <= 14e6
+
+    @pytest.fixture(scope="class")
+    def both_samples(self):
+        pp = PoleParam(0.43)
+        return sample_omega_boundary(pp, 100_000), sample_region_H(pp, 100_000, 1)
+
+    # a write holds one piece of rows and its formatting temporaries, about
+    # 1.8 MB (json, csv) and 1.1 MB (svg), besides the sampled arrays it is
+    # given; Omega_p's json rows kept in memory took 7.4 MB more
+    @pytest.mark.parametrize("fmt", ["json", "svg", "csv"])
+    def test_document_writes_are_bounded(self, tmp_path, fmt, both_samples):
+        pieces = cli._DOCUMENTS[fmt](*both_samples)
+        tracemalloc.start()
+        try:
+            cli._write_text(str(tmp_path / f"region.{fmt}"), pieces)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5e6
+
+    # 20,000 rows are about 1.4 MB of text: the spool is replayed in many reads
+    def test_omega_json_on_stdout_matches_the_out_file(self, tmp_path, capsys):
+        argv = ["region", "--p", "0.2", "--what", "omega", "--samples", "20000", "--format", "json"]
+        assert run(argv) == EXIT_OK
+        text = capsys.readouterr().out
+        out = tmp_path / "region.json"
+        assert run(argv + ["--out", str(out)]) == EXIT_OK
+        assert out.read_text() == text and len(text) > 20 * cli._SPOOL_READ
+        assert json.loads(text)["omega"]["boundary"][-1] == json.loads(text)["omega"]["points"][0]
+
+    def test_spool_failure_exits_io(self, tmp_path, monkeypatch, capsys):
+        def no_space(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli.tempfile, "TemporaryFile", no_space)
+        argv = ["region", "--what", "both", "--samples", "64", "--format", "json",
+                "--out", str(tmp_path / "region.json")]
+        assert run(argv) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"hankelbody region: error: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}\n")
 
     @pytest.mark.parametrize("fmt", ["json", "svg", "csv"])
     def test_os_error_mid_document_exits_io(self, fmt, capsys):

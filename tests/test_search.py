@@ -14,9 +14,9 @@ from hankelbody.kernels import (_phi_terms, best_sigma2, phi_batch, phi_factors,
                                 phi_sigma2_max)
 from hankelbody.hankel import phi_p
 from hankelbody import search
-from hankelbody.search import (_FATOL, _XATOL, REGION_BINS, _binned_boundary,
-                               _negative_modulus, _polydisk_blocks, minimize,
-                               sample_polydisk)
+from hankelbody.search import (_FATOL, _XATOL, BOUNDARY_RATE, REGION_BINS,
+                               _binned_boundary, _negative_modulus, _polydisk_blocks,
+                               minimize, sample_polydisk)
 
 from conftest import slice_max_on_grid, triples
 
@@ -471,12 +471,33 @@ def _lexsort_boundary(points, n_bins=REGION_BINS):
     return np.append(out, out[0])
 
 
+def _random_cloud(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5000))
+    return rng.normal(size=n) + 1j * rng.normal(size=n) * rng.uniform(0.1, 3.0)
+
+
+# numpy's |.| of both is exactly 6890, and both lie in bin 0
+_TIE_A, _TIE_B = 6890.0 + 0j, 6888.0 + 166.0j
+# each cloud lists a point next to its negative, so its centroid is exactly 0
+_SMALL_CLOUDS = {
+    # duplicates, one with a -0.0: the first index wins (bin 0 comes first)
+    "duplicates": [1.0 + 0j, -1.0, complex(1.0, -0.0), -1.0, 1j, -1j],
+    # equal distance at two points of one bin: the first index wins
+    "tie-a-first": [_TIE_A, -_TIE_A, _TIE_B, -_TIE_B, 9j, -9j],
+    "tie-b-first": [_TIE_B, -_TIE_B, _TIE_A, -_TIE_A, 9j, -9j],
+    # four occupied bins of 256, all others empty
+    "empty-bins": [2.0, -2.0, 2j, -2j, 1.0, -1.0, 1j, -1j],
+    # clouds that fall in a single bin
+    "one-point": [0.3 - 0.2j],
+    "all-equal": [0.5j, 0.5j, 0.5j],
+}
+
+
 class TestBinnedBoundary:
     @pytest.mark.parametrize("seed", range(6))
     def test_random_clouds_match_the_sort(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 5000))
-        pts = rng.normal(size=n) + 1j * rng.normal(size=n) * rng.uniform(0.1, 3.0)
+        pts = _random_cloud(seed)
         assert _binned_boundary(pts).tobytes() == _lexsort_boundary(pts).tobytes()
 
     def test_sampled_regions_match_the_sort(self):
@@ -484,26 +505,10 @@ class TestBinnedBoundary:
             pts = sample_region_H(PoleParam(p), 3000, seed=7).points
             assert _binned_boundary(pts).tobytes() == _lexsort_boundary(pts).tobytes()
 
-    # numpy's |.| of both is exactly 6890, and both lie in bin 0
-    TIE_A, TIE_B = 6890.0 + 0j, 6888.0 + 166.0j
-
     def test_tie_points_are_a_tie(self):
-        assert np.ptp(np.abs(np.array([self.TIE_A, self.TIE_B]))) == 0
+        assert np.ptp(np.abs(np.array([_TIE_A, _TIE_B]))) == 0
 
-    # each cloud lists a point next to its negative, so its centroid is exactly 0
-    @pytest.mark.parametrize("pts", [
-        # duplicates, one with a -0.0: the first index wins (bin 0 comes first)
-        [1.0 + 0j, -1.0, complex(1.0, -0.0), -1.0, 1j, -1j],
-        # equal distance at two points of one bin: the first index wins
-        [TIE_A, -TIE_A, TIE_B, -TIE_B, 9j, -9j],
-        [TIE_B, -TIE_B, TIE_A, -TIE_A, 9j, -9j],
-        # four occupied bins of 256, all others empty
-        [2.0, -2.0, 2j, -2j, 1.0, -1.0, 1j, -1j],
-        # clouds that fall in a single bin
-        [0.3 - 0.2j],
-        [0.5j, 0.5j, 0.5j],
-    ], ids=["duplicates", "tie-a-first", "tie-b-first", "empty-bins", "one-point",
-            "all-equal"])
+    @pytest.mark.parametrize("pts", _SMALL_CLOUDS.values(), ids=_SMALL_CLOUDS)
     def test_ties_and_sparse_bins_match_the_sort(self, pts):
         pts = np.array(pts, dtype=np.complex128)
         assert pts.mean() == 0 or np.unique(pts).size == 1
@@ -511,6 +516,16 @@ class TestBinnedBoundary:
         assert got.tobytes() == _lexsort_boundary(pts).tobytes()
         assert got[:1].tobytes() == pts[:1].tobytes()
         assert got[0] == got[-1]
+
+    # chunks of one and two points put a seam between every tie, duplicate
+    # and bin's points; seven straddles the random clouds' seams unevenly
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    def test_chunk_seams_match_the_sort(self, chunk, monkeypatch):
+        clouds = [np.array(pts, dtype=np.complex128) for pts in _SMALL_CLOUDS.values()]
+        clouds += [_random_cloud(seed) for seed in range(6)]
+        monkeypatch.setattr(search, "REGION_CHUNK", chunk)
+        for pts in clouds:
+            assert _binned_boundary(pts).tobytes() == _lexsort_boundary(pts).tobytes()
 
 
 class TestRegionChunks:
@@ -542,28 +557,78 @@ class TestRegionChunks:
         assert len(seen) == calls and max(seen) <= search.REGION_CHUNK
         assert sum(seen) == n + 2 * n_extra
 
-    # the values and the binned boundary's temporaries hold about 9.8 MB; a
-    # whole (n, 3) complex parameter array would add 4.8 MB
-    def test_peak_memory_is_bounded(self):
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_chunked_omega_matches_the_default(self, chunk, monkeypatch):
+        pp = PoleParam(0.61)
+        default = sample_omega_boundary(pp, 50)
+        monkeypatch.setattr(search, "REGION_CHUNK", chunk)
+        chunked = sample_omega_boundary(pp, 50)
+        assert chunked.boundary.tobytes() == default.boundary.tobytes()
+        assert chunked.points.tobytes() == default.points.tobytes()
+
+    @staticmethod
+    def _peak(sampler, *args):
         tracemalloc.start()
         try:
-            sample_region_H(PoleParam(0.5), 100_000, 1)
-            peak = tracemalloc.get_traced_memory()[1]
+            sampler(*args)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 11e6
+
+    # the 150,000 values hold 2.4 MB, and one chunk's polydisk rows and
+    # phi_batch temporaries about 1.4 MB; first-call allocations of numpy
+    # add up to 0.8 MB.  Whole moduli and angles (4.8 MB) or the binned
+    # boundary's full-length temporaries (7.3 MB) would break the bound
+    def test_peak_memory_is_bounded(self):
+        assert self._peak(sample_region_H, PoleParam(0.5), 100_000, 1) <= 5.5e6
+
+    # the closed polyline holds 1.6 MB and one chunk's temporaries about
+    # 0.6 MB; a whole e^(i theta) and omega_map's full-length temporaries
+    # would add 3.2 MB or more
+    def test_omega_peak_memory_is_bounded(self):
+        assert self._peak(sample_omega_boundary, PoleParam(0.5), 100_000) <= 2.6e6
 
 
 class TestPolydiskBlocks:
     @pytest.mark.parametrize("block", [1, 7, search.REGION_CHUNK])
     @pytest.mark.parametrize("n", [0, 1, 7, 8191, 8192, 8193, 3 * 8192 + 5])
     def test_blocks_are_the_whole_draw(self, n, block):
-        whole_rng, block_rng = np.random.default_rng(n), np.random.default_rng(n)
+        ref_rng, whole_rng, block_rng = (np.random.default_rng(n) for _ in range(3))
+        ref = self._reference(ref_rng, n)
         whole = sample_polydisk(whole_rng, n)
         blocks = list(_polydisk_blocks(block_rng, n, block))
         assert len(blocks) == max(-(-n // block), 1)
         assert all(len(b) <= block for b in blocks)
-        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+        assert np.concatenate(blocks).tobytes() == ref.tobytes()
+        assert whole.tobytes() == ref.tobytes()
         assert whole.shape == (n, 3) and whole.dtype == np.complex128
         # the next draw, as the all-boundary slice and verify's later draws take it
-        assert block_rng.uniform(size=4).tobytes() == whole_rng.uniform(size=4).tobytes()
+        after = ref_rng.uniform(size=4).tobytes()
+        assert block_rng.uniform(size=4).tobytes() == after
+        assert whole_rng.uniform(size=4).tobytes() == after
+
+    @staticmethod
+    def _reference(rng, n):
+        """The samples as three whole draws in stream order: the moduli, the
+        angles and the boundary-rate uniforms."""
+        r = np.sqrt(rng.uniform(0.0, 1.0, size=(n, 3)))
+        th = rng.uniform(0.0, 2.0 * np.pi, size=(n, 3))
+        r[rng.uniform(size=(n, 3)) < BOUNDARY_RATE] = 1.0
+        return r * np.exp(1j * th)
+
+    # a uint32 draw leaves half a 64-bit draw buffered, which float draws keep
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM])
+    def test_the_stream_and_a_buffered_half_draw_are_kept(self, bit_generator):
+        ref_rng, rng = (np.random.Generator(bit_generator(5)) for _ in range(2))
+        for g in (ref_rng, rng):
+            g.integers(0, 2**32, dtype=np.uint32)
+        ref = self._reference(ref_rng, 1000)
+        assert sample_polydisk(rng, 1000).tobytes() == ref.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert rng.bit_generator.state["has_uint32"] == 1
+
+    # MT19937 has no advance, and Philox's advance counts blocks of four draws
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])
+    def test_other_bit_generators_are_refused(self, bit_generator):
+        with pytest.raises(InvalidInput, match=bit_generator.__name__):
+            sample_polydisk(np.random.Generator(bit_generator(0)), 10)
