@@ -342,7 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     # the flags that subcommands share, each declared once
     for cmd in (b, e):
         cmd.add_argument("--grid", type=_parse_int("grid", MIN_GRID), default=24)
-        cmd.add_argument("--iters", type=_parse_int("iters", 0), default=200)
+        cmd.add_argument("--iters", type=_parse_int("iters", 0), default=0,
+                         help="Nelder-Mead iterations from each start (default 0: "
+                              "report the best start, each evaluated once)")
     for cmd in (r, v):
         cmd.add_argument("--samples", type=_parse_int("samples", 1), default=1000)
     for cmd, func, out_help in ((b, cmd_bounds, "optional CSV path"), (r, cmd_region, None),

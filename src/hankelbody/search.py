@@ -2,16 +2,18 @@
 
 The functional is affine in the third polydisk parameter, so its supremum
 sits on |sigma2| = 1 and can be taken analytically; the coarse sweep then
-runs over a polar grid in (sigma0, sigma1) only.  Nelder-Mead then refines
-the same objective in the four real parameters of (sigma0, sigma1), moduli
-clamped to [0,1], from the best grid points, seeded random points and a
-start at the exact maximum of the real slice (t, -1, *).  The refinement
-runs every start in lockstep with numpy (``minimize``): exactly one
-objective call per simplex step, covering every live start's trial points
-and shrunk vertices, and its result is bit-identical to scipy's Nelder-Mead
-run start by start.  ``estimate_M_batch`` refines the starts of several p
-in one such run, each start with the factors of its own P, as ``bounds``
-does.  Everything is deterministic for a fixed (grid, refine_iters, seed).
+runs over a polar grid in (sigma0, sigma1) only.  The estimate is the best
+of the starts, each evaluated once: the exact maximum of the real slice
+(t, -1, *), the best grid points and seeded random points.  Refinement is
+opt-in (``refine_iters > 0``): Nelder-Mead then refines the same objective
+in the four real parameters of (sigma0, sigma1), moduli clamped to [0,1],
+from those starts.  It runs every start in lockstep with numpy
+(``minimize``): exactly one objective call per simplex step, covering every
+live start's trial points and shrunk vertices, and its result is
+bit-identical to scipy's Nelder-Mead run start by start.
+``estimate_M_batch`` handles the starts of several p in one such run, each
+start with the factors of its own P, as ``bounds`` does.  Everything is
+deterministic for a fixed (grid, refine_iters, seed).
 """
 
 from __future__ import annotations
@@ -65,8 +67,9 @@ class RegionSample:
 class ExtremalReport:
     """What one search computed: the best modulus ``m_estimate`` of H at p,
     the polydisk point ``arg_sigma`` where it was found, and the Nelder-Mead
-    iterations of all starts together.  The paper's closed-form bounds on
-    M(p) are ``hankel.lower_bound_M`` and ``hankel.upper_bound_M``."""
+    iterations of all starts together, 0 unless the search refined.  The
+    paper's closed-form bounds on M(p) are ``hankel.lower_bound_M`` and
+    ``hankel.upper_bound_M``."""
 
     p: float
     m_estimate: float
@@ -240,18 +243,19 @@ def _sorted_simplex(S: np.ndarray, F: np.ndarray, src: np.ndarray) -> tuple[np.n
     return S[src[ind, cols], cols], F[ind, cols]
 
 
-def estimate_M(pp: PoleParam, grid: int = 24, refine_iters: int = 200,
+def estimate_M(pp: PoleParam, grid: int = 24, refine_iters: int = 0,
                seed: int = 1) -> ExtremalReport:
-    """Estimate sup |H| over the polydisk by grid sweep plus simplex refinement.
+    """Estimate sup |H| over the polydisk as the best of a grid sweep's starts.
 
     sigma2 is taken in closed form throughout (``phi_sigma2_max``), so the
     search runs over (sigma0, sigma1).  ``grid`` is the number of angular
-    samples per parameter, with ``GRID_RADII`` radial ones.  Nelder-Mead
-    runs capped at ``refine_iters`` iterations, run in lockstep by
-    ``minimize``, start from the exact maximum of the real slice (t, -1),
-    the best ``GRID_STARTS`` grid points and four seeded random points; with
-    ``refine_iters=0`` the starts are only evaluated.  The best point found
-    is reported with its canonical ``best_sigma2``.
+    samples per parameter, with ``GRID_RADII`` radial ones.  The starts are
+    the exact maximum of the real slice (t, -1), the best ``GRID_STARTS``
+    grid points and four seeded random points; with the default
+    ``refine_iters=0`` each is only evaluated.  A positive ``refine_iters``
+    caps Nelder-Mead runs from every start, run in lockstep by ``minimize``;
+    on every p tested they gain no more than rounding over the best start.
+    The best point found is reported with its canonical ``best_sigma2``.
     """
     return estimate_M_batch([pp], grid, refine_iters, seed)[0]
 
@@ -328,30 +332,33 @@ def _polydisk_blocks(rng: np.random.Generator, n: int, block: int):
     ``block`` rows, at least one, with the same draws in the same order.
 
     Each block's moduli, angles and boundary-rate uniforms are drawn when it
-    is asked for, from their own places in the stream: the moduli from
-    ``rng``, the angles and the uniforms from copies of its bit generator
-    advanced by 3n and 6n draws.  A float uniform is one draw, and
-    ``advance(k)`` of a PCG64 is k draws, so each block reads the values one
-    whole draw would give it.  After the last block ``rng`` takes the state
-    that one whole draw leaves, 9n draws on; its buffered 32-bit value is
-    kept as a float draw keeps it.
+    is asked for, in that order.  One block reads all three from ``rng``,
+    which is stream order.  Over several blocks each comes from its own
+    place in the stream: the moduli from ``rng``, the angles and the
+    uniforms from copies of its bit generator advanced by 3n and 6n draws.
+    A float uniform is one draw, and ``advance(k)`` of a PCG64 is k draws,
+    so each block reads the values one whole draw would give it.  After the
+    last block ``rng`` takes the state that one whole draw leaves, 9n draws
+    on; its buffered 32-bit value is kept as a float draw keeps it.
     """
     if not isinstance(rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
         raise InvalidInput("sample_polydisk needs a PCG64 or PCG64DXSM generator, "
                            f"got {type(rng.bit_generator).__name__}")
-    angles, uniforms = _advanced(rng, 3 * n), _advanced(rng, 6 * n)
+    one_block = n <= block
+    angles, uniforms = (rng, rng) if one_block else (_advanced(rng, 3 * n), _advanced(rng, 6 * n))
     for k in range(0, max(n, 1), block):
         m = min(block, n - k)
         r = rng.uniform(0.0, 1.0, size=(m, 3))
         np.sqrt(r, out=r)
-        r[uniforms.uniform(size=(m, 3)) < BOUNDARY_RATE] = 1.0
         z = np.multiply(1j, angles.uniform(0.0, 2.0 * np.pi, size=(m, 3)),
                         out=np.empty((m, 3), dtype=np.complex128))
+        r[uniforms.uniform(size=(m, 3)) < BOUNDARY_RATE] = 1.0
         np.exp(z, out=z)
         yield np.multiply(r, z, out=z)
-    state = rng.bit_generator.state
-    state["state"] = uniforms.bit_generator.state["state"]
-    rng.bit_generator.state = state
+    if not one_block:
+        state = rng.bit_generator.state
+        state["state"] = uniforms.bit_generator.state["state"]
+        rng.bit_generator.state = state
 
 
 def sample_region_H(pp: PoleParam, n_samples: int = 1000, seed: int = 1) -> RegionSample:

@@ -41,10 +41,12 @@ ARGV = [
         "--p 0.9999999999 --samples 30 --seed 3",
         "--p 0.9999999999999999 --samples 30 --seed 3",
     )),
-    ["extremal", "--p", "0.5"],
+    # the search defaults, each with its --iters 0 twin, which must write the
+    # same bytes, and its --iters 200 twin, the refinement that was the default
+    *(argv + iters for argv in (["extremal", "--p", "0.5"], ["bounds", "--p", "0.1,0.5,0.9"])
+      for iters in ([], ["--iters", "0"], ["--iters", "200"])),
     ["extremal", "--p", "0.05", "--grid", "10", "--iters", "40", "--seed", "3"],
     ["extremal", "--p", "0.97", "--grid", "12", "--iters", "1", "--seed", "9"],
-    ["bounds", "--p", "0.1,0.5,0.9"],
     ["bounds", "--p", "0.05,0.5,0.95", "--iters", "0", "--seed", "4"],
     ["extremal", "--p", "0.3", "--iters", "0"],
     ["bounds", "--p", "0.2,0.7", "--grid", "9", "--iters", "25", "--seed", "5"],

@@ -618,6 +618,18 @@ def test_the_sweep_table_rows_are_the_sweep_argv():
     assert [row["argv"] for row in json.loads(SWEEP.TABLE.read_text())] == SWEEP.ARGV
 
 
+def test_the_default_search_rows_are_their_iters_0_twins():
+    # the search's default evaluates the starts without refining, so a
+    # default extremal or bounds row writes what its --iters 0 twin writes
+    rows = {tuple(row["argv"]): row for row in json.loads(SWEEP.TABLE.read_text())}
+    defaults = [argv for argv in rows if argv[0] in ("extremal", "bounds")
+                and "--iters" not in argv and (*argv, "--iters", "0") in rows]
+    assert {"extremal --p 0.5", "bounds --p 0.1,0.5,0.9"} <= {" ".join(a) for a in defaults}
+    for argv in defaults:
+        twin = rows[(*argv, "--iters", "0")]
+        assert (rows[argv]["stdout"], rows[argv]["out"]) == (twin["stdout"], twin["out"])
+
+
 def test_the_sweep_pins_every_subcommand_format_and_exit_code():
     # the sweep is the one pin of the CLI's bytes, so dropping an argv from
     # ARGV must not leave a subcommand, a region format or an exit code unpinned

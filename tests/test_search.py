@@ -12,7 +12,7 @@ from hankelbody import (ExtremalReport, PoleParam, a_from_c, c_from_sigma,
 from hankelbody.errors import InvalidInput
 from hankelbody.kernels import (_phi_terms, best_sigma2, phi_batch, phi_factors,
                                 phi_sigma2_max)
-from hankelbody.hankel import phi_p
+from hankelbody.hankel import hp_numerator_coeffs, phi_p
 from hankelbody import search
 from hankelbody.search import (_FATOL, _XATOL, BOUNDARY_RATE, REGION_BINS,
                                _binned_boundary, _negative_modulus, _polydisk_blocks,
@@ -181,6 +181,39 @@ class TestEstimateM:
     def test_coarse_search_reaches_the_slice_maximum(self, p, grid, iters):
         rep = estimate_M(PoleParam(p), grid=grid, refine_iters=iters)
         assert rep.m_estimate >= slice_max_on_grid(p) - 1e-13
+
+    #: 43 p in [0.001, 0.999], dense towards both ends
+    ACCURACY_P = (*np.geomspace(0.001, 0.05, 10), *np.linspace(0.06, 0.94, 23),
+                  *(1.0 - np.geomspace(0.05, 0.001, 10)))
+
+    @staticmethod
+    def _exact_slice_max(pp):
+        """max over t in [0, 1] of |h_p(t)| at the float P of ``pp``, from
+        mpmath's roots of h_p' at 50 digits: an independent route to the
+        slice maximum that ``_slice_argmax`` finds with numpy's roots."""
+        mp = pytest.importorskip("mpmath").mp
+        with mp.workdps(50):
+            P = mp.mpf(pp.P)
+            c = hp_numerator_coeffs(P)
+            roots = mp.polyroots([k * c[k] for k in range(4, 0, -1)], maxsteps=100, extraprec=100)
+            # real parts clipped into [0, 1]: a superset of the critical points there
+            ts = [mp.mpf(0), mp.mpf(1), *(min(max(mp.re(r), 0), 1) for r in roots)]
+            return float(max(abs(mp.polyval(c[::-1].tolist(), t)) for t in ts) / (18 * P**3))
+
+    def test_default_is_the_exact_slice_maximum(self):
+        # the default evaluates the starts once, the exact slice start among them
+        for p in self.ACCURACY_P:
+            pp = PoleParam(float(p))
+            rep, exact = estimate_M(pp), self._exact_slice_max(pp)
+            assert rep.iterations == 0
+            assert abs(rep.m_estimate - exact) <= 2e-15 * exact, p
+
+    @pytest.mark.parametrize("p", [0.001, 0.01, 0.05, 0.3, 0.5, 0.7, 0.95, 0.99, 0.999])
+    def test_refinement_does_not_pay(self, p):
+        # fails once Nelder-Mead finds more than rounding above the best start
+        default = estimate_M(PoleParam(p)).m_estimate
+        refined = estimate_M(PoleParam(p), refine_iters=200).m_estimate
+        assert refined <= default * (1.0 + 1e-15)
 
     def test_input_validation(self, pp05):
         with pytest.raises(InvalidInput):
