@@ -35,8 +35,10 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 #: the largest --samples and --grid whose arrays' sizes in bytes fit an intp:
-#: 48 bytes a sample in the largest array of region and verify, ``sample_polydisk``'s
-#: (samples, 3) complex parameters, and 16 a point of the ((GRID_RADII - 1) grid + 1)**2 sweep
+#: 48 bytes a sample in the largest array of region and verify, verify's (samples, 3)
+#: complex ``sample_polydisk`` parameters (region draws them a chunk at a time and
+#: holds about 24 bytes a sample of values), and 16 a point of the ((GRID_RADII - 1)
+#: grid + 1)**2 sweep
 _INTP_MAX = np.iinfo(np.intp).max
 _MAX_SIZE = {"samples": _INTP_MAX // 48,
              "grid": (math.isqrt(_INTP_MAX // 16) - 1) // (GRID_RADII - 1)}

@@ -313,52 +313,15 @@ def estimate_M_batch(pps: Sequence[PoleParam], grid: int, refine_iters: int,
 def sample_polydisk(rng: np.random.Generator, n: int) -> np.ndarray:
     """Area-uniform polydisk samples (n, 3), a ``BOUNDARY_RATE`` share of moduli set to 1.
 
-    ``rng`` must run on a PCG64 or PCG64DXSM bit generator, as ``default_rng``
-    does; it draws the moduli, then the angles, then the boundary-rate
-    uniforms, 3n float uniforms each."""
-    (z,) = _polydisk_blocks(rng, n, max(n, 1))
-    return z
-
-
-def _advanced(rng: np.random.Generator, steps: int) -> np.random.Generator:
-    """A generator on a copy of ``rng``'s bit generator, ``steps`` draws ahead."""
-    bit_generator = type(rng.bit_generator)(0)
-    bit_generator.state = rng.bit_generator.state
-    return np.random.Generator(bit_generator.advance(steps))
-
-
-def _polydisk_blocks(rng: np.random.Generator, n: int, block: int):
-    """``sample_polydisk(rng, n)`` as consecutive row blocks of at most
-    ``block`` rows, at least one, with the same draws in the same order.
-
-    Each block's moduli, angles and boundary-rate uniforms are drawn when it
-    is asked for, in that order.  One block reads all three from ``rng``,
-    which is stream order.  Over several blocks each comes from its own
-    place in the stream: the moduli from ``rng``, the angles and the
-    uniforms from copies of its bit generator advanced by 3n and 6n draws.
-    A float uniform is one draw, and ``advance(k)`` of a PCG64 is k draws,
-    so each block reads the values one whole draw would give it.  After the
-    last block ``rng`` takes the state that one whole draw leaves, 9n draws
-    on; its buffered 32-bit value is kept as a float draw keeps it.
-    """
-    if not isinstance(rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
-        raise InvalidInput("sample_polydisk needs a PCG64 or PCG64DXSM generator, "
-                           f"got {type(rng.bit_generator).__name__}")
-    one_block = n <= block
-    angles, uniforms = (rng, rng) if one_block else (_advanced(rng, 3 * n), _advanced(rng, 6 * n))
-    for k in range(0, max(n, 1), block):
-        m = min(block, n - k)
-        r = rng.uniform(0.0, 1.0, size=(m, 3))
-        np.sqrt(r, out=r)
-        z = np.multiply(1j, angles.uniform(0.0, 2.0 * np.pi, size=(m, 3)),
-                        out=np.empty((m, 3), dtype=np.complex128))
-        r[uniforms.uniform(size=(m, 3)) < BOUNDARY_RATE] = 1.0
-        np.exp(z, out=z)
-        yield np.multiply(r, z, out=z)
-    if not one_block:
-        state = rng.bit_generator.state
-        state["state"] = uniforms.bit_generator.state["state"]
-        rng.bit_generator.state = state
+    One stream-order draw from any ``rng``: 3n float uniforms each for the
+    moduli, then the angles, then the boundary-rate uniforms."""
+    r = rng.uniform(0.0, 1.0, size=(n, 3))
+    np.sqrt(r, out=r)
+    z = np.multiply(1j, rng.uniform(0.0, 2.0 * np.pi, size=(n, 3)),
+                    out=np.empty((n, 3), dtype=np.complex128))
+    r[rng.uniform(size=(n, 3)) < BOUNDARY_RATE] = 1.0
+    np.exp(z, out=z)
+    return np.multiply(r, z, out=z)
 
 
 def sample_region_H(pp: PoleParam, n_samples: int = 1000, seed: int = 1) -> RegionSample:
@@ -399,11 +362,13 @@ def _region_chunks(pp: PoleParam, rng: np.random.Generator, n_samples: int, n_ex
     """The parameter rows of ``_region_values``, block by block, in chunks of
     at most ``REGION_CHUNK`` rows, each formed when it is asked for.
 
-    The all-boundary slice is drawn after the last polydisk chunk, a chunk
-    at a time; consecutive draws are the one stream a whole draw reads.  The
+    Each polydisk chunk is one stream-order ``sample_polydisk`` draw, so
+    ``REGION_CHUNK`` fixes the bytes of clouds of more samples than that.
+    The all-boundary slice follows, drawn a chunk at a time, and the
     rotation slice's chunk from row k is formed from ``np.arange(k, k + m)``.
     """
-    yield from _polydisk_blocks(rng, n_samples, REGION_CHUNK)
+    for k in range(0, n_samples, REGION_CHUNK):
+        yield sample_polydisk(rng, min(REGION_CHUNK, n_samples - k))
     for k in range(0, n_extra, REGION_CHUNK):
         m = min(REGION_CHUNK, n_extra - k)
         yield np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(m, 3)))

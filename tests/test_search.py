@@ -15,8 +15,8 @@ from hankelbody.kernels import (_phi_terms, best_sigma2, phi_batch, phi_factors,
 from hankelbody.hankel import hp_numerator_coeffs, phi_p
 from hankelbody import search
 from hankelbody.search import (_FATOL, _XATOL, BOUNDARY_RATE, REGION_BINS,
-                               _binned_boundary, _negative_modulus, _polydisk_blocks,
-                               minimize, sample_polydisk)
+                               _binned_boundary, _negative_modulus, minimize,
+                               sample_polydisk)
 
 from conftest import slice_max_on_grid, triples
 
@@ -562,16 +562,32 @@ class TestBinnedBoundary:
 
 
 class TestRegionChunks:
-    # 50 samples give 50 + 12 + 12 rows: chunks of 7 straddle both block seams
-    @pytest.mark.parametrize("chunk", [1, 7])
-    @pytest.mark.parametrize("n", [50, 1000])
-    def test_chunked_cloud_matches_the_default(self, n, chunk, monkeypatch):
-        pp = PoleParam(0.61)
-        default = sample_region_H(pp, n, seed=4)
+    # 50 samples give 50 + 12 + 12 rows: chunks of 7 straddle both block
+    # seams; 20,000 samples at the default chunk give three polydisk draws
+    @pytest.mark.parametrize("chunk, n", [(1, 50), (1, 1000), (7, 50), (7, 1000),
+                                          (search.REGION_CHUNK, 50),
+                                          (search.REGION_CHUNK, search.REGION_CHUNK),
+                                          (search.REGION_CHUNK, 20_000)])
+    def test_cloud_is_one_polydisk_draw_per_chunk(self, chunk, n, monkeypatch):
+        pp, seed = PoleParam(0.61), 4
         monkeypatch.setattr(search, "REGION_CHUNK", chunk)
-        chunked = sample_region_H(pp, n, seed=4)
-        assert chunked.points.tobytes() == default.points.tobytes()
-        assert chunked.boundary.tobytes() == default.boundary.tobytes()
+        got = sample_region_H(pp, n, seed=seed)
+        n_extra = max(n // 4, 8)
+        rng = np.random.default_rng(seed)
+        polydisk = np.concatenate([sample_polydisk(rng, min(chunk, n - k))
+                                   for k in range(0, n, chunk)])
+        on_circle = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(n_extra, 3)))
+        zetas = np.exp(2j * np.pi * np.arange(n_extra) / n_extra)
+        rotation = np.zeros((n_extra, 3), dtype=np.complex128)
+        rotation[:, 0] = (zetas - pp.p**2) / (1.0 - pp.p**2 * zetas)
+        rows = np.concatenate([polydisk, on_circle, rotation])
+        scale = 18.0 * pp.P**3
+        want = phi_batch(pp.P, *rows.T) / scale
+        assert got.points.tobytes() == want.tobytes()
+        assert got.boundary.tobytes() == _binned_boundary(want).tobytes()
+        if n <= chunk:
+            whole = TestSamplePolydisk._reference(np.random.default_rng(seed), n)
+            assert got.points[:n].tobytes() == (phi_batch(pp.P, *whole.T) / scale).tobytes()
 
     # each of the three blocks is chunked on its own: 70,000 samples give
     # 9 chunks of polydisk rows and 3 each of the two 17,500-row slices
@@ -622,23 +638,16 @@ class TestRegionChunks:
         assert self._peak(sample_omega_boundary, PoleParam(0.5), 100_000) <= 2.6e6
 
 
-class TestPolydiskBlocks:
-    @pytest.mark.parametrize("block", [1, 7, search.REGION_CHUNK])
+class TestSamplePolydisk:
     @pytest.mark.parametrize("n", [0, 1, 7, 8191, 8192, 8193, 3 * 8192 + 5])
-    def test_blocks_are_the_whole_draw(self, n, block):
-        ref_rng, whole_rng, block_rng = (np.random.default_rng(n) for _ in range(3))
+    def test_one_draw_is_the_reference(self, n):
+        ref_rng, rng = (np.random.default_rng(n) for _ in range(2))
         ref = self._reference(ref_rng, n)
-        whole = sample_polydisk(whole_rng, n)
-        blocks = list(_polydisk_blocks(block_rng, n, block))
-        assert len(blocks) == max(-(-n // block), 1)
-        assert all(len(b) <= block for b in blocks)
-        assert np.concatenate(blocks).tobytes() == ref.tobytes()
-        assert whole.tobytes() == ref.tobytes()
-        assert whole.shape == (n, 3) and whole.dtype == np.complex128
+        got = sample_polydisk(rng, n)
+        assert got.tobytes() == ref.tobytes()
+        assert got.shape == (n, 3) and got.dtype == np.complex128
         # the next draw, as the all-boundary slice and verify's later draws take it
-        after = ref_rng.uniform(size=4).tobytes()
-        assert block_rng.uniform(size=4).tobytes() == after
-        assert whole_rng.uniform(size=4).tobytes() == after
+        assert rng.uniform(size=4).tobytes() == ref_rng.uniform(size=4).tobytes()
 
     @staticmethod
     def _reference(rng, n):
@@ -649,19 +658,17 @@ class TestPolydiskBlocks:
         r[rng.uniform(size=(n, 3)) < BOUNDARY_RATE] = 1.0
         return r * np.exp(1j * th)
 
-    # a uint32 draw leaves half a 64-bit draw buffered, which float draws keep
-    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM])
+    # a uint32 draw leaves half a 64-bit draw buffered, which float draws
+    # keep; MT19937 draws 32 bits natively and buffers none
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM,
+                                               np.random.MT19937, np.random.Philox,
+                                               np.random.SFC64])
     def test_the_stream_and_a_buffered_half_draw_are_kept(self, bit_generator):
         ref_rng, rng = (np.random.Generator(bit_generator(5)) for _ in range(2))
         for g in (ref_rng, rng):
             g.integers(0, 2**32, dtype=np.uint32)
         ref = self._reference(ref_rng, 1000)
         assert sample_polydisk(rng, 1000).tobytes() == ref.tobytes()
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert rng.bit_generator.state["has_uint32"] == 1
-
-    # MT19937 has no advance, and Philox's advance counts blocks of four draws
-    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])
-    def test_other_bit_generators_are_refused(self, bit_generator):
-        with pytest.raises(InvalidInput, match=bit_generator.__name__):
-            sample_polydisk(np.random.Generator(bit_generator(0)), 10)
+        state = rng.bit_generator.state
+        np.testing.assert_equal(state, ref_rng.bit_generator.state)
+        assert state.get("has_uint32", 1) == 1
