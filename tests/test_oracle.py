@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import hankelbody.oracle as oracle
+import hankelbody.search as search
 from hankelbody import (ParamTriple, PoleParam, a_from_c, a_from_phi,
                         aw_disk, c_from_w, fprime_series, hankel2,
                         phi_series_from_w, verify_all)
@@ -131,6 +132,14 @@ class TestVerifyAll:
         r1 = verify_all(p_values=(0.4,), n_random=60, seed=3)
         r2 = verify_all(p_values=(0.4,), n_random=60, seed=3)
         assert r1 == r2
+
+    # verify's bytes are those of one whole sample_polydisk draw, whatever
+    # the chunk size of region exports
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_region_chunk_leaves_the_report_alone(self, chunk, monkeypatch):
+        default = verify_all(p_values=(0.4,), n_random=60, seed=3)
+        monkeypatch.setattr(search, "REGION_CHUNK", chunk)
+        assert verify_all(p_values=(0.4,), n_random=60, seed=3) == default
 
     def test_detects_injected_drift(self, monkeypatch):
         # a perturbed quartic table must show up as a failing family

@@ -589,6 +589,18 @@ class TestRegionChunks:
             whole = TestSamplePolydisk._reference(np.random.default_rng(seed), n)
             assert got.points[:n].tobytes() == (phi_batch(pp.P, *whole.T) / scale).tobytes()
 
+    # each polydisk chunk takes 9m doubles of the stream, as one whole draw
+    # does, so the chunk size moves only the polydisk rows, never the slices
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("n", [50, 1000])
+    def test_chunking_moves_only_the_polydisk_rows(self, n, chunk, monkeypatch):
+        pp = PoleParam(0.61)
+        default = sample_region_H(pp, n, seed=4)
+        monkeypatch.setattr(search, "REGION_CHUNK", chunk)
+        chunked = sample_region_H(pp, n, seed=4)
+        assert chunked.points.shape == default.points.shape
+        assert chunked.points[n:].tobytes() == default.points[n:].tobytes()
+
     # each of the three blocks is chunked on its own: 70,000 samples give
     # 9 chunks of polydisk rows and 3 each of the two 17,500-row slices
     @pytest.mark.parametrize("n", [1, 1000, 70_000])
@@ -648,6 +660,15 @@ class TestSamplePolydisk:
         assert got.shape == (n, 3) and got.dtype == np.complex128
         # the next draw, as the all-boundary slice and verify's later draws take it
         assert rng.uniform(size=4).tobytes() == ref_rng.uniform(size=4).tobytes()
+
+    # verify draws its parameters through sample_polydisk, so no chunk
+    # size may split that draw
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("n", [7, 8193, 3 * 8192 + 5])
+    def test_region_chunk_is_not_read(self, n, chunk, monkeypatch):
+        monkeypatch.setattr(search, "REGION_CHUNK", chunk)
+        ref = self._reference(np.random.default_rng(n), n)
+        assert sample_polydisk(np.random.default_rng(n), n).tobytes() == ref.tobytes()
 
     @staticmethod
     def _reference(rng, n):
