@@ -26,8 +26,7 @@ from .errors import InvalidInput
 from .hankel import lower_bound_M, upper_bound_M
 from .oracle import verify_all
 from .search import (GRID_RADII, MIN_GRID, OMEGA_MIN_POINTS, RegionSample,
-                     estimate_M, estimate_M_batch, sample_omega_boundary,
-                     sample_region_H)
+                     estimate_M, sample_omega_boundary, sample_region_H)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -105,10 +104,10 @@ def _table_cell(v: float, width: int) -> str:
 
 def cmd_bounds(args) -> int:
     pps = [PoleParam(p) for p in args.p]
-    reports = estimate_M_batch(pps, args.grid, args.iters, args.seed)
-    rows = [(pp.p, 1.0 / (3.0 * pp.p), lower_bound_M(pp), report.m_estimate,
+    rows = [(pp.p, 1.0 / (3.0 * pp.p), lower_bound_M(pp),
+             estimate_M(pp, grid=args.grid, refine_iters=args.iters, seed=args.seed).m_estimate,
              upper_bound_M(pp), 1.0 / (3.0 * pp.p) + 2.0 / 3.0)
-            for pp, report in zip(pps, reports)]
+            for pp in pps]
     header = ("p", "one_third_p", "lower", "m_estimate", "upper", "one_third_p_plus")
     widths = [12, 14, 14, 14, 14, 16]
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))

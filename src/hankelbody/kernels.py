@@ -5,9 +5,8 @@ Phi_p = T0 + T1 s1 + T2 s1^2 + C (1 - |s1|^2) s2 with (T0, T1, T2, C) of
 sigma0 alone, transcribed once by ``phi_sigma0_terms`` from the factors
 that depend on P alone, which ``phi_factors`` forms.  It uses nothing but
 arithmetic, the builtin ``abs`` and ``.conjugate()``, so the same code
-evaluates Python scalars (``hankel.phi_p``, ``best_sigma2``) and numpy
-arrays (``phi_batch``, ``phi_sigma2_max``), with one P or, through arrays
-of factors, one P per point.
+evaluates Python scalars (``hankel.phi_p``, ``best_sigma2``), numpy arrays
+(``phi_batch``, ``phi_sigma2_max``) and a symbolic P, always at one P.
 """
 
 from __future__ import annotations
@@ -19,24 +18,21 @@ import numpy as np
 USE_NUMBA = False
 
 
-def phi_factors(P: float) -> tuple:
+def phi_factors(P) -> tuple:
     """The factors of Phi_p that depend on P alone, in the order
     ``phi_sigma0_terms`` reads them.
 
-    Each is formed from the float ``P`` with Python arithmetic, so ``P**4`` is
-    Python's ``pow``, whose last bit numpy's array power does not always match.
+    Each is formed from the scalar ``P`` with scalar arithmetic: ``P**4`` is
+    Python's ``pow`` for a float and C's ``pow`` for a numpy float64, which
+    agree, while numpy's array power does not always match them in the last bit.
     """
     return (P * P - 1.0, 3.0 * P, -18.0 * P, P * P - 2.0,
             1.0 - 7.0 * P * P + 2.0 * P**4, 3.0 * P * P - 2.0, -P)
 
 
 def phi_sigma0_terms(P, s0):
-    """(T0, T1, T2, C) with Phi_p = T0 + T1 s1 + T2 s1^2 + C (1 - |s1|^2) s2.
-    ``P`` is a float or its ``phi_factors``, whose factors may be arrays that
-    broadcast against s0."""
-    if isinstance(P, (float, int, np.number)):
-        P = phi_factors(float(P))
-    a, b, c, d, e, f, g = P
+    """(T0, T1, T2, C) with Phi_p = T0 + T1 s1 + T2 s1^2 + C (1 - |s1|^2) s2."""
+    a, b, c, d, e, f, g = phi_factors(P)
     m0 = 1.0 - abs(s0) ** 2
     # C first, so that its sigma0 factor is freed before the other terms exist
     C = b * (a + s0) * m0
@@ -52,9 +48,8 @@ def _phi_terms(P, s0, s1):
     return T0 + T1 * s1 + T2 * s1 * s1, C * (1.0 - abs(s1) ** 2)
 
 
-def phi_batch(P, s0: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    """Vectorized Phi over parallel parameter arrays; ``P`` is a float or its
-    ``phi_factors``."""
+def phi_batch(P: float, s0: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """Vectorized Phi over parallel parameter arrays."""
     s0 = np.ascontiguousarray(s0, dtype=np.complex128)
     s1 = np.ascontiguousarray(s1, dtype=np.complex128)
     s2 = np.ascontiguousarray(s2, dtype=np.complex128)
@@ -62,10 +57,9 @@ def phi_batch(P, s0: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     return head + coef * s2
 
 
-def phi_sigma2_max(P, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
+def phi_sigma2_max(P: float, s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
     """Vectorized sup over |sigma2| <= 1 of |Phi| = |head + coef sigma2|,
-    which is |head| + |coef|; ``P`` is a float or its ``phi_factors``, whose
-    factors may be arrays of one P per point."""
+    which is |head| + |coef|."""
     s0 = np.ascontiguousarray(s0, dtype=np.complex128)
     s1 = np.ascontiguousarray(s1, dtype=np.complex128)
     head, coef = _phi_terms(P, s0, s1)

@@ -10,16 +10,14 @@ in the four real parameters of (sigma0, sigma1), moduli clamped to [0,1],
 from those starts.  It runs every start in lockstep with numpy
 (``minimize``): exactly one objective call per simplex step, covering every
 live start's trial points and shrunk vertices, and its result is
-bit-identical to scipy's Nelder-Mead run start by start.
-``estimate_M_batch`` handles the starts of several p in one such run, each
-start with the factors of its own P, as ``bounds`` does.  Everything is
-deterministic for a fixed (grid, refine_iters, seed).
+bit-identical to scipy's Nelder-Mead run start by start.  Each search is at
+one p.  Everything is deterministic for a fixed (grid, refine_iters, seed).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +25,7 @@ from .coeffbody import ParamTriple
 from .disk import PoleParam
 from .errors import InvalidInput
 from .hankel import hp_numerator_coeffs, omega_map
-from .kernels import best_sigma2, phi_batch, phi_factors, phi_sigma2_max
+from .kernels import best_sigma2, phi_batch, phi_sigma2_max
 
 #: angular bins of the H-cloud's boundary polyline
 REGION_BINS = 256
@@ -91,10 +89,9 @@ def _sigma_rows(X: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(X[:, 0::2], 0.0), 1.0) * np.exp(1j * X[:, 1::2])
 
 
-def _negative_modulus(P, X: np.ndarray) -> np.ndarray:
+def _negative_modulus(P: float, X: np.ndarray) -> np.ndarray:
     """-sup over sigma2 of |Phi| at the (n, 4) rows of ``X``, the objective of
-    the refinement and, as ``phi_sigma2_max``, of the grid sweep; ``P`` is a
-    float or its ``phi_factors``, as ``phi_sigma2_max`` takes it."""
+    the refinement and, as ``phi_sigma2_max``, of the grid sweep."""
     sig = _sigma_rows(X)
     return -phi_sigma2_max(P, sig[:, 0], sig[:, 1])
 
@@ -154,23 +151,19 @@ class SimplexResult(NamedTuple):
     nfev: np.ndarray
 
 
-def minimize(fun, X0: np.ndarray, maxiter: int, args: np.ndarray) -> SimplexResult:
+def minimize(fun, X0: np.ndarray, maxiter: int) -> SimplexResult:
     """Nelder-Mead from every row of ``X0`` at once, each row as scipy runs it alone.
 
     A transcription of scipy 1.17's ``_minimize_neldermead`` (non-adaptive,
     no bounds, ``maxfev`` unset, ``xatol=_XATOL``, ``fatol=_FATOL``) that
-    advances all starts in lockstep.  ``args`` is a (q, n) array that holds
-    a column of arguments per start (q may be 0), and ``fun(A, X)`` maps an
-    (m, d) array ``X`` to m values, column j of ``A`` belonging to row j of
-    ``X``, as a ``functools.partial`` binding them would be; so starts of
-    different objectives share one run.  Each step makes one call,
-    on the four trial points of every live start (``_TRIAL_A``,
-    ``_TRIAL_B``) and the N vertices its shrink would give, which are known
-    before the step's outcome; a shrink makes no call of its own.  Every
-    start gets the same arithmetic, the same comparisons and the same
-    ``argsort`` as in its own scipy run, so ``x``, ``fun``, ``nit`` and
-    ``nfev`` are bit-identical to it; ``nfev`` counts the evaluations scipy
-    makes, not the points.
+    advances all starts in lockstep.  ``fun(X)`` maps an (m, d) array ``X``
+    to m values.  Each step makes one call, on the four trial points of
+    every live start (``_TRIAL_A``, ``_TRIAL_B``) and the N vertices its
+    shrink would give, which are known before the step's outcome; a shrink
+    makes no call of its own.  Every start gets the same arithmetic, the
+    same comparisons and the same ``argsort`` as in its own scipy run, so
+    ``x``, ``fun``, ``nit`` and ``nfev`` are bit-identical to it; ``nfev``
+    counts the evaluations scipy makes, not the points.
     """
     X0 = np.asarray(X0, dtype=np.float64)
     n, N = X0.shape
@@ -180,7 +173,7 @@ def minimize(fun, X0: np.ndarray, maxiter: int, args: np.ndarray) -> SimplexResu
     sim = np.repeat(X0[None], N + 1, axis=0)
     diag = X0[:, k]
     sim[k + 1, :, k] = np.where(diag != 0, (1 + nonzdelt) * diag, zdelt).T
-    fsim = fun(np.tile(args, N + 1), sim.reshape(-1, N)).reshape(N + 1, n)
+    fsim = fun(sim.reshape(-1, N)).reshape(N + 1, n)
     nfev = np.full(n, N + 1)
     nit = np.ones(n, dtype=int)
     every = np.indices(fsim.shape)[0]
@@ -194,10 +187,9 @@ def minimize(fun, X0: np.ndarray, maxiter: int, args: np.ndarray) -> SimplexResu
     src_of = np.array([[*range(N), N + 1 + t] for t in _TAKES]
                       + [[0, *range(N + 5, 2 * N + 5)]])
     fev_of = np.array([1, 2, 2, 2, 2, 2 + N])
-    # the live starts' simplices, values, evaluation counts and arguments; a
-    # start leaves them, into sim, fsim and nfev, when it converges
-    live, S, F, fev, A = np.arange(n), sim, fsim, nfev, args
-    A_step = np.tile(A, 4 + N)  # the arguments of a step's (4 + N, live) points
+    # the live starts' simplices, values and evaluation counts; a start
+    # leaves them, into sim, fsim and nfev, when it converges
+    live, S, F, fev = np.arange(n), sim, fsim, nfev
     step = 1
     while step < maxiter:
         conv = np.abs(F[1:] - F[:1]).max(axis=0) <= _FATOL
@@ -206,10 +198,9 @@ def minimize(fun, X0: np.ndarray, maxiter: int, args: np.ndarray) -> SimplexResu
             if conv.any():
                 done, keep = live[conv], ~conv
                 sim[:, done], fsim[:, done], nfev[done], nit[done] = S[:, conv], F[:, conv], fev[conv], step
-                live, S, F, fev, A = live[keep], S[:, keep], F[:, keep], fev[keep], A[:, keep]
+                live, S, F, fev = live[keep], S[:, keep], F[:, keep], fev[keep]
                 if not live.size:
                     break
-                A_step = np.tile(A, 4 + N)
         # the centroid as scipy's row-by-row np.add.reduce forms it
         xbar = S[0]
         for j in range(1, N):
@@ -219,7 +210,7 @@ def minimize(fun, X0: np.ndarray, maxiter: int, args: np.ndarray) -> SimplexResu
         # the old worst included
         best = S[:1]
         cand = np.concatenate((S, _TRIAL_A * xbar - _TRIAL_B * S[-1], best + 0.5 * (S[1:] - best)))
-        fcand = np.concatenate((F, fun(A_step, cand[N + 1:].reshape(-1, N)).reshape(4 + N, -1)))
+        fcand = np.concatenate((F, fun(cand[N + 1:].reshape(-1, N)).reshape(4 + N, -1)))
         # scipy's comparisons, in scipy's order
         fxr, fxe, fxc, fxcc = fcand[N + 1:N + 5]
         outcome = np.where(fxr < F[0], np.where(fxe < fxr, 1, 4),
@@ -257,16 +248,6 @@ def estimate_M(pp: PoleParam, grid: int = 24, refine_iters: int = 0,
     on every p tested they gain no more than rounding over the best start.
     The best point found is reported with its canonical ``best_sigma2``.
     """
-    return estimate_M_batch([pp], grid, refine_iters, seed)[0]
-
-
-def estimate_M_batch(pps: Sequence[PoleParam], grid: int, refine_iters: int,
-                     seed: int) -> list[ExtremalReport]:
-    """``estimate_M`` at each of ``pps``, one report each, bit-identical to a
-    call per p: the refinement runs the starts of every p in one ``minimize``,
-    each start with the ``phi_factors`` of its own P."""
-    if not pps:
-        raise InvalidInput("need at least one p")
     if grid < MIN_GRID:
         raise InvalidInput(f"grid must be >= {MIN_GRID}")
     if refine_iters < 0:
@@ -274,40 +255,28 @@ def estimate_M_batch(pps: Sequence[PoleParam], grid: int, refine_iters: int,
     if seed < 0:
         raise InvalidInput("seed must be >= 0")
 
+    P = pp.P
     rng = np.random.default_rng(seed)
     # optimizer starts, drawn modulus-uniform: not area-uniform polydisk samples
     rand = rng.uniform(size=(2, 4)) * np.exp(2j * np.pi * rng.uniform(size=(2, 4)))
-    starts = []
-    for pp in pps:
-        g0, g1 = _grid_starts(pp.P, grid)
-        z0 = np.concatenate(([_slice_argmax(pp.P)], g0, rand[0]))
-        z1 = np.concatenate(([-1.0], g1, rand[1]))
-        starts.append(np.column_stack([np.abs(z0), np.angle(z0), np.abs(z1), np.angle(z1)]))
-    X0 = np.concatenate(starts)
-    n_starts = len(starts[0])
-    # one column of factors per start, each formed from its own float P
-    A = np.repeat(np.array([phi_factors(pp.P) for pp in pps]).T, n_starts, axis=1)
+    g0, g1 = _grid_starts(P, grid)
+    z0 = np.concatenate(([_slice_argmax(P)], g0, rand[0]))
+    z1 = np.concatenate(([-1.0], g1, rand[1]))
+    X0 = np.column_stack([np.abs(z0), np.angle(z0), np.abs(z1), np.angle(z1)])
 
     if refine_iters > 0:
-        res = minimize(_negative_modulus, X0, refine_iters, A)
-        X, F, nit = res.x, res.fun, res.nit
+        res = minimize(lambda X: _negative_modulus(P, X), X0, refine_iters)
+        X, F, iterations = res.x, res.fun, int(res.nit.sum())
     else:
-        X, F, nit = X0, _negative_modulus(A, X0), np.zeros(len(X0), dtype=int)
-    X, F = X.reshape(len(pps), n_starts, -1), F.reshape(len(pps), n_starts)
-    iterations = nit.reshape(len(pps), n_starts).sum(axis=1)
-
-    reports = []
-    for pp, x, f, its in zip(pps, X, F, iterations):
-        k = int(np.argmin(f))
-        sig0, sig1 = map(complex, _sigma_rows(x[k:k + 1])[0])
-        P = pp.P
-        reports.append(ExtremalReport(
-            p=pp.p,
-            m_estimate=-float(f[k]) / (18.0 * P**3),
-            arg_sigma=ParamTriple(sig0, sig1, best_sigma2(P, sig0, sig1)),
-            iterations=int(its),
-        ))
-    return reports
+        X, F, iterations = X0, _negative_modulus(P, X0), 0
+    k = int(np.argmin(F))
+    sig0, sig1 = map(complex, _sigma_rows(X[k:k + 1])[0])
+    return ExtremalReport(
+        p=pp.p,
+        m_estimate=-float(F[k]) / (18.0 * P**3),
+        arg_sigma=ParamTriple(sig0, sig1, best_sigma2(P, sig0, sig1)),
+        iterations=iterations,
+    )
 
 
 def sample_polydisk(rng: np.random.Generator, n: int) -> np.ndarray:

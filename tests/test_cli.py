@@ -651,29 +651,26 @@ class TestBoundsTable:
         ["--p", "0.1,0.62,0.97", "--grid", "9", "--iters", "1", "--seed", "7"],
     ])
     def test_rows_are_the_per_p_reports(self, argv, tmp_path, monkeypatch, capsys):
-        # bounds refines all its p in one run; each row must be, bit for
-        # bit, the report of estimate_M at that p alone
-        got = []
+        # bounds searches each p on its own, with the argv's grid, iters and
+        # seed; each row must be, bit for bit, the report of estimate_M at that p
+        calls = []
 
-        def recording(*args, **kwargs):
-            reports = batch(*args, **kwargs)
-            got.extend(reports)
-            return reports
+        def recording(pp, **kwargs):
+            calls.append((pp, kwargs))
+            return estimate_M(pp, **kwargs)
 
-        batch = cli.estimate_M_batch
-        monkeypatch.setattr(cli, "estimate_M_batch", recording)
+        estimate_M = cli.estimate_M
+        monkeypatch.setattr(cli, "estimate_M", recording)
         out = tmp_path / "bounds.csv"
         assert run(["bounds", *argv, "--out", str(out)]) == EXIT_OK
         capsys.readouterr()
         args = build_parser().parse_args(["bounds", *argv])
         rows = out.read_text().splitlines()[1:]
-        assert len(got) == len(rows) == len(args.p)
-        for p, rep, row in zip(args.p, got, rows):
-            want = cli.estimate_M(PoleParam(p), grid=args.grid, refine_iters=args.iters,
-                                  seed=args.seed)
-            assert rep.m_estimate.hex() == want.m_estimate.hex()
-            assert rep.iterations == want.iterations
-            assert rep == want
+        kwargs = {"grid": args.grid, "refine_iters": args.iters, "seed": args.seed}
+        assert calls == [(PoleParam(p), kwargs) for p in args.p]
+        assert len(rows) == len(args.p)
+        for p, row in zip(args.p, rows):
+            want = estimate_M(PoleParam(p), **kwargs)
             assert row.split(",")[3] == repr(want.m_estimate)
 
     def test_tiny_p_cells_fit_their_columns(self, capsys):
@@ -751,8 +748,8 @@ class TestBenchmarkHooks:
 
     def test_traced_bounds_job(self, capsys):
         # the tracer rebinds every public function, and its phi_sigma2_max
-        # hook reads len(args[1]): a bounds job runs the lockstep refinement
-        # of several p through those hooks
+        # hook reads len(args[1]): a bounds job runs one search, with its
+        # lockstep refinement, per p through those hooks
         bounds = ["bounds", "--p", "0.2,0.9", "--grid", "8", "--iters", "5"]
         ready, traced, job, stats = _traced_worker([bounds])
         assert traced == {"ok": True}
@@ -760,8 +757,8 @@ class TestBenchmarkHooks:
         assert run(bounds) == EXIT_OK
         assert job["stdout_bytes"] == len(capsys.readouterr().out)
         spans, counters = stats["trace"]["spans"], stats["trace"]["counters"]
-        assert spans["search.estimate_M_batch"][0] == 1
-        assert spans["search.minimize"][0] == 1
+        assert spans["search.estimate_M"][0] == 2
+        assert spans["search.minimize"][0] == 2
         assert counters["kernels.phi_sigma2_max.evals"] > 2 * 21 * (4 + 4)
 
 

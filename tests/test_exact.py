@@ -44,7 +44,7 @@ def symbolic(monkeypatch):
 
 def phi(s0, s1, s2):
     """Phi_p from the kernel, at symbolic P."""
-    head, coef = kernels._phi_terms(kernels.phi_factors(P), s0, s1)
+    head, coef = kernels._phi_terms(P, s0, s1)
     return head + coef * s2
 
 
@@ -78,7 +78,7 @@ def test_hp_at_7_over_4P_is_P_over_3_plus_g():
 
 
 def test_sigma0_terms_at_real_sigma0_are_the_paper_bound_terms():
-    T0, T1, T2, C = kernels.phi_sigma0_terms(kernels.phi_factors(P), y)
+    T0, T1, T2, C = kernels.phi_sigma0_terms(P, y)
     for term, B in zip((-T0, T1, -T2, C), paper_B(P, y)):
         assert exact(term - B) == 0
 

@@ -15,7 +15,7 @@ from hankelbody.oracle import (_FPRIME_TERMS, _FPRIME_TOL, _circle_antiderivativ
                                _prefactor_series, a_batch_from_w,
                                fprime_aliasing_bound, fprime_exponent_bound,
                                fprime_sampled, fprime_sampling_size)
-from hankelbody.search import estimate_M_batch, sample_polydisk, sample_region_H
+from hankelbody.search import estimate_M, sample_polydisk, sample_region_H
 from hankelbody.series import (series_exp, series_integrate, series_mul,
                                series_reciprocal, taylor_from_samples)
 
@@ -423,10 +423,10 @@ class TestReplacedRoutes:
     lambda: verify_all((0.5,), n_random=0),
     lambda: verify_all((0.5,), n_random=-3),
     lambda: verify_all((0.5,), n_random=5, seed=-1),
-    lambda: estimate_M_batch([PoleParam(0.5)], grid=8, refine_iters=0, seed=-1),
+    lambda: estimate_M(PoleParam(0.5), grid=8, refine_iters=0, seed=-1),
     lambda: sample_region_H(PoleParam(0.5), n_samples=10, seed=-1),
 ], ids=["verify_n_random_0", "verify_n_random_negative", "verify_seed",
-        "estimate_M_batch_seed", "sample_region_H_seed"])
+        "estimate_M_seed", "sample_region_H_seed"])
 def test_sizes_and_seeds_are_checked_as_invalid_input(call):
     # numpy's own errors would surface otherwise: an empty maximum, a
     # negative dimension, a negative seed
