@@ -115,6 +115,8 @@ class TestParsing:
         ["extremal", "--grid", "99999999999999999999"],
         ["bounds", "--grid", "99999999999999999999"],
         *P_OUTSIDE_THE_RULE,
+        # bounds searches each p on its own, so a list of no p is refused here
+        ["bounds", "--p", ","],
     ])
     def test_invalid_values_are_usage_errors(self, argv, capsys):
         assert run(argv) == EXIT_USAGE

@@ -10,7 +10,8 @@ from hankelbody import (ExtremalReport, PoleParam, a_from_c, c_from_sigma,
                         omega_contains, omega_map, sample_omega_boundary,
                         sample_region_H, upper_bound_M)
 from hankelbody.errors import InvalidInput
-from hankelbody.kernels import _phi_terms, best_sigma2, phi_batch, phi_sigma2_max
+from hankelbody.kernels import (_phi_terms, best_sigma2, phi_batch, phi_factors,
+                                phi_sigma2_max)
 from hankelbody.hankel import hp_numerator_coeffs, phi_p
 from hankelbody import search
 from hankelbody.search import (_FATOL, _XATOL, BOUNDARY_RATE, REGION_BINS,
@@ -125,6 +126,16 @@ class TestKernelBytes:
         for P in (PoleParam(p).P, np.float64(PoleParam(p).P)):
             assert _sha256(phi_sigma2_max(P, s0, s1)) == smax
             assert _sha256(phi_batch(P, s0, s1, s2)) == batch
+
+    def test_numpy_P_factors_match_the_float_P_path(self):
+        # the kernels no longer coerce P to a float, so a numpy float64 P must
+        # give the float P's factors bit for bit, P**4 included
+        for p in np.linspace(0.0, 1.0, 20_001)[1:-1]:
+            P = PoleParam(float(p)).P
+            want = phi_factors(P)
+            got = phi_factors(np.float64(P))
+            assert [np.float64(v).tobytes() for v in got] == \
+                [np.float64(v).tobytes() for v in want], p
 
 
 class TestEstimateM:
@@ -327,6 +338,36 @@ class TestSimplex:
             assert got.x[i].tobytes() == want.x.tobytes(), i
             assert got.fun[i].tobytes() == np.float64(want.fun).tobytes(), i
             assert (got.nit[i], got.nfev[i]) == (want.nit, want.nfev), i
+
+    @pytest.mark.parametrize("maxiter", [1, 2, 30, 200])
+    def test_refinement_at_several_p_is_scipy_start_by_start(self, maxiter, monkeypatch):
+        # estimate_M refines the starts of one p in one lockstep run, as
+        # bounds does at each of its p; every start must end as scipy's run
+        # of that start alone, and the report must read the best of them
+        optimize = pytest.importorskip("scipy.optimize")
+        runs = []
+
+        def recording(fun, X0, n):
+            res = minimize(fun, X0, n)
+            runs.append((X0, res))
+            return res
+
+        monkeypatch.setattr(search, "minimize", recording)
+        for p in (0.1, 0.23, 0.97):
+            P = PoleParam(p).P
+            rep = estimate_M(PoleParam(p), grid=8, refine_iters=maxiter)
+            (X0, got), = runs
+            runs.clear()
+            for i, x0 in enumerate(X0):
+                want = optimize.minimize(lambda x: _negative_modulus(P, x[None])[0], x0,
+                                         method="Nelder-Mead",
+                                         options={"maxiter": maxiter, "xatol": _XATOL,
+                                                  "fatol": _FATOL})
+                assert got.x[i].tobytes() == want.x.tobytes(), (p, i)
+                assert got.fun[i].tobytes() == np.float64(want.fun).tobytes(), (p, i)
+                assert (got.nit[i], got.nfev[i]) == (want.nit, want.nfev), (p, i)
+            assert rep.m_estimate == -float(got.fun.min()) / (18.0 * P**3)
+            assert rep.iterations == int(got.nit.sum())
 
     def test_objective_calls_are_batched(self):
         # one call on the first simplices, then exactly one call per step on
