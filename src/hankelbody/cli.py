@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     for cmd in (b, e):
         cmd.add_argument("--grid", type=_parse_int("grid", MIN_GRID), default=24)
         cmd.add_argument("--iters", type=_parse_int("iters", 0), default=0,
-                         help="Nelder-Mead iterations from each start (default 0: "
+                         help="compass-search steps from each start (default 0: "
                               "report the best start, each evaluated once)")
     for cmd in (r, v):
         cmd.add_argument("--samples", type=_parse_int("samples", 1), default=1000)
@@ -382,7 +382,11 @@ def main(argv=None) -> int:
                 sys.stdout.close()
     except (InvalidInput, MemoryError) as exc:
         code, error = EXIT_USAGE, str(exc) or type(exc).__name__
-    print(f"hankelbody {args.command}: error: {error}", file=sys.stderr)
+    try:
+        print(f"hankelbody {args.command}: error: {error}", file=sys.stderr)
+    except OSError:  # a closed stderr: keep the exit code, and leave no text for the exit flush
+        with contextlib.suppress(OSError):
+            sys.stderr.close()
     return code
 
 

@@ -5,12 +5,11 @@ sits on |sigma2| = 1 and can be taken analytically; the coarse sweep then
 runs over a polar grid in (sigma0, sigma1) only.  The estimate is the best
 of the starts, each evaluated once: the exact maximum of the real slice
 (t, -1, *), the best grid points and seeded random points.  Refinement is
-opt-in (``refine_iters > 0``): Nelder-Mead then refines the same objective
-in the four real parameters of (sigma0, sigma1), moduli clamped to [0,1],
-from those starts.  It runs every start in lockstep with numpy
-(``minimize``): exactly one objective call per simplex step, covering every
-live start's trial points and shrunk vertices, and its result is
-bit-identical to scipy's Nelder-Mead run start by start.  Each search is at
+opt-in (``refine_iters > 0``): a compass search then refines the same
+objective in the four real parameters of (sigma0, sigma1), moduli clamped
+to [0,1], from those starts.  It runs every start in lockstep with numpy
+(``minimize``): exactly one objective call per step, on the points one step
+along each axis, both ways, around every live start.  Each search is at
 one p.  Everything is deterministic for a fixed (grid, refine_iters, seed).
 """
 
@@ -64,8 +63,8 @@ class RegionSample:
 @dataclass(frozen=True)
 class ExtremalReport:
     """What one search computed: the best modulus ``m_estimate`` of H at p,
-    the polydisk point ``arg_sigma`` where it was found, and the Nelder-Mead
-    iterations of all starts together, 0 unless the search refined.  The
+    the polydisk point ``arg_sigma`` where it was found, and the compass-search
+    steps of all starts together, 0 unless the search refined.  The
     paper's closed-form bounds on M(p) are ``hankel.lower_bound_M`` and
     ``hankel.upper_bound_M``."""
 
@@ -127,22 +126,13 @@ def _grid_starts(P: float, grid: int) -> tuple[np.ndarray, np.ndarray]:
     return s0[best], s1[best]
 
 
-# the refinement's convergence tolerances, scipy's ``xatol`` and ``fatol``
+# the refinement's first step along each axis, and the step below which a
+# start retires
+_STEP0 = 0.05
 _XATOL = 1e-12
-_FATOL = 1e-14
-# scipy's trial points a*xbar - b*worst, one (a, b) pair each: reflection
-# (rho = 1), expansion (chi = 2), outside and inside contraction (psi = 1/2);
-# the last is scipy's (1 - psi)*xbar + psi*worst, as x - (-y) is x + y
-_TRIAL_A = np.array([2.0, 3.0, 1.5, 0.5])[:, None, None]
-_TRIAL_B = np.array([1.0, 2.0, 0.5, -0.5])[:, None, None]
-# a step's outcomes, each but the shrink named by the trial point it takes:
-# the reflection taken outright, the expansion, the outside and the inside
-# contraction, the reflection after a rejected expansion, and the shrink
-_TAKES = (0, 1, 2, 3, 0)
-_SHRINK = len(_TAKES)
 
 
-class SimplexResult(NamedTuple):
+class SearchResult(NamedTuple):
     """Per-start outcome of ``minimize``, one row or entry per start."""
 
     x: np.ndarray
@@ -151,87 +141,39 @@ class SimplexResult(NamedTuple):
     nfev: np.ndarray
 
 
-def minimize(fun, X0: np.ndarray, maxiter: int) -> SimplexResult:
-    """Nelder-Mead from every row of ``X0`` at once, each row as scipy runs it alone.
+def minimize(fun, X0: np.ndarray, maxiter: int) -> SearchResult:
+    """Compass search (Kolda, Lewis and Torczon, SIAM Review 45, 2003) from
+    every row of ``X0`` at once, for at most ``maxiter`` steps each.
 
-    A transcription of scipy 1.17's ``_minimize_neldermead`` (non-adaptive,
-    no bounds, ``maxfev`` unset, ``xatol=_XATOL``, ``fatol=_FATOL``) that
-    advances all starts in lockstep.  ``fun(X)`` maps an (m, d) array ``X``
-    to m values.  Each step makes one call, on the four trial points of
-    every live start (``_TRIAL_A``, ``_TRIAL_B``) and the N vertices its
-    shrink would give, which are known before the step's outcome; a shrink
-    makes no call of its own.  Every start gets the same arithmetic, the
-    same comparisons and the same ``argsort`` as in its own scipy run, so
-    ``x``, ``fun``, ``nit`` and ``nfev`` are bit-identical to it; ``nfev``
-    counts the evaluations scipy makes, not the points.
+    ``fun(X)`` maps an (m, d) array ``X`` to m values.  Each step makes one
+    call, on the 2d points around every live start that are +h along each
+    axis and then -h along each axis.  A start moves to the lowest of its points when
+    that is strictly lower than its value, the first of equal values on
+    ties; otherwise its step h halves, from ``_STEP0``, and once h is below
+    ``_XATOL`` the start retires and is evaluated no more.  ``nit`` counts
+    each start's steps and ``nfev`` its evaluations, the start's own
+    included.
     """
-    X0 = np.asarray(X0, dtype=np.float64)
-    n, N = X0.shape
-    nonzdelt, zdelt = 0.05, 0.00025
-    k = np.arange(N)
-    # the simplices vertex by vertex: sim[j, i] is vertex j of start i
-    sim = np.repeat(X0[None], N + 1, axis=0)
-    diag = X0[:, k]
-    sim[k + 1, :, k] = np.where(diag != 0, (1 + nonzdelt) * diag, zdelt).T
-    fsim = fun(sim.reshape(-1, N)).reshape(N + 1, n)
-    nfev = np.full(n, N + 1)
-    nit = np.ones(n, dtype=int)
-    every = np.indices(fsim.shape)[0]
-    for _ in range(2):  # scipy sorts the first simplex twice; argsort may move ties
-        sim, fsim = _sorted_simplex(sim, fsim, every)
-
-    # per outcome, where each vertex of the next simplex comes from in the
-    # stack of the N + 1 vertices, the 4 trial points and the N shrunk
-    # vertices, and how many evaluations scipy makes: the reflection, one
-    # more trial unless it takes the reflection outright, N on a shrink
-    src_of = np.array([[*range(N), N + 1 + t] for t in _TAKES]
-                      + [[0, *range(N + 5, 2 * N + 5)]])
-    fev_of = np.array([1, 2, 2, 2, 2, 2 + N])
-    # the live starts' simplices, values and evaluation counts; a start
-    # leaves them, into sim, fsim and nfev, when it converges
-    live, S, F, fev = np.arange(n), sim, fsim, nfev
-    step = 1
-    while step < maxiter:
-        conv = np.abs(F[1:] - F[:1]).max(axis=0) <= _FATOL
-        if conv.any():
-            conv[conv] = np.abs(S[1:, conv] - S[:1, conv]).max(axis=(0, 2)) <= _XATOL
-            if conv.any():
-                done, keep = live[conv], ~conv
-                sim[:, done], fsim[:, done], nfev[done], nit[done] = S[:, conv], F[:, conv], fev[conv], step
-                live, S, F, fev = live[keep], S[:, keep], F[:, keep], fev[keep]
-                if not live.size:
-                    break
-        # the centroid as scipy's row-by-row np.add.reduce forms it
-        xbar = S[0]
-        for j in range(1, N):
-            xbar = xbar + S[j]
-        xbar = xbar / N
-        # a shrink (sigma = 1/2) halves every vertex's distance to the best,
-        # the old worst included
-        best = S[:1]
-        cand = np.concatenate((S, _TRIAL_A * xbar - _TRIAL_B * S[-1], best + 0.5 * (S[1:] - best)))
-        fcand = np.concatenate((F, fun(cand[N + 1:].reshape(-1, N)).reshape(4 + N, -1)))
-        # scipy's comparisons, in scipy's order
-        fxr, fxe, fxc, fxcc = fcand[N + 1:N + 5]
-        outcome = np.where(fxr < F[0], np.where(fxe < fxr, 1, 4),
-                           np.where(fxr < F[-2], 0,
-                                    np.where(fxr < F[-1], np.where(fxc <= fxr, 2, _SHRINK),
-                                             np.where(fxcc < F[-1], 3, _SHRINK))))
-        fev = fev + fev_of[outcome]
-        step += 1
-        S, F = _sorted_simplex(cand, fcand, src_of[outcome].T)
-    sim[:, live], fsim[:, live], nfev[live], nit[live] = S, F, fev, step
-
-    return SimplexResult(x=sim[0], fun=fsim.min(axis=0), nit=nit, nfev=nfev)
-
-
-def _sorted_simplex(S: np.ndarray, F: np.ndarray, src: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The simplices whose vertex j of start i is ``S[src[j, i], i]``, each
-    start's vertices in ascending order of value, by ``argsort`` as scipy sorts."""
-    cols = np.arange(F.shape[1])
-    F = F[src, cols]
-    ind = F.argsort(axis=0)
-    return S[src[ind, cols], cols], F[ind, cols]
+    X = np.array(X0, dtype=np.float64)
+    n, N = X.shape
+    F = fun(X)
+    h = np.full(n, _STEP0)
+    nit = np.zeros(n, dtype=int)
+    axes = np.concatenate((np.eye(N), -np.eye(N)))
+    live = np.arange(n)
+    for _ in range(maxiter):
+        if not live.size:
+            break
+        pts = X[live, None] + h[live, None, None] * axes
+        vals = fun(pts.reshape(-1, N)).reshape(live.size, 2 * N)
+        j = vals.argmin(axis=1)
+        low = vals[np.arange(live.size), j]
+        nit[live] += 1
+        moved = low < F[live]
+        X[live[moved]], F[live[moved]] = pts[moved, j[moved]], low[moved]
+        h[live[~moved]] *= 0.5
+        live = live[h[live] >= _XATOL]
+    return SearchResult(x=X, fun=F, nit=nit, nfev=1 + 2 * N * nit)
 
 
 def estimate_M(pp: PoleParam, grid: int = 24, refine_iters: int = 0,
@@ -244,8 +186,9 @@ def estimate_M(pp: PoleParam, grid: int = 24, refine_iters: int = 0,
     the exact maximum of the real slice (t, -1), the best ``GRID_STARTS``
     grid points and four seeded random points; with the default
     ``refine_iters=0`` each is only evaluated.  A positive ``refine_iters``
-    caps Nelder-Mead runs from every start, run in lockstep by ``minimize``;
-    on every p tested they gain no more than rounding over the best start.
+    caps the steps of a compass search from every start, run in lockstep by
+    ``minimize``; on every p tested it gains no more than rounding over the
+    best start.
     The best point found is reported with its canonical ``best_sigma2``.
     """
     if grid < MIN_GRID:

@@ -839,6 +839,25 @@ class TestIO:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"hankelbody {argv[0]}: error: ")
 
+    @pytest.mark.parametrize("argv, code, stdout_too", [
+        (["region", "--what", "omega", "--samples", "8"], EXIT_USAGE, False),
+        (["extremal", "--grid", "8"], EXIT_IO, True),
+    ])
+    def test_closed_stderr_keeps_the_exit_code(self, argv, code, stdout_too):
+        # the error line cannot be written either: the exit code stays the
+        # error's, not 1 from an uncaught BrokenPipeError, and no traceback
+        # or exit-flush failure replaces it
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # before the child runs
+        try:
+            proc = subprocess.run([sys.executable, "-m", "hankelbody.cli", *argv],
+                                  stdout=write_end if stdout_too else subprocess.DEVNULL,
+                                  stderr=write_end, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == code
+
     def test_memory_error_is_a_usage_error(self, monkeypatch, capsys):
         def no_memory(*args, **kwargs):
             raise MemoryError

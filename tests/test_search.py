@@ -14,7 +14,7 @@ from hankelbody.kernels import (_phi_terms, best_sigma2, phi_batch, phi_factors,
                                 phi_sigma2_max)
 from hankelbody.hankel import hp_numerator_coeffs, phi_p
 from hankelbody import search
-from hankelbody.search import (_FATOL, _XATOL, BOUNDARY_RATE, REGION_BINS,
+from hankelbody.search import (_STEP0, _XATOL, BOUNDARY_RATE, REGION_BINS,
                                _binned_boundary, _negative_modulus, minimize,
                                sample_polydisk)
 
@@ -203,12 +203,14 @@ class TestEstimateM:
             assert rep.iterations == 0
             assert abs(rep.m_estimate - exact) <= 2e-15 * exact, p
 
-    @pytest.mark.parametrize("p", [0.001, 0.01, 0.05, 0.3, 0.5, 0.7, 0.95, 0.99, 0.999])
+    @pytest.mark.parametrize("p", ACCURACY_P)
     def test_refinement_does_not_pay(self, p):
-        # fails once Nelder-Mead finds more than rounding above the best start
-        default = estimate_M(PoleParam(p)).m_estimate
-        refined = estimate_M(PoleParam(p), refine_iters=200).m_estimate
-        assert refined <= default * (1.0 + 1e-15)
+        # the refinement starts from the default's starts and never rises, and
+        # fails once it finds more than rounding above the best of them
+        pp = PoleParam(float(p))
+        default = estimate_M(pp).m_estimate
+        refined = estimate_M(pp, refine_iters=200).m_estimate
+        assert default <= refined <= default * (1.0 + 1e-15)
 
     def test_input_validation(self, pp05):
         with pytest.raises(InvalidInput):
@@ -226,15 +228,15 @@ class TestEstimateM:
 #: (real.hex(), imag.hex()) pairs): reports pinned bit for bit, so that a
 #: faster search cannot change an answer unnoticed; iters 0 and 1 included
 PINNED_REPORTS = [
-    (0.5, 24, 200, 1, "0x1.0b80098c099c9p+0", 3857,
-     (("0x1.9a0ec65bf24ddp-1", "0x1.4249c120cf92cp-33"),
-      ("-0x1.0000000000000p+0", "-0x1.9549b9676733bp-35"),
+    (0.5, 24, 200, 1, "0x1.0b80098c099c9p+0", 1443,
+     (("0x1.9a0ec66a0ea0ep-1", "0x0.0p+0"),
+      ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
     (0.1, 8, 0, 1, "0x1.af7b6f01f1dacp+1", 0,
      (("0x1.72ade3fd33dc0p-3", "0x0.0p+0"),
       ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
-    (0.9, 24, 200, 77, "0x1.0001e73218531p+0", 1550,
+    (0.9, 24, 200, 77, "0x1.0001e73218531p+0", 950,
      (("0x1.fd50d131bb2e6p-1", "0x0.0p+0"),
       ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
@@ -254,22 +256,22 @@ PINNED_REPORTS = [
      (("0x1.2118b28413000p-5", "0x0.0p+0"),
       ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
-    (0.98, 16, 60, 11, "0x1.000000a96cb27p+0", 1156,
-     (("0x1.ffe6a989c0b6ap-1", "0x1.9f1ecd51a9013p-29"),
-      ("-0x1.fffffffffffecp-1", "-0x1.1d4da0d72cecbp-24"),
-      ("0x1.0000000000000p+0", "0x0.0p+0"))),
-    # p where numpy's array power P**4 differs in the last bit from Python's
-    (0.23, 24, 200, 1, "0x1.94b1d3be3eea9p+0", 3794,
-     (("0x1.ad657b87562cdp-2", "0x1.5b69f18e75000p-26"),
-      ("-0x1.ffffffffffffcp-1", "-0x1.0a4083ae59d9cp-25"),
-      ("0x1.0000000000000p+0", "0x0.0p+0"))),
-    (0.27, 12, 40, 6, "0x1.66c26c231741dp+0", 840,
-     (("0x1.f44efa259e750p-2", "0x0.0p+0"),
+    (0.98, 16, 60, 11, "0x1.000000a96cb27p+0", 839,
+     (("0x1.ffe6a9816e3c9p-1", "0x0.0p+0"),
       ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
-    (0.97, 24, 200, 3, "0x1.0000036b3493dp+0", 1497,
-     (("0x1.ffc6697de357ep-1", "0x1.44e9948b2abf2p-28"),
-      ("-0x1.fffffffffff87p-1", "0x1.5ff741246987dp-23"),
+    # p where numpy's array power P**4 differs in the last bit from Python's
+    (0.23, 24, 200, 1, "0x1.94b1d3be3eea8p+0", 2376,
+     (("0x1.ad657c0560e7dp-2", "0x1.5784633780b98p-28"),
+      ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
+      ("0x1.0000000000000p+0", "0x0.0p+0"))),
+    (0.27, 12, 40, 6, "0x1.66c26c231741ep+0", 837,
+     (("0x1.f44efa8c04db6p-2", "0x0.0p+0"),
+      ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
+      ("0x1.0000000000000p+0", "0x0.0p+0"))),
+    (0.97, 24, 200, 3, "0x1.0000036b3493dp+0", 949,
+     (("0x1.ffc669ac00ce2p-1", "0x0.0p+0"),
+      ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
     (0.23, 8, 0, 2, "0x1.94b1d3be3eea6p+0", 0,
      (("0x1.ad657b9efa818p-2", "0x0.0p+0"),
@@ -305,104 +307,88 @@ def test_grid_starts_match_the_full_sort(p, grid, ties):
     assert g1.tobytes() == s1[best].tobytes()
 
 
-def _starts(rng, p):
-    """Refinement starts: random rows with moduli up to 1.3 (the clamp), rows
-    with exact zeros (the zdelt step of the first simplex), and the slice start."""
-    X = rng.uniform(-1.0, 1.0, size=(12, 4)) * [1.3, 7.0, 1.3, 7.0]
-    X[:, 0::2] = np.abs(X[:, 0::2])
-    X[0] = 0.0
-    X[1, [1, 3]] = 0.0
-    X[2, [0, 2]] = 0.0
-    X[3, :3] = [1.0, 0.0, 1.0]
-    return np.vstack([X, [p, 0.0, 1.0, np.pi]])
+class TestCompassSearch:
+    @staticmethod
+    def _recording(fun, calls):
+        """``fun``, recording a copy of each array it is called on."""
+        def recorded(X):
+            calls.append(X.copy())
+            return fun(X)
+        return recorded
 
+    def test_one_call_per_step_on_2N_points_per_live_start(self):
+        # a flat objective: every start halves its step at every step and
+        # all retire together once it falls below _XATOL
+        calls = []
+        N, n = 4, 3
+        res = minimize(self._recording(lambda X: np.zeros(len(X)), calls), np.zeros((n, N)), 200)
+        steps = int(np.ceil(np.log2(_STEP0 / _XATOL)))
+        assert [len(X) for X in calls] == [n] + [2 * N * n] * steps
+        assert np.all(res.nit == steps)
+        assert np.all(res.x == 0.0)
 
-class TestSimplex:
+    def test_the_polls_are_the_axes_both_ways_ties_to_the_first(self):
+        # every poll point of a start at the origin ties, so it moves to +h e_0
+        calls = []
+        res = minimize(self._recording(lambda X: -np.sum(X**2, axis=1), calls), np.zeros((1, 3)), 1)
+        assert np.array_equal(calls[1], _STEP0 * np.concatenate((np.eye(3), -np.eye(3))))
+        assert np.array_equal(res.x, [[_STEP0, 0.0, 0.0]])
+
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.95])
-    @pytest.mark.parametrize("maxiter", [1, 2, 30, 200])
-    def test_lockstep_run_is_scipy_nelder_mead_start_by_start(self, p, maxiter):
-        optimize = pytest.importorskip("scipy.optimize")
+    def test_no_value_ever_rises(self, p):
+        # the run is deterministic, so the run capped at k steps is the
+        # state after step k of any longer run
         P = PoleParam(p).P
 
-        def scalar_fun(x):
-            # one point at a time, sigma2 in closed form
-            sig = [min(max(x[2 * k], 0.0), 1.0) * np.exp(1j * x[2 * k + 1]) for k in range(2)]
-            return -phi_sigma2_max(P, *(np.array([complex(v)]) for v in sig))[0]
+        def fun(X):
+            return _negative_modulus(P, X)
 
-        X0 = _starts(np.random.default_rng(int(100 * p)), p)
-        got = minimize(lambda X: _negative_modulus(P, X), X0, maxiter)
-        for i, x0 in enumerate(X0):
-            want = optimize.minimize(scalar_fun, x0, method="Nelder-Mead",
-                                     options={"maxiter": maxiter, "xatol": _XATOL,
-                                              "fatol": _FATOL})
-            assert got.x[i].tobytes() == want.x.tobytes(), i
-            assert got.fun[i].tobytes() == np.float64(want.fun).tobytes(), i
-            assert (got.nit[i], got.nfev[i]) == (want.nit, want.nfev), i
+        rng = np.random.default_rng(int(100 * p))
+        X0 = rng.uniform(-1.0, 1.0, size=(12, 4)) * [1.3, 7.0, 1.3, 7.0]
+        before = fun(X0)
+        for k in (1, 2, 5, 30, 200):
+            res = minimize(fun, X0, k)
+            assert np.all(res.fun <= before), k
+            assert np.array_equal(fun(res.x), res.fun), k
+            before = res.fun
 
-    @pytest.mark.parametrize("maxiter", [1, 2, 30, 200])
-    def test_refinement_at_several_p_is_scipy_start_by_start(self, maxiter, monkeypatch):
-        # estimate_M refines the starts of one p in one lockstep run, as
-        # bounds does at each of its p; every start must end as scipy's run
-        # of that start alone, and the report must read the best of them
-        optimize = pytest.importorskip("scipy.optimize")
-        runs = []
+    def test_a_retired_start_is_no_longer_evaluated(self):
+        # the first start slides down a slope at a fixed step and never
+        # retires; the second sits where the objective is flat and retires
+        calls = []
+        N = 4
 
-        def recording(fun, X0, n):
-            res = minimize(fun, X0, n)
-            runs.append((X0, res))
+        def fun(X):
+            return np.where(X[:, 1] < 10.0, X.sum(axis=1), 0.0)
+
+        X0 = np.array([np.zeros(N), [0.0, 20.0, 0.0, 0.0]])
+        res = minimize(self._recording(fun, calls), X0, 60)
+        retired = int(np.ceil(np.log2(_STEP0 / _XATOL)))
+        assert list(res.nit) == [60, retired]
+        assert [len(X) for X in calls] == [2] + [4 * N] * retired + [2 * N] * (60 - retired)
+        assert all(np.all(X[:, 1] < 10.0) for X in calls[1 + retired:])
+        assert res.fun[0] == pytest.approx(-60 * _STEP0)
+
+    def test_counts_are_what_ran(self, monkeypatch):
+        # nfev counts the points each start was evaluated at, its own
+        # included, and the report's iterations are the steps of all starts
+        calls, runs = [], []
+
+        def recording(fun, X0, maxiter):
+            res = minimize(self._recording(fun, calls), X0, maxiter)
+            runs.append(res)
             return res
 
         monkeypatch.setattr(search, "minimize", recording)
-        for p in (0.1, 0.23, 0.97):
-            P = PoleParam(p).P
-            rep = estimate_M(PoleParam(p), grid=8, refine_iters=maxiter)
-            (X0, got), = runs
-            runs.clear()
-            for i, x0 in enumerate(X0):
-                want = optimize.minimize(lambda x: _negative_modulus(P, x[None])[0], x0,
-                                         method="Nelder-Mead",
-                                         options={"maxiter": maxiter, "xatol": _XATOL,
-                                                  "fatol": _FATOL})
-                assert got.x[i].tobytes() == want.x.tobytes(), (p, i)
-                assert got.fun[i].tobytes() == np.float64(want.fun).tobytes(), (p, i)
-                assert (got.nit[i], got.nfev[i]) == (want.nit, want.nfev), (p, i)
-            assert rep.m_estimate == -float(got.fun.min()) / (18.0 * P**3)
-            assert rep.iterations == int(got.nit.sum())
-
-    def test_objective_calls_are_batched(self):
-        # one call on the first simplices, then exactly one call per step on
-        # 4 trial points and N shrunk vertices per live start; nfev keeps
-        # scipy's count of 1 or 2 per step
-        sizes = []
-
-        def fun(X):
-            sizes.append(len(X))
-            return np.sum((X - 0.3) ** 2, axis=1)
-
-        res = minimize(fun, np.zeros((5, 6)), 50)
-        assert np.all(res.nit == 50)
-        assert sizes == [5 * 7] + [(4 + 6) * 5] * 49
-        assert len(sizes) == 1 + 49
-        assert np.all((7 + 49 <= res.nfev) & (res.nfev <= 7 + 2 * 49))
-
-    def test_shrinking_and_converged_starts_are_counted(self):
-        # a flat objective shrinks every simplex at every step until it is
-        # within _XATOL; larger starts take larger first simplices, so the
-        # starts converge at different steps
-        sizes = []
-
-        def flat(X):
-            sizes.append(len(X))
-            return np.zeros(len(X))
-
+        pp = PoleParam(0.05)
+        rep = estimate_M(pp, grid=8, refine_iters=200)
+        (res,) = runs
         N = 4
-        res = minimize(flat, np.outer([0.0, 1.0, 30.0], np.ones(N)), 200)
-        steps = res.nit - 1
-        assert list(res.nit) == [29, 37, 42]  # as scipy's Nelder-Mead ends each start
-        assert sizes == [3 * (N + 1)] + [(4 + N) * np.count_nonzero(steps > s)
-                                         for s in range(steps.max())]
-        assert len(sizes) == 1 + steps.max()
-        assert np.array_equal(res.nfev, N + 1 + steps * (2 + N))
+        assert len(calls) == 1 + res.nit.max()
+        assert sum(len(X) for X in calls) == res.nfev.sum()
+        assert np.array_equal(res.nfev, 1 + 2 * N * res.nit)
+        assert rep.iterations == int(res.nit.sum())
+        assert rep.m_estimate == -float(res.fun.min()) / (18.0 * pp.P**3)
 
 
 class TestRegions:
