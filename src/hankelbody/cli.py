@@ -37,7 +37,8 @@ EXIT_IO = 3
 #: 48 bytes a sample in the largest array of region and verify, verify's (samples, 3)
 #: complex ``sample_polydisk`` parameters (region draws them a chunk at a time and
 #: holds about 24 bytes a sample of values), and 16 a point of the ((GRID_RADII - 1)
-#: grid + 1)**2 sweep
+#: grid + 1)**2 sweep: the grid sweep skips the sigma0 rows its bound rules out, but
+#: where it rules out none it still sweeps every row, so the worst case is unchanged
 _INTP_MAX = np.iinfo(np.intp).max
 _MAX_SIZE = {"samples": _INTP_MAX // 48,
              "grid": (math.isqrt(_INTP_MAX // 16) - 1) // (GRID_RADII - 1)}

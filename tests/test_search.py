@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from hankelbody import (ExtremalReport, PoleParam, a_from_c, c_from_sigma,
                         estimate_M, hankel2, hankel_from_sigma, lower_bound_M,
                         omega_contains, omega_map, sample_omega_boundary,
                         sample_region_H, upper_bound_M)
+from hankelbody.disk import P_MIN
 from hankelbody.errors import InvalidInput
 from hankelbody.kernels import (_phi_terms, best_sigma2, phi_batch, phi_factors,
                                 phi_sigma2_max)
@@ -305,6 +307,72 @@ def test_grid_starts_match_the_full_sort(p, grid, ties):
     g0, g1 = search._grid_starts(P, grid)
     assert g0.tobytes() == s0[best].tobytes()
     assert g1.tobytes() == s1[best].tobytes()
+
+
+def _full_sweep_starts(P, grid):
+    """The grid starts from the full broadcast sweep of every (sigma0, sigma1)
+    pair of the polar grid: the reference for the row-pruned ``_grid_starts``."""
+    pts = search._polar_grid(grid)
+    vals = phi_sigma2_max(P, pts[:, None], pts[None, :]).ravel()
+    top = vals.size - search.GRID_STARTS
+    cand = np.flatnonzero(vals >= np.partition(vals, top)[top])
+    s0, s1 = pts[cand // pts.size], pts[cand % pts.size]
+    best = np.lexsort((s1.imag, s1.real, s0.imag, s0.real, -vals[cand]))[:search.GRID_STARTS]
+    return s0[best], s1[best]
+
+
+def _counting_sweeps(sizes):
+    """``phi_sigma2_max``, recording the number of points of each call."""
+    def counted(P, s0, s1):
+        sizes.append(np.broadcast(s0, s1).size)
+        return phi_sigma2_max(P, s0, s1)
+    return counted
+
+
+class TestGridStarts:
+    #: p dense over [P_MIN, 1), both ends included, and one p at which, on
+    #: grid 8, a row outside the first pass can still hold a start
+    DENSE_P = (P_MIN, *np.geomspace(1e-6, 0.05, 60), *np.linspace(0.05, 1.0 - 1e-6, 120)[1:],
+               0.9999999999999999, 0.16755840468227423)
+    GRIDS = (8, 9, 24, 40)
+
+    @pytest.mark.parametrize("starts", [search.GRID_STARTS, 4, 2])
+    def test_pruned_sweep_is_the_full_sweep(self, starts, monkeypatch):
+        # fewer starts also shrink the first pass, so that the second pass
+        # sweeps rows far more often than at the default
+        monkeypatch.setattr(search, "GRID_STARTS", starts)
+        sizes, second = [], 0
+        monkeypatch.setattr(search, "phi_sigma2_max", _counting_sweeps(sizes))
+        for grid in self.GRIDS:
+            for p in self.DENSE_P:
+                P = PoleParam(float(p)).P
+                sizes.clear()
+                g0, g1 = search._grid_starts(P, grid)
+                second += len(sizes) == 2
+                w0, w1 = _full_sweep_starts(P, grid)
+                assert (g0.tobytes(), g1.tobytes()) == (w0.tobytes(), w1.tobytes()), (p, grid)
+        assert second > 0
+
+    def test_row_bounds_hold_on_the_full_sweep(self):
+        # the widened bound of each sigma0 row is at least every value in it
+        for grid in self.GRIDS:
+            pts = search._polar_grid(grid)
+            for p in self.DENSE_P:
+                P = PoleParam(float(p)).P
+                vals = phi_sigma2_max(P, pts[:, None], pts[None, :])
+                bound = search._row_bounds(P, pts) * (1.0 + search._BOUND_SLACK)
+                assert np.all(vals.max(axis=1) <= bound), (p, grid)
+
+    def test_default_sweep_visits_few_rows(self, monkeypatch):
+        # a return to the full sweep of every row would read 169 rows here
+        grid = inspect.signature(estimate_M).parameters["grid"].default
+        n = search._polar_grid(grid).size
+        sizes = []
+        monkeypatch.setattr(search, "phi_sigma2_max", _counting_sweeps(sizes))
+        for p in TestEstimateM.ACCURACY_P:
+            sizes.clear()
+            search._grid_starts(PoleParam(float(p)).P, grid)
+            assert sum(sizes) <= 2 * search.GRID_STARTS * n, p
 
 
 class TestCompassSearch:
