@@ -1,6 +1,6 @@
 """Coefficient bodies of disk self-maps fixing an interior point, the
-second Hankel determinant of the associated concave maps, and numerical
-estimation of its extremal modulus."""
+second Hankel determinant of the associated concave maps, and its extremal
+modulus M(p), the maximum of a real quartic slice."""
 
 from .coeffbody import (CoeffTriple, MembershipResult, ParamTriple, c_from_sigma,
                         c_from_w, membership_x2, phi_evaluator,

@@ -1,5 +1,5 @@
-"""Command-line surface: bounds tables, region exports, extremal search,
-and the verification suite.
+"""Command-line surface: bounds tables, region exports, the extremal
+modulus, and the verification suite.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 All payloads are pure functions of the flags and seed, so repeated runs
@@ -25,23 +25,25 @@ from .disk import PoleParam
 from .errors import InvalidInput
 from .hankel import lower_bound_M, upper_bound_M
 from .oracle import verify_all
-from .search import (GRID_RADII, MIN_GRID, OMEGA_MIN_POINTS, RegionSample,
-                     estimate_M, sample_omega_boundary, sample_region_H)
+from .search import (OMEGA_MIN_POINTS, RegionSample, estimate_M, sample_omega_boundary,
+                     sample_region_H)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-#: the largest --samples and --grid whose arrays' sizes in bytes fit an intp:
-#: 48 bytes a sample in the largest array of region and verify, verify's (samples, 3)
-#: complex ``sample_polydisk`` parameters (region draws them a chunk at a time and
-#: holds about 24 bytes a sample of values), and 16 a point of the ((GRID_RADII - 1)
-#: grid + 1)**2 sweep: the grid sweep skips the sigma0 rows its bound rules out, but
-#: where it rules out none it still sweeps every row, so the worst case is unchanged
+#: the largest --samples whose arrays' sizes in bytes fit an intp: 48 bytes a sample
+#: in the largest array of region and verify, verify's (samples, 3) complex
+#: ``sample_polydisk`` parameters (region draws them a chunk at a time and holds
+#: about 24 bytes a sample of values).  No grid sweep is left for --grid to size;
+#: it keeps the range [_GRID_MIN, _MAX_SIZE["grid"]] that the sweep's
+#: (7 grid + 1)**2 points of 16 bytes set, so that every argv keeps its exit code
 _INTP_MAX = np.iinfo(np.intp).max
-_MAX_SIZE = {"samples": _INTP_MAX // 48,
-             "grid": (math.isqrt(_INTP_MAX // 16) - 1) // (GRID_RADII - 1)}
+_MAX_SIZE = {"samples": _INTP_MAX // 48, "grid": (math.isqrt(_INTP_MAX // 16) - 1) // 7}
+_GRID_MIN = 8
+#: the help of the flags that ``extremal`` and ``bounds`` still parse and check
+_NO_EFFECT = "parsed and checked, but no longer changes the answer"
 
 
 def _parse_p(text: str) -> float:
@@ -106,7 +108,7 @@ def _table_cell(v: float, width: int) -> str:
 def cmd_bounds(args) -> int:
     pps = [PoleParam(p) for p in args.p]
     rows = [(pp.p, 1.0 / (3.0 * pp.p), lower_bound_M(pp),
-             estimate_M(pp, grid=args.grid, refine_iters=args.iters, seed=args.seed).m_estimate,
+             estimate_M(pp, refine_iters=args.iters).m_estimate,
              upper_bound_M(pp), 1.0 / (3.0 * pp.p) + 2.0 / 3.0)
             for pp in pps]
     header = ("p", "one_third_p", "lower", "m_estimate", "upper", "one_third_p_plus")
@@ -305,7 +307,7 @@ def cmd_verify(args) -> int:
 
 def cmd_extremal(args) -> int:
     pp = PoleParam(args.p)
-    report = estimate_M(pp, grid=args.grid, refine_iters=args.iters, seed=args.seed)
+    report = estimate_M(pp, refine_iters=args.iters)
     sig = report.arg_sigma
     payload = {
         "p": report.p,
@@ -339,19 +341,21 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--format", choices=_DOCUMENTS, default="csv")
     v = sub.add_parser("verify", help="run the invariant families")
     v.add_argument("--p", type=_parse_p_list, default=[0.2, 0.5, 0.8])
-    e = sub.add_parser("extremal", help="single-p extremal search report")
+    e = sub.add_parser("extremal", help="single-p extremal modulus report")
     e.add_argument("--p", type=_parse_p, default=0.5)
     # the flags that subcommands share, each declared once
     for cmd in (b, e):
-        cmd.add_argument("--grid", type=_parse_int("grid", MIN_GRID), default=24)
+        cmd.add_argument("--grid", type=_parse_int("grid", _GRID_MIN), default=24,
+                         help=_NO_EFFECT)
         cmd.add_argument("--iters", type=_parse_int("iters", 0), default=0,
-                         help="compass-search steps from each start (default 0: "
-                              "report the best start, each evaluated once)")
+                         help="compass-search steps from the slice maximum (default 0: "
+                              "report it, evaluated once)")
     for cmd in (r, v):
         cmd.add_argument("--samples", type=_parse_int("samples", 1), default=1000)
     for cmd, func, out_help in ((b, cmd_bounds, "optional CSV path"), (r, cmd_region, None),
                                 (v, cmd_verify, None), (e, cmd_extremal, None)):
-        cmd.add_argument("--seed", type=_parse_int("seed", 0), default=1)
+        cmd.add_argument("--seed", type=_parse_int("seed", 0), default=1,
+                         help=_NO_EFFECT if cmd in (b, e) else None)
         cmd.add_argument("--out", default=None, help=out_help)
         cmd.set_defaults(func=func)
     return ap

@@ -1,6 +1,6 @@
 """Closed-form functionals: coefficient map, Hankel determinant, the
 polydisk functional Phi_p, the one-parameter extremal family, and the
-bound polynomials used in the sandwich estimate for M(p).
+paper's bound polynomials for M(p).
 
 Transcribed polynomial displays live in module-level tables so the test
 suite can perturb a single coefficient and confirm the defining identities

@@ -1,28 +1,14 @@
-"""Global search for the extremal Hankel modulus and region sampling.
+"""The extremal modulus M(p) and region sampling.
 
-The functional is affine in the third polydisk parameter, so its supremum
-sits on |sigma2| = 1 and can be taken analytically; the coarse sweep then
-runs over a polar grid in (sigma0, sigma1) only.  It skips every sigma0
-row that cannot hold one of the best ``GRID_STARTS`` grid values: with Phi =
-T0 + T1 s1 + T2 s1^2 + C (1 - |s1|^2) s2, the largest over the grid's ring
-radii r of |T0| + |T1| r + |T2| r^2 + |C| (1 - r^2) bounds each row from
-sigma0 alone.  The bound is at least half of |T0| + |T1| + |T2| + |C|, so
-rounding is about 20 ulp of it and a 1e-12 relative widening covers it; the
-rows swept give the full sweep's values bit for bit, so the starts are the
-full sweep's.  At the default grid 24 about 16 of the 169 rows are swept:
-0.15 ms in place of 1.07 ms, and ``estimate_M`` takes 0.35 ms in place of
-1.44 ms (2-core Xeon VM, numpy 2.4.6, best of 7 ``timeit`` repeats at
-p = 0.5).
-
-The estimate is the best of the starts, each evaluated once: the exact
-maximum of the real slice (t, -1, *), the best grid points and seeded
-random points.  Refinement is opt-in (``refine_iters > 0``): a compass
-search then refines the same objective in the four real parameters of
-(sigma0, sigma1), moduli clamped to [0,1], from those starts.  It runs
-every start in lockstep with numpy (``minimize``): exactly one objective
-call per step, on the points one step along each axis, both ways, around
-every live start.  Each search is at one p.  Everything is deterministic
-for a fixed (grid, refine_iters, seed).
+M(p) = sup |H| over the closed polydisk is the maximum over t in [0, 1] of
+the paper's quartic slice h_p(t) = -H(t, -1, 0) (README, "The extremal
+modulus", gives the six-step proof, and ``tests/test_exact.py`` checks its
+identities with sympy on the package's own Phi).  So ``estimate_M``
+evaluates |H| at (t*, -1), t* the slice's argmax.  Refinement is opt-in
+(``refine_iters > 0``): a compass search (``minimize``) then starts from
+that point in the four real parameters of (sigma0, sigma1), moduli clamped
+to [0,1], and can gain no more than rounding.  Everything is deterministic
+for a fixed ``refine_iters``.
 """
 
 from __future__ import annotations
@@ -36,18 +22,12 @@ from .coeffbody import ParamTriple
 from .disk import PoleParam
 from .errors import InvalidInput
 from .hankel import hp_numerator_coeffs, omega_map
-from .kernels import best_sigma2, phi_batch, phi_sigma0_terms, phi_sigma2_max
+from .kernels import best_sigma2, phi_batch, phi_sigma2_max
 
 #: angular bins of the H-cloud's boundary polyline
 REGION_BINS = 256
-#: fewest angular samples per parameter in the grid sweep
-MIN_GRID = 8
 #: fewest points on the Omega_p boundary polyline
 OMEGA_MIN_POINTS = 16
-#: radial samples of the grid sweep, the origin and |z| = 1 included
-GRID_RADII = 8
-#: best grid points that seed the refinement
-GRID_STARTS = 16
 #: share of ``sample_polydisk`` moduli forced onto |s| = 1
 BOUNDARY_RATE = 0.1
 #: rows per chunk of the region samplers: per ``phi_batch`` call and block
@@ -74,24 +54,16 @@ class RegionSample:
 
 @dataclass(frozen=True)
 class ExtremalReport:
-    """What one search computed: the best modulus ``m_estimate`` of H at p,
-    the polydisk point ``arg_sigma`` where it was found, and the compass-search
-    steps of all starts together, 0 unless the search refined.  The
-    paper's closed-form bounds on M(p) are ``hankel.lower_bound_M`` and
-    ``hankel.upper_bound_M``."""
+    """What ``estimate_M`` computed: the modulus ``m_estimate`` of H at p,
+    which is M(p) by the slice theorem, the polydisk point ``arg_sigma``
+    where it is attained, and the compass-search steps from the one start,
+    0 unless the search refined.  The paper's closed-form bounds on M(p)
+    are ``hankel.lower_bound_M`` and ``hankel.upper_bound_M``."""
 
     p: float
     m_estimate: float
     arg_sigma: ParamTriple
     iterations: int
-
-
-def _polar_grid(n_angle: int) -> np.ndarray:
-    """Distinct points {r e^(i theta)} including the origin and |z| = 1."""
-    mods = np.linspace(0.0, 1.0, GRID_RADII)
-    angles = 2.0 * np.pi * np.arange(n_angle) / n_angle
-    pts = np.outer(mods[1:], np.exp(1j * angles)).ravel()
-    return np.concatenate(([0.0 + 0.0j], pts))
 
 
 def _sigma_rows(X: np.ndarray) -> np.ndarray:
@@ -102,7 +74,7 @@ def _sigma_rows(X: np.ndarray) -> np.ndarray:
 
 def _negative_modulus(P: float, X: np.ndarray) -> np.ndarray:
     """-sup over sigma2 of |Phi| at the (n, 4) rows of ``X``, the objective of
-    the refinement and, as ``phi_sigma2_max``, of the grid sweep."""
+    the refinement."""
     sig = _sigma_rows(X)
     return -phi_sigma2_max(P, sig[:, 0], sig[:, 1])
 
@@ -118,54 +90,6 @@ def _slice_argmax(P: float) -> float:
     crit = np.polynomial.polynomial.polyroots(np.polynomial.polynomial.polyder(c))
     t = np.clip(np.concatenate(([0.0, 1.0], crit.real)), 0.0, 1.0)
     return float(t[np.argmax(np.abs(np.polynomial.polynomial.polyval(t, c)))])
-
-
-def _row_bounds(P: float, pts: np.ndarray) -> np.ndarray:
-    """Per sigma0 in ``pts``, the largest over the ``GRID_RADII`` ring radii r
-    of |T0| + |T1| r + |T2| r^2 + |C| (1 - r^2): a majorant of every
-    ``phi_sigma2_max`` value with that sigma0 and a sigma1 of modulus r."""
-    r = np.linspace(0.0, 1.0, GRID_RADII)[:, None]
-    T0, T1, T2, C = map(np.abs, phi_sigma0_terms(P, pts))
-    return (T0 + T1 * r + T2 * (r * r) + C * (1.0 - r * r)).max(axis=0)
-
-
-#: relative widening of ``_row_bounds`` before a row is pruned: the bound
-#: is at least half of |T0| + |T1| + |T2| + |C| (its r = 0 and r = 1 rings),
-#: so the rounding of the bound and of the values is about 20 ulp of it
-_BOUND_SLACK = 1e-12
-
-
-def _grid_starts(P: float, grid: int) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma0, sigma1) of the ``GRID_STARTS`` largest ``phi_sigma2_max``
-    values on the polar grid with ``grid`` angles, in descending order of
-    value, ties broken by ascending (Re, Im) of sigma0, then of sigma1.
-
-    Only the sigma0 rows that can hold such a value are swept.  The
-    ``GRID_STARTS`` rows of largest ``_row_bounds`` go first, in one
-    broadcast call; then, in at most one more, every other row whose bound,
-    widened by ``_BOUND_SLACK``, reaches the ``GRID_STARTS``-th largest
-    value swept so far.  A row left out is below that cut everywhere, and a
-    swept row's values are the full sweep's bit for bit, so the starts are
-    those of the full ((GRID_RADII - 1) grid + 1)^2 sweep.  Only the values
-    at least as large as the cut, ties included, are sorted.
-    """
-    pts = _polar_grid(grid)
-    bound = _row_bounds(P, pts)
-    order = np.argsort(-bound, kind="stable")
-    rows, rest = order[:GRID_STARTS], order[GRID_STARTS:]
-    # the sigma0-only factors of Phi are formed once a row and broadcast over sigma1
-    vals = phi_sigma2_max(P, pts[rows, None], pts[None, :]).ravel()
-    top = vals.size - GRID_STARTS
-    cut = np.partition(vals, top)[top]
-    more = rest[bound[rest] * (1.0 + _BOUND_SLACK) >= cut]
-    if more.size:
-        # the cut can only rise, so the values above the old one still hold the starts
-        rows = np.concatenate((rows, more))
-        vals = np.concatenate((vals, phi_sigma2_max(P, pts[more, None], pts[None, :]).ravel()))
-    cand = np.flatnonzero(vals >= cut)
-    s0, s1 = pts[rows[cand // pts.size]], pts[cand % pts.size]
-    best = np.lexsort((s1.imag, s1.real, s0.imag, s0.real, -vals[cand]))[:GRID_STARTS]
-    return s0[best], s1[best]
 
 
 # the refinement's first step along each axis, and the step below which a
@@ -218,47 +142,31 @@ def minimize(fun, X0: np.ndarray, maxiter: int) -> SearchResult:
     return SearchResult(x=X, fun=F, nit=nit, nfev=1 + 2 * N * nit)
 
 
-def estimate_M(pp: PoleParam, grid: int = 24, refine_iters: int = 0,
-               seed: int = 1) -> ExtremalReport:
-    """Estimate sup |H| over the polydisk as the best of a grid sweep's starts.
+def estimate_M(pp: PoleParam, refine_iters: int = 0) -> ExtremalReport:
+    """M(p) as sup over sigma2 of |H| at (t*, -1), t* from ``_slice_argmax``.
 
-    sigma2 is taken in closed form throughout (``phi_sigma2_max``), so the
-    search runs over (sigma0, sigma1).  ``grid`` is the number of angular
-    samples per parameter, with ``GRID_RADII`` radial ones.  The starts are
-    the exact maximum of the real slice (t, -1), the best ``GRID_STARTS``
-    grid points and four seeded random points; with the default
-    ``refine_iters=0`` each is only evaluated.  A positive ``refine_iters``
-    caps the steps of a compass search from every start, run in lockstep by
-    ``minimize``; on every p tested it gains no more than rounding over the
-    best start.
-    The best point found is reported with its canonical ``best_sigma2``.
+    The real slice's maximum is M(p), so with the default ``refine_iters=0``
+    that point is only evaluated, sigma2 taken in closed form
+    (``phi_sigma2_max``).  A positive ``refine_iters`` caps the steps of a
+    compass search (``minimize``) from that one point over (sigma0, sigma1);
+    it can gain no more than rounding.  The point found is reported with its
+    canonical ``best_sigma2``.
     """
-    if grid < MIN_GRID:
-        raise InvalidInput(f"grid must be >= {MIN_GRID}")
     if refine_iters < 0:
         raise InvalidInput("refine_iters must be >= 0")
-    if seed < 0:
-        raise InvalidInput("seed must be >= 0")
 
     P = pp.P
-    rng = np.random.default_rng(seed)
-    # optimizer starts, drawn modulus-uniform: not area-uniform polydisk samples
-    rand = rng.uniform(size=(2, 4)) * np.exp(2j * np.pi * rng.uniform(size=(2, 4)))
-    g0, g1 = _grid_starts(P, grid)
-    z0 = np.concatenate(([_slice_argmax(P)], g0, rand[0]))
-    z1 = np.concatenate(([-1.0], g1, rand[1]))
-    X0 = np.column_stack([np.abs(z0), np.angle(z0), np.abs(z1), np.angle(z1)])
-
+    # (|sigma0|, arg sigma0, |sigma1|, arg sigma1) of (t*, -1)
+    X0 = np.array([[_slice_argmax(P), 0.0, 1.0, np.pi]])
     if refine_iters > 0:
         res = minimize(lambda X: _negative_modulus(P, X), X0, refine_iters)
-        X, F, iterations = res.x, res.fun, int(res.nit.sum())
+        X, F, iterations = res.x, res.fun, int(res.nit[0])
     else:
         X, F, iterations = X0, _negative_modulus(P, X0), 0
-    k = int(np.argmin(F))
-    sig0, sig1 = map(complex, _sigma_rows(X[k:k + 1])[0])
+    sig0, sig1 = map(complex, _sigma_rows(X)[0])
     return ExtremalReport(
         p=pp.p,
-        m_estimate=-float(F[k]) / (18.0 * P**3),
+        m_estimate=-float(F[0]) / (18.0 * P**3),
         arg_sigma=ParamTriple(sig0, sig1, best_sigma2(P, sig0, sig1)),
         iterations=iterations,
     )

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import textwrap
 from functools import cache
@@ -5,7 +6,7 @@ from functools import cache
 import numpy as np
 import pytest
 
-from hankelbody import ParamTriple, PoleParam
+from hankelbody import ParamTriple, PoleParam, kernels
 from hankelbody.hankel import h_p
 
 
@@ -50,3 +51,28 @@ def source_mutants(fn, edits):
         namespace = dict(fn.__globals__)
         exec(compile(source.replace(old, new), fn.__code__.co_filename, "exec"), namespace)
         yield label, namespace[fn.__name__]
+
+
+#: the one transcription of Phi, behind phi_p, phi_batch, phi_sigma2_max,
+#: best_sigma2 and B_coeffs: its sigma0 terms, their composition with sigma1
+#: and its P-only factors, which hold 18 numeric literals
+PHI_FUNCTIONS = (kernels.phi_sigma0_terms, kernels._phi_terms, kernels.phi_factors)
+
+
+def literal_mutants(*functions):
+    """Copies of each of ``functions``, each copy with one numeric literal
+    raised by 1e-3."""
+    def literals(tree):
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                and type(node.value) in (int, float)]
+
+    for fn in functions:
+        source = textwrap.dedent(inspect.getsource(fn))
+        for k in range(len(literals(ast.parse(source)))):
+            tree = ast.parse(source)
+            node = literals(tree)[k]
+            label = f"{fn.__name__} line {node.lineno}: {node.value!r}"
+            node.value += 1e-3
+            namespace = dict(fn.__globals__)
+            exec(compile(tree, fn.__code__.co_filename, "exec"), namespace)
+            yield label, namespace[fn.__name__]

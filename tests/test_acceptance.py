@@ -3,10 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines inline.
 """
 
-import ast
-import inspect
 import json
-import textwrap
 import time
 
 import numpy as np
@@ -21,7 +18,7 @@ from hankelbody.kernels import phi_batch
 from hankelbody.oracle import a_batch_from_w
 from hankelbody.search import sample_polydisk
 
-from conftest import source_mutants, triples
+from conftest import PHI_FUNCTIONS, literal_mutants, source_mutants, triples
 
 P99 = [k / 100.0 for k in range(1, 100)]
 
@@ -209,25 +206,6 @@ def _criterion4_residual(n=150):
     return worst
 
 
-def _phi_terms_mutants(*functions):
-    """Copies of each of ``functions``, each copy with one numeric literal
-    raised by 1e-3."""
-    def literals(tree):
-        return [node for node in ast.walk(tree) if isinstance(node, ast.Constant)
-                and type(node.value) in (int, float)]
-
-    for fn in functions:
-        source = textwrap.dedent(inspect.getsource(fn))
-        for k in range(len(literals(ast.parse(source)))):
-            tree = ast.parse(source)
-            node = literals(tree)[k]
-            label = f"{fn.__name__} line {node.lineno}: {node.value!r}"
-            node.value += 1e-3
-            namespace = dict(fn.__globals__)
-            exec(compile(tree, fn.__code__.co_filename, "exec"), namespace)
-            yield label, namespace[fn.__name__]
-
-
 def test_criterion_9_mutation_sensitivity(monkeypatch):
     import hankelbody.hankel as hk
     import hankelbody.kernels as kn
@@ -249,11 +227,9 @@ def test_criterion_9_mutation_sensitivity(monkeypatch):
             undetected.append(f"quartic[{k}]")
     monkeypatch.setattr(hk, "hp_numerator_coeffs", orig_hp)
 
-    # the one transcription of Phi, behind phi_p, phi_batch, phi_sigma2_max,
-    # best_sigma2 and B_coeffs: its sigma0 terms, their composition with
-    # sigma1 and its P-only factors; every numeric literal in them must matter
+    # every numeric literal of the one transcription of Phi must matter
     n_phi = 0
-    for label, bad in _phi_terms_mutants(kn.phi_sigma0_terms, kn._phi_terms, kn.phi_factors):
+    for label, bad in literal_mutants(*PHI_FUNCTIONS):
         n_phi += 1
         monkeypatch.setattr(kn, bad.__name__, bad)
         if _criterion4_residual(60) <= 1e-8:

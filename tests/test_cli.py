@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import inspect
 import io
+import itertools
 import json
 import os
 import pkgutil
@@ -653,8 +654,9 @@ class TestBoundsTable:
         ["--p", "0.1,0.62,0.97", "--grid", "9", "--iters", "1", "--seed", "7"],
     ])
     def test_rows_are_the_per_p_reports(self, argv, tmp_path, monkeypatch, capsys):
-        # bounds searches each p on its own, with the argv's grid, iters and
-        # seed; each row must be, bit for bit, the report of estimate_M at that p
+        # bounds reports each p on its own, with the argv's iters (its grid and
+        # seed change nothing); each row must be, bit for bit, the report of
+        # estimate_M at that p
         calls = []
 
         def recording(pp, **kwargs):
@@ -668,7 +670,7 @@ class TestBoundsTable:
         capsys.readouterr()
         args = build_parser().parse_args(["bounds", *argv])
         rows = out.read_text().splitlines()[1:]
-        kwargs = {"grid": args.grid, "refine_iters": args.iters, "seed": args.seed}
+        kwargs = {"refine_iters": args.iters}
         assert calls == [(PoleParam(p), kwargs) for p in args.p]
         assert len(rows) == len(args.p)
         for p, row in zip(args.p, rows):
@@ -750,8 +752,9 @@ class TestBenchmarkHooks:
 
     def test_traced_bounds_job(self, capsys):
         # the tracer rebinds every public function, and its phi_sigma2_max
-        # hook reads len(args[1]): a bounds job runs one search, with its
-        # lockstep refinement, per p through those hooks
+        # hook reads len(args[1]): a bounds job runs one search per p through
+        # those hooks, each a compass search from one start, which evaluates
+        # the start and then, in each of its 5 steps, 2 x 4 points
         bounds = ["bounds", "--p", "0.2,0.9", "--grid", "8", "--iters", "5"]
         ready, traced, job, stats = _traced_worker([bounds])
         assert traced == {"ok": True}
@@ -761,7 +764,29 @@ class TestBenchmarkHooks:
         spans, counters = stats["trace"]["spans"], stats["trace"]["counters"]
         assert spans["search.estimate_M"][0] == 2
         assert spans["search.minimize"][0] == 2
-        assert counters["kernels.phi_sigma2_max.evals"] > 2 * 21 * (4 + 4)
+        assert counters["kernels.phi_sigma2_max.evals"] == 2 * (1 + 5 * (4 + 4))
+
+
+#: the extremal job among the benchmark's warm-up jobs (``WARMUP_ARGV`` of
+#: perfbench/run.py, which sets thread variables in ``os.environ`` on import)
+BENCH_WARMUP = ("extremal", "--p", "0.5", "--iters", "20")
+
+
+def test_the_benchmark_extremal_jobs_pass_its_gates(tmp_path, monkeypatch):
+    # the benchmark runs these argv and gates their output: one full and one
+    # tiny round of extremal_sweep (every job passes --seed, the tiny ones
+    # --grid 8 --iters 30) and its warm-up; each must exit 0 and pass
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    workloads, gates = (importlib.import_module(name) for name in ("workloads", "gates"))
+    n = workloads.ROUND_LENGTH["extremal_sweep"]
+    jobs = [job for tiny in (False, True)
+            for job in itertools.islice(workloads.jobs("extremal_sweep", 1, tiny), n)]
+    jobs.append(workloads.Job("extremal", BENCH_WARMUP, "json", (0.5,)))
+    for job in jobs:
+        out = tmp_path / f"job.{job.ext}"
+        code = run([*job.argv, "--out", str(out)])
+        assert code == EXIT_OK, job.argv
+        assert gates.check_job(job, code, out.read_bytes()) >= 1, job.argv
 
 
 class _FailingStdout:

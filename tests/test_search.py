@@ -10,10 +10,9 @@ from hankelbody import (ExtremalReport, PoleParam, a_from_c, c_from_sigma,
                         estimate_M, hankel2, hankel_from_sigma, lower_bound_M,
                         omega_contains, omega_map, sample_omega_boundary,
                         sample_region_H, upper_bound_M)
-from hankelbody.disk import P_MIN
 from hankelbody.errors import InvalidInput
 from hankelbody.kernels import (_phi_terms, best_sigma2, phi_batch, phi_factors,
-                                phi_sigma2_max)
+                                phi_sigma0_terms, phi_sigma2_max)
 from hankelbody.hankel import hp_numerator_coeffs, phi_p
 from hankelbody import search
 from hankelbody.search import (_STEP0, _XATOL, BOUNDARY_RATE, REGION_BINS,
@@ -152,19 +151,19 @@ class TestEstimateM:
         assert rep.m_estimate == pytest.approx(1.04492, abs=2e-4)
 
     def test_deterministic(self, pp05):
-        r1 = estimate_M(pp05, grid=12, refine_iters=50)
-        r2 = estimate_M(pp05, grid=12, refine_iters=50)
+        r1 = estimate_M(pp05, refine_iters=50)
+        r2 = estimate_M(pp05, refine_iters=50)
         assert r1 == r2
 
     def test_refinement_monotone(self, pp05):
-        coarse = estimate_M(pp05, grid=12, refine_iters=0)
-        fine = estimate_M(pp05, grid=12, refine_iters=100)
+        coarse = estimate_M(pp05, refine_iters=0)
+        fine = estimate_M(pp05, refine_iters=100)
         assert fine.m_estimate >= coarse.m_estimate - 1e-12
 
     def test_maximizer_reported_value_consistent(self):
-        for p, grid, iters in ((0.5, 16, 100), (0.5, 8, 0), (0.9, 24, 200), (0.1, 8, 30)):
+        for p, iters in ((0.5, 100), (0.5, 0), (0.9, 200), (0.1, 30)):
             pp = PoleParam(p)
-            rep = estimate_M(pp, grid=grid, refine_iters=iters)
+            rep = estimate_M(pp, refine_iters=iters)
             s0, s1, s2 = rep.arg_sigma
             P = pp.P
             sup = phi_sigma2_max(P, np.array([s0]), np.array([s1]))[0]
@@ -173,10 +172,10 @@ class TestEstimateM:
             direct = abs(hankel_from_sigma(pp, rep.arg_sigma))
             assert direct == pytest.approx(rep.m_estimate, abs=1e-9)
 
-    @pytest.mark.parametrize("grid, iters", [(8, 0), (8, 1), (8, 30), (24, 0)])
+    @pytest.mark.parametrize("iters", [0, 1, 30])
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.62, 0.9])
-    def test_coarse_search_reaches_the_slice_maximum(self, p, grid, iters):
-        rep = estimate_M(PoleParam(p), grid=grid, refine_iters=iters)
+    def test_coarse_search_reaches_the_slice_maximum(self, p, iters):
+        rep = estimate_M(PoleParam(p), refine_iters=iters)
         assert rep.m_estimate >= slice_max_on_grid(p) - 1e-13
 
     #: 43 p in [0.001, 0.999], dense towards both ends
@@ -198,17 +197,22 @@ class TestEstimateM:
             return float(max(abs(mp.polyval(c[::-1].tolist(), t)) for t in ts) / (18 * P**3))
 
     def test_default_is_the_exact_slice_maximum(self):
-        # the default evaluates the starts once, the exact slice start among them
+        # the default evaluates its one start, the slice point (t*, -1), once
         for p in self.ACCURACY_P:
             pp = PoleParam(float(p))
+            P = pp.P
             rep, exact = estimate_M(pp), self._exact_slice_max(pp)
             assert rep.iterations == 0
             assert abs(rep.m_estimate - exact) <= 2e-15 * exact, p
+            t = search._slice_argmax(P)
+            want = phi_sigma2_max(P, np.array([t]), np.array([-1.0]))[0] / (18.0 * P**3)
+            assert rep.m_estimate.hex() == want.hex(), p
+            assert rep.arg_sigma[0] == t, p
 
     @pytest.mark.parametrize("p", ACCURACY_P)
     def test_refinement_does_not_pay(self, p):
-        # the refinement starts from the default's starts and never rises, and
-        # fails once it finds more than rounding above the best of them
+        # the refinement starts from the default's point and never rises, and
+        # fails once it finds more than rounding above it
         pp = PoleParam(float(p))
         default = estimate_M(pp).m_estimate
         refined = estimate_M(pp, refine_iters=200).m_estimate
@@ -216,163 +220,109 @@ class TestEstimateM:
 
     def test_input_validation(self, pp05):
         with pytest.raises(InvalidInput):
-            estimate_M(pp05, grid=4)
-        with pytest.raises(InvalidInput):
             estimate_M(pp05, refine_iters=-1)
+        # no grid and no seed: the one start is the slice maximum
+        assert list(inspect.signature(estimate_M).parameters) == ["pp", "refine_iters"]
 
     def test_report_holds_only_search_results(self):
-        # the paper's bounds come from hankel and the grid from the caller
+        # the paper's bounds come from hankel
         names = tuple(f.name for f in dataclasses.fields(ExtremalReport))
         assert names == ("p", "m_estimate", "arg_sigma", "iterations")
 
 
-#: (p, grid, refine_iters, seed, m_estimate.hex(), iterations, arg_sigma as
+#: p of the float check of the majorant chain, both ends of the range included
+CHAIN_P = (0.001, 0.05, 0.2, 0.5, 0.8, 0.95, 0.999)
+
+
+@pytest.mark.parametrize("p", CHAIN_P)
+def test_the_majorant_chain_holds_in_floats(p):
+    # README's chain |Phi| <= S <= Q <= max(Q(rho, 1), 18 P^3) <= 18 P^3 M on
+    # 10^5 polydisk samples, each link with a one-sided relative slack of
+    # 1e-14 for rounding: S is the majorant of the sigma0 terms, Q that of
+    # their values at rho = |sigma0|, and M the reported slice maximum
+    pp = PoleParam(p)
+    P = pp.P
+    s0, s1, s2 = sample_polydisk(np.random.default_rng(23), 100_000).T
+    r = np.abs(s1)
+
+    def majorant(terms):
+        T0, T1, T2, C = map(np.abs, terms)
+        return T0 + T1 * r + T2 * (r * r) + C * (1.0 - r * r)
+
+    B = phi_sigma0_terms(P, np.abs(s0).astype(np.complex128))
+    top = np.maximum(sum(map(np.abs, B[:3])), 18.0 * P**3)
+    chain = (np.abs(phi_batch(P, s0, s1, s2)), majorant(phi_sigma0_terms(P, s0)),
+             majorant(B), top, 18.0 * P**3 * estimate_M(pp).m_estimate)
+    for k, (lo, hi) in enumerate(zip(chain, chain[1:])):
+        assert np.all(lo <= hi * (1.0 + 1e-14)), (p, k)
+
+
+#: (p, refine_iters, m_estimate.hex(), iterations, arg_sigma as
 #: (real.hex(), imag.hex()) pairs): reports pinned bit for bit, so that a
 #: faster search cannot change an answer unnoticed; iters 0 and 1 included
 PINNED_REPORTS = [
-    (0.5, 24, 200, 1, "0x1.0b80098c099c9p+0", 1443,
-     (("0x1.9a0ec66a0ea0ep-1", "0x0.0p+0"),
+    (0.5, 200, "0x1.0b80098c099c8p+0", 36,
+     (("0x1.9a0ec65c48b58p-1", "0x0.0p+0"),
       ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
-    (0.1, 8, 0, 1, "0x1.af7b6f01f1dacp+1", 0,
+    (0.1, 0, "0x1.af7b6f01f1dacp+1", 0,
      (("0x1.72ade3fd33dc0p-3", "0x0.0p+0"),
       ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
-    (0.9, 24, 200, 77, "0x1.0001e73218531p+0", 950,
+    (0.9, 200, "0x1.0001e73218531p+0", 36,
      (("0x1.fd50d131bb2e6p-1", "0x0.0p+0"),
       ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
-    (0.62, 8, 30, 5, "0x1.02de5902fed95p+0", 630,
+    (0.62, 30, "0x1.02de5902fed95p+0", 30,
      (("0x1.cbf04a23fe8cep-1", "0x0.0p+0"),
       ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
-    (0.33, 9, 1, 3, "0x1.3b81456c1bd3ep+0", 21,
+    (0.33, 1, "0x1.3b81456c1bd3ep+0", 1,
      (("0x1.2bc4ea4837cb0p-1", "0x0.0p+0"),
       ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
-    (0.75, 13, 5, 2, "0x1.006675433af26p+0", 105,
+    (0.75, 5, "0x1.006675433af26p+0", 5,
      (("0x1.ec5ec6040e444p-1", "0x0.0p+0"),
       ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
-    (0.02, 24, 0, 4, "0x1.0abd420e437e3p+4", 0,
+    (0.02, 0, "0x1.0abd420e437e3p+4", 0,
      (("0x1.2118b28413000p-5", "0x0.0p+0"),
       ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
-    (0.98, 16, 60, 11, "0x1.000000a96cb27p+0", 839,
+    (0.98, 60, "0x1.000000a96cb27p+0", 37,
      (("0x1.ffe6a9816e3c9p-1", "0x0.0p+0"),
       ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
     # p where numpy's array power P**4 differs in the last bit from Python's
-    (0.23, 24, 200, 1, "0x1.94b1d3be3eea8p+0", 2376,
+    (0.23, 200, "0x1.94b1d3be3eea8p+0", 38,
      (("0x1.ad657c0560e7dp-2", "0x1.5784633780b98p-28"),
       ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
-    (0.27, 12, 40, 6, "0x1.66c26c231741ep+0", 837,
+    (0.27, 40, "0x1.66c26c231741ep+0", 37,
      (("0x1.f44efa8c04db6p-2", "0x0.0p+0"),
       ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
-    (0.97, 24, 200, 3, "0x1.0000036b3493dp+0", 949,
+    (0.97, 200, "0x1.0000036b3493dp+0", 37,
      (("0x1.ffc669ac00ce2p-1", "0x0.0p+0"),
       ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
-    (0.23, 8, 0, 2, "0x1.94b1d3be3eea6p+0", 0,
+    (0.23, 0, "0x1.94b1d3be3eea6p+0", 0,
      (("0x1.ad657b9efa818p-2", "0x0.0p+0"),
       ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
-    (0.97, 10, 1, 8, "0x1.0000036b3493cp+0", 21,
+    (0.97, 1, "0x1.0000036b3493cp+0", 1,
      (("0x1.ffc6699267348p-1", "0x0.0p+0"),
       ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
 ]
 
 
-@pytest.mark.parametrize("p, grid, iters, seed, m_hex, iterations, sigma_hex", PINNED_REPORTS)
-def test_reports_are_pinned(p, grid, iters, seed, m_hex, iterations, sigma_hex):
-    rep = estimate_M(PoleParam(p), grid=grid, refine_iters=iters, seed=seed)
+@pytest.mark.parametrize("p, iters, m_hex, iterations, sigma_hex", PINNED_REPORTS)
+def test_reports_are_pinned(p, iters, m_hex, iterations, sigma_hex):
+    rep = estimate_M(PoleParam(p), refine_iters=iters)
     assert rep.m_estimate.hex() == m_hex
     assert rep.iterations == iterations
     assert tuple((s.real.hex(), s.imag.hex()) for s in rep.arg_sigma) == sigma_hex
-
-
-@pytest.mark.parametrize("p, grid, ties", [(0.9, 24, 169), (0.5, 8, 57)])
-def test_grid_starts_match_the_full_sort(p, grid, ties):
-    # grids where many values tie with the GRID_STARTS-th largest, so the
-    # cut keeps far more candidates than starts and the tie-break decides
-    P = PoleParam(p).P
-    pts = search._polar_grid(grid)
-    vals = phi_sigma2_max(P, pts[:, None], pts[None, :]).ravel()
-    s0, s1 = np.repeat(pts, pts.size), np.tile(pts, pts.size)
-    best = np.lexsort((s1.imag, s1.real, s0.imag, s0.real, -vals))[:search.GRID_STARTS]
-    assert np.count_nonzero(vals == vals[best[-1]]) == ties
-    g0, g1 = search._grid_starts(P, grid)
-    assert g0.tobytes() == s0[best].tobytes()
-    assert g1.tobytes() == s1[best].tobytes()
-
-
-def _full_sweep_starts(P, grid):
-    """The grid starts from the full broadcast sweep of every (sigma0, sigma1)
-    pair of the polar grid: the reference for the row-pruned ``_grid_starts``."""
-    pts = search._polar_grid(grid)
-    vals = phi_sigma2_max(P, pts[:, None], pts[None, :]).ravel()
-    top = vals.size - search.GRID_STARTS
-    cand = np.flatnonzero(vals >= np.partition(vals, top)[top])
-    s0, s1 = pts[cand // pts.size], pts[cand % pts.size]
-    best = np.lexsort((s1.imag, s1.real, s0.imag, s0.real, -vals[cand]))[:search.GRID_STARTS]
-    return s0[best], s1[best]
-
-
-def _counting_sweeps(sizes):
-    """``phi_sigma2_max``, recording the number of points of each call."""
-    def counted(P, s0, s1):
-        sizes.append(np.broadcast(s0, s1).size)
-        return phi_sigma2_max(P, s0, s1)
-    return counted
-
-
-class TestGridStarts:
-    #: p dense over [P_MIN, 1), both ends included, and one p at which, on
-    #: grid 8, a row outside the first pass can still hold a start
-    DENSE_P = (P_MIN, *np.geomspace(1e-6, 0.05, 60), *np.linspace(0.05, 1.0 - 1e-6, 120)[1:],
-               0.9999999999999999, 0.16755840468227423)
-    GRIDS = (8, 9, 24, 40)
-
-    @pytest.mark.parametrize("starts", [search.GRID_STARTS, 4, 2])
-    def test_pruned_sweep_is_the_full_sweep(self, starts, monkeypatch):
-        # fewer starts also shrink the first pass, so that the second pass
-        # sweeps rows far more often than at the default
-        monkeypatch.setattr(search, "GRID_STARTS", starts)
-        sizes, second = [], 0
-        monkeypatch.setattr(search, "phi_sigma2_max", _counting_sweeps(sizes))
-        for grid in self.GRIDS:
-            for p in self.DENSE_P:
-                P = PoleParam(float(p)).P
-                sizes.clear()
-                g0, g1 = search._grid_starts(P, grid)
-                second += len(sizes) == 2
-                w0, w1 = _full_sweep_starts(P, grid)
-                assert (g0.tobytes(), g1.tobytes()) == (w0.tobytes(), w1.tobytes()), (p, grid)
-        assert second > 0
-
-    def test_row_bounds_hold_on_the_full_sweep(self):
-        # the widened bound of each sigma0 row is at least every value in it
-        for grid in self.GRIDS:
-            pts = search._polar_grid(grid)
-            for p in self.DENSE_P:
-                P = PoleParam(float(p)).P
-                vals = phi_sigma2_max(P, pts[:, None], pts[None, :])
-                bound = search._row_bounds(P, pts) * (1.0 + search._BOUND_SLACK)
-                assert np.all(vals.max(axis=1) <= bound), (p, grid)
-
-    def test_default_sweep_visits_few_rows(self, monkeypatch):
-        # a return to the full sweep of every row would read 169 rows here
-        grid = inspect.signature(estimate_M).parameters["grid"].default
-        n = search._polar_grid(grid).size
-        sizes = []
-        monkeypatch.setattr(search, "phi_sigma2_max", _counting_sweeps(sizes))
-        for p in TestEstimateM.ACCURACY_P:
-            sizes.clear()
-            search._grid_starts(PoleParam(float(p)).P, grid)
-            assert sum(sizes) <= 2 * search.GRID_STARTS * n, p
 
 
 class TestCompassSearch:
@@ -449,7 +399,7 @@ class TestCompassSearch:
 
         monkeypatch.setattr(search, "minimize", recording)
         pp = PoleParam(0.05)
-        rep = estimate_M(pp, grid=8, refine_iters=200)
+        rep = estimate_M(pp, refine_iters=200)
         (res,) = runs
         N = 4
         assert len(calls) == 1 + res.nit.max()
