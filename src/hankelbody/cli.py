@@ -108,7 +108,7 @@ def _table_cell(v: float, width: int) -> str:
 def cmd_bounds(args) -> int:
     pps = [PoleParam(p) for p in args.p]
     rows = [(pp.p, 1.0 / (3.0 * pp.p), lower_bound_M(pp),
-             estimate_M(pp, refine_iters=args.iters).m_estimate,
+             estimate_M(pp).m_estimate,
              upper_bound_M(pp), 1.0 / (3.0 * pp.p) + 2.0 / 3.0)
             for pp in pps]
     header = ("p", "one_third_p", "lower", "m_estimate", "upper", "one_third_p_plus")
@@ -307,7 +307,7 @@ def cmd_verify(args) -> int:
 
 def cmd_extremal(args) -> int:
     pp = PoleParam(args.p)
-    report = estimate_M(pp, refine_iters=args.iters)
+    report = estimate_M(pp)
     sig = report.arg_sigma
     payload = {
         "p": report.p,
@@ -318,9 +318,6 @@ def cmd_extremal(args) -> int:
         },
         "lower": lower_bound_M(pp),
         "upper": upper_bound_M(pp),
-        "iterations": report.iterations,
-        "grid": args.grid,
-        "seed": args.seed,
     }
     _write_text(args.out, [_dump_json(payload)])
     return EXIT_OK
@@ -348,8 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--grid", type=_parse_int("grid", _GRID_MIN), default=24,
                          help=_NO_EFFECT)
         cmd.add_argument("--iters", type=_parse_int("iters", 0), default=0,
-                         help="compass-search steps from the slice maximum (default 0: "
-                              "report it, evaluated once)")
+                         help=_NO_EFFECT)
     for cmd in (r, v):
         cmd.add_argument("--samples", type=_parse_int("samples", 1), default=1000)
     for cmd, func, out_help in ((b, cmd_bounds, "optional CSV path"), (r, cmd_region, None),

@@ -4,11 +4,8 @@ M(p) = sup |H| over the closed polydisk is the maximum over t in [0, 1] of
 the paper's quartic slice h_p(t) = -H(t, -1, 0) (README, "The extremal
 modulus", gives the six-step proof, and ``tests/test_exact.py`` checks its
 identities with sympy on the package's own Phi).  So ``estimate_M``
-evaluates |H| at (t*, -1), t* the slice's argmax.  Refinement is opt-in
-(``refine_iters > 0``): a compass search (``minimize``) then starts from
-that point in the four real parameters of (sigma0, sigma1), moduli clamped
-to [0,1], and can gain no more than rounding.  Everything is deterministic
-for a fixed ``refine_iters``.
+evaluates |H| once, at (t*, -1) with t* the slice's argmax, and nothing
+else; it is deterministic.
 """
 
 from __future__ import annotations
@@ -55,28 +52,13 @@ class RegionSample:
 @dataclass(frozen=True)
 class ExtremalReport:
     """What ``estimate_M`` computed: the modulus ``m_estimate`` of H at p,
-    which is M(p) by the slice theorem, the polydisk point ``arg_sigma``
-    where it is attained, and the compass-search steps from the one start,
-    0 unless the search refined.  The paper's closed-form bounds on M(p)
-    are ``hankel.lower_bound_M`` and ``hankel.upper_bound_M``."""
+    which is M(p) by the slice theorem, and the polydisk point ``arg_sigma``
+    = (t*, -1, sigma2) where it is attained.  The paper's closed-form bounds
+    on M(p) are ``hankel.lower_bound_M`` and ``hankel.upper_bound_M``."""
 
     p: float
     m_estimate: float
     arg_sigma: ParamTriple
-    iterations: int
-
-
-def _sigma_rows(X: np.ndarray) -> np.ndarray:
-    """(n, 2) points (sigma0, sigma1) from (n, 4) rows of (modulus, argument)
-    pairs, moduli clamped to [0, 1]."""
-    return np.minimum(np.maximum(X[:, 0::2], 0.0), 1.0) * np.exp(1j * X[:, 1::2])
-
-
-def _negative_modulus(P: float, X: np.ndarray) -> np.ndarray:
-    """-sup over sigma2 of |Phi| at the (n, 4) rows of ``X``, the objective of
-    the refinement."""
-    sig = _sigma_rows(X)
-    return -phi_sigma2_max(P, sig[:, 0], sig[:, 1])
 
 
 def _slice_argmax(P: float) -> float:
@@ -92,7 +74,7 @@ def _slice_argmax(P: float) -> float:
     return float(t[np.argmax(np.abs(np.polynomial.polynomial.polyval(t, c)))])
 
 
-# the refinement's first step along each axis, and the step below which a
+# ``minimize``'s first step along each axis, and the step below which a
 # start retires
 _STEP0 = 0.05
 _XATOL = 1e-12
@@ -107,6 +89,8 @@ class SearchResult(NamedTuple):
     nfev: np.ndarray
 
 
+# Nothing in the package calls ``minimize``.  It stays because the benchmark's
+# tracer (``perfbench/tracer.py``) wraps it when it installs.
 def minimize(fun, X0: np.ndarray, maxiter: int) -> SearchResult:
     """Compass search (Kolda, Lewis and Torczon, SIAM Review 45, 2003) from
     every row of ``X0`` at once, for at most ``maxiter`` steps each.
@@ -142,33 +126,17 @@ def minimize(fun, X0: np.ndarray, maxiter: int) -> SearchResult:
     return SearchResult(x=X, fun=F, nit=nit, nfev=1 + 2 * N * nit)
 
 
-def estimate_M(pp: PoleParam, refine_iters: int = 0) -> ExtremalReport:
-    """M(p) as sup over sigma2 of |H| at (t*, -1), t* from ``_slice_argmax``.
-
-    The real slice's maximum is M(p), so with the default ``refine_iters=0``
-    that point is only evaluated, sigma2 taken in closed form
-    (``phi_sigma2_max``).  A positive ``refine_iters`` caps the steps of a
-    compass search (``minimize``) from that one point over (sigma0, sigma1);
-    it can gain no more than rounding.  The point found is reported with its
-    canonical ``best_sigma2``.
-    """
-    if refine_iters < 0:
-        raise InvalidInput("refine_iters must be >= 0")
-
+def estimate_M(pp: PoleParam) -> ExtremalReport:
+    """M(p): the sup over sigma2 of |H| at the slice point (t*, -1), with t*
+    from ``_slice_argmax`` and the sup in closed form (``phi_sigma2_max``).
+    The point is reported as (t*, -1, ``best_sigma2`` there)."""
     P = pp.P
-    # (|sigma0|, arg sigma0, |sigma1|, arg sigma1) of (t*, -1)
-    X0 = np.array([[_slice_argmax(P), 0.0, 1.0, np.pi]])
-    if refine_iters > 0:
-        res = minimize(lambda X: _negative_modulus(P, X), X0, refine_iters)
-        X, F, iterations = res.x, res.fun, int(res.nit[0])
-    else:
-        X, F, iterations = X0, _negative_modulus(P, X0), 0
-    sig0, sig1 = map(complex, _sigma_rows(X)[0])
+    t = _slice_argmax(P)
+    sup = phi_sigma2_max(P, np.array([t]), np.array([-1.0]))[0]
     return ExtremalReport(
         p=pp.p,
-        m_estimate=-float(F[0]) / (18.0 * P**3),
-        arg_sigma=ParamTriple(sig0, sig1, best_sigma2(P, sig0, sig1)),
-        iterations=iterations,
+        m_estimate=float(sup) / (18.0 * P**3),
+        arg_sigma=ParamTriple(complex(t), complex(-1.0), best_sigma2(P, t, -1.0)),
     )
 
 

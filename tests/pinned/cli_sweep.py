@@ -41,8 +41,9 @@ ARGV = [
         "--p 0.9999999999 --samples 30 --seed 3",
         "--p 0.9999999999999999 --samples 30 --seed 3",
     )),
-    # the search defaults, each with its --iters 0 twin, which must write the
-    # same bytes, and its --iters 200 twin, the refinement that was the default
+    # the search defaults, each with an --iters 0 and an --iters 200 twin:
+    # --grid, --iters and --seed change nothing, so every twin writes its
+    # default's bytes (tests/test_cli.py checks each row without those flags)
     *(argv + iters for argv in (["extremal", "--p", "0.5"], ["bounds", "--p", "0.1,0.5,0.9"])
       for iters in ([], ["--iters", "0"], ["--iters", "200"])),
     ["extremal", "--p", "0.05", "--grid", "10", "--iters", "40", "--seed", "3"],

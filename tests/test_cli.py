@@ -590,8 +590,7 @@ class TestExtremal:
                     "--out", str(out)])
         assert code == EXIT_OK
         payload = json.loads(out.read_text())
-        assert set(payload) == {"p", "m_estimate", "arg_sigma", "lower",
-                                "upper", "iterations", "grid", "seed"}
+        assert set(payload) == {"p", "m_estimate", "arg_sigma", "lower", "upper"}
         assert payload["lower"] <= payload["m_estimate"] + 1e-9
         assert all(0.0 <= m <= 1.0 + 1e-12
                    for m in payload["arg_sigma"]["moduli"])
@@ -603,7 +602,6 @@ class TestExtremal:
                     "--out", str(out)])
         assert code == EXIT_OK
         payload = json.loads(out.read_text())
-        assert payload["iterations"] == 0
         assert payload["m_estimate"] >= slice_max_on_grid(p) - 1e-13
 
 
@@ -621,16 +619,20 @@ def test_the_sweep_table_rows_are_the_sweep_argv():
     assert [row["argv"] for row in json.loads(SWEEP.TABLE.read_text())] == SWEEP.ARGV
 
 
-def test_the_default_search_rows_are_their_iters_0_twins():
-    # the search's default evaluates the starts without refining, so a
-    # default extremal or bounds row writes what its --iters 0 twin writes
-    rows = {tuple(row["argv"]): row for row in json.loads(SWEEP.TABLE.read_text())}
-    defaults = [argv for argv in rows if argv[0] in ("extremal", "bounds")
-                and "--iters" not in argv and (*argv, "--iters", "0") in rows]
-    assert {"extremal --p 0.5", "bounds --p 0.1,0.5,0.9"} <= {" ".join(a) for a in defaults}
-    for argv in defaults:
-        twin = rows[(*argv, "--iters", "0")]
-        assert (rows[argv]["stdout"], rows[argv]["out"]) == (twin["stdout"], twin["out"])
+#: the flags that extremal and bounds parse and check but do not act on
+INERT_FLAGS = ("--grid", "--iters", "--seed")
+
+
+def test_the_inert_flags_change_no_byte(tmp_path):
+    # each extremal or bounds row of the sweep writes, byte for byte, what
+    # its argv writes with --grid, --iters and --seed and their values removed
+    rows = [row for row in json.loads(SWEEP.TABLE.read_text())
+            if row["argv"][0] in ("extremal", "bounds")]
+    assert sum(any(f in row["argv"] for f in INERT_FLAGS) for row in rows) >= 8
+    for row in rows:
+        argv = [a for i, a in enumerate(row["argv"])
+                if a not in INERT_FLAGS and row["argv"][i - 1] not in INERT_FLAGS]
+        assert SWEEP.sweep_row(argv, tmp_path / "out") == {**row, "argv": argv}, row["argv"]
 
 
 def test_the_sweep_pins_every_subcommand_format_and_exit_code():
@@ -654,14 +656,14 @@ class TestBoundsTable:
         ["--p", "0.1,0.62,0.97", "--grid", "9", "--iters", "1", "--seed", "7"],
     ])
     def test_rows_are_the_per_p_reports(self, argv, tmp_path, monkeypatch, capsys):
-        # bounds reports each p on its own, with the argv's iters (its grid and
-        # seed change nothing); each row must be, bit for bit, the report of
-        # estimate_M at that p
+        # bounds reports each p on its own (its grid, iters and seed change
+        # nothing); each row must be, bit for bit, the report of estimate_M
+        # at that p
         calls = []
 
         def recording(pp, **kwargs):
             calls.append((pp, kwargs))
-            return estimate_M(pp, **kwargs)
+            return estimate_M(pp)
 
         estimate_M = cli.estimate_M
         monkeypatch.setattr(cli, "estimate_M", recording)
@@ -670,11 +672,10 @@ class TestBoundsTable:
         capsys.readouterr()
         args = build_parser().parse_args(["bounds", *argv])
         rows = out.read_text().splitlines()[1:]
-        kwargs = {"refine_iters": args.iters}
-        assert calls == [(PoleParam(p), kwargs) for p in args.p]
+        assert calls == [(PoleParam(p), {}) for p in args.p]
         assert len(rows) == len(args.p)
         for p, row in zip(args.p, rows):
-            want = estimate_M(PoleParam(p), **kwargs)
+            want = estimate_M(PoleParam(p))
             assert row.split(",")[3] == repr(want.m_estimate)
 
     def test_tiny_p_cells_fit_their_columns(self, capsys):
@@ -752,9 +753,8 @@ class TestBenchmarkHooks:
 
     def test_traced_bounds_job(self, capsys):
         # the tracer rebinds every public function, and its phi_sigma2_max
-        # hook reads len(args[1]): a bounds job runs one search per p through
-        # those hooks, each a compass search from one start, which evaluates
-        # the start and then, in each of its 5 steps, 2 x 4 points
+        # hook reads len(args[1]): a bounds job evaluates one point per p
+        # through those hooks, and its --iters 5 runs no compass search
         bounds = ["bounds", "--p", "0.2,0.9", "--grid", "8", "--iters", "5"]
         ready, traced, job, stats = _traced_worker([bounds])
         assert traced == {"ok": True}
@@ -763,8 +763,8 @@ class TestBenchmarkHooks:
         assert job["stdout_bytes"] == len(capsys.readouterr().out)
         spans, counters = stats["trace"]["spans"], stats["trace"]["counters"]
         assert spans["search.estimate_M"][0] == 2
-        assert spans["search.minimize"][0] == 2
-        assert counters["kernels.phi_sigma2_max.evals"] == 2 * (1 + 5 * (4 + 4))
+        assert spans["search.minimize"][0] == 0
+        assert counters["kernels.phi_sigma2_max.evals"] == 2
 
 
 #: the extremal job among the benchmark's warm-up jobs (``WARMUP_ARGV`` of

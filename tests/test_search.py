@@ -16,7 +16,7 @@ from hankelbody.kernels import (_phi_terms, best_sigma2, phi_batch, phi_factors,
 from hankelbody.hankel import hp_numerator_coeffs, phi_p
 from hankelbody import search
 from hankelbody.search import (_STEP0, _XATOL, BOUNDARY_RATE, REGION_BINS,
-                               _binned_boundary, _negative_modulus, minimize,
+                               _binned_boundary, minimize,
                                sample_polydisk)
 
 from conftest import slice_max_on_grid, triples
@@ -151,19 +151,12 @@ class TestEstimateM:
         assert rep.m_estimate == pytest.approx(1.04492, abs=2e-4)
 
     def test_deterministic(self, pp05):
-        r1 = estimate_M(pp05, refine_iters=50)
-        r2 = estimate_M(pp05, refine_iters=50)
-        assert r1 == r2
-
-    def test_refinement_monotone(self, pp05):
-        coarse = estimate_M(pp05, refine_iters=0)
-        fine = estimate_M(pp05, refine_iters=100)
-        assert fine.m_estimate >= coarse.m_estimate - 1e-12
+        assert estimate_M(pp05) == estimate_M(pp05)
 
     def test_maximizer_reported_value_consistent(self):
-        for p, iters in ((0.5, 100), (0.5, 0), (0.9, 200), (0.1, 30)):
+        for p in (0.5, 0.9, 0.1):
             pp = PoleParam(p)
-            rep = estimate_M(pp, refine_iters=iters)
+            rep = estimate_M(pp)
             s0, s1, s2 = rep.arg_sigma
             P = pp.P
             sup = phi_sigma2_max(P, np.array([s0]), np.array([s1]))[0]
@@ -172,10 +165,9 @@ class TestEstimateM:
             direct = abs(hankel_from_sigma(pp, rep.arg_sigma))
             assert direct == pytest.approx(rep.m_estimate, abs=1e-9)
 
-    @pytest.mark.parametrize("iters", [0, 1, 30])
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.62, 0.9])
-    def test_coarse_search_reaches_the_slice_maximum(self, p, iters):
-        rep = estimate_M(PoleParam(p), refine_iters=iters)
+    def test_reaches_the_slice_maximum_on_a_grid(self, p):
+        rep = estimate_M(PoleParam(p))
         assert rep.m_estimate >= slice_max_on_grid(p) - 1e-13
 
     #: 43 p in [0.001, 0.999], dense towards both ends
@@ -184,9 +176,10 @@ class TestEstimateM:
 
     @staticmethod
     def _exact_slice_max(pp):
-        """max over t in [0, 1] of |h_p(t)| at the float P of ``pp``, from
-        mpmath's roots of h_p' at 50 digits: an independent route to the
-        slice maximum that ``_slice_argmax`` finds with numpy's roots."""
+        """(max, argmax) over t in [0, 1] of |h_p(t)| at the float P of
+        ``pp``, from mpmath's roots of h_p' at 50 digits: an independent
+        route to the slice maximum that ``_slice_argmax`` finds with numpy's
+        roots."""
         mp = pytest.importorskip("mpmath").mp
         with mp.workdps(50):
             P = mp.mpf(pp.P)
@@ -194,40 +187,36 @@ class TestEstimateM:
             roots = mp.polyroots([k * c[k] for k in range(4, 0, -1)], maxsteps=100, extraprec=100)
             # real parts clipped into [0, 1]: a superset of the critical points there
             ts = [mp.mpf(0), mp.mpf(1), *(min(max(mp.re(r), 0), 1) for r in roots)]
-            return float(max(abs(mp.polyval(c[::-1].tolist(), t)) for t in ts) / (18 * P**3))
+            top, t = max((abs(mp.polyval(c[::-1].tolist(), t)), t) for t in ts)
+            return float(top / (18 * P**3)), float(t)
 
     def test_default_is_the_exact_slice_maximum(self):
-        # the default evaluates its one start, the slice point (t*, -1), once
+        # the report evaluates the slice point (t*, -1) once
         for p in self.ACCURACY_P:
             pp = PoleParam(float(p))
             P = pp.P
-            rep, exact = estimate_M(pp), self._exact_slice_max(pp)
-            assert rep.iterations == 0
+            rep, (exact, _) = estimate_M(pp), self._exact_slice_max(pp)
             assert abs(rep.m_estimate - exact) <= 2e-15 * exact, p
             t = search._slice_argmax(P)
             want = phi_sigma2_max(P, np.array([t]), np.array([-1.0]))[0] / (18.0 * P**3)
             assert rep.m_estimate.hex() == want.hex(), p
-            assert rep.arg_sigma[0] == t, p
+            assert rep.arg_sigma[:2] == (t, -1.0), p
 
     @pytest.mark.parametrize("p", ACCURACY_P)
-    def test_refinement_does_not_pay(self, p):
-        # the refinement starts from the default's point and never rises, and
-        # fails once it finds more than rounding above it
+    def test_the_witness_is_the_exact_argmax(self, p):
+        # t* against the 50-digit argmax; the worst is about 8e-12, near p = 0.002
         pp = PoleParam(float(p))
-        default = estimate_M(pp).m_estimate
-        refined = estimate_M(pp, refine_iters=200).m_estimate
-        assert default <= refined <= default * (1.0 + 1e-15)
+        _, t_exact = self._exact_slice_max(pp)
+        assert abs(estimate_M(pp).arg_sigma[0] - t_exact) <= 1e-10 * t_exact
 
-    def test_input_validation(self, pp05):
-        with pytest.raises(InvalidInput):
-            estimate_M(pp05, refine_iters=-1)
-        # no grid and no seed: the one start is the slice maximum
-        assert list(inspect.signature(estimate_M).parameters) == ["pp", "refine_iters"]
+    def test_input_validation(self):
+        # no grid, no seed and no refinement: the one point is the slice maximum
+        assert list(inspect.signature(estimate_M).parameters) == ["pp"]
 
     def test_report_holds_only_search_results(self):
         # the paper's bounds come from hankel
         names = tuple(f.name for f in dataclasses.fields(ExtremalReport))
-        assert names == ("p", "m_estimate", "arg_sigma", "iterations")
+        assert names == ("p", "m_estimate", "arg_sigma")
 
 
 #: p of the float check of the majorant chain, both ends of the range included
@@ -257,71 +246,62 @@ def test_the_majorant_chain_holds_in_floats(p):
         assert np.all(lo <= hi * (1.0 + 1e-14)), (p, k)
 
 
-#: (p, refine_iters, m_estimate.hex(), iterations, arg_sigma as
-#: (real.hex(), imag.hex()) pairs): reports pinned bit for bit, so that a
-#: faster search cannot change an answer unnoticed; iters 0 and 1 included
+#: (p, m_estimate.hex(), arg_sigma as (real.hex(), imag.hex()) pairs):
+#: reports pinned bit for bit, so that a faster route cannot change an
+#: answer unnoticed
 PINNED_REPORTS = [
-    (0.5, 200, "0x1.0b80098c099c8p+0", 36,
+    (0.5, "0x1.0b80098c099c8p+0",
      (("0x1.9a0ec65c48b58p-1", "0x0.0p+0"),
-      ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
+      ("-0x1.0000000000000p+0", "0x0.0p+0"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
-    (0.1, 0, "0x1.af7b6f01f1dacp+1", 0,
+    (0.1, "0x1.af7b6f01f1dacp+1",
      (("0x1.72ade3fd33dc0p-3", "0x0.0p+0"),
-      ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
+      ("-0x1.0000000000000p+0", "0x0.0p+0"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
-    (0.9, 200, "0x1.0001e73218531p+0", 36,
+    (0.9, "0x1.0001e73218531p+0",
      (("0x1.fd50d131bb2e6p-1", "0x0.0p+0"),
-      ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
+      ("-0x1.0000000000000p+0", "0x0.0p+0"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
-    (0.62, 30, "0x1.02de5902fed95p+0", 30,
+    (0.62, "0x1.02de5902fed95p+0",
      (("0x1.cbf04a23fe8cep-1", "0x0.0p+0"),
-      ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
+      ("-0x1.0000000000000p+0", "0x0.0p+0"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
-    (0.33, 1, "0x1.3b81456c1bd3ep+0", 1,
+    (0.33, "0x1.3b81456c1bd3ep+0",
      (("0x1.2bc4ea4837cb0p-1", "0x0.0p+0"),
-      ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
+      ("-0x1.0000000000000p+0", "0x0.0p+0"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
-    (0.75, 5, "0x1.006675433af26p+0", 5,
+    (0.75, "0x1.006675433af26p+0",
      (("0x1.ec5ec6040e444p-1", "0x0.0p+0"),
-      ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
+      ("-0x1.0000000000000p+0", "0x0.0p+0"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
-    (0.02, 0, "0x1.0abd420e437e3p+4", 0,
+    (0.02, "0x1.0abd420e437e3p+4",
      (("0x1.2118b28413000p-5", "0x0.0p+0"),
-      ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
+      ("-0x1.0000000000000p+0", "0x0.0p+0"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
-    (0.98, 60, "0x1.000000a96cb27p+0", 37,
-     (("0x1.ffe6a9816e3c9p-1", "0x0.0p+0"),
-      ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
+    (0.98, "0x1.000000a96cb26p+0",
+     (("0x1.ffe6a97e3b096p-1", "0x0.0p+0"),
+      ("-0x1.0000000000000p+0", "0x0.0p+0"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
     # p where numpy's array power P**4 differs in the last bit from Python's
-    (0.23, 200, "0x1.94b1d3be3eea8p+0", 38,
-     (("0x1.ad657c0560e7dp-2", "0x1.5784633780b98p-28"),
-      ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
-      ("0x1.0000000000000p+0", "0x0.0p+0"))),
-    (0.27, 40, "0x1.66c26c231741ep+0", 37,
-     (("0x1.f44efa8c04db6p-2", "0x0.0p+0"),
-      ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
-      ("0x1.0000000000000p+0", "0x0.0p+0"))),
-    (0.97, 200, "0x1.0000036b3493dp+0", 37,
-     (("0x1.ffc669ac00ce2p-1", "0x0.0p+0"),
-      ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
-      ("0x1.0000000000000p+0", "0x0.0p+0"))),
-    (0.23, 0, "0x1.94b1d3be3eea6p+0", 0,
+    (0.23, "0x1.94b1d3be3eea6p+0",
      (("0x1.ad657b9efa818p-2", "0x0.0p+0"),
-      ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
+      ("-0x1.0000000000000p+0", "0x0.0p+0"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
-    (0.97, 1, "0x1.0000036b3493cp+0", 1,
+    (0.27, "0x1.66c26c231741dp+0",
+     (("0x1.f44efa259e750p-2", "0x0.0p+0"),
+      ("-0x1.0000000000000p+0", "0x0.0p+0"),
+      ("0x1.0000000000000p+0", "0x0.0p+0"))),
+    (0.97, "0x1.0000036b3493cp+0",
      (("0x1.ffc6699267348p-1", "0x0.0p+0"),
-      ("-0x1.0000000000000p+0", "0x1.1a62633145c07p-53"),
+      ("-0x1.0000000000000p+0", "0x0.0p+0"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
 ]
 
 
-@pytest.mark.parametrize("p, iters, m_hex, iterations, sigma_hex", PINNED_REPORTS)
-def test_reports_are_pinned(p, iters, m_hex, iterations, sigma_hex):
-    rep = estimate_M(PoleParam(p), refine_iters=iters)
+@pytest.mark.parametrize("p, m_hex, sigma_hex", PINNED_REPORTS)
+def test_reports_are_pinned(p, m_hex, sigma_hex):
+    rep = estimate_M(PoleParam(p))
     assert rep.m_estimate.hex() == m_hex
-    assert rep.iterations == iterations
     assert tuple((s.real.hex(), s.imag.hex()) for s in rep.arg_sigma) == sigma_hex
 
 
@@ -359,7 +339,10 @@ class TestCompassSearch:
         P = PoleParam(p).P
 
         def fun(X):
-            return _negative_modulus(P, X)
+            # -sup over sigma2 of |Phi| at the (modulus, argument) pairs of
+            # (sigma0, sigma1), moduli clamped to [0, 1]
+            sig = np.clip(X[:, 0::2], 0.0, 1.0) * np.exp(1j * X[:, 1::2])
+            return -phi_sigma2_max(P, sig[:, 0], sig[:, 1])
 
         rng = np.random.default_rng(int(100 * p))
         X0 = rng.uniform(-1.0, 1.0, size=(12, 4)) * [1.3, 7.0, 1.3, 7.0]
@@ -386,27 +369,6 @@ class TestCompassSearch:
         assert [len(X) for X in calls] == [2] + [4 * N] * retired + [2 * N] * (60 - retired)
         assert all(np.all(X[:, 1] < 10.0) for X in calls[1 + retired:])
         assert res.fun[0] == pytest.approx(-60 * _STEP0)
-
-    def test_counts_are_what_ran(self, monkeypatch):
-        # nfev counts the points each start was evaluated at, its own
-        # included, and the report's iterations are the steps of all starts
-        calls, runs = [], []
-
-        def recording(fun, X0, maxiter):
-            res = minimize(self._recording(fun, calls), X0, maxiter)
-            runs.append(res)
-            return res
-
-        monkeypatch.setattr(search, "minimize", recording)
-        pp = PoleParam(0.05)
-        rep = estimate_M(pp, refine_iters=200)
-        (res,) = runs
-        N = 4
-        assert len(calls) == 1 + res.nit.max()
-        assert sum(len(X) for X in calls) == res.nfev.sum()
-        assert np.array_equal(res.nfev, 1 + 2 * N * res.nit)
-        assert rep.iterations == int(res.nit.sum())
-        assert rep.m_estimate == -float(res.fun.min()) / (18.0 * pp.P**3)
 
 
 class TestRegions:
