@@ -623,16 +623,22 @@ def test_the_sweep_table_rows_are_the_sweep_argv():
 INERT_FLAGS = ("--grid", "--iters", "--seed")
 
 
-def test_the_inert_flags_change_no_byte(tmp_path):
+#: the extremal and bounds rows of the sweep table
+SEARCH_ROWS = [row for row in json.loads(SWEEP.TABLE.read_text())
+               if row["argv"][0] in ("extremal", "bounds")]
+
+
+def test_the_sweep_passes_the_inert_flags():
+    assert sum(any(f in row["argv"] for f in INERT_FLAGS) for row in SEARCH_ROWS) >= 8
+
+
+@pytest.mark.parametrize("row", SEARCH_ROWS, ids=lambda row: " ".join(row["argv"]))
+def test_the_inert_flags_change_no_byte(row, tmp_path):
     # each extremal or bounds row of the sweep writes, byte for byte, what
     # its argv writes with --grid, --iters and --seed and their values removed
-    rows = [row for row in json.loads(SWEEP.TABLE.read_text())
-            if row["argv"][0] in ("extremal", "bounds")]
-    assert sum(any(f in row["argv"] for f in INERT_FLAGS) for row in rows) >= 8
-    for row in rows:
-        argv = [a for i, a in enumerate(row["argv"])
-                if a not in INERT_FLAGS and row["argv"][i - 1] not in INERT_FLAGS]
-        assert SWEEP.sweep_row(argv, tmp_path / "out") == {**row, "argv": argv}, row["argv"]
+    argv = [a for i, a in enumerate(row["argv"])
+            if a not in INERT_FLAGS and row["argv"][i - 1] not in INERT_FLAGS]
+    assert SWEEP.sweep_row(argv, tmp_path / "out") == {**row, "argv": argv}
 
 
 def test_the_sweep_pins_every_subcommand_format_and_exit_code():

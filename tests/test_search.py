@@ -370,6 +370,17 @@ class TestCompassSearch:
         assert all(np.all(X[:, 1] < 10.0) for X in calls[1 + retired:])
         assert res.fun[0] == pytest.approx(-60 * _STEP0)
 
+    def test_counts_are_what_ran(self):
+        # nfev counts the points each start was evaluated at, its own
+        # included, and nit the steps each start took
+        calls = []
+        N = 4
+        res = minimize(self._recording(lambda X: np.sum((X - 0.3) ** 2, axis=1), calls),
+                       np.array([np.zeros(N), np.full(N, 0.3), np.full(N, 5.0)]), 200)
+        assert len(calls) == 1 + res.nit.max()
+        assert sum(len(X) for X in calls) == res.nfev.sum()
+        assert np.array_equal(res.nfev, 1 + 2 * N * res.nit)
+
 
 class TestRegions:
     def test_omega_boundary_closed(self, pp05):
