@@ -3,13 +3,15 @@
 M(p) = sup |H| over the closed polydisk is the maximum over t in [0, 1] of
 the paper's quartic slice h_p(t) = -H(t, -1, 0) (README, "The extremal
 modulus", gives the six-step proof, and ``tests/test_exact.py`` checks its
-identities with sympy on the package's own Phi).  So ``estimate_M``
-evaluates |H| once, at (t*, -1) with t* the slice's argmax, and nothing
-else; it is deterministic.
+identities with sympy on the package's own Phi).  That maximum sits at t*,
+the one root of h_p' in (0, 1], so ``estimate_M`` finds t* by a bracketed
+Newton iteration in Python floats and evaluates |H| once, at (t*, -1, 1),
+on the scalar route of Phi; it is deterministic and calls no array kernel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -18,8 +20,9 @@ import numpy as np
 from .coeffbody import ParamTriple
 from .disk import PoleParam
 from .errors import InvalidInput
-from .hankel import hp_numerator_coeffs, omega_map
-from .kernels import best_sigma2, phi_batch, phi_sigma2_max
+from . import hankel
+from .hankel import omega_map
+from .kernels import phi_batch
 
 #: angular bins of the H-cloud's boundary polyline
 REGION_BINS = 256
@@ -53,8 +56,9 @@ class RegionSample:
 class ExtremalReport:
     """What ``estimate_M`` computed: the modulus ``m_estimate`` of H at p,
     which is M(p) by the slice theorem, and the polydisk point ``arg_sigma``
-    = (t*, -1, sigma2) where it is attained.  The paper's closed-form bounds
-    on M(p) are ``hankel.lower_bound_M`` and ``hankel.upper_bound_M``."""
+    = (t*, -1, 1) where it is attained, t* the argmax of the slice h_p.
+    The paper's closed-form bounds on M(p) are ``hankel.lower_bound_M`` and
+    ``hankel.upper_bound_M``."""
 
     p: float
     m_estimate: float
@@ -62,16 +66,39 @@ class ExtremalReport:
 
 
 def _slice_argmax(P: float) -> float:
-    """The t in [0, 1] where the quartic slice |h_p| is largest.
+    """t* in (0, 1], the one root of h_p' there and so the argmax of h_p.
 
-    The candidates are the endpoints and the roots of h_p', real parts
-    clipped into [0, 1]: a superset of the critical points in [0, 1], and a
-    near-double root keeps its candidate even when rounding makes it complex.
+    h_p'(0) > 0 >= h_p'(1), and the t^2 and t^3 coefficients of h_p' are
+    negative, so h_p' has one positive root and is concave on t >= 0
+    (``tests/test_exact.py``).  So Newton's method falls monotonically onto
+    t* from any point right of it, and its step from a point left of it,
+    where h_p'' < 0, lands right of it; a step past the bracket [lo, hi] on
+    the right goes to hi.  Where h_p'' >= 0, or a step falls out of the
+    bracket on the left, the iteration bisects instead.  It starts at the
+    paper's 7/(4P) and stops once its step is below an ulp of t or no float
+    lies strictly inside the bracket.  The coefficients are read from
+    ``hp_numerator_coeffs`` at each call, and h_p' and h_p'' taken by Horner.
     """
-    c = hp_numerator_coeffs(P)
-    crit = np.polynomial.polynomial.polyroots(np.polynomial.polynomial.polyder(c))
-    t = np.clip(np.concatenate(([0.0, 1.0], crit.real)), 0.0, 1.0)
-    return float(t[np.argmax(np.abs(np.polynomial.polynomial.polyval(t, c)))])
+    _, c1, c2, c3, c4 = hankel.hp_numerator_coeffs(P).tolist()
+    lo, hi, t = 0.0, 1.0, 7.0 / (4.0 * P)
+    while True:
+        d1 = c1 + t * (2.0 * c2 + t * (3.0 * c3 + t * (4.0 * c4)))
+        if d1 == 0.0:
+            return t
+        lo, hi = (t, hi) if d1 > 0.0 else (lo, t)
+        d2 = 2.0 * c2 + t * (6.0 * c3 + t * (12.0 * c4))
+        if d2 < 0.0:
+            step = d1 / d2
+            if abs(step) <= math.ulp(t):
+                return t - step
+            new = min(t - step, hi)
+            if lo < new:
+                t = new
+                continue
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return t
+        t = mid
 
 
 # ``minimize``'s first step along each axis, and the step below which a
@@ -127,17 +154,16 @@ def minimize(fun, X0: np.ndarray, maxiter: int) -> SearchResult:
 
 
 def estimate_M(pp: PoleParam) -> ExtremalReport:
-    """M(p): the sup over sigma2 of |H| at the slice point (t*, -1), with t*
-    from ``_slice_argmax`` and the sup in closed form (``phi_sigma2_max``).
-    The point is reported as (t*, -1, ``best_sigma2`` there)."""
+    """M(p) = |Phi(t*, -1, 1)| / (18 P^3), with t* from ``_slice_argmax``.
+
+    At |sigma1| = 1, Phi's sigma2 coefficient C (1 - |sigma1|^2) is exactly
+    0, so any sigma2 attains the sup over sigma2; the report takes 1 and
+    evaluates Phi through ``hankel.phi_p``, so that ``arg_sigma`` replays
+    the reported value bit for bit."""
     P = pp.P
-    t = _slice_argmax(P)
-    sup = phi_sigma2_max(P, np.array([t]), np.array([-1.0]))[0]
-    return ExtremalReport(
-        p=pp.p,
-        m_estimate=float(sup) / (18.0 * P**3),
-        arg_sigma=ParamTriple(complex(t), complex(-1.0), best_sigma2(P, t, -1.0)),
-    )
+    sigma = ParamTriple(complex(_slice_argmax(P)), -1.0 + 0.0j, 1.0 + 0.0j)
+    return ExtremalReport(p=pp.p, m_estimate=abs(hankel.phi_p(pp, sigma)) / (18.0 * P**3),
+                          arg_sigma=sigma)
 
 
 def sample_polydisk(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -74,13 +74,15 @@ class TestParsing:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
-        ["extremal", "--grid", "8", "--iters", "2"],
-        ["region", "--samples", "32", "--format", "json"],
+        ["extremal", "--grid", "8", "--iters", "2", "--p", f"{P_MIN!r}"],
+        ["region", "--samples", "32", "--format", "json", "--p", f"{P_MIN!r}"],
+        ["bounds", "--p", f"{P_MIN!r},0.5"],
     ])
     def test_p_at_the_floor_gives_finite_output(self, argv, tmp_path):
-        out = tmp_path / "out.json"
-        assert run(argv + ["--p", f"{P_MIN!r}", "--out", str(out)]) == EXIT_OK
-        assert not any(bad in out.read_text() for bad in ("NaN", "Infinity"))
+        # json writes a non-finite float as NaN or Infinity, csv as nan or inf
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)]) == EXIT_OK
+        assert not any(bad in out.read_text().lower() for bad in ("nan", "inf"))
 
     def test_help_exits_cleanly(self, capsys):
         assert run(["--help"]) == 0
@@ -758,9 +760,10 @@ class TestBenchmarkHooks:
         assert stats["trace"]["spans"]["search.estimate_M"][0] == 1
 
     def test_traced_bounds_job(self, capsys):
-        # the tracer rebinds every public function, and its phi_sigma2_max
-        # hook reads len(args[1]): a bounds job evaluates one point per p
-        # through those hooks, and its --iters 5 runs no compass search
+        # the tracer rebinds every public function: a bounds job evaluates
+        # Phi once per p on the scalar route (hankel.phi_p, through the
+        # rebound name, then kernels.phi_sigma0_terms), calls neither array
+        # kernel, and its --iters 5 runs no compass search
         bounds = ["bounds", "--p", "0.2,0.9", "--grid", "8", "--iters", "5"]
         ready, traced, job, stats = _traced_worker([bounds])
         assert traced == {"ok": True}
@@ -769,8 +772,10 @@ class TestBenchmarkHooks:
         assert job["stdout_bytes"] == len(capsys.readouterr().out)
         spans, counters = stats["trace"]["spans"], stats["trace"]["counters"]
         assert spans["search.estimate_M"][0] == 2
+        assert spans["hankel.phi_p"][0] == spans["kernels.phi_sigma0_terms"][0] == 2
         assert spans["search.minimize"][0] == 0
-        assert counters["kernels.phi_sigma2_max.evals"] == 2
+        assert spans["kernels.phi_batch"][0] == spans["kernels.phi_sigma2_max"][0] == 0
+        assert "kernels.phi_sigma2_max.evals" not in counters
 
 
 #: the extremal job among the benchmark's warm-up jobs (``WARMUP_ARGV`` of

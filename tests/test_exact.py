@@ -127,6 +127,64 @@ def test_hp_anchors_at_one():
     assert sp.cancel(sp.diff(h, t).subs(t, 1) + 2 * (P - 2) * (P + 1) / (3 * P)) == 0
 
 
+# --- t* is the one root of h_p' in (0, 1) (``search._slice_argmax``) -------
+
+def hp_prime_numerator():
+    """18 P^3 h_p'(t), from ``hankel.hp_numerator_coeffs`` on symbols, so that
+    a monkeypatch of it reaches every identity below."""
+    c = [exact(ck) for ck in hankel.hp_numerator_coeffs(P)]
+    return sp.expand(sum(k * c[k] * t ** (k - 1) for k in range(1, 5)))
+
+
+def test_hp_prime_is_positive_at_0():
+    # 18 P^3 h_p'(0) = c1, positive at P = 2 + u, u = P - 2 > 0
+    at0 = hp_prime_numerator().subs(t, 0).subs(P, 2 + u)
+    assert sp.expand(at0 - 3 * (7 * u**3 + 45 * u**2 + 83 * u + 40)) == 0
+
+
+def test_hp_prime_is_negative_at_1():
+    # 18 P^3 h_p'(1) = -12 P^2 (P - 2)(P + 1) < 0 for P > 2
+    at1 = hp_prime_numerator().subs(t, 1)
+    assert sp.expand(at1 + 12 * P**2 * (P - 2) * (P + 1)) == 0
+
+
+def test_hp_prime_has_one_sign_change():
+    # at P = 2 + u the t^2 and t^3 coefficients of 18 P^3 h_p' are minus
+    # polynomials in u with positive coefficients; with h_p'(0) > 0 the
+    # pattern is (+, either sign, -, -), one change, so by Descartes' rule
+    # h_p' has one positive root, and it lies in (0, 1).  The same two signs
+    # make the third derivative of h_p negative on t >= 0: h_p' is concave
+    d = sp.Poly(hp_prime_numerator().subs(P, 2 + u), t)
+    quad, cubic = d.coeff_monomial(t**2), d.coeff_monomial(t**3)
+    assert sp.expand(quad + 3 * (3 * u**3 + 27 * u**2 + 69 * u + 48)) == 0
+    assert sp.expand(cubic + 4 * (u + 5)) == 0
+
+
+#: the identities of the one-root proof, each with the k of the coefficients
+#: c_k of ``hp_numerator_coeffs`` that it reads (c0 does not enter h_p')
+ROOT_TESTS = ((test_hp_prime_is_positive_at_0, {1}),
+              (test_hp_prime_is_negative_at_1, {1, 2, 3, 4}),
+              (test_hp_prime_has_one_sign_change, {3, 4}))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_every_root_identity_fails_when_a_coefficient_it_reads_moves(k, monkeypatch):
+    # c_k raised by 1e-3 must fail every identity that reads it; h_p'(1)
+    # reads all four, so each such mutant fails the proof
+    coeffs = hankel.hp_numerator_coeffs
+
+    def raised(P):
+        c = coeffs(P)
+        c[k] = c[k] + 1e-3
+        return c
+
+    monkeypatch.setattr(hankel, "hp_numerator_coeffs", raised)
+    for proof, reads in ROOT_TESTS:
+        if k in reads:
+            with pytest.raises(AssertionError):
+                proof()
+
+
 # --- M(p) is the maximum of the real slice (README, "The extremal modulus") --
 
 def sign_factors():

@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import hashlib
 import inspect
+import math
 import tracemalloc
 
 import numpy as np
@@ -14,7 +16,7 @@ from hankelbody.errors import InvalidInput
 from hankelbody.kernels import (_phi_terms, best_sigma2, phi_batch, phi_factors,
                                 phi_sigma0_terms, phi_sigma2_max)
 from hankelbody.hankel import hp_numerator_coeffs, phi_p
-from hankelbody import search
+from hankelbody import hankel, search
 from hankelbody.search import (_STEP0, _XATOL, BOUNDARY_RATE, REGION_BINS,
                                _binned_boundary, minimize,
                                sample_polydisk)
@@ -154,14 +156,15 @@ class TestEstimateM:
         assert estimate_M(pp05) == estimate_M(pp05)
 
     def test_maximizer_reported_value_consistent(self):
+        # the report replays through the scalar Phi bit for bit; sigma2 is 1
+        # because C (1 - |sigma1|^2) is exactly 0 at sigma1 = -1
         for p in (0.5, 0.9, 0.1):
             pp = PoleParam(p)
             rep = estimate_M(pp)
-            s0, s1, s2 = rep.arg_sigma
-            P = pp.P
-            sup = phi_sigma2_max(P, np.array([s0]), np.array([s1]))[0]
-            assert rep.m_estimate == sup / (18.0 * P**3)
-            assert s2 == best_sigma2(P, s0, s1)
+            assert rep.arg_sigma[1:] == (-1.0, 1.0 + 0.0j)
+            assert rep.m_estimate == abs(phi_p(pp, rep.arg_sigma)) / (18.0 * pp.P**3)
+            sup = phi_sigma2_max(pp.P, np.array([rep.arg_sigma[0]]), np.array([-1.0]))[0]
+            assert rep.m_estimate == pytest.approx(sup / (18.0 * pp.P**3), rel=4e-16)
             direct = abs(hankel_from_sigma(pp, rep.arg_sigma))
             assert direct == pytest.approx(rep.m_estimate, abs=1e-9)
 
@@ -170,44 +173,70 @@ class TestEstimateM:
         rep = estimate_M(PoleParam(p))
         assert rep.m_estimate >= slice_max_on_grid(p) - 1e-13
 
-    #: 43 p in [0.001, 0.999], dense towards both ends
-    ACCURACY_P = (*np.geomspace(0.001, 0.05, 10), *np.linspace(0.06, 0.94, 23),
-                  *(1.0 - np.geomspace(0.05, 0.001, 10)))
+    #: 43 p in [0.001, 0.999], dense towards both ends, then log grids of p
+    #: in [1e-60, 0.5] and of 1 - p in [1e-9, 0.5]: the whole p range
+    ACCURACY_P = sorted({*np.geomspace(0.001, 0.05, 10), *np.linspace(0.06, 0.94, 23),
+                         *(1.0 - np.geomspace(0.05, 0.001, 10)),
+                         *np.geomspace(1e-60, 0.5, 60), *(1.0 - np.geomspace(0.5, 1e-9, 30))})
 
     @staticmethod
-    def _exact_slice_max(pp):
+    @functools.cache
+    def _exact_slice_max(p):
         """(max, argmax) over t in [0, 1] of |h_p(t)| at the float P of
-        ``pp``, from mpmath's roots of h_p' at 50 digits: an independent
-        route to the slice maximum that ``_slice_argmax`` finds with numpy's
-        roots."""
+        ``PoleParam(p)``, at 60 digits: an independent route to what
+        ``estimate_M`` finds in floats.  h_p' has one root in (0, 1), with
+        h_p'(0) > 0 > h_p'(1) (``tests/test_exact.py``), so the argmax is
+        that root, found by bisection to 1e-45 relative."""
         mp = pytest.importorskip("mpmath").mp
-        with mp.workdps(50):
-            P = mp.mpf(pp.P)
-            c = hp_numerator_coeffs(P)
-            roots = mp.polyroots([k * c[k] for k in range(4, 0, -1)], maxsteps=100, extraprec=100)
-            # real parts clipped into [0, 1]: a superset of the critical points there
-            ts = [mp.mpf(0), mp.mpf(1), *(min(max(mp.re(r), 0), 1) for r in roots)]
-            top, t = max((abs(mp.polyval(c[::-1].tolist(), t)), t) for t in ts)
-            return float(top / (18 * P**3)), float(t)
+        with mp.workdps(60):
+            P = mp.mpf(PoleParam(p).P)
+            c = hp_numerator_coeffs(P).tolist()
 
-    def test_default_is_the_exact_slice_maximum(self):
-        # the report evaluates the slice point (t*, -1) once
-        for p in self.ACCURACY_P:
-            pp = PoleParam(float(p))
-            P = pp.P
-            rep, (exact, _) = estimate_M(pp), self._exact_slice_max(pp)
-            assert abs(rep.m_estimate - exact) <= 2e-15 * exact, p
-            t = search._slice_argmax(P)
-            want = phi_sigma2_max(P, np.array([t]), np.array([-1.0]))[0] / (18.0 * P**3)
-            assert rep.m_estimate.hex() == want.hex(), p
-            assert rep.arg_sigma[:2] == (t, -1.0), p
+            def slope(t):
+                return c[1] + t * (2 * c[2] + t * (3 * c[3] + t * 4 * c[4]))
+
+            lo, hi = mp.mpf(0), mp.mpf(1)
+            assert slope(lo) > 0 >= slope(hi), p
+            while lo == 0 or hi - lo > lo * mp.mpf(10) ** -45:
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if slope(mid) > 0 else (lo, mid)
+            top = max(abs(mp.polyval(c[::-1], t)) for t in (mp.mpf(0), lo, mp.mpf(1)))
+            return float(top / (18 * P**3)), float(lo)
+
+    @pytest.mark.parametrize("p", ACCURACY_P)
+    def test_default_is_the_exact_slice_maximum(self, p):
+        # the report is |Phi| at (t*, -1, 1), evaluated once on the scalar
+        # route, within 4 ulp of the 60-digit slice maximum
+        pp = PoleParam(float(p))
+        P = pp.P
+        rep, (exact, _) = estimate_M(pp), self._exact_slice_max(float(p))
+        assert abs(rep.m_estimate - exact) <= 4 * math.ulp(exact), p
+        assert rep.arg_sigma == (search._slice_argmax(P), -1.0, 1.0 + 0.0j), p
+        want = abs(phi_p(pp, rep.arg_sigma)) / (18.0 * P**3)
+        assert rep.m_estimate.hex() == want.hex(), p
 
     @pytest.mark.parametrize("p", ACCURACY_P)
     def test_the_witness_is_the_exact_argmax(self, p):
-        # t* against the 50-digit argmax; the worst is about 8e-12, near p = 0.002
-        pp = PoleParam(float(p))
-        _, t_exact = self._exact_slice_max(pp)
-        assert abs(estimate_M(pp).arg_sigma[0] - t_exact) <= 1e-10 * t_exact
+        # t* against the 60-digit argmax; the worst is under 1e-15
+        _, t_exact = self._exact_slice_max(float(p))
+        t = estimate_M(PoleParam(float(p))).arg_sigma[0].real
+        assert abs(t - t_exact) <= 1e-12 * t_exact, p
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_the_root_reads_the_package_quartic(self, k, monkeypatch):
+        # c_k of hankel.hp_numerator_coeffs raised by 1e-3 must move t*: a
+        # private copy of the quartic in search would leave it where it is
+        pp = PoleParam(0.5)
+        t = estimate_M(pp).arg_sigma[0]
+        coeffs = hankel.hp_numerator_coeffs
+
+        def raised(P):
+            c = coeffs(P)
+            c[k] += 1e-3
+            return c
+
+        monkeypatch.setattr(hankel, "hp_numerator_coeffs", raised)
+        assert estimate_M(pp).arg_sigma[0] != t
 
     def test_input_validation(self):
         # no grid, no seed and no refinement: the one point is the slice maximum
@@ -251,48 +280,48 @@ def test_the_majorant_chain_holds_in_floats(p):
 #: answer unnoticed
 PINNED_REPORTS = [
     (0.5, "0x1.0b80098c099c8p+0",
-     (("0x1.9a0ec65c48b58p-1", "0x0.0p+0"),
+     (("0x1.9a0ec65c48b57p-1", "0x0.0p+0"),
       ("-0x1.0000000000000p+0", "0x0.0p+0"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
     (0.1, "0x1.af7b6f01f1dacp+1",
-     (("0x1.72ade3fd33dc0p-3", "0x0.0p+0"),
+     (("0x1.72ade3fd33da7p-3", "0x0.0p+0"),
       ("-0x1.0000000000000p+0", "0x0.0p+0"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
-    (0.9, "0x1.0001e73218531p+0",
-     (("0x1.fd50d131bb2e6p-1", "0x0.0p+0"),
+    (0.9, "0x1.0001e73218530p+0",
+     (("0x1.fd50d131bb2e1p-1", "0x0.0p+0"),
       ("-0x1.0000000000000p+0", "0x0.0p+0"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
-    (0.62, "0x1.02de5902fed95p+0",
-     (("0x1.cbf04a23fe8cep-1", "0x0.0p+0"),
+    (0.62, "0x1.02de5902fed93p+0",
+     (("0x1.cbf04a23fe8cdp-1", "0x0.0p+0"),
       ("-0x1.0000000000000p+0", "0x0.0p+0"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
     (0.33, "0x1.3b81456c1bd3ep+0",
-     (("0x1.2bc4ea4837cb0p-1", "0x0.0p+0"),
+     (("0x1.2bc4ea4837cb1p-1", "0x0.0p+0"),
       ("-0x1.0000000000000p+0", "0x0.0p+0"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
-    (0.75, "0x1.006675433af26p+0",
-     (("0x1.ec5ec6040e444p-1", "0x0.0p+0"),
+    (0.75, "0x1.006675433af25p+0",
+     (("0x1.ec5ec6040e440p-1", "0x0.0p+0"),
       ("-0x1.0000000000000p+0", "0x0.0p+0"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
-    (0.02, "0x1.0abd420e437e3p+4",
-     (("0x1.2118b28413000p-5", "0x0.0p+0"),
+    (0.02, "0x1.0abd420e437e4p+4",
+     (("0x1.2118b284130e2p-5", "0x0.0p+0"),
       ("-0x1.0000000000000p+0", "0x0.0p+0"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
-    (0.98, "0x1.000000a96cb26p+0",
-     (("0x1.ffe6a97e3b096p-1", "0x0.0p+0"),
+    (0.98, "0x1.000000a96cb25p+0",
+     (("0x1.ffe6a97e3b090p-1", "0x0.0p+0"),
       ("-0x1.0000000000000p+0", "0x0.0p+0"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
     # p where numpy's array power P**4 differs in the last bit from Python's
     (0.23, "0x1.94b1d3be3eea6p+0",
-     (("0x1.ad657b9efa818p-2", "0x0.0p+0"),
+     (("0x1.ad657b9efa81dp-2", "0x0.0p+0"),
       ("-0x1.0000000000000p+0", "0x0.0p+0"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
     (0.27, "0x1.66c26c231741dp+0",
-     (("0x1.f44efa259e750p-2", "0x0.0p+0"),
+     (("0x1.f44efa259e753p-2", "0x0.0p+0"),
       ("-0x1.0000000000000p+0", "0x0.0p+0"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
-    (0.97, "0x1.0000036b3493cp+0",
-     (("0x1.ffc6699267348p-1", "0x0.0p+0"),
+    (0.97, "0x1.0000036b3493bp+0",
+     (("0x1.ffc6699267345p-1", "0x0.0p+0"),
       ("-0x1.0000000000000p+0", "0x0.0p+0"),
       ("0x1.0000000000000p+0", "0x0.0p+0"))),
 ]
